@@ -48,7 +48,7 @@ enum class InvariantRule : unsigned char {
   kSyncMonotonic = 3,     ///< heads, combined prefix, byte counters forward-only
   kBlockConservation = 4, ///< sum(up) == sum(down) == blocks * block size
   kCensus = 5,            ///< live counts, boot-strap registry, step counter
-  kEventQueue = 6,        ///< slab/calendar/heap/free-list consistency
+  kEventQueue = 6,        ///< slab/heap/free-list consistency
   kTeardown = 7,          ///< departed peers fully dismantled
 };
 

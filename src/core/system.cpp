@@ -73,7 +73,7 @@ void System::start() {
     const net::NodeId id = static_cast<net::NodeId>(peers_.size());
     peers_.push_back(std::make_unique<Peer>(
         *this, id, spec, units::SessionId(next_session_id_++), now()));
-    live_.push_back(id);
+    add_live(id);
     bootstrap_.add(id, now());
     peers_.back()->start_join();
   }
@@ -95,7 +95,7 @@ net::NodeId System::join(const PeerSpec& spec) {
   const net::NodeId id = static_cast<net::NodeId>(peers_.size());
   peers_.push_back(std::make_unique<Peer>(
       *this, id, s, units::SessionId(next_session_id_++), now()));
-  live_.push_back(id);
+  add_live(id);
   bootstrap_.add(id, now());
   ++live_viewers_;
   viewers_over_time_.add(now(), +1);
@@ -135,14 +135,24 @@ void System::leave(net::NodeId id, bool graceful) {
   }
 
   bootstrap_.remove(id);
-  auto it = std::find(live_.begin(), live_.end(), id);
-  assert(it != live_.end());
-  *it = live_.back();
+  // O(1) swap-remove through the position index.
+  const std::uint32_t pos = live_index_[id];
+  assert(live_[pos] == id);
+  const net::NodeId moved = live_.back();
+  live_[pos] = moved;
+  live_index_[moved] = pos;
   live_.pop_back();
   --live_viewers_;
   viewers_over_time_.add(now(), -1);
   ++stats_.leaves;
   notify(id, SessionEvent::kLeft);
+}
+
+void System::add_live(net::NodeId id) {
+  // Ids are minted densely from peers_.size(), so the index grows in step.
+  assert(live_index_.size() == id);
+  live_index_.push_back(static_cast<std::uint32_t>(live_.size()));
+  live_.push_back(id);
 }
 
 bool System::is_live(net::NodeId id) const noexcept {
@@ -221,13 +231,10 @@ void System::request_bootstrap_list(net::NodeId requester) {
     s->emit(EffectBootstrap{});
     return;
   }
-  // Round trip to the boot-strap node; the list is sampled when the
-  // response is generated (server-side state at that instant).
-  const Duration rtt =
-      latency_model_.delay(requester, kBootstrapNodeId) * 2.0;
+  // One one-way delay models the whole request/response exchange; the
+  // list is sampled when it arrives (server-side state at that instant).
   transport_.send(requester, kBootstrapNodeId, net::MessageKind::kGossip,
-                  [this, requester, rtt] {
-                    (void)rtt;
+                  [this, requester] {
                     Peer* p = peer(requester);
                     if (p == nullptr || !p->alive()) return;
                     bootstrap_.random_list_into(

@@ -238,6 +238,8 @@ class System {
   };
 
   void tick();
+  /// Appends a freshly minted id to live_ and records its position.
+  void add_live(net::NodeId id);
   /// Runs `phase(shard)` for every shard — inline at 1 shard, on the
   /// worker pool otherwise — and barriers before returning.
   void run_sharded_phase(const std::function<void(std::size_t)>& phase);
@@ -265,6 +267,7 @@ class System {
   BootstrapServer bootstrap_;
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<net::NodeId> live_;  ///< ids of live nodes, join order
+  std::vector<std::uint32_t> live_index_;  ///< by id: position in live_
   std::size_t live_viewers_ = 0;
   std::uint64_t next_session_id_ = 1;
   std::uint64_t next_user_auto_ = 1'000'000'000ULL;

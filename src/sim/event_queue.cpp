@@ -1,18 +1,9 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace coolstream::sim {
-
-EventQueue::EventQueue() {
-  buckets_.assign(kMinBuckets, kNil);
-  year_span_ = bucket_width_ * static_cast<double>(buckets_.size());
-  geometry_events_ = kMinBuckets;
-}
-
-EventQueue::~EventQueue() = default;
 
 // --------------------------------------------------------------------------
 // Slab
@@ -38,7 +29,6 @@ std::uint32_t EventQueue::alloc_slot() {
   Record& r = record(slot);
   free_head_ = r.next;
   r.next = kNil;
-  r.prev = kNil;
   return slot;
 }
 
@@ -57,162 +47,12 @@ void EventQueue::free_slot(std::uint32_t slot) noexcept {
 EventHandle EventQueue::arm(std::uint32_t slot, Time at, bool periodic,
                             Duration period) {
   Record& r = record(slot);
-  r.time = at;
-  r.seq = next_seq_++;
   r.periodic = periodic;
   r.period = period;
   r.base = at;
   r.fires = 0;
-  link(slot);
-  maybe_rebuild();
+  push(slot, at);
   return EventHandle(this, handle_id(slot, r.generation));
-}
-
-void EventQueue::link(std::uint32_t slot) {
-  place(slot);
-  ++live_;
-  if (live_ > peak_live_) peak_live_ = live_;
-  // Keep the memoized minimum valid: a new event only displaces it when it
-  // orders earlier.
-  if (cached_min_ != kNil) {
-    const Record& c = record(cached_min_);
-    const Record& n = record(slot);
-    if (n.time < c.time || (n.time == c.time && n.seq < c.seq)) {
-      cached_min_ = slot;
-    }
-  } else if (live_ == 1) {
-    cached_min_ = slot;  // the queue was empty: this event is the minimum
-  }
-}
-
-void EventQueue::place(std::uint32_t slot) {
-  Record& r = record(slot);
-  const double t = r.time.value();
-  if (t >= year_start_ && t < year_start_ + year_span_) {
-    const std::size_t b = bucket_index(r.time);
-    r.where = Where::kBucket;
-    r.pos = static_cast<std::uint32_t>(b);
-    r.prev = kNil;
-    r.next = buckets_[b];
-    if (r.next != kNil) record(r.next).prev = slot;
-    buckets_[b] = slot;
-    ++bucketed_;
-    if (b < cursor_) cursor_ = b;
-  } else {
-    heap_push(slot);
-  }
-}
-
-void EventQueue::unlink(std::uint32_t slot) noexcept {
-  Record& r = record(slot);
-  if (r.where == Where::kBucket) {
-    if (r.prev != kNil) {
-      record(r.prev).next = r.next;
-    } else {
-      buckets_[r.pos] = r.next;
-    }
-    if (r.next != kNil) record(r.next).prev = r.prev;
-    --bucketed_;
-  } else {
-    assert(r.where == Where::kHeap);
-    heap_remove(r.pos);
-  }
-  r.where = Where::kExecuting;
-  r.prev = kNil;
-  r.next = kNil;
-  --live_;
-  cached_min_ = kNil;
-}
-
-std::size_t EventQueue::bucket_index(Time t) const noexcept {
-  // Multiply by the cached reciprocal instead of dividing: this runs on
-  // every placement.  The result can differ from floor(t/width) by one
-  // bucket in the last ulp, which is harmless — correctness only needs the
-  // mapping to be monotone in t (it is: multiply and truncate both are),
-  // since find_min() orders by the exact (time, seq) within a bucket.
-  const auto b = static_cast<std::size_t>((t.value() - year_start_) *
-                                          inv_bucket_width_);
-  // Clamp: floating-point rounding at the year's edge must not escape the
-  // array.
-  return b < buckets_.size() ? b : buckets_.size() - 1;
-}
-
-void EventQueue::advance_year(Time t) noexcept {
-  if (!std::isfinite(t.value())) return;  // leave non-finite times to the heap
-  year_start_ = std::floor(t.value() / year_span_) * year_span_;
-  cursor_ = bucket_index(t);
-  if (heap_.empty()) return;
-  // Migrate every heap event that now falls inside the calendar window.
-  // Near a year boundary a large fraction of the schedule transits the
-  // heap, so this is a linear partition + re-heapify (O(m)) rather than
-  // repeated heap pops (O(k log m)).  The membership test must match
-  // place()'s exactly: floor(t/span)*span can round to just above t, and
-  // an event place() would bounce back onto heap_ while we iterate over it
-  // would loop forever.  Such events stay in the heap and are served from
-  // there (find_min() always considers the heap top).
-  const double year_end = year_start_ + year_span_;
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const std::uint32_t s = heap_[i];
-    const double tt = record(s).time.value();
-    if (tt >= year_start_ && tt < year_end) {
-      place(s);
-    } else {
-      heap_[keep] = s;
-      record(s).pos = static_cast<std::uint32_t>(keep);
-      ++keep;
-    }
-  }
-  heap_.resize(keep);
-  for (std::size_t i = keep / 2; i-- > 0;) heap_sift_down(i);
-}
-
-std::uint32_t EventQueue::find_min() {
-  assert(live_ > 0);
-  if (cached_min_ != kNil) return cached_min_;
-  if (bucketed_ == 0 && !heap_.empty()) {
-    // The calendar ran dry: jump it to the heap's earliest event so the
-    // near future is bucketed again.
-    advance_year(record(heap_.front()).time);
-  }
-  std::uint32_t best = kNil;
-  if (bucketed_ > 0) {
-    // All bucketed events live at or after cursor_; buckets partition time,
-    // so the first non-empty bucket holds the earliest bucketed event.
-    std::size_t b = cursor_;
-    while (buckets_[b] == kNil) ++b;
-    cursor_ = b;
-    best = buckets_[b];
-    const Record* rb = &record(best);
-    for (std::uint32_t s = rb->next; s != kNil;) {
-      const Record& rs = record(s);
-      if (rs.time < rb->time || (rs.time == rb->time && rs.seq < rb->seq)) {
-        best = s;
-        rb = &rs;
-      }
-      s = rs.next;
-    }
-  }
-  if (!heap_.empty()) {
-    const std::uint32_t top = heap_.front();
-    if (best == kNil || heap_earlier(top, best)) best = top;
-  }
-  cached_min_ = best;
-  return best;
-}
-
-Time EventQueue::next_time() {
-  assert(!empty());
-  return record(find_min()).time;
-}
-
-std::uint32_t EventQueue::take_next() {
-  if (live_ == 0) return kNil;
-  const std::uint32_t slot = find_min();
-  unlink(slot);
-  // No rebuild check here: the population only grows through arm()/link(),
-  // so geometry pressure is evaluated on the scheduling side.
-  return slot;
 }
 
 void EventQueue::fire_periodic(std::uint32_t slot) {
@@ -230,173 +70,62 @@ void EventQueue::fire_periodic(std::uint32_t slot) {
   ++r2.fires;
   // Absolute arithmetic: occurrence n fires at base + n*period, so rounding
   // error stays bounded instead of accumulating one addition per period.
-  r2.time = r2.base + static_cast<double>(r2.fires) * r2.period;
-  r2.seq = next_seq_++;
-  link(slot);
-  maybe_rebuild();
+  push(slot, r2.base + static_cast<double>(r2.fires) * r2.period);
 }
 
 // --------------------------------------------------------------------------
-// Geometry adaptation
+// Heap
 // --------------------------------------------------------------------------
 
-void EventQueue::maybe_rebuild() {
-  // Re-derive the calendar geometry when the live population doubled (grow),
-  // when most events sit in the spill heap because the bucket width does not
-  // match the workload's time scale (spill), or when the population — peak
-  // since the last rebuild, so churny loads that keep coming back never
-  // thrash — collapsed (shrink).  Steady-state load never rebuilds.
-  ++ops_since_rebuild_;
-  const std::size_t n = live_;
-  if (n > geometry_events_ * 2 && buckets_.size() < kMaxBuckets) {
-    rebuild();
-  } else if (!spill_futile_ && heap_.size() > n / 2 + 8 &&
-             ops_since_rebuild_ >= 2 * n + kMinBuckets) {
-    rebuild();
-  } else if (buckets_.size() > kMinBuckets &&
-             peak_live_ * 8 < geometry_events_ &&
-             ops_since_rebuild_ >= 2 * geometry_events_) {
-    rebuild();
-  }
+void EventQueue::push(std::uint32_t slot, Time at) {
+  record(slot).where = Where::kHeap;
+  heap_.push_back(Entry{at, next_seq_++, slot});
+  sift_up(heap_.size() - 1);
 }
 
-void EventQueue::rebuild() {
-  // Collect every scheduled record.
-  scratch_.clear();
-  scratch_.reserve(live_);
-  for (const std::uint32_t head : buckets_) {
-    for (std::uint32_t s = head; s != kNil; s = record(s).next) {
-      scratch_.push_back(s);
-    }
-  }
-  for (const std::uint32_t s : heap_) scratch_.push_back(s);
-  assert(scratch_.size() == live_);
-  if (scratch_.empty()) {
-    buckets_.assign(kMinBuckets, kNil);
-    bucket_width_ = 1e-3;
-    inv_bucket_width_ = 1.0 / bucket_width_;
-    year_span_ = bucket_width_ * static_cast<double>(buckets_.size());
-    year_start_ = 0.0;
-    cursor_ = 0;
-    bucketed_ = 0;
-    heap_.clear();
-    geometry_events_ = kMinBuckets;
-    peak_live_ = 0;
-    ops_since_rebuild_ = 0;
-    spill_futile_ = false;
-    cached_min_ = kNil;
-    return;
-  }
-
-  // Pick the bucket width from the dense half of the schedule: the average
-  // gap between the earliest event and the median event.  Far-future
-  // outliers (session timeouts, program-end timers) spill to the heap and
-  // do not distort the calendar.  With 2n buckets of one-mean-gap width the
-  // year covers ~4x the dense span at ~1 event per bucket, so the min scan
-  // inside a bucket stays short even after the population doubles again.
-  Time t_min = record(scratch_.front()).time;
-  for (const std::uint32_t s : scratch_) {
-    t_min = std::min(t_min, record(s).time);
-  }
-  const std::size_t n = scratch_.size();
-  std::vector<std::uint32_t>& times_by = scratch_;  // sorted in place below
-  std::nth_element(times_by.begin(), times_by.begin() + static_cast<std::ptrdiff_t>(n / 2),
-                   times_by.end(), [this](std::uint32_t a, std::uint32_t b) {
-                     return record(a).time < record(b).time;
-                   });
-  const Time t_med = record(times_by[n / 2]).time;
-  const double near_span = (t_med - t_min).value();
-  const std::size_t near_count = std::max<std::size_t>(1, n / 2);
-  double width = near_span / static_cast<double>(near_count);
-  if (!(width > kMinBucketWidth)) width = kMinBucketWidth;
-
-  std::size_t want = kMinBuckets;
-  while (want < 2 * n && want < kMaxBuckets) want <<= 1;
-
-  // assign() never shrinks capacity, so once the high-water mark is paid,
-  // later rebuilds (including shrink-regrow cycles) allocate nothing.
-  buckets_.assign(want, kNil);
-  bucket_width_ = width;
-  inv_bucket_width_ = 1.0 / width;
-  year_span_ = bucket_width_ * static_cast<double>(buckets_.size());
-  year_start_ = std::isfinite(t_min.value())
-                    ? std::floor(t_min.value() / year_span_) * year_span_
-                    : 0.0;
-  cursor_ = std::isfinite(t_min.value()) ? bucket_index(t_min) : 0;
-  bucketed_ = 0;
-  heap_.clear();
-  for (const std::uint32_t s : scratch_) place(s);
-  geometry_events_ = std::max(n, kMinBuckets);
-  peak_live_ = n;
-  ops_since_rebuild_ = 0;
-  // If most events still spill (a genuinely wide bimodal schedule), further
-  // spill-triggered rebuilds would recompute the same geometry; disable the
-  // trigger until the population changes enough to force a grow/shrink.
-  spill_futile_ = heap_.size() > live_ / 2;
-  cached_min_ = kNil;
-}
-
-// --------------------------------------------------------------------------
-// Spill heap
-// --------------------------------------------------------------------------
-
-bool EventQueue::heap_earlier(std::uint32_t a, std::uint32_t b) const noexcept {
-  const Record& ra = record(a);
-  const Record& rb = record(b);
-  if (ra.time != rb.time) return ra.time < rb.time;
-  return ra.seq < rb.seq;
-}
-
-void EventQueue::heap_push(std::uint32_t slot) {
-  Record& r = record(slot);
-  r.where = Where::kHeap;
-  r.pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(slot);
-  heap_sift_up(heap_.size() - 1);
-}
-
-void EventQueue::heap_remove(std::size_t index) noexcept {
+void EventQueue::remove(std::size_t index) noexcept {
   assert(index < heap_.size());
-  const std::size_t last = heap_.size() - 1;
-  if (index != last) {
-    heap_[index] = heap_[last];
-    record(heap_[index]).pos = static_cast<std::uint32_t>(index);
-  }
+  record(heap_[index].slot).where = Where::kExecuting;
+  const Entry last = heap_.back();
   heap_.pop_back();
-  if (index < heap_.size()) {
-    heap_sift_up(index);
-    heap_sift_down(index);
+  if (index == heap_.size()) return;
+  heap_[index] = last;
+  if (index > 0 && earlier(last, heap_[(index - 1) / kArity])) {
+    sift_up(index);
+  } else {
+    sift_down(index);
   }
 }
 
-void EventQueue::heap_sift_up(std::size_t index) noexcept {
+// Both sifts carry the moving entry in a hole and write it (and its pos)
+// once at its final index.
+void EventQueue::sift_up(std::size_t index) noexcept {
+  const Entry e = heap_[index];
   while (index > 0) {
-    const std::size_t parent = (index - 1) / 2;
-    if (!heap_earlier(heap_[index], heap_[parent])) break;
-    std::swap(heap_[index], heap_[parent]);
-    record(heap_[index]).pos = static_cast<std::uint32_t>(index);
-    record(heap_[parent]).pos = static_cast<std::uint32_t>(parent);
+    const std::size_t parent = (index - 1) / kArity;
+    if (!earlier(e, heap_[parent])) break;
+    put(index, heap_[parent]);
     index = parent;
   }
+  put(index, e);
 }
 
-void EventQueue::heap_sift_down(std::size_t index) noexcept {
+void EventQueue::sift_down(std::size_t index) noexcept {
+  const Entry e = heap_[index];
+  const std::size_t n = heap_.size();
   for (;;) {
-    std::size_t smallest = index;
-    const std::size_t left = 2 * index + 1;
-    const std::size_t right = 2 * index + 2;
-    if (left < heap_.size() && heap_earlier(heap_[left], heap_[smallest])) {
-      smallest = left;
+    const std::size_t first = index * kArity + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (earlier(heap_[c], heap_[best])) best = c;
     }
-    if (right < heap_.size() && heap_earlier(heap_[right], heap_[smallest])) {
-      smallest = right;
-    }
-    if (smallest == index) break;
-    std::swap(heap_[index], heap_[smallest]);
-    record(heap_[index]).pos = static_cast<std::uint32_t>(index);
-    record(heap_[smallest]).pos = static_cast<std::uint32_t>(smallest);
-    index = smallest;
+    if (!earlier(heap_[best], e)) break;
+    put(index, heap_[best]);
+    index = best;
   }
+  put(index, e);
 }
 
 // --------------------------------------------------------------------------
@@ -414,87 +143,44 @@ std::string EventQueue::self_check() const {
     return fail("slot_count ", slot_count_, " != chunks*", kChunkSize);
   }
 
-  // 0 = unseen, 1 = bucket, 2 = heap, 3 = free list.
-  std::vector<std::uint8_t> seen(slot_count_, 0);
-  auto claim = [&](std::uint32_t slot, std::uint8_t tag) -> bool {
-    if (slot >= slot_count_ || seen[slot] != 0) return false;
-    seen[slot] = tag;
+  std::vector<bool> seen(slot_count_, false);
+  auto claim = [&](std::uint32_t slot) -> bool {
+    if (slot >= slot_count_ || seen[slot]) return false;
+    seen[slot] = true;
     return true;
   };
 
-  // Calendar tier: walk every bucket's doubly linked list.
-  std::size_t bucket_members = 0;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    std::uint32_t prev = kNil;
-    for (std::uint32_t s = buckets_[b]; s != kNil;) {
-      if (!claim(s, 1)) return fail("slot ", s, " linked twice (bucket ", b, ")");
-      const Record& r = record(s);
-      if (r.where != Where::kBucket) {
-        return fail("slot ", s, " in bucket ", b, " but where!=kBucket");
-      }
-      if (r.pos != b) return fail("slot ", s, " pos ", r.pos, " != bucket ", b);
-      if (r.prev != prev) return fail("slot ", s, " broken prev link");
-      if (r.time.value() < year_start_ ||
-          r.time.value() >= year_start_ + year_span_) {
-        return fail("slot ", s, " time ", r.time, " outside calendar year [",
-                    year_start_, ", ", year_start_ + year_span_, ")");
-      }
-      if (b < cursor_) return fail("bucketed slot ", s, " before cursor ", cursor_);
-      if (r.seq >= next_seq_) return fail("slot ", s, " seq from the future");
-      ++bucket_members;
-      prev = s;
-      s = r.next;
-      if (bucket_members > live_) return fail("bucket list cycle");
-    }
-  }
-  if (bucket_members != bucketed_) {
-    return fail("bucketed_ ", bucketed_, " != walked ", bucket_members);
-  }
-
-  // Spill heap: positions and the heap property.
+  // Heap: positions, states and the heap property.
   for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const std::uint32_t s = heap_[i];
-    if (!claim(s, 2)) return fail("slot ", s, " linked twice (heap)");
-    const Record& r = record(s);
-    if (r.where != Where::kHeap) return fail("slot ", s, " in heap but where!=kHeap");
-    if (r.pos != i) return fail("heap slot ", s, " pos ", r.pos, " != index ", i);
-    if (r.seq >= next_seq_) return fail("heap slot ", s, " seq from the future");
-    if (i > 0 && heap_earlier(s, heap_[(i - 1) / 2])) {
-      return fail("heap property violated at index ", i);
+    const Entry& e = heap_[i];
+    if (!claim(e.slot)) return fail("slot ", e.slot, " linked twice (heap)");
+    const Record& r = record(e.slot);
+    if (r.where != Where::kHeap) {
+      return fail("slot ", e.slot, " in heap but where!=kHeap");
     }
-  }
-
-  if (live_ != bucketed_ + heap_.size()) {
-    return fail("live_ ", live_, " != bucketed ", bucketed_, " + heap ",
-                heap_.size());
+    if (r.pos != i) return fail("heap slot ", e.slot, " pos ", r.pos, " != index ", i);
+    if (e.seq >= next_seq_) return fail("heap slot ", e.slot, " seq from the future");
+    if (i > 0 && earlier(e, heap_[(i - 1) / kArity])) {
+      return fail("heap order violated at index ", i);
+    }
   }
 
   // Free list: no cycles, consistent tags.
-  std::size_t free_members = 0;
   for (std::uint32_t s = free_head_; s != kNil; s = record(s).next) {
-    if (!claim(s, 3)) return fail("slot ", s, " linked twice (free list)");
+    if (!claim(s)) return fail("slot ", s, " linked twice (free list)");
     if (record(s).where != Where::kFree) {
       return fail("slot ", s, " on free list but where!=kFree");
     }
-    ++free_members;
-    if (free_members > slot_count_) return fail("free list cycle");
   }
 
   // Every slot is in exactly one place; the only unclaimed slots allowed
   // are records whose callback frame is live right now (a periodic event
   // mid-fire — e.g. the audit event this check runs from).
   for (std::uint32_t s = 0; s < slot_count_; ++s) {
-    if (seen[s] == 0 && record(s).where != Where::kExecuting) {
+    if (!seen[s] && record(s).where != Where::kExecuting) {
       return fail("slot ", s, " unaccounted for (where=",
                   static_cast<int>(record(s).where), ")");
     }
-  }
-
-  // The memoized minimum must be a linked record.
-  if (cached_min_ != kNil &&
-      (cached_min_ >= slot_count_ || seen[cached_min_] == 0 ||
-       seen[cached_min_] == 3)) {
-    return fail("cached_min_ ", cached_min_, " is not a linked record");
   }
   return {};
 }
@@ -514,7 +200,7 @@ void EventQueue::cancel_id(std::uint64_t id) noexcept {
     ++r.generation;
     return;
   }
-  unlink(slot);
+  remove(r.pos);
   ++r.generation;
   r.fn.reset();
   free_slot(slot);

@@ -14,13 +14,13 @@
 //   * Cancellation tokens are {slot, generation} pairs.  Firing, cancelling
 //     or completing an event bumps the slot's generation, so stale handles
 //     become inert automatically — no shared_ptr, no reference counting.
-//   * Near-future events sit in a calendar (bucket) queue giving O(1)
-//     schedule/pop for the periodic protocol loops; far-future events spill
-//     into a binary heap and migrate into buckets as the clock advances.
-//     Bucket geometry adapts to the live event population.
-//   * cancel() eagerly unlinks the record (O(1) from a bucket, O(log n)
-//     from the spill heap), so churn-heavy runs never accumulate dead
-//     entries.
+//   * Every scheduled event is one {time, seq, slot} entry of a single 4-ary
+//     min-heap; the key sits in the heap array, so sifts never read the
+//     slab.  schedule, pop and cancel cost O(log n) whatever the shape of
+//     the schedule: a tick's burst of thousands of deliveries inside one
+//     latency window costs no more than the same events spread out.
+//   * cancel() eagerly removes the entry through the record's heap-position
+//     back-pointer, so churn-heavy runs never accumulate dead entries.
 //   * Periodic events are first-class: one record is reused for the whole
 //     series and the n-th occurrence fires at first + n*period computed
 //     with absolute arithmetic (no floating-point drift accumulation).
@@ -188,11 +188,10 @@ class EventHandle {
   std::uint64_t id_ = 0;  ///< generation in the high 32 bits, slot in the low
 };
 
-/// Calendar/heap hybrid priority queue of events keyed by (time, sequence).
+/// Indexed min-heap of events keyed by (time, sequence).
 class EventQueue {
  public:
-  EventQueue();
-  ~EventQueue();
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -220,14 +219,17 @@ class EventQueue {
   }
 
   /// True when no live events remain.
-  bool empty() const noexcept { return live_ == 0; }
+  bool empty() const noexcept { return heap_.empty(); }
 
   /// Number of live (scheduled, uncancelled) events.  Cancelled events are
   /// removed eagerly, so this is exact.
-  std::size_t size() const noexcept { return live_; }
+  std::size_t size() const noexcept { return heap_.size(); }
 
   /// Timestamp of the earliest live event.  Requires !empty().
-  Time next_time();
+  Time next_time() const noexcept {
+    assert(!empty());
+    return heap_.front().time;
+  }
 
   /// Removes the earliest event, calls `on_fire(time)` (callers use this to
   /// advance their clock), then runs the event callback.  Returns false if
@@ -236,11 +238,12 @@ class EventQueue {
   /// the same ordering a self-rescheduling callback would produce.
   template <typename OnFire>
   bool run_next(OnFire&& on_fire) {
-    const std::uint32_t slot = take_next();
-    if (slot == kNil) return false;
+    if (heap_.empty()) return false;
+    const Entry top = heap_.front();
+    remove(0);
+    const std::uint32_t slot = top.slot;
     Record& r = record(slot);
-    const Time fire_time = r.time;
-    on_fire(fire_time);
+    on_fire(top.time);
     if (r.periodic) {
       fire_periodic(slot);
     } else {
@@ -261,19 +264,11 @@ class EventQueue {
     return run_next([](Time) {});
   }
 
-  // --- instrumentation (tests / benches) ---------------------------------
-
-  /// Buckets currently allocated in the calendar tier.
-  std::size_t bucket_count() const noexcept { return buckets_.size(); }
-  /// Live events currently in the spill heap (far future).
-  std::size_t spill_size() const noexcept { return heap_.size(); }
-
-  /// Exhaustive structural validation of the slab, calendar, spill heap and
-  /// free list: every slot accounted for exactly once, link fields and
-  /// cached counters consistent, heap ordered, cursor and bucket positions
-  /// correct.  Returns an empty string when consistent, else a description
-  /// of the first inconsistency.  O(slots); used by the invariant auditor
-  /// and the tests, never by the hot path.
+  /// Exhaustive structural validation of the slab, heap and free list:
+  /// every slot accounted for exactly once, heap positions and states
+  /// consistent, heap ordered.  Returns an empty string when consistent,
+  /// else a description of the first inconsistency.  O(slots); used by the
+  /// invariant auditor and the tests, never by the hot path.
   std::string self_check() const;
 
  private:
@@ -283,32 +278,32 @@ class EventQueue {
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr std::size_t kChunkShift = 9;  // 512 records per chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-  static constexpr std::size_t kMinBuckets = 64;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-  // Calendar geometry is raw seconds: this file is a whitelisted value()
-  // boundary — the bucket math is where time legitimately is a number.
-  static constexpr double kMinBucketWidth = 1e-9;
+  static constexpr std::size_t kArity = 4;  ///< children per heap node
 
   enum class Where : std::uint8_t {
     kFree,       ///< on the free list
-    kBucket,     ///< linked into a calendar bucket
-    kHeap,       ///< in the spill heap
-    kExecuting,  ///< unlinked, callback running (periodic) or being freed
+    kHeap,       ///< scheduled: heap_[pos] refers to this record
+    kExecuting,  ///< popped, callback running (periodic) or being freed
   };
 
   struct Record {
-    Time time{};
-    std::uint64_t seq = 0;
     std::uint32_t generation = 0;
-    std::uint32_t prev = kNil;  ///< bucket list link (kBucket only)
-    std::uint32_t next = kNil;  ///< bucket list link / free list link
-    std::uint32_t pos = 0;      ///< bucket index (kBucket) or heap index (kHeap)
+    std::uint32_t next = kNil;  ///< free list link (kFree only)
+    std::uint32_t pos = 0;      ///< heap index (kHeap only)
     Where where = Where::kFree;
     bool periodic = false;
     Duration period{};
-    Time base{};                ///< time of the first occurrence
-    std::uint64_t fires = 0;    ///< completed occurrences of the series
+    Time base{};              ///< time of the first occurrence
+    std::uint64_t fires = 0;  ///< completed occurrences of the series
     detail::InlineFn fn;
+  };
+
+  /// Heap entry.  The ordering key is stored inline so sifts compare
+  /// contiguous memory and touch a record only to update its `pos`.
+  struct Entry {
+    Time time;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
 
   Record& record(std::uint32_t slot) noexcept {
@@ -331,23 +326,21 @@ class EventQueue {
   // Scheduling internals.
   EventHandle arm(std::uint32_t slot, Time at, bool periodic,
                   Duration period);
-  void link(std::uint32_t slot);
-  void place(std::uint32_t slot);
-  void unlink(std::uint32_t slot) noexcept;
-  std::uint32_t find_min();
-  std::uint32_t take_next();
   void fire_periodic(std::uint32_t slot);
-  void advance_year(Time t) noexcept;
-  std::size_t bucket_index(Time t) const noexcept;
-  void maybe_rebuild();
-  void rebuild();
 
-  // Spill heap (indices into the slab, ordered by (time, seq)).
-  bool heap_earlier(std::uint32_t a, std::uint32_t b) const noexcept;
-  void heap_push(std::uint32_t slot);
-  void heap_remove(std::size_t index) noexcept;
-  void heap_sift_up(std::size_t index) noexcept;
-  void heap_sift_down(std::size_t index) noexcept;
+  // Heap of entries ordered by (time, seq); every move updates record.pos.
+  static bool earlier(const Entry& a, const Entry& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+  void push(std::uint32_t slot, Time at);
+  void remove(std::size_t index) noexcept;
+  void sift_up(std::size_t index) noexcept;
+  void sift_down(std::size_t index) noexcept;
+  void put(std::size_t index, const Entry& e) noexcept {
+    heap_[index] = e;
+    record(e.slot).pos = static_cast<std::uint32_t>(index);
+  }
 
   // Handle operations (via EventHandle).
   void cancel_id(std::uint64_t id) noexcept;
@@ -357,24 +350,8 @@ class EventQueue {
   std::uint32_t free_head_ = kNil;
   std::uint32_t slot_count_ = 0;
 
-  std::vector<std::uint32_t> buckets_;  ///< head slot per bucket (kNil = empty)
-  std::vector<std::uint32_t> heap_;
-  std::vector<std::uint32_t> scratch_;  ///< reused by rebuild()
-
-  double bucket_width_ = 1e-3;
-  double inv_bucket_width_ = 1e3;  ///< 1 / bucket_width_ (avoids div on place)
-  double year_span_ = 0.0;   ///< bucket_width_ * buckets_.size()
-  double year_start_ = 0.0;  ///< calendar covers [year_start_, year_start_+span)
-  std::size_t cursor_ = 0;  ///< no bucketed event lives before this bucket
-
-  std::size_t live_ = 0;      ///< scheduled events (buckets + heap)
-  std::size_t bucketed_ = 0;  ///< events in the calendar tier
-  std::size_t geometry_events_ = 0;  ///< live count when geometry was chosen
-  std::size_t peak_live_ = 0;  ///< max live count since the last rebuild
-  std::size_t ops_since_rebuild_ = 0;  ///< rate-limits geometry changes
-  bool spill_futile_ = false;  ///< last rebuild left most events spilled
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
-  std::uint32_t cached_min_ = kNil;  ///< memoized find_min() result
 };
 
 inline void EventHandle::cancel() noexcept {

@@ -70,7 +70,7 @@ TEST(AllocationTest, PeriodicLoopIsAllocationFree) {
   loops[1] = s.every(Duration(0.2), Duration(1.5), [&] { ++fires; });
   loops[2] = s.every(Duration(0.3), Duration(5.0), [&] { ++fires; });
   loops[3] = s.every(Duration(0.4), Duration(300.0), [&] { ++fires; });
-  s.run_until(Time(500.0));  // warm up: slab chunks, calendar geometry
+  s.run_until(Time(500.0));  // warm up: slab chunks, heap capacity
 
   const std::uint64_t fires_before = fires;
   const std::uint64_t allocs_before = g_allocations;
@@ -109,7 +109,7 @@ TEST(AllocationTest, OneShotChurnIsAllocationFree) {
 
 TEST(AllocationTest, CancelPathIsAllocationFree) {
   EventQueue q;
-  // Warm up the slab and the calendar with a churny population.
+  // Warm up the slab and the heap with a churny population.
   EventHandle handles[256];
   for (int round = 0; round < 20; ++round) {
     for (std::size_t i = 0; i < 256; ++i) {

@@ -21,13 +21,17 @@ struct EventQueueTestAccess {
     q.record(slot).pos += 1;
   }
   static void corrupt_seq(EventQueue& q, std::uint32_t slot) {
-    q.record(slot).seq = q.next_seq_ + 1000;
+    q.heap_[q.record(slot).pos].seq = q.next_seq_ + 1000;
   }
-  static void corrupt_time(EventQueue& q, std::uint32_t slot) {
-    q.record(slot).time =
-        Time(q.year_start_ + 2.0 * q.year_span_ + 1.0);
+  /// Makes the heap entry at `index` order before its parent.
+  static void corrupt_heap_order(EventQueue& q, std::size_t index) {
+    q.heap_[index].time = Time(-1.0);
   }
-  static void corrupt_live_counter(EventQueue& q) { q.live_ += 1; }
+  /// Pushes a scheduled slot onto the free list as well.
+  static void corrupt_free_list(EventQueue& q, std::uint32_t slot) {
+    q.record(slot).next = q.free_head_;
+    q.free_head_ = slot;
+  }
 };
 
 namespace {
@@ -39,8 +43,8 @@ TEST(EventQueueSelfCheckTest, EmptyQueueIsConsistent) {
 
 TEST(EventQueueSelfCheckTest, BusyQueueIsConsistent) {
   EventQueue q;
-  // Near events (calendar tier), far events (spill heap), periodic series,
-  // and cancellations — every structural path.
+  // Near events, far events, periodic series, and cancellations — every
+  // structural path.
   std::vector<EventHandle> handles;
   int fired = 0;
   for (int i = 0; i < 200; ++i) {
@@ -69,11 +73,20 @@ TEST(EventQueueSelfCheckTest, DetectsWhereFlippedToFree) {
   EXPECT_NE(q.self_check(), "");
 }
 
-TEST(EventQueueSelfCheckTest, DetectsBucketPositionMismatch) {
+TEST(EventQueueSelfCheckTest, DetectsHeapPositionMismatch) {
   EventQueue q;
-  q.schedule(Time(0.0001), [] {});  // lands in the calendar tier
+  q.schedule(Time(0.0001), [] {});
+  q.schedule(Time(0.0002), [] {});
   ASSERT_EQ(q.self_check(), "");
-  EventQueueTestAccess::corrupt_pos(q, 0);
+  EventQueueTestAccess::corrupt_pos(q, 0);  // points at slot 1's entry
+  EXPECT_NE(q.self_check(), "");
+}
+
+TEST(EventQueueSelfCheckTest, DetectsHeapOrderViolation) {
+  EventQueue q;
+  for (int i = 0; i < 10; ++i) q.schedule(Time(1.0 + i), [] {});
+  ASSERT_EQ(q.self_check(), "");
+  EventQueueTestAccess::corrupt_heap_order(q, 7);
   EXPECT_NE(q.self_check(), "");
 }
 
@@ -85,19 +98,11 @@ TEST(EventQueueSelfCheckTest, DetectsSequenceFromTheFuture) {
   EXPECT_NE(q.self_check(), "");
 }
 
-TEST(EventQueueSelfCheckTest, DetectsTimeOutsideTheCalendarYear) {
-  EventQueue q;
-  q.schedule(Time(0.0001), [] {});
-  ASSERT_EQ(q.self_check(), "");
-  EventQueueTestAccess::corrupt_time(q, 0);
-  EXPECT_NE(q.self_check(), "");
-}
-
-TEST(EventQueueSelfCheckTest, DetectsLiveCounterDrift) {
+TEST(EventQueueSelfCheckTest, DetectsScheduledSlotOnFreeList) {
   EventQueue q;
   q.schedule(Time(1.0), [] {});
   ASSERT_EQ(q.self_check(), "");
-  EventQueueTestAccess::corrupt_live_counter(q);
+  EventQueueTestAccess::corrupt_free_list(q, 0);
   EXPECT_NE(q.self_check(), "");
 }
 

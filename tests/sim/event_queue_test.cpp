@@ -217,16 +217,20 @@ TEST(EventQueueTest, PeriodicCancelFromInsideCallbackStopsSeries) {
   EXPECT_FALSE(h.pending());
 }
 
-TEST(EventQueueTest, FarFutureEventsSpillAndReturn) {
+TEST(EventQueueTest, FarFutureEventsInterleaveWithNearOnes) {
   EventQueue q;
   std::vector<int> order;
-  // A mix of near events and events far beyond any calendar window.
-  q.schedule(Time(100000.0), [&] { order.push_back(3); });
-  q.schedule(Time(0.001), [&] { order.push_back(1); });
-  q.schedule(Time(50000.0), [&] { order.push_back(2); });
-  EXPECT_GT(q.spill_size(), 0u);
+  // Session-length timers scheduled among sub-second deliveries, some of
+  // them scheduled from inside a callback after the clock has moved.
+  q.schedule(Time(100000.0), [&] { order.push_back(5); });
+  q.schedule(Time(0.001), [&] {
+    order.push_back(1);
+    q.schedule(Time(50000.0), [&] { order.push_back(4); });
+    q.schedule(Time(0.002), [&] { order.push_back(2); });
+  });
+  q.schedule(Time(0.5), [&] { order.push_back(3); });
   drain(q);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(EventQueueTest, ManyEventsStressOrder) {
@@ -251,7 +255,7 @@ TEST(EventQueueTest, ManyEventsStressOrder) {
 // ---------------------------------------------------------------------------
 
 /// The seed implementation's ordering semantics, reduced to its essentials:
-/// a lazy binary heap keyed by (time, insertion sequence).  The calendar
+/// a lazy binary heap keyed by (time, insertion sequence).  The slab
 /// engine must execute the exact same (time, seq) sequence.
 class ReferenceQueue {
  public:
@@ -321,7 +325,39 @@ TEST(EventQueueTest, MatchesReferenceEngineUnderRandomWorkload) {
     std::vector<std::pair<Time, std::uint64_t>> fired_ref;
     std::uint64_t tag = 0;
 
+    const auto schedule = [&](Time at) {
+      const std::uint64_t t = tag++;
+      LivePair p;
+      p.handle = q.schedule(at, [&fired_q, at, t] {
+        fired_q.emplace_back(at, t);
+      });
+      p.ref_seq = ref.schedule(at);
+      live.push_back(p);
+    };
+    const auto cancel_one = [&] {
+      const std::size_t pick = rng.below(live.size());
+      live[pick].handle.cancel();
+      ref.cancel(live[pick].ref_seq);
+      live[pick] = live.back();
+      live.pop_back();
+    };
+
     for (int op = 0; op < 20000; ++op) {
+      if (op % 5000 == 2500) {
+        // A tick's effect flush: thousands of deliveries inside one narrow
+        // latency window, many at exactly the same instant, with cancels
+        // interleaved.
+        const Time base = now + Duration(rng.uniform(0.0, 0.1));
+        for (int i = 0; i < 3000; ++i) {
+          const Time at = rng.chance(0.3)
+                              ? base + Duration(0.001 * static_cast<double>(
+                                                            rng.below(4)))
+                              : base + Duration(rng.uniform(0.0, 0.01));
+          schedule(at);
+          if (rng.chance(0.1)) cancel_one();
+        }
+        continue;
+      }
       const double roll = rng.uniform();
       if (roll < 0.45 || live.empty()) {
         // Bimodal delays: mostly near-future (the protocol loops), some
@@ -329,20 +365,9 @@ TEST(EventQueueTest, MatchesReferenceEngineUnderRandomWorkload) {
         double delay = rng.chance(0.1)  ? rng.uniform(0.0, 5000.0)
                        : rng.chance(0.2) ? 0.0
                                          : rng.uniform(0.0, 2.0);
-        const Time at = now + Duration(delay);
-        const std::uint64_t t = tag++;
-        LivePair p;
-        p.handle = q.schedule(at, [&fired_q, at, t] {
-          fired_q.emplace_back(at, t);
-        });
-        p.ref_seq = ref.schedule(at);
-        live.push_back(p);
+        schedule(now + Duration(delay));
       } else if (roll < 0.70) {
-        const std::size_t pick = rng.below(live.size());
-        live[pick].handle.cancel();
-        ref.cancel(live[pick].ref_seq);
-        live[pick] = live.back();
-        live.pop_back();
+        cancel_one();
       } else {
         if (!q.empty()) {
           ASSERT_FALSE(ref.empty());
@@ -362,6 +387,7 @@ TEST(EventQueueTest, MatchesReferenceEngineUnderRandomWorkload) {
         }
       }
     }
+    ASSERT_EQ(q.self_check(), "") << "seed " << seed;
     // Drain both completely.
     while (!q.empty()) {
       ASSERT_FALSE(ref.empty());
@@ -382,19 +408,6 @@ TEST(EventQueueTest, MatchesReferenceEngineUnderRandomWorkload) {
           << "seed " << seed << " index " << i;
     }
   }
-}
-
-TEST(EventQueueTest, CalendarGeometryAdapts) {
-  EventQueue q;
-  const std::size_t initial = q.bucket_count();
-  Rng rng(7);
-  std::vector<EventHandle> handles;
-  for (int i = 0; i < 5000; ++i) {
-    handles.push_back(q.schedule(Time(rng.uniform(0.0, 10.0)), [] {}));
-  }
-  EXPECT_GT(q.bucket_count(), initial);  // grew with the population
-  for (auto& h : handles) h.cancel();
-  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace
