@@ -4,7 +4,10 @@
 //   macro  — a full steady-state broadcast (default 2000 concurrent
 //            viewers) timed over a post-warm-up window, reporting
 //            ns/peer-tick and heap allocations/peer-tick.  A peer-tick is
-//            one live node serviced by one System::tick.
+//            one live node serviced by one System::tick.  Allocations are
+//            split into those inside System::tick and those between ticks
+//            (event dispatch: joins, leaves, deliveries, reports) by probe
+//            events just before and right after every tick instant.
 //   micro  — head-to-head loops over the control-plane primitives the
 //            macro path is made of (BM broadcast, adaptation scan,
 //            wire-size accounting), comparing the current implementation
@@ -97,12 +100,17 @@ double ns_since(Clock::time_point t0) {
 // Macro: full scenario, steady-state window
 // ---------------------------------------------------------------------------
 
+// Offset of the pre-tick probe before each tick instant, simulated s.
+constexpr double kProbeLead = 1e-6;
+
 struct MacroResult {
   std::size_t target_peers = 0;
   double window_s = 0.0;
   std::uint64_t peer_ticks = 0;
   double ns_per_peer_tick = 0.0;
   double allocs_per_peer_tick = 0.0;
+  double tick_allocs_per_peer_tick = 0.0;     ///< inside System::tick
+  double between_allocs_per_peer_tick = 0.0;  ///< the rest of the window
 };
 
 MacroResult run_macro(std::uint64_t seed, std::size_t target_peers,
@@ -122,6 +130,17 @@ MacroResult run_macro(std::uint64_t seed, std::size_t target_peers,
   simulation.every(sim::Duration(dt), sim::Duration(dt), [&] {
     if (counting) peer_ticks += runner.system().live_nodes().size();
   });
+  // Allocation split: the pre-tick probe marks the counter; the post-tick
+  // probe, scheduled once the System has started (so it runs right after
+  // the tick of the same instant), charges the difference to the tick.
+  std::uint64_t tick_mark = 0;
+  std::uint64_t tick_allocs = 0;
+  simulation.every(sim::Duration(dt - kProbeLead), sim::Duration(dt),
+                   [&] { tick_mark = g_allocations; });
+  runner.run_until(0.0);  // starts the System and its periodic tick
+  simulation.every(sim::Duration(dt), sim::Duration(dt), [&] {
+    if (counting) tick_allocs += g_allocations - tick_mark;
+  });
 
   runner.run_until(warm_s);  // joins, ramp-up, slab/vector capacity warm-up
   counting = true;
@@ -139,6 +158,11 @@ MacroResult run_macro(std::uint64_t seed, std::size_t target_peers,
     r.ns_per_peer_tick = wall_ns / static_cast<double>(peer_ticks);
     r.allocs_per_peer_tick =
         static_cast<double>(allocs) / static_cast<double>(peer_ticks);
+    r.tick_allocs_per_peer_tick =
+        static_cast<double>(tick_allocs) / static_cast<double>(peer_ticks);
+    r.between_allocs_per_peer_tick =
+        static_cast<double>(allocs - tick_allocs) /
+        static_cast<double>(peer_ticks);
   }
   return r;
 }
@@ -244,8 +268,8 @@ double time_loop(std::uint64_t iterations, Fn&& fn) {
 }
 
 // BM broadcast: build the node's current map from the sync-buffer heads,
-// then copy + per-partner subscription fill, once per partner — the body
-// of the periodic BM exchange.
+// then per partner the subscription word and the receiver's copy — the
+// body of the periodic BM exchange (System::broadcast_bm plus its flush).
 MicroResult micro_bm_broadcast(const MicroFixture& fx, std::uint64_t iters) {
   MicroResult r;
   r.name = "bm_broadcast";
@@ -278,11 +302,13 @@ MicroResult micro_bm_broadcast(const MicroFixture& fx, std::uint64_t iters) {
       base.set_latest(core::SubstreamId(j), fx.heads[j]);
     }
     for (std::size_t p = 0; p < MicroFixture::kPartners; ++p) {
-      core::BufferMap bm = base;
+      std::uint32_t bits = 0;
       for (int j = 0; j < MicroFixture::kSubstreams; ++j) {
-        bm.set_subscribed(core::SubstreamId(j),
-                          fx.parents[j] == fx.partner_ids[p]);
+        bits |= static_cast<std::uint32_t>(fx.parents[j] == fx.partner_ids[p])
+                << j;
       }
+      core::BufferMap bm = base;
+      bm.set_subscription_bits(bits);
       sink += static_cast<std::uint64_t>(
           bm.latest(core::SubstreamId(0)).value());
     }
@@ -483,10 +509,14 @@ void write_json(const MacroResult& macro,
   std::fprintf(f,
                "  \"macro\": {\"peers\": %zu, \"window_s\": %.0f, "
                "\"peer_ticks\": %llu, \"ns_per_peer_tick\": %.1f, "
-               "\"allocs_per_peer_tick\": %.3f},\n",
+               "\"allocs_per_peer_tick\": %.3f, "
+               "\"tick_allocs_per_peer_tick\": %.3f, "
+               "\"between_allocs_per_peer_tick\": %.3f},\n",
                macro.target_peers, macro.window_s,
                static_cast<unsigned long long>(macro.peer_ticks),
-               macro.ns_per_peer_tick, macro.allocs_per_peer_tick);
+               macro.ns_per_peer_tick, macro.allocs_per_peer_tick,
+               macro.tick_allocs_per_peer_tick,
+               macro.between_allocs_per_peer_tick);
   std::fprintf(f, "  \"micro\": [\n");
   for (std::size_t i = 0; i < micros.size(); ++i) {
     const MicroResult& m = micros[i];
@@ -525,9 +555,12 @@ int run(int argc, char** argv) {
   std::printf("protocol_hotpath: macro %zu peers, window %.0f..%.0fs\n", peers,
               warm_s, end_s);
   const MacroResult macro = run_macro(args.seed, peers, warm_s, end_s);
-  std::printf("macro: %llu peer-ticks, %.1f ns/peer-tick, %.3f allocs/peer-tick\n",
+  std::printf("macro: %llu peer-ticks, %.1f ns/peer-tick, %.3f allocs/peer-tick "
+              "(tick %.3f, between ticks %.3f)\n",
               static_cast<unsigned long long>(macro.peer_ticks),
-              macro.ns_per_peer_tick, macro.allocs_per_peer_tick);
+              macro.ns_per_peer_tick, macro.allocs_per_peer_tick,
+              macro.tick_allocs_per_peer_tick,
+              macro.between_allocs_per_peer_tick);
 
   const MicroFixture fx;
   std::vector<MicroResult> micros;

@@ -72,6 +72,11 @@ class BufferMap {
     const std::uint32_t bit = 1u << i.index();
     sub_bits_ = on ? (sub_bits_ | bit) : (sub_bits_ & ~bit);
   }
+  /// Replaces every subscription flag at once (bit i -> sub-stream i).
+  void set_subscription_bits(std::uint32_t bits) noexcept {
+    assert((bits & ~lane_mask()) == 0);
+    sub_bits_ = bits;
+  }
 
   /// Highest latest() across sub-streams; -1 when nothing received.
   /// Inline so partner scans reduce over the lanes without a call.

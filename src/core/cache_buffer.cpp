@@ -9,10 +9,6 @@ CacheBuffer::CacheBuffer(BlockCount window_blocks) : window_(window_blocks) {
   assert(window_blocks >= BlockCount(1));
 }
 
-SeqNum CacheBuffer::oldest(SeqNum head) const noexcept {
-  return std::max(SeqNum(0), head - window_ + BlockCount(1));
-}
-
 bool CacheBuffer::available(SeqNum head, SeqNum seq) const noexcept {
   return seq >= SeqNum(0) && seq <= head && seq >= oldest(head);
 }

@@ -10,6 +10,7 @@
 // partners' buffer due to the playout".
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/stream_types.h"
@@ -24,7 +25,9 @@ class CacheBuffer {
   explicit CacheBuffer(BlockCount window_blocks);
 
   /// Oldest retained sequence number given the current head (inclusive).
-  SeqNum oldest(SeqNum head) const noexcept;
+  SeqNum oldest(SeqNum head) const noexcept {
+    return std::max(SeqNum(0), head - window_ + BlockCount(1));
+  }
 
   /// True when block `seq` of a sub-stream whose contiguous head is `head`
   /// is still resident and already received.

@@ -358,4 +358,6 @@ SystemStats& InvariantTestAccess::stats(System& sys) { return sys.stats_; }
 
 void InvariantTestAccess::do_gossip(Peer& p) { p.do_gossip(); }
 
+Tick& InvariantTestAccess::next_bm_push(Peer& p) { return p.next_bm_push_; }
+
 }  // namespace coolstream::core

@@ -136,6 +136,9 @@ struct InvariantTestAccess {
   /// timer.  Used by the allocation-counting tier to bracket the arena /
   /// sample_into send path with heap counters.
   static void do_gossip(Peer& p);
+  /// The peer's next periodic BM broadcast time (settable, so a test can
+  /// make the broadcast fall due on a chosen tick).
+  static Tick& next_bm_push(Peer& p);
 };
 
 }  // namespace coolstream::core

@@ -232,11 +232,13 @@ void Peer::on_partner_left(net::NodeId pid) {
   }
 }
 
-void Peer::on_bm_received(net::NodeId from, const BufferMap& bm) {
+void Peer::on_bm_received(net::NodeId from, const BufferMap& bm,
+                          std::uint32_t sub_bits) {
   if (!alive()) return;
   PartnerState* ps = find_partner(from);
   if (ps == nullptr) return;  // stale sender
   ps->bm = bm;
+  ps->bm.set_subscription_bits(sub_bits);
   ps->bm_time = sys_.now();
   if (phase_ == PeerPhase::kJoining && !start_decided_ && !first_bm_at_) {
     first_bm_at_ = sys_.now();
@@ -346,45 +348,58 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
   // must neither leave sub-stream j more than T_s behind our freshest
   // sub-stream (1) nor hand us a parent more than T_p behind the best
   // partner (2) — and they must actually have blocks we still need.
-  std::vector<net::NodeId> qualified;
-  net::NodeId best_fallback = net::kInvalidNode;
-  SeqNum best_latest = sync_.head(j);
-  for (const auto& ps : partners_) {
-    if (ps.id == exclude || !ps.bm_time || !sys_.is_live(ps.id)) continue;
+  const SeqNum own_head = sync_.head(j);
+  const auto offers = [&](const PartnerState& ps) {
+    return ps.id != exclude && ps.bm_time && sys_.is_live(ps.id) &&
+           ps.bm.latest(j) > own_head;  // else nothing new to offer
+  };
+  const auto qualified = [&](const PartnerState& ps) {
     const SeqNum latest = ps.bm.latest(j);
-    if (latest <= sync_.head(j)) continue;  // nothing new to offer
-    const bool ineq1_ok = own_max - latest < ts;
-    const bool ineq2_ok = partner_max - latest < tp;
-    if (ineq1_ok && ineq2_ok) qualified.push_back(ps.id);
+    return own_max - latest < ts && partner_max - latest < tp;
+  };
+  // "Nodes could subscribe to sub-streams from different partners"
+  // (§III-C): spread the load by restricting the random choice to the
+  // qualified partners serving the fewest of our other sub-streams —
+  // without this, every starving peer dumps all K sub-streams on its
+  // single best partner and crushes it.
+  const auto my_load = [this](net::NodeId cand) {
+    int load = 0;
+    for (net::NodeId parent : parents_) {
+      if (parent == cand) ++load;
+    }
+    return load;
+  };
+  int min_load = std::numeric_limits<int>::max();
+  std::size_t least_loaded = 0;  // qualified partners at min_load
+  net::NodeId best_fallback = net::kInvalidNode;
+  SeqNum best_latest = own_head;
+  for (const auto& ps : partners_) {
+    if (!offers(ps)) continue;
+    if (qualified(ps)) {
+      const int load = my_load(ps.id);
+      if (load < min_load) {
+        min_load = load;
+        least_loaded = 0;
+      }
+      if (load == min_load) ++least_loaded;
+    }
+    const SeqNum latest = ps.bm.latest(j);
     if (latest > best_latest) {
       best_latest = latest;
       best_fallback = ps.id;
     }
   }
-  if (!qualified.empty()) {
-    // "Nodes could subscribe to sub-streams from different partners"
-    // (§III-C): spread the load by restricting the random choice to the
-    // qualified partners serving the fewest of our other sub-streams —
-    // without this, every starving peer dumps all K sub-streams on its
-    // single best partner and crushes it.
-    auto my_load = [this](net::NodeId cand) {
-      int load = 0;
-      for (net::NodeId parent : parents_) {
-        if (parent == cand) ++load;
-      }
-      return load;
-    };
-    int min_load = std::numeric_limits<int>::max();
-    for (net::NodeId cand : qualified) {
-      min_load = std::min(min_load, my_load(cand));
-    }
-    std::vector<net::NodeId> least_loaded;
-    for (net::NodeId cand : qualified) {
-      if (my_load(cand) == min_load) least_loaded.push_back(cand);
-    }
+  if (least_loaded > 0) {
     // "If there is more than one qualified partners, the peer will choose
-    // one of them randomly."
-    return least_loaded[rng_.below(least_loaded.size())];
+    // one of them randomly."  Counted, then picked in partner order, so
+    // the choice needs no candidate list.
+    std::size_t pick = rng_.below(least_loaded);
+    for (const auto& ps : partners_) {
+      if (offers(ps) && qualified(ps) && my_load(ps.id) == min_load &&
+          pick-- == 0) {
+        return ps.id;
+      }
+    }
   }
   // Temporary parent (§IV-B): the best available even if under-qualified;
   // it may be abandoned during the next adaptation.
@@ -519,31 +534,17 @@ void Peer::on_tick(Tick now) {
   if (!alive()) return;
   const Params& p = sys_.params();
 
-  if (spec_.kind == PeerKind::kServer) {
-    server_feed(now);
-    if (now >= next_bm_push_) {
-      enforce_partner_silence(now);
-      // Hoisted: one cached map for the whole broadcast, not one rebuild
-      // per partner (push_bm is synchronous; receivers copy it).
-      const BufferMap& bm = refreshed_bm();
-      for (const auto& ps : partners_) sys_.push_bm(id_, ps.id, bm);
-      next_bm_push_ = now + Duration(p.bm_exchange_period);
-    }
-    return;
-  }
+  const bool server = spec_.kind == PeerKind::kServer;
+  if (server) server_feed(now);
 
   if (now >= next_bm_push_) {
     enforce_partner_silence(now);
-    const BufferMap& base = refreshed_bm();
-    for (const auto& ps : partners_) {
-      BufferMap bm = base;
-      for (SubstreamId j : substreams(p.substream_count)) {
-        bm.set_subscribed(j, parents_[j.index()] == ps.id);
-      }
-      sys_.push_bm(id_, ps.id, bm);
-    }
+    // A server's parents are all unset, so its maps carry no
+    // subscription bits.
+    sys_.broadcast_bm(id_, refreshed_bm(), partners_, parents_);
     next_bm_push_ = now + Duration(p.bm_exchange_period);
   }
+  if (server) return;
 
   if (now >= next_gossip_) {
     do_gossip();

@@ -182,8 +182,10 @@ class Peer : private PeerProtocolState {
   void on_partnership_rejected(net::NodeId peer);
   /// Partner left or broke the connection.
   void on_partner_left(net::NodeId peer);
-  /// Buffer map received from a partner.
-  void on_bm_received(net::NodeId from, const BufferMap& bm);
+  /// Buffer map received from a partner: `bm` with `sub_bits` as its
+  /// subscription word (lane j set: the partner pulls sub-stream j from us).
+  void on_bm_received(net::NodeId from, const BufferMap& bm,
+                      std::uint32_t sub_bits);
   /// Gossip payload: entries from a partner's mCache.
   void on_gossip(std::span<const McacheEntry> entries);
   /// Child subscribes to / unsubscribes from sub-stream `j` (parent side).

@@ -33,11 +33,6 @@ bool SyncBuffer::insert(SubstreamId i, SeqNum seq) {
   return true;
 }
 
-SeqNum SyncBuffer::head(SubstreamId i) const {
-  assert(i.index() < heads_.size());
-  return heads_[i.index()];
-}
-
 void SyncBuffer::start_at(SubstreamId i, SeqNum seq) {
   assert(i.index() < heads_.size());
   SeqNum& head = heads_[i.index()];

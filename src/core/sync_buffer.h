@@ -11,6 +11,7 @@
 // combined prefix of the interleaved global order.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -34,7 +35,10 @@ class SyncBuffer {
 
   /// Latest *contiguous* sequence number of sub-stream `i` (-1: none).
   /// This is what the node advertises in its Buffer Map.
-  SeqNum head(SubstreamId i) const;
+  SeqNum head(SubstreamId i) const {
+    assert(i.index() < heads_.size());
+    return heads_[i.index()];
+  }
 
   /// Jump-starts a sub-stream at `seq - 1`, declaring every earlier block
   /// irrelevant.  Used at join time: the node starts pulling from the

@@ -285,13 +285,39 @@ void System::attempt_partnership(net::NodeId from, net::NodeId to) {
 }
 
 void System::push_bm(net::NodeId from, net::NodeId to, const BufferMap& bm) {
-  if (TickEffectSink* s = tick_effect_sink()) {
-    s->emit(EffectBmPush{to, bm});
-    return;
+  assert(tick_effect_sink() == nullptr && "phase P uses broadcast_bm");
+  deliver_bm(from, to, bm, bm.subscription_bits());
+}
+
+void System::broadcast_bm([[maybe_unused]] net::NodeId from,
+                          const BufferMap& base,
+                          std::span<const PartnerState> partners,
+                          std::span<const net::NodeId> parents) {
+  TickEffectSink* s = tick_effect_sink();
+  assert(s != nullptr && "BM broadcasts run in phase P");
+  assert(tick_order_[s->pos] == from);
+  if (partners.empty()) return;
+  ShardScratch& scratch = shard_scratch_[s->shard];
+  EffectBmPush push;
+  push.base = static_cast<std::uint32_t>(scratch.bm_bases.size());
+  push.first = static_cast<std::uint32_t>(scratch.bm_targets.size());
+  push.count = static_cast<std::uint32_t>(partners.size());
+  scratch.bm_bases.push_back(base);
+  for (const PartnerState& ps : partners) {
+    std::uint32_t bits = 0;
+    for (std::size_t j = 0; j < parents.size(); ++j) {
+      bits |= static_cast<std::uint32_t>(parents[j] == ps.id) << j;
+    }
+    scratch.bm_targets.push_back(ShardScratch::BmTarget{ps.id, bits});
   }
-  // Periodic BM exchange is modelled with zero latency (the exchange
-  // period, 1 s, dominates the tens-of-ms delivery delay); messages are
-  // still counted for control-overhead reporting.
+  s->emit(push);
+}
+
+void System::deliver_bm(net::NodeId from, net::NodeId to,
+                        const BufferMap& base, std::uint32_t sub_bits) {
+  // BM exchange is modelled with zero latency (the exchange period, 1 s,
+  // dominates the tens-of-ms delivery delay); messages are still counted
+  // for control-overhead reporting.
   transport_.count_only(net::MessageKind::kBufferMap);
   Peer* dest = peer(to);
   if (dest == nullptr || !dest->alive()) {
@@ -300,7 +326,7 @@ void System::push_bm(net::NodeId from, net::NodeId to, const BufferMap& bm) {
     }
     return;
   }
-  dest->on_bm_received(from, bm);
+  dest->on_bm_received(from, base, sub_bits);
 }
 
 void System::subscribe(net::NodeId child, net::NodeId parent, SubstreamId j) {
@@ -407,7 +433,17 @@ void System::tick() {
   // Freeze the tick-start view: peer order, liveness, and flow slots.
   tick_order_.assign(live_.begin(), live_.end());
   alive_snapshot_.assign(peers_.size(), 0);
-  for (const net::NodeId id : tick_order_) alive_snapshot_[id] = 1;
+  for (ShardScratch& s : shard_scratch_) {
+    s.positions.clear();
+    s.bm_bases.clear();
+    s.bm_targets.clear();
+  }
+  for (std::uint32_t pos = 0;
+       pos < static_cast<std::uint32_t>(tick_order_.size()); ++pos) {
+    const net::NodeId id = tick_order_[pos];
+    alive_snapshot_[id] = 1;
+    shard_scratch_[shard_of(id)].positions.push_back(pos);
+  }
   if (inflow_.size() < peers_.size() * k_streams) {
     inflow_.resize(peers_.size() * k_streams);
   }
@@ -439,10 +475,12 @@ void System::flow_rates(std::size_t shard, Duration dt) {
   const units::BlockRate sub_rate = params_.substream_block_rate_typed();
   const units::BlockRate catchup_cap = sub_rate * params_.max_catchup_factor;
   const auto k_streams = static_cast<std::size_t>(params_.substream_count);
-  std::vector<units::BlockRate>& demands = shard_scratch_[shard].demands;
+  ShardScratch& scratch = shard_scratch_[shard];
+  std::vector<units::BlockRate>& demands = scratch.demands;
+  std::vector<units::BlockRate>& rates = scratch.rates;
 
-  for (const net::NodeId id : tick_order_) {
-    if (shard_of(id) != shard) continue;
+  for (const std::uint32_t pos : scratch.positions) {
+    const net::NodeId id = tick_order_[pos];
     Peer* parent = peer(id);
     if (parent == nullptr || !parent->alive()) continue;
     auto& links = parent->out_links();
@@ -474,10 +512,13 @@ void System::flow_rates(std::size_t shard, Duration dt) {
     if (faults_ != nullptr) {
       capacity = capacity * faults_->capacity_factor(now(), id);
     }
-    const auto rates =
-        config_.allocation == AllocationPolicy::kMaxMinFair
-            ? net::max_min_fair(capacity, demands)
-            : net::equal_share(capacity, demands);
+    rates.resize(links.size());
+    if (config_.allocation == AllocationPolicy::kMaxMinFair) {
+      scratch.active.resize(links.size());
+      net::max_min_fair(capacity, demands, rates, scratch.active);
+    } else {
+      net::equal_share(capacity, demands, rates);
+    }
 
     // Publish one InFlow slot per granted link.  Exactly one parent can
     // pass the parent_of() check for a given (child, sub-stream), so each
@@ -511,10 +552,11 @@ void System::flow_rates(std::size_t shard, Duration dt) {
 void System::flow_apply(std::size_t shard, Duration dt) {
   const units::Bytes block_bytes = params_.block_bytes();
   const auto k_streams = static_cast<std::size_t>(params_.substream_count);
-  std::uint64_t& blocks = shard_scratch_[shard].blocks_transferred;
+  ShardScratch& scratch = shard_scratch_[shard];
+  std::uint64_t& blocks = scratch.blocks_transferred;
 
-  for (const net::NodeId id : tick_order_) {
-    if (shard_of(id) != shard) continue;
+  for (const std::uint32_t pos : scratch.positions) {
+    const net::NodeId id = tick_order_[pos];
     Peer* child = peer(id);
     if (child == nullptr || !child->alive()) continue;
     for (SubstreamId j : substreams(params_.substream_count)) {
@@ -561,10 +603,8 @@ void System::protocol_phase(std::size_t shard, Tick t) {
   sink.mailbox = &effects_;
   sink.shard = shard;
   set_tick_effect_sink(&sink);
-  for (std::uint32_t pos = 0;
-       pos < static_cast<std::uint32_t>(tick_order_.size()); ++pos) {
+  for (const std::uint32_t pos : shard_scratch_[shard].positions) {
     const net::NodeId id = tick_order_[pos];
-    if (shard_of(id) != shard) continue;
     Peer* p = peer(id);
     if (p == nullptr || !p->alive()) continue;
     // Parent-side roll-up of what F2 moved on our out-links: children
@@ -597,7 +637,15 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
       [this, from](auto&& e) {
         using E = std::decay_t<decltype(e)>;
         if constexpr (std::is_same_v<E, EffectBmPush>) {
-          push_bm(from, e.to, e.bm);
+          // Expanded in partner order from the sender's snapshot, so a
+          // flush effect that edits partner lists (a silence break, the
+          // dead-partner cleanup below) cannot reshape this broadcast.
+          const ShardScratch& scratch = shard_scratch_[shard_of(from)];
+          const BufferMap& base = scratch.bm_bases[e.base];
+          for (std::uint32_t k = e.first; k < e.first + e.count; ++k) {
+            const ShardScratch::BmTarget& t = scratch.bm_targets[k];
+            deliver_bm(from, t.to, base, t.sub_bits);
+          }
         } else if constexpr (std::is_same_v<E, EffectSubscribe>) {
           // Stale intent: an earlier flush effect (say, a broken
           // partnership) made the sender reselect this sub-stream's parent

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/arena.h"
@@ -163,9 +164,19 @@ class System {
   void request_bootstrap_list(net::NodeId requester);
   /// Initiates a partnership attempt (latency-delayed; §III-B).
   void attempt_partnership(net::NodeId from, net::NodeId to);
-  /// Pushes `bm` (built by `from`) into `to`'s view of `from` (periodic BM
-  /// exchange; modelled with zero latency, counted for overhead).
+  /// Pushes `bm` (built by `from`) into `to`'s view of `from` right away:
+  /// the one-off push when a partnership comes up.  Serial contexts only;
+  /// the periodic exchange goes through broadcast_bm.
   void push_bm(net::NodeId from, net::NodeId to, const BufferMap& bm);
+  /// Periodic BM exchange (§III-C), phase P only: sends `base` to every
+  /// partner, each copy carrying the subscription bits for that partner
+  /// (lane j set when `parents[j]` is the partner).  The base map and the
+  /// target list are snapshotted now into the worker's shard scratch and
+  /// emitted as one EffectBmPush; the flush delivers them in partner order
+  /// with zero latency, counting one message per partner.
+  void broadcast_bm(net::NodeId from, const BufferMap& base,
+                    std::span<const PartnerState> partners,
+                    std::span<const net::NodeId> parents);
   /// Sub-stream subscription management (child -> parent).
   void subscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
   void unsubscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
@@ -217,12 +228,28 @@ class System {
   friend struct InvariantTestAccess;  // seeded-corruption hooks (tests only)
 
   /// One worker's private buffers, indexed by shard (serial contexts use
-  /// shard 0's).  Consumed within a phase; contents never carry results
-  /// across peers, so placement cannot influence behaviour.
+  /// shard 0's).  Consumed within a tick — the BM lists by the flush,
+  /// everything else within its phase — and never carry results across
+  /// ticks, so placement cannot influence behaviour.
   struct ShardScratch {
+    /// One partner of a snapshotted BM broadcast.
+    struct BmTarget {
+      net::NodeId to = net::kInvalidNode;
+      std::uint32_t sub_bits = 0;
+    };
+
     Mcache::SampleScratch mcache;
     std::vector<McacheEntry> candidates;
+    /// F1 allocator buffers, one entry per out-link of the current parent.
     std::vector<units::BlockRate> demands;
+    std::vector<units::BlockRate> rates;
+    std::vector<std::size_t> active;
+    /// This shard's tick positions, ascending (rebuilt at tick start).
+    std::vector<std::uint32_t> positions;
+    /// BM broadcasts emitted in phase P, read back by the flush; cleared
+    /// at tick start.  Only the shard's own worker appends to them.
+    std::vector<BufferMap> bm_bases;
+    std::vector<BmTarget> bm_targets;
     std::uint64_t blocks_transferred = 0;
   };
 
@@ -255,6 +282,10 @@ class System {
   /// Drains the effect mailbox in canonical sender order (serial).
   void flush_effects();
   void apply_effect(net::NodeId from, TickEffect&& effect);
+  /// One BM delivery: counts the message, lets `from` drop a dead `to`,
+  /// else hands `to` the map with `sub_bits` as its subscription word.
+  void deliver_bm(net::NodeId from, net::NodeId to, const BufferMap& base,
+                  std::uint32_t sub_bits);
   std::size_t current_shard() const noexcept;
   static int resolve_shard_count(int configured);
 

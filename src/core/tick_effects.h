@@ -2,10 +2,10 @@
 //
 // During the parallel protocol phase a peer may only mutate *its own*
 // state; everything it would have done to another peer through the System
-// plumbing (push a buffer map, subscribe, break a partnership, gossip,
-// file a report, ...) is captured as one of the typed effects below and
-// queued in the per-shard mailbox (sim/shard_mailbox.h).  After the
-// barrier the System drains the mailbox in canonical sender order and
+// plumbing (broadcast its buffer map, subscribe, break a partnership,
+// gossip, file a report, ...) is captured as one of the typed effects
+// below and queued in the per-shard mailbox (sim/shard_mailbox.h).  After
+// the barrier the System drains the mailbox in canonical sender order and
 // applies each effect through the exact same plumbing code path — so a
 // 1-shard run and an N-shard run replay the identical effect sequence,
 // which is what makes their state hashes bit-identical.
@@ -13,14 +13,16 @@
 // Routing is transparent to Peer code: System's plumbing methods check the
 // worker-local sink and either defer (parallel phase) or execute directly
 // (serial contexts: transport callbacks, workload events, the flush
-// itself).  Peer therefore calls sys_.push_bm(...) etc. unchanged.
+// itself).  The periodic BM exchange is the one bulk effect: a peer's
+// whole once-a-second broadcast is one EffectBmPush whose base map and
+// per-partner subscription words sit in the sender's shard scratch, and
+// the flush expands it into one delivery per partner, in partner order.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <variant>
 
-#include "core/buffer_map.h"
 #include "core/mcache.h"
 #include "logging/reports.h"
 #include "net/types.h"
@@ -30,11 +32,14 @@ namespace coolstream::core {
 
 enum class SessionEvent : unsigned char;  // defined in core/system.h
 
-/// Periodic BM exchange: `bm` as built for partner `to` (subscription bits
-/// already set), delivered with zero latency at the flush.
+/// Periodic BM broadcast to every partner, snapshotted when the sender
+/// ran: base map `base` and targets [first, first + count) index the
+/// sender's shard scratch (System::broadcast_bm).  Delivered with zero
+/// latency at the flush, one target at a time.
 struct EffectBmPush {
-  net::NodeId to = net::kInvalidNode;
-  BufferMap bm;
+  std::uint32_t base = 0;
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
 };
 
 /// Sub-stream subscription to `parent` (child = the emitting peer).

@@ -25,17 +25,26 @@ namespace coolstream::net {
 
 using units::BlockRate;
 
-/// Max-min fair allocation of `capacity` across positive `demands`.
-/// Returns one rate per demand; rates sum to min(capacity, sum(demands)).
-/// Zero-demand entries receive zero.  All inputs must be non-negative.
+/// Max-min fair allocation of `capacity` across positive `demands`,
+/// written into `rates` (one per demand); rates sum to
+/// min(capacity, sum(demands)) and zero-demand entries receive zero.  All
+/// inputs must be non-negative.  `active` is caller-owned scratch with at
+/// least demands.size() entries, so a warm caller never touches the heap.
+void max_min_fair(BlockRate capacity, std::span<const BlockRate> demands,
+                  std::span<BlockRate> rates, std::span<std::size_t> active);
+
+/// Equal-share allocation with per-connection caps, written into `rates`:
+/// every connection gets capacity/n, except connections whose demand is
+/// lower keep only their demand, with the surplus left unused.  This
+/// models a simple TCP-like split without the iterative redistribution of
+/// max-min fairness; the difference between the two policies is an
+/// ablation bench.
+void equal_share(BlockRate capacity, std::span<const BlockRate> demands,
+                 std::span<BlockRate> rates);
+
+/// Allocating forms of the two policies (tests and micro-benches).
 std::vector<BlockRate> max_min_fair(BlockRate capacity,
                                     std::span<const BlockRate> demands);
-
-/// Equal-share allocation with per-connection caps: every connection gets
-/// capacity/n, except connections whose demand is lower keep only their
-/// demand, with the surplus left unused.  This models a simple TCP-like
-/// split without the iterative redistribution of max-min fairness; the
-/// difference between the two policies is an ablation bench.
 std::vector<BlockRate> equal_share(BlockRate capacity,
                                    std::span<const BlockRate> demands);
 

@@ -9,13 +9,16 @@
 //   * buffer-map exchange (build + copy + deliver, both directions),
 //   * gossip sends (arena batch + mCache sampling + transport enqueue),
 //   * gossip receives (mCache refresh of known entries),
-//   * MessageArena batch recycling, including leases outliving the arena.
+//   * MessageArena batch recycling, including leases outliving the arena,
+//   * the flow-rate allocator (max_min_fair) on warm scratch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
+#include <vector>
 
 #include "core/arena.h"
 #include "core/invariants.h"
@@ -23,6 +26,7 @@
 #include "core/params.h"
 #include "core/system.h"
 #include "net/address.h"
+#include "net/bandwidth.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -137,6 +141,31 @@ TEST(HotpathAllocationTest, BmExchangeIsAllocationFree) {
   EXPECT_EQ(g_allocations - allocs_before, 0u)
       << "steady-state BM exchange touched the heap";
   EXPECT_TRUE(a->find_partner(b_id)->bm_time.has_value());
+}
+
+TEST(HotpathAllocationTest, MaxMinFairOnWarmScratchIsAllocationFree) {
+  // The flow-rate phase runs the allocator once per parent per tick into
+  // per-shard scratch; once that scratch has grown, no call allocates.
+  std::vector<units::BlockRate> demands;
+  for (int i = 0; i < 12; ++i) {
+    demands.emplace_back(i % 4 == 0 ? 0.0 : 0.5 + 0.25 * i);
+  }
+  std::vector<units::BlockRate> rates(demands.size());
+  std::vector<std::size_t> active(demands.size());
+  net::max_min_fair(units::BlockRate(6.0), demands, rates, active);
+
+  const std::uint64_t allocs_before = g_allocations;
+  double granted = 0.0;
+  for (int round = 0; round < 1000; ++round) {
+    const std::size_t n = 1 + static_cast<std::size_t>(round) % demands.size();
+    const std::span<const units::BlockRate> d(demands.data(), n);
+    net::max_min_fair(units::BlockRate(0.5 * (round % 9)), d,
+                      std::span<units::BlockRate>(rates.data(), n), active);
+    granted += rates[n - 1].value();
+  }
+  EXPECT_EQ(g_allocations - allocs_before, 0u)
+      << "max_min_fair on warm scratch touched the heap";
+  EXPECT_GT(granted, 0.0);
 }
 
 TEST(HotpathAllocationTest, GossipSendPathIsAllocationFree) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/invariants.h"
 #include "logging/sessions.h"
 #include "net/address.h"
 
@@ -390,6 +391,113 @@ TEST(SystemTest, UploadBytesFlowToTheLog) {
   }
   EXPECT_GT(total_down, 0u);
   EXPECT_GT(total_up, 0u);  // viewers serve each other, not only servers
+}
+
+/// What one periodic BM broadcast left behind (see the test below).
+struct BroadcastOutcome {
+  std::uint32_t parent_view_bits = 0;  ///< sub bits the parent received
+  BufferMap parent_view;               ///< the map the parent received
+  bool sender_kept_crashed = true;
+  bool sender_kept_silent = true;
+  bool silent_kept_sender = true;
+};
+
+/// Makes `a` list `b` as a partner whose BM was last heard at `heard`.
+void add_partner(Peer& a, net::NodeId b, Tick heard, const BufferMap& bm) {
+  auto& partners = InvariantTestAccess::partners(a);
+  PartnerState* ps = a.find_partner(b);
+  if (ps == nullptr) {
+    partners.push_back(PartnerState{b, false, heard, bm, heard});
+    return;
+  }
+  ps->established = heard;
+  ps->bm = bm;
+  ps->bm_time = heard;
+}
+
+/// One sender's broadcast, in a single tick, covers three partners: the
+/// live parent of one of its sub-streams (its sub bit must be set), a
+/// crashed partner that never told the sender (the delivery must make the
+/// sender drop it), and a partner the sender silence-breaks earlier in
+/// the same tick (the delivery must be dropped as stale).
+BroadcastOutcome run_broadcast_case(int shards) {
+  sim::Simulation simulation(31);
+  Params params = fast_params();
+  params.partner_silence_timeout = 10.0;
+  SystemConfig cfg = small_config();
+  cfg.shards = shards;
+  System sys(simulation, params, cfg, nullptr);
+  sys.start();
+  sim::Rng& rng = simulation.rng();
+  std::vector<net::NodeId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(sys.join(viewer(500 + static_cast<std::uint64_t>(i),
+                                  net::ConnectionType::kDirect, 2e6, rng)));
+  }
+  // Ticks fall on multiples of flow_tick (0.5 s); stop between two.
+  simulation.run_until(sim::Time(30.2));
+  const net::NodeId sender_id = ids[0];
+  const net::NodeId parent_id = ids[1];
+  const net::NodeId crashed_id = ids[2];
+  const net::NodeId silent_id = ids[3];
+  Peer& sender = *sys.peer(sender_id);
+  Peer& parent = *sys.peer(parent_id);
+  Peer& crashed = *sys.peer(crashed_id);
+  Peer& silent = *sys.peer(silent_id);
+  const Tick now = sys.now();
+  const Tick long_ago = now - units::Duration(2 * params.partner_silence_timeout);
+
+  add_partner(sender, parent_id, now, parent.current_bm());
+  add_partner(parent, sender_id, now, sender.current_bm());
+  add_partner(sender, crashed_id, now, crashed.current_bm());
+  add_partner(sender, silent_id, long_ago, silent.current_bm());
+  add_partner(silent, sender_id, now, sender.current_bm());
+  InvariantTestAccess::parents(sender)[0] = parent_id;
+  std::uint32_t expected_bits = 0;
+  for (const SubstreamId j : substreams(params.substream_count)) {
+    expected_bits |= static_cast<std::uint32_t>(sender.parent_of(j) ==
+                                                parent_id)
+                     << j.index();
+  }
+  // Crash without telling the sender: the partnership is half-open.
+  std::erase_if(InvariantTestAccess::partners(crashed),
+                [sender_id](const PartnerState& ps) {
+                  return ps.id == sender_id;
+                });
+  sys.leave(crashed_id, /*graceful=*/false);
+  EXPECT_NE(sender.find_partner(crashed_id), nullptr);
+  InvariantTestAccess::next_bm_push(sender) = now;
+
+  simulation.run_until(sim::Time(30.7));  // exactly one tick, at 30.5 s
+
+  BroadcastOutcome out;
+  const PartnerState* view = parent.find_partner(sender_id);
+  EXPECT_NE(view, nullptr);
+  if (view != nullptr) {
+    EXPECT_TRUE(view->bm_time.has_value() && *view->bm_time > now);
+    EXPECT_EQ(view->bm.subscription_bits(), expected_bits);
+    out.parent_view_bits = view->bm.subscription_bits();
+    out.parent_view = view->bm;
+  }
+  EXPECT_NE(expected_bits, 0u);
+  out.sender_kept_crashed = sender.find_partner(crashed_id) != nullptr;
+  out.sender_kept_silent = sender.find_partner(silent_id) != nullptr;
+  out.silent_kept_sender = silent.find_partner(sender_id) != nullptr;
+  return out;
+}
+
+TEST(SystemTest, BmBroadcastFlushesPerPartnerAtAnyShardCount) {
+  BroadcastOutcome by_shards[2];
+  const int shard_counts[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shard_counts[k]);
+    by_shards[k] = run_broadcast_case(shard_counts[k]);
+    EXPECT_FALSE(by_shards[k].sender_kept_crashed);
+    EXPECT_FALSE(by_shards[k].sender_kept_silent);
+    EXPECT_FALSE(by_shards[k].silent_kept_sender);
+  }
+  EXPECT_EQ(by_shards[0].parent_view_bits, by_shards[1].parent_view_bits);
+  EXPECT_EQ(by_shards[0].parent_view, by_shards[1].parent_view);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "sim/rng.h"
@@ -121,6 +122,76 @@ TEST_P(MaxMinPropertyTest, Invariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// Progressive filling as first written: fresh vectors for the active set
+// on every pass.  The span form must reproduce it bit for bit.
+std::vector<BlockRate> reference_max_min_fair(BlockRate capacity,
+                                              const std::vector<BlockRate>& demands) {
+  std::vector<BlockRate> rates(demands.size(), BlockRate::zero());
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    if (demands[i] > BlockRate::zero()) active.push_back(i);
+  }
+  BlockRate remaining = capacity;
+  while (!active.empty() && remaining > BlockRate::zero()) {
+    const BlockRate share = remaining / static_cast<double>(active.size());
+    bool any_capped = false;
+    std::vector<std::size_t> still_active;
+    for (std::size_t i : active) {
+      const BlockRate want = demands[i] - rates[i];
+      if (want <= share) {
+        rates[i] = demands[i];
+        remaining = remaining - want;
+        any_capped = true;
+      } else {
+        still_active.push_back(i);
+      }
+    }
+    if (!any_capped) {
+      for (std::size_t i : still_active) rates[i] = rates[i] + share;
+      break;
+    }
+    active = std::move(still_active);
+  }
+  return rates;
+}
+
+TEST(MaxMinFairTest, SpanFormMatchesReferenceBitForBit) {
+  sim::Rng rng(2024);
+  // One scratch for every call: sizes grow and shrink across trials, and
+  // stale contents from a larger earlier call must not leak through.
+  constexpr std::size_t kMaxLinks = 40;
+  std::vector<BlockRate> rates_buf(kMaxLinks);
+  std::vector<std::size_t> active(kMaxLinks);
+  std::vector<BlockRate> equal_buf(kMaxLinks);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<std::size_t>(
+        trial % 7 == 0 ? rng.uniform_int(20, 40) : rng.uniform_int(0, 12));
+    std::vector<BlockRate> demands(n);
+    for (auto& d : demands) {
+      // Repeated values make exact ties between want and share likely.
+      d = rng.chance(0.2)   ? BlockRate::zero()
+          : rng.chance(0.3) ? BlockRate(2.0)
+                            : BlockRate(rng.uniform(0.0, 10.0));
+    }
+    const BlockRate capacity(rng.chance(0.1) ? 0.0 : rng.uniform(0.0, 40.0));
+    std::fill(rates_buf.begin(), rates_buf.end(), BlockRate(-1.0));
+    std::fill(equal_buf.begin(), equal_buf.end(), BlockRate(-1.0));
+    const std::span<BlockRate> rates(rates_buf.data(), n);
+    max_min_fair(capacity, demands, rates, active);
+
+    const auto expected = reference_max_min_fair(capacity, demands);
+    const auto wrapped = max_min_fair(capacity, demands);
+    const auto equal_wrapped = equal_share(capacity, demands);
+    equal_share(capacity, demands, std::span<BlockRate>(equal_buf.data(), n));
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(rates[i].value(), expected[i].value())
+          << "trial " << trial << " link " << i;
+      ASSERT_EQ(wrapped[i].value(), expected[i].value());
+      ASSERT_EQ(equal_buf[i].value(), equal_wrapped[i].value());
+    }
+  }
+}
 
 TEST(EqualShareTest, CapsAtDemand) {
   const auto d = rates_of({1.0, 10.0});
