@@ -30,10 +30,6 @@
 
 namespace coolstream::core {
 
-namespace layout {
-struct Introspect;  // layout_audit.h: offsetof over audited private members
-}  // namespace layout
-
 /// A 2K-tuple buffer map, word-packed.
 class BufferMap {
  public:
@@ -170,15 +166,9 @@ class BufferMap {
   }
 
  private:
-  friend struct layout::Introspect;  // member offsets for the layout census
-
   std::int32_t k_ = 0;
   std::uint32_t sub_bits_ = 0;
   SeqNum latest_[kMaxSubstreams]{};
 };
-
-static_assert(sizeof(BufferMap) ==
-                  sizeof(std::int64_t) * BufferMap::kMaxSubstreams + 8,
-              "BufferMap must stay one dense block (no padding surprises)");
 
 }  // namespace coolstream::core

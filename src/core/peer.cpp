@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/layout_audit.h"  // compiles the layout proofs into every build
 #include "core/system.h"
 #include "sim/stream_tags.h"
 

@@ -100,8 +100,9 @@ struct PeerStats {
 /// reads or writes on the tick path, split out of `Peer` so the future
 /// struct-of-arrays slab engine can lift it into an ID-indexed slab
 /// verbatim.  The contract — trivially copyable, standard layout, no heap,
-/// padding-tight, within a bytes/peer budget — is proved at compile time
-/// by layout_audit.h and regression-gated by tools/layout/layout_census.
+/// an exact padding-tight size, within a bytes/peer budget — is proved at
+/// compile time by layout_audit.h, which every coolstream_core build
+/// compiles (peer.cpp includes it).
 ///
 /// `Peer` privately inherits this struct, so member names stay valid,
 /// unqualified, inside peer.cpp; the cold parts (vectors, buffers, the

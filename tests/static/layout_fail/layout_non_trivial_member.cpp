@@ -12,7 +12,7 @@ struct LayoutCaseHeapMember {
   std::uint64_t generation = 0;
   std::string label;  // owns heap memory; not trivially copyable
 };
-COOLSTREAM_LAYOUT_AUDIT(LayoutCaseHeapMember, 64);
+COOLSTREAM_LAYOUT_AUDIT(LayoutCaseHeapMember, 8 + sizeof(std::string));
 
 }  // namespace coolstream
 

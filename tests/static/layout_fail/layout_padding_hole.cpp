@@ -1,7 +1,7 @@
-// WILL_FAIL: COOLSTREAM_LAYOUT_PIN states the intended exact size; the
-// misordered members below pad 16 intended bytes out to 24, and the pin
-// must reject the difference.  (The budget alone would let the hole
-// through — this case is why pins exist.)
+// WILL_FAIL: COOLSTREAM_LAYOUT_AUDIT states the intended exact size; the
+// misordered members below pad 16 intended bytes out to 24, and the audit
+// must reject the difference.  This is also the case for any other size
+// drift (a grown member, an added one): sizeof differs from the number.
 #include <cstdint>
 
 #include "core/layout_audit.h"
@@ -13,8 +13,7 @@ struct LayoutCaseHole {
   double updated;      // 8 bytes
   std::uint32_t hits;  // 4 bytes + 4 tail padding
 };
-COOLSTREAM_LAYOUT_AUDIT(LayoutCaseHole, 24);
-COOLSTREAM_LAYOUT_PIN(LayoutCaseHole, 16);  // packed intent: 8 + 4 + 1 -> 16
+COOLSTREAM_LAYOUT_AUDIT(LayoutCaseHole, 16);  // packed intent: 8 + 4 + 1 -> 16
 
 }  // namespace coolstream
 

@@ -11,7 +11,7 @@ struct LayoutCaseVirtual {
   std::uint64_t generation = 0;
   virtual void on_timer() {}
 };
-COOLSTREAM_LAYOUT_AUDIT(LayoutCaseVirtual, 64);
+COOLSTREAM_LAYOUT_AUDIT(LayoutCaseVirtual, 8 + sizeof(void*));
 
 }  // namespace coolstream
 

@@ -1,7 +1,7 @@
 // Control case for the layout compile-fail tier: a conforming POD passes
-// the audit macro, a matching pin, and can read the registry constexpr —
-// compiled with the identical command line as the WILL_FAIL cases, so a
-// broken include path cannot make those pass vacuously.
+// the audit macro and can read the bytes/peer roll-up constexpr — compiled
+// with the identical command line as the WILL_FAIL cases, so a broken
+// include path cannot make those pass vacuously.
 #include <cstdint>
 
 #include "core/layout_audit.h"
@@ -14,12 +14,10 @@ struct LayoutCasePacked {
   bool live;           // 1 byte + 3 tail padding
 };
 COOLSTREAM_LAYOUT_AUDIT(LayoutCasePacked, 16);
-COOLSTREAM_LAYOUT_PIN(LayoutCasePacked, 16);
 
-// The real registry must stay within the per-peer budget gate from here
-// too — proves the header's constexpr machinery is usable downstream.
-static_assert(core::layout::bytes_per_peer() > 0);
-static_assert(core::layout::kRegistrySize >= 12);
+// Including the header re-proves the real audits and the bytes/peer gate;
+// the roll-up must also be usable as a constant downstream.
+static_assert(core::layout::kBytesPerPeer > 0);
 
 }  // namespace coolstream
 

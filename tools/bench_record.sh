@@ -5,7 +5,7 @@
 # directory (usually the build tree): one `"macro": {...}` line plus a
 # `"micro": [...]` array (possibly empty).  Producers today:
 #   bench/protocol_hotpath.cpp       -> BENCH_protocol_hotpath.json
-#   tools/layout_census --bench=FILE -> BENCH_sim_scale.json (bytes/peer)
+#   bench/fig09_scalability.cpp      -> BENCH_sim_scale.json (--peak)
 # This script wraps such a run with a label, the date, and a machine tag,
 # and appends it to the trajectory array in the matching repository-root
 # BENCH_<name>.json — the files the README's trajectory tables are built

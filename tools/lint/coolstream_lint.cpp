@@ -45,6 +45,10 @@
 //   odr-header-def      non-inline function definition at namespace scope
 //                       in a header — an ODR violation once two TUs
 //                       include it
+//   hot-path-string     string formatting / encode() call in a per-tick
+//                       protocol file (core/peer, core/system,
+//                       core/buffer_map, core/sync_buffer, net/transport)
+//                       — debug and cold-path sites carry an allow
 //
 // The shard-purity family (PR 7) prepares the sharded multi-core
 // simulation: protocol code must hold no state that two shards could
@@ -73,29 +77,6 @@
 //                       (core/tick_effects.h); provably serial sites are
 //                       annotated with an allow in place
 //
-// The layout family (PR 9) polices the source-text side of the memory
-// contract in core/layout_audit.h.  A pre-pass collects every type named in
-// a COOLSTREAM_LAYOUT_AUDIT(Type, budget) invocation; the scanner then
-// walks the body of each audited struct/class definition:
-//
-//   heap-in-audited     heap-owning member (string, vector, map,
-//                       unique_ptr, ...) in an audited type — slab state
-//                       must stay trivially copyable; move it to the cold
-//                       part of the hot/cold split
-//   virtual-in-protocol virtual member in an audited type — a vptr breaks
-//                       trivial copyability and standard layout
-//   unaudited-member    member whose class type is itself unaudited — the
-//                       census must cover every byte reachable from
-//                       core::Peer (unit wrappers and enums are
-//                       whitelisted leaves)
-//   padding-order       declaration order wastes bytes: re-laying the
-//                       same members out by decreasing alignment would
-//                       provably shrink the struct (the check simulates
-//                       both layouts; a lone small member whose hole
-//                       would just become tail padding stays silent)
-//   raw-aos             raw C array of an audited struct inside audited
-//                       state — size it from the registry slot constants
-//
 // Suppression: append a lint:allow comment listing the rule ids in
 // parentheses — e.g. std-random — to the offending line, or put the
 // comment alone on the preceding line.  A suppression that suppresses
@@ -112,20 +93,12 @@
 // explicitly.  Regenerate after intentional changes with
 // `coolstream_lint --census=tools/lint/shared_state.json src`.
 //
-// `--rules=<id>[,<id>...]` restricts the run to a subset of rules (both in
-// normal and fixture mode); unknown ids are a usage error.
-//
-// `--format=json` renders the findings as a JSON object on stdout
-// ({"findings": [{file, line, rule, message}...], "count": N}) for CI
-// consumers; the human-readable summary still goes to stderr, and the
-// GitHub problem matcher (.github/problem-matchers/coolstream-lint.json)
-// parses the default text format instead.
-//
 // Fixture mode (`--fixtures <dir>`): every expected finding in a fixture
 // file is annotated e.g. `// lint:expect(std-random)` on the same line (or
 // `// lint:expect-file(pragma-once)` anywhere for whole-file findings).
 // The tool verifies the findings and the expectations match
-// exactly in both directions, which is how the linter tests itself.
+// exactly in both directions, which is how the linter tests itself; every
+// rule must be expected somewhere in the corpus, so none goes untested.
 //
 // Exit status: 0 clean / expectations met, 1 findings / mismatches,
 // 2 usage or I/O error.
@@ -170,11 +143,6 @@ enum class Rule {
   kCrossPeerPtr,
   kCrossShardCall,
   kAtomicInProtocol,
-  kHeapInAudited,
-  kVirtualInProtocol,
-  kUnauditedMember,
-  kPaddingOrder,
-  kRawAos,
   kStaleAllow,
 };
 
@@ -245,26 +213,6 @@ constexpr RuleInfo kRules[] = {
     {Rule::kAtomicInProtocol, "atomic-in-protocol",
      "std::atomic outside src/sim/; atomics order nondeterministically "
      "across threads and break bit-determinism"},
-    {Rule::kHeapInAudited, "heap-in-audited",
-     "heap-owning member in a layout-audited type; slab state must be "
-     "trivially copyable — move the container to the cold part of the "
-     "split (see core/layout_audit.h)"},
-    {Rule::kVirtualInProtocol, "virtual-in-protocol",
-     "virtual member in a layout-audited protocol-state type; a vptr "
-     "breaks trivial copyability and standard layout — use tags or free "
-     "functions"},
-    {Rule::kUnauditedMember, "unaudited-member",
-     "member of a layout-audited type has a class type that is itself "
-     "unaudited; register it with COOLSTREAM_LAYOUT_AUDIT so the census "
-     "covers every byte reachable from core::Peer"},
-    {Rule::kPaddingOrder, "padding-order",
-     "member order creates an avoidable padding hole (small member "
-     "before a more-aligned one); order members by decreasing alignment "
-     "— the census records the holes that remain"},
-    {Rule::kRawAos, "raw-aos",
-     "raw C array of an audited struct inside audited state; size it "
-     "with the registry slot constants or use the slab accessors so the "
-     "SoA refactor can retarget it"},
     {Rule::kStaleAllow, "stale-allow",
      "lint:allow here suppresses nothing; remove the stale suppression"},
 };
@@ -989,216 +937,6 @@ void scan_structure(const FileContext& ctx, const std::string& stripped,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Layout rule family: polices the source-text side of the memory-layout
-// contract (core/layout_audit.h).  A pre-pass over every scanned root
-// collects the audited-type set — each COOLSTREAM_LAYOUT_AUDIT(Type, ...)
-// invocation registers Type's last name component — then the scanner walks
-// the body of every struct/class definition whose name is in that set.
-// ---------------------------------------------------------------------------
-
-std::set<std::string> g_audited_types;
-
-std::string last_name_component(const std::string& s) {
-  const std::size_t pos = s.rfind("::");
-  return pos == std::string::npos ? s : s.substr(pos + 2);
-}
-
-void collect_audited_types(const std::vector<fs::path>& files) {
-  static const std::regex audit_re(
-      R"(COOLSTREAM_LAYOUT_AUDIT\s*\(\s*([A-Za-z_][\w:]*)\s*,)");
-  for (const auto& path : files) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;  // unreadable files are reported by lint_file later
-    std::string line;
-    while (std::getline(in, line)) {
-      // The macro definition itself mentions its own name; invocations do
-      // not live on preprocessor lines.
-      if (line.find("#define") != std::string::npos) continue;
-      std::smatch m;
-      std::string rest = line;
-      while (std::regex_search(rest, m, audit_re)) {
-        g_audited_types.insert(last_name_component(m[1].str()));
-        rest = m.suffix();
-      }
-    }
-  }
-}
-
-/// Alignment of a member's declared type for the padding-order heuristic.
-/// Covers the scalar, unit-wrapper and enum types audited state is built
-/// from; 0 = unknown (treated as an analysis barrier, never flagged).
-std::size_t layout_member_align(const std::string& base) {
-  static const std::map<std::string, std::size_t> k = {
-      {"bool", 1},     {"char", 1},      {"int8_t", 1},  {"uint8_t", 1},
-      {"PeerKind", 1}, {"PeerPhase", 1}, {"Activity", 1},
-      {"ConnectionType", 1}, {"McachePolicy", 1}, {"MessageKind", 1},
-      {"int16_t", 2},  {"uint16_t", 2},  {"short", 2},
-      {"int", 4},      {"unsigned", 4},  {"int32_t", 4}, {"uint32_t", 4},
-      {"float", 4},    {"NodeId", 4},    {"SubstreamId", 4},
-      {"SubStreamId", 4}, {"PeerId", 4}, {"Ipv4Address", 4},
-      {"double", 8},   {"long", 8},      {"int64_t", 8}, {"uint64_t", 8},
-      {"size_t", 8},   {"Tick", 8},      {"Duration", 8}, {"SeqNum", 8},
-      {"GlobalSeq", 8}, {"BlockIndex", 8}, {"BlockCount", 8},
-      {"SessionId", 8}, {"Bytes", 8},    {"BitRate", 8}, {"BlockRate", 8},
-  };
-  const auto it = k.find(base);
-  return it == k.end() ? 0 : it->second;
-}
-
-/// True when `base` names a unit wrapper or enum the audit layer treats as
-/// a known leaf (it has a fixed scalar layout; auditing it adds nothing).
-bool layout_whitelisted(const std::string& base) {
-  return layout_member_align(base) != 0;
-}
-
-struct LayoutMember {
-  int line = 0;
-  std::size_t align = 0;  // 0 = unknown
-};
-
-/// Parses a single-line member declaration:
-///   [mutable] Type[<...>] name [\[N\]] [= init | {init}] ;
-/// Returns false for anything that does not look like one.
-bool parse_member_decl(const std::string& l, std::string* base,
-                       bool* is_array) {
-  static const std::regex re(
-      R"(^\s*(?:mutable\s+|volatile\s+|const\s+)*([A-Za-z_][\w:]*)\s*(<[^;]*>)?\s*[&*]?\s*([A-Za-z_]\w*)\s*(\[[^\]]*\])?\s*(=[^;]*|\{[^;]*\})?\s*;\s*$)");
-  std::smatch m;
-  if (!std::regex_match(l, m, re)) return false;
-  *base = last_name_component(m[1].str());
-  *is_array = m[4].matched;
-  return true;
-}
-
-/// Applies the padding-order check to one run of members with known
-/// alignment (runs break at unknown-alignment members and non-member
-/// declarations).  The check is exact, not positional: it lays the run
-/// out at its declared order and at decreasing-alignment order (scalar
-/// members occupy exactly their alignment), and flags only when sorting
-/// provably shrinks the span — a lone small member in front of a large
-/// one is silent, because moving it merely converts the hole into tail
-/// padding.  The finding anchors at the member preceding the first hole.
-void flush_layout_run(const FileContext& ctx, std::vector<LayoutMember>* run,
-                      std::vector<Finding>* findings) {
-  if (run->size() >= 2) {
-    std::size_t off = 0;        // declared-order layout cursor
-    std::size_t max_align = 1;
-    std::size_t sorted_bytes = 0;  // sorted-desc packs hole-free
-    int culprit = 0;
-    for (std::size_t i = 0; i < run->size(); ++i) {
-      const std::size_t a = (*run)[i].align;
-      const std::size_t aligned = (off + a - 1) / a * a;
-      if (aligned != off && culprit == 0 && i > 0) {
-        culprit = (*run)[i - 1].line;
-      }
-      off = aligned + a;
-      sorted_bytes += a;
-      max_align = std::max(max_align, a);
-    }
-    const auto span = [max_align](std::size_t v) {
-      return (v + max_align - 1) / max_align * max_align;
-    };
-    if (span(off) > span(sorted_bytes) && culprit != 0) {
-      findings->push_back({ctx.display_path, culprit, Rule::kPaddingOrder});
-    }
-  }
-  run->clear();
-}
-
-void scan_layout(const FileContext& ctx, const std::vector<std::string>& lines,
-                 std::vector<Finding>* findings) {
-  if (g_audited_types.empty()) return;
-  static const std::regex struct_head_re(
-      R"(\b(?:struct|class)\s+([A-Za-z_]\w*))");
-  static const std::regex virtual_re(R"(\bvirtual\b)");
-  static const std::regex nonmember_re(
-      R"(^\s*(?:public|private|protected)\s*:|^\s*(?:using|typedef|friend|static|template|struct|class|enum|union|constexpr)\b)");
-  static const std::regex heap_re(
-      R"(\b(?:std\s*::\s*)?(?:string|wstring|vector|map|set|unordered_map|unordered_set|multimap|multiset|list|forward_list|deque|function|unique_ptr|shared_ptr|weak_ptr|any)\s*[<\s])");
-
-  std::size_t i = 0;
-  while (i < lines.size()) {
-    std::smatch m;
-    const std::string& head = lines[i];
-    const bool enters = std::regex_search(head, m, struct_head_re) &&
-                        g_audited_types.count(m[1].str()) > 0 &&
-                        head.find('{') != std::string::npos &&
-                        head.find(';') == std::string::npos;
-    if (!enters) {
-      ++i;
-      continue;
-    }
-
-    // Walk the struct body; depth 1 (relative to the struct's own brace)
-    // is member scope.  Members must be single-line declarations — the
-    // audited structs are plain aggregates, so that always holds.
-    int depth = 0;
-    std::vector<LayoutMember> run;
-    const std::string body_head = head.substr(head.find('{'));
-    for (; i < lines.size(); ++i) {
-      const std::string& l = depth == 0 ? body_head : lines[i];
-      const int at_line = static_cast<int>(i) + 1;
-      const bool member_scope = depth == 1;
-
-      if (member_scope) {
-        // `virtual` is checked before the function-declaration skip: a
-        // virtual member is (almost) always a function.
-        if (std::regex_search(l, virtual_re)) {
-          findings->push_back(
-              {ctx.display_path, at_line, Rule::kVirtualInProtocol});
-          flush_layout_run(ctx, &run, findings);
-        } else if (const std::string t = trim(l);
-                   !t.empty() && t.back() == ';') {
-          const std::size_t paren = l.find('(');
-          const std::size_t eq = l.find('=');
-          const bool function_like =
-              paren != std::string::npos &&
-              (eq == std::string::npos || paren < eq);
-          std::string base;
-          bool is_array = false;
-          if (std::regex_search(l, nonmember_re) || function_like ||
-              !parse_member_decl(l, &base, &is_array)) {
-            flush_layout_run(ctx, &run, findings);  // analysis barrier
-          } else if (std::regex_search(l, heap_re)) {
-            findings->push_back(
-                {ctx.display_path, at_line, Rule::kHeapInAudited});
-            flush_layout_run(ctx, &run, findings);
-          } else if (is_array && g_audited_types.count(base) > 0) {
-            findings->push_back({ctx.display_path, at_line, Rule::kRawAos});
-            flush_layout_run(ctx, &run, findings);
-          } else {
-            const bool audited = g_audited_types.count(base) > 0;
-            if (!audited && !layout_whitelisted(base) &&
-                std::isupper(static_cast<unsigned char>(base[0])) != 0) {
-              findings->push_back(
-                  {ctx.display_path, at_line, Rule::kUnauditedMember});
-            }
-            const std::size_t align =
-                is_array || audited ? 0 : layout_member_align(base);
-            if (align == 0) {
-              flush_layout_run(ctx, &run, findings);
-            } else {
-              run.push_back({at_line, align});
-            }
-          }
-        }
-      }
-
-      for (const char c : l) {
-        if (c == '{') ++depth;
-        if (c == '}') {
-          --depth;
-          if (depth == 0) break;
-        }
-      }
-      if (depth == 0) break;  // struct body closed on this line
-    }
-    flush_layout_run(ctx, &run, findings);
-    ++i;  // past the closing-brace line
-  }
-}
-
 void scan_file(const FileContext& ctx, const std::vector<std::string>& lines,
                const std::vector<std::string>& raw_lines,
                std::vector<Finding>* findings,
@@ -1418,18 +1156,6 @@ FileContext make_context(const fs::path& path) {
   return ctx;
 }
 
-// Active-rule filter from --rules=<list>; empty means every rule runs.
-std::set<std::string> g_active_rules;
-
-bool rule_active(Rule rule) {
-  return g_active_rules.empty() ||
-         g_active_rules.count(kRules[static_cast<std::size_t>(rule)].id) > 0;
-}
-
-bool rule_active(const std::string& id) {
-  return g_active_rules.empty() || g_active_rules.count(id) > 0;
-}
-
 std::vector<fs::path> collect_files(const std::vector<std::string>& roots,
                                     std::vector<std::string>* errors) {
   std::vector<fs::path> files;
@@ -1490,10 +1216,8 @@ FileResult lint_file(const fs::path& path, std::vector<std::string>* errors,
   std::vector<Finding> all;
   scan_file(ctx, stripped, raw_lines, &all, census);
   scan_structure(ctx, stripped_text, &all, census);
-  scan_layout(ctx, stripped, &all);
 
   for (const auto& f : all) {
-    if (!rule_active(f.rule)) continue;
     const char* id = kRules[static_cast<std::size_t>(f.rule)].id;
     if (f.line > 0 && result.annotations.consume_allow(f.line, id)) {
       continue;  // suppressed (and the allow site is marked used)
@@ -1501,14 +1225,11 @@ FileResult lint_file(const fs::path& path, std::vector<std::string>* errors,
     result.findings.push_back(f);
   }
   // A lint:allow that suppressed nothing is dead weight that hides future
-  // regressions — report the annotation itself.  Sites whose rule is
-  // filtered out by --rules are not judged (the finding could not fire).
-  if (rule_active(Rule::kStaleAllow)) {
-    for (const auto& site : result.annotations.allows) {
-      if (!site.used && rule_active(site.id)) {
-        result.findings.push_back(
-            {ctx.display_path, site.origin, Rule::kStaleAllow});
-      }
+  // regressions — report the annotation itself.
+  for (const auto& site : result.annotations.allows) {
+    if (!site.used) {
+      result.findings.push_back(
+          {ctx.display_path, site.origin, Rule::kStaleAllow});
     }
   }
   if (raw_out != nullptr) *raw_out = raw_lines;
@@ -1521,10 +1242,12 @@ void print_finding(const Finding& f) {
                f.line > 0 ? f.line : 1, info.id, info.message);
 }
 
-/// Fixture mode: findings and lint:expect annotations must match exactly.
+/// Fixture mode: findings and lint:expect annotations must match exactly,
+/// and every rule must be expected at least once across the corpus.
 int run_fixture_mode(const std::vector<fs::path>& files) {
   int mismatches = 0;
   std::vector<std::string> errors;
+  std::set<std::string> covered;  // rule ids with a lint:expect somewhere
   for (const auto& path : files) {
     FileResult r = lint_file(path, &errors);
     const std::string file = path.generic_string();
@@ -1532,14 +1255,11 @@ int run_fixture_mode(const std::vector<fs::path>& files) {
     // Expected (line, rule) pairs not yet matched.
     std::set<std::pair<int, std::string>> expected;
     for (const auto& [line, ids] : r.annotations.expect) {
-      for (const auto& id : ids) {
-        if (rule_active(id)) expected.insert({line, id});
-      }
+      for (const auto& id : ids) expected.insert({line, id});
     }
-    std::set<std::string> expected_file;
-    for (const auto& id : r.annotations.expect_file) {
-      if (rule_active(id)) expected_file.insert(id);
-    }
+    std::set<std::string> expected_file = r.annotations.expect_file;
+    for (const auto& e : expected) covered.insert(e.second);
+    covered.insert(expected_file.begin(), expected_file.end());
 
     for (const auto& f : r.findings) {
       const char* id = kRules[static_cast<std::size_t>(f.rule)].id;
@@ -1566,6 +1286,13 @@ int run_fixture_mode(const std::vector<fs::path>& files) {
       std::fprintf(stderr,
                    "%s: expected whole-file [%s] but the linter was silent\n",
                    file.c_str(), id.c_str());
+      ++mismatches;
+    }
+  }
+  for (const auto& r : kRules) {
+    if (covered.count(r.id) == 0) {
+      std::fprintf(stderr, "rule [%s] has no lint:expect in the fixtures\n",
+                   r.id);
       ++mismatches;
     }
   }
@@ -1748,7 +1475,6 @@ int run_list_allows(const std::vector<fs::path>& files) {
 int main(int argc, char** argv) {
   bool fixture_mode = false;
   bool list_allows = false;
-  bool json_output = false;  // --format=json: findings as JSON on stdout
   std::string census_out;    // --census=<path|->
   std::string census_check;  // --census-check=<file>
   std::vector<std::string> roots;
@@ -1758,40 +1484,15 @@ int main(int argc, char** argv) {
       fixture_mode = true;
     } else if (arg == "--list-allows") {
       list_allows = true;
-    } else if (arg == "--format=json") {
-      json_output = true;
-    } else if (arg == "--format=text") {
-      json_output = false;
-    } else if (arg.rfind("--format=", 0) == 0) {
-      std::fprintf(stderr, "coolstream_lint: unknown format '%s'\n",
-                   arg.c_str() + 9);
-      return 2;
     } else if (arg.rfind("--census=", 0) == 0) {
       census_out = arg.substr(9);
     } else if (arg.rfind("--census-check=", 0) == 0) {
       census_check = arg.substr(15);
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      std::stringstream ss(arg.substr(8));
-      std::string id;
-      while (std::getline(ss, id, ',')) {
-        if (id.empty()) continue;
-        if (find_rule(id) == nullptr) {
-          std::fprintf(stderr, "coolstream_lint: unknown rule '%s'\n",
-                       id.c_str());
-          return 2;
-        }
-        g_active_rules.insert(id);
-      }
-      if (g_active_rules.empty()) {
-        std::fprintf(stderr, "coolstream_lint: --rules= needs rule ids\n");
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(
           stderr,
-          "usage: coolstream_lint [--fixtures] [--rules=<id>[,<id>...]]\n"
-          "                       [--list-allows] [--census=<path|->]\n"
-          "                       [--census-check=<file>] [--format=json]\n"
+          "usage: coolstream_lint [--fixtures] [--list-allows]\n"
+          "                       [--census=<path|->] [--census-check=<file>]\n"
           "                       <file-or-dir>...\n");
       return 2;
     } else {
@@ -1809,42 +1510,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "coolstream_lint: no source files found\n");
     return 2;
   }
-  // The layout rule family needs the audited-type set before any file is
-  // linted; every mode shares the same pre-pass.
-  collect_audited_types(files);
-
   if (!census_check.empty()) return run_census_mode(files, census_check, true);
   if (!census_out.empty()) return run_census_mode(files, census_out, false);
   if (list_allows) return run_list_allows(files);
   if (fixture_mode) return run_fixture_mode(files);
 
   std::size_t finding_count = 0;
-  std::string json = "{\n  \"findings\": [\n";
   for (const auto& path : files) {
     FileResult r = lint_file(path, &errors);
-    for (const auto& f : r.findings) {
-      if (json_output) {
-        const RuleInfo& info = kRules[static_cast<std::size_t>(f.rule)];
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%d", f.line > 0 ? f.line : 1);
-        if (finding_count > 0) json += ",\n";
-        json += "    {\"file\": \"" + json_escape(f.file) +
-                "\", \"line\": " + buf + ", \"rule\": \"" + info.id +
-                "\", \"message\": \"" + json_escape(info.message) + "\"}";
-      } else {
-        print_finding(f);
-      }
-      ++finding_count;
-    }
-  }
-  if (json_output) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%zu", finding_count);
-    json += finding_count > 0 ? "\n  ],\n" : "  ],\n";
-    json += "  \"count\": ";
-    json += buf;
-    json += "\n}\n";
-    std::fwrite(json.data(), 1, json.size(), stdout);
+    for (const auto& f : r.findings) print_finding(f);
+    finding_count += r.findings.size();
   }
   for (const auto& e : errors) std::fprintf(stderr, "%s\n", e.c_str());
   if (!errors.empty()) return 2;

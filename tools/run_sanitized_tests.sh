@@ -67,7 +67,7 @@ else
     "stress:^(sim_stress_tests|sim_allocation_tests|core_allocation_tests)$"
     "integration:^(integration_tests|protocol_properties|golden_tests)$"
     "sharded:^(sharded_tests|sharded_stress_tests|golden_tests_4shard)$"
-    "static-and-lint:^(lint_.*|layout_census|compile_.*)$"
+    "static-and-lint:^(lint_.*|compile_.*)$"
   )
 fi
 
