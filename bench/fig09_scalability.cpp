@@ -10,8 +10,11 @@
 // ns/peer-tick over a steady window.  Shard count comes from the usual
 // SystemConfig resolution (COOLSTREAM_SHARDS), so the same invocation
 // benches serial and sharded ticks; results go to BENCH_sim_scale.json in
-// the working directory for tools/bench_record.sh.
+// the working directory for tools/bench_record.sh, with the process's
+// peak resident set (getrusage) beside the tick cost.
 #include "bench_util.h"
+
+#include <sys/resource.h>
 
 #include <chrono>  // bench wall-time measurement only
 #include <cmath>
@@ -115,15 +118,20 @@ int run_peak(int argc, char** argv) {
           .count());
   const double ns_per_peer_tick =
       peer_ticks > 0 ? wall_ns / static_cast<double>(peer_ticks) : 0.0;
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double peak_rss_mb =
+      static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
 
   analysis::banner(std::cout, "peak window");
   analysis::Table t({"live viewers", "shards", "window (s)", "peer-ticks",
-                     "ns/peer-tick", "blocks moved"});
+                     "ns/peer-tick", "blocks moved", "peak RSS (MB)"});
   t.row({std::to_string(system.live_viewer_count()),
          std::to_string(system.shard_count()),
          analysis::fmt(end_s - warm_end_s, 0), std::to_string(peer_ticks),
          analysis::fmt(ns_per_peer_tick, 1),
-         std::to_string(system.stats().blocks_transferred)});
+         std::to_string(system.stats().blocks_transferred),
+         analysis::fmt(peak_rss_mb, 1)});
   t.print(std::cout);
 
   // Single-run JSON in the layout tools/bench_record.sh splices into the
@@ -133,11 +141,11 @@ int run_peak(int argc, char** argv) {
     std::fprintf(f,
                  "  \"macro\": {\"peers\": %zu, \"shards\": %d, "
                  "\"window_s\": %.0f, \"peer_ticks\": %llu, "
-                 "\"ns_per_peer_tick\": %.1f},\n",
+                 "\"ns_per_peer_tick\": %.1f, \"peak_rss_mb\": %.1f},\n",
                  system.live_viewer_count(), system.shard_count(),
                  end_s - warm_end_s,
                  static_cast<unsigned long long>(peer_ticks),
-                 ns_per_peer_tick);
+                 ns_per_peer_tick, peak_rss_mb);
     std::fprintf(f, "  \"micro\": [\n  ]\n}\n");
     std::fclose(f);
   }

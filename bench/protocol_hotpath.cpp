@@ -7,7 +7,10 @@
 //            one live node serviced by one System::tick.  Allocations are
 //            split into those inside System::tick and those between ticks
 //            (event dispatch: joins, leaves, deliveries, reports) by probe
-//            events just before and right after every tick instant.
+//            events just before and right after every tick instant.  It
+//            also reports the heap held at the end of the window per live
+//            node (everything the run keeps: departed peers, event queue,
+//            log lines), in malloc_usable_size bytes.
 //   micro  — head-to-head loops over the control-plane primitives the
 //            macro path is made of (BM broadcast, adaptation scan,
 //            wire-size accounting), comparing the current implementation
@@ -22,7 +25,9 @@
 //   micro_pct  scales micro-bench iteration counts (10 = smoke run)
 //
 // This binary replaces global operator new/delete with counting versions
-// so allocations/peer-tick is measured, not estimated.
+// so allocations/peer-tick and live heap bytes are measured, not estimated.
+// Both are functions of the seed and scale alone (for a given C library),
+// which is what lets CI gate them.
 #include <algorithm>
 #include <bit>
 #include <chrono>  // bench wall-time measurement only
@@ -32,6 +37,8 @@
 #include <new>
 #include <optional>
 #include <vector>
+
+#include <malloc.h>  // malloc_usable_size
 
 #include "bench_util.h"
 #include "core/buffer_map.h"
@@ -45,21 +52,28 @@
 namespace {
 
 std::uint64_t g_allocations = 0;
+/// Usable bytes of every block operator new handed out and not yet freed.
+std::uint64_t g_live_heap_bytes = 0;
 
-void* counted_alloc(std::size_t size) {
-  ++g_allocations;
-  void* p = std::malloc(size);
+void* counted(void* p) {
   if (p == nullptr) throw std::bad_alloc();
+  ++g_allocations;
+  g_live_heap_bytes += malloc_usable_size(p);
   return p;
 }
 
+void* counted_alloc(std::size_t size) { return counted(std::malloc(size)); }
+
 void* counted_alloc(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) &
-                                   ~(static_cast<std::size_t>(align) - 1));
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+  return counted(std::aligned_alloc(
+      static_cast<std::size_t>(align),
+      (size + static_cast<std::size_t>(align) - 1) &
+          ~(static_cast<std::size_t>(align) - 1)));
+}
+
+void counted_free(void* p) noexcept {
+  g_live_heap_bytes -= malloc_usable_size(p);  // 0 for nullptr
+  std::free(p);
 }
 
 }  // namespace
@@ -72,17 +86,19 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_alloc(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  counted_free(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace coolstream::bench {
@@ -111,6 +127,7 @@ struct MacroResult {
   double allocs_per_peer_tick = 0.0;
   double tick_allocs_per_peer_tick = 0.0;     ///< inside System::tick
   double between_allocs_per_peer_tick = 0.0;  ///< the rest of the window
+  double heap_bytes_per_live_peer = 0.0;      ///< at the end of the window
 };
 
 MacroResult run_macro(std::uint64_t seed, std::size_t target_peers,
@@ -149,8 +166,13 @@ MacroResult run_macro(std::uint64_t seed, std::size_t target_peers,
   runner.run_until(end_s);
   const double wall_ns = ns_since(t0);
   const std::uint64_t allocs = g_allocations - allocs0;
+  const std::size_t live_peers = runner.system().live_nodes().size();
 
   MacroResult r;
+  if (live_peers > 0) {
+    r.heap_bytes_per_live_peer = static_cast<double>(g_live_heap_bytes) /
+                                 static_cast<double>(live_peers);
+  }
   r.target_peers = target_peers;
   r.window_s = end_s - warm_s;
   r.peer_ticks = peer_ticks;
@@ -511,12 +533,14 @@ void write_json(const MacroResult& macro,
                "\"peer_ticks\": %llu, \"ns_per_peer_tick\": %.1f, "
                "\"allocs_per_peer_tick\": %.3f, "
                "\"tick_allocs_per_peer_tick\": %.3f, "
-               "\"between_allocs_per_peer_tick\": %.3f},\n",
+               "\"between_allocs_per_peer_tick\": %.3f, "
+               "\"heap_bytes_per_live_peer\": %.0f},\n",
                macro.target_peers, macro.window_s,
                static_cast<unsigned long long>(macro.peer_ticks),
                macro.ns_per_peer_tick, macro.allocs_per_peer_tick,
                macro.tick_allocs_per_peer_tick,
-               macro.between_allocs_per_peer_tick);
+               macro.between_allocs_per_peer_tick,
+               macro.heap_bytes_per_live_peer);
   std::fprintf(f, "  \"micro\": [\n");
   for (std::size_t i = 0; i < micros.size(); ++i) {
     const MicroResult& m = micros[i];
@@ -556,11 +580,12 @@ int run(int argc, char** argv) {
               warm_s, end_s);
   const MacroResult macro = run_macro(args.seed, peers, warm_s, end_s);
   std::printf("macro: %llu peer-ticks, %.1f ns/peer-tick, %.3f allocs/peer-tick "
-              "(tick %.3f, between ticks %.3f)\n",
+              "(tick %.3f, between ticks %.3f), %.0f heap bytes/live peer\n",
               static_cast<unsigned long long>(macro.peer_ticks),
               macro.ns_per_peer_tick, macro.allocs_per_peer_tick,
               macro.tick_allocs_per_peer_tick,
-              macro.between_allocs_per_peer_tick);
+              macro.between_allocs_per_peer_tick,
+              macro.heap_bytes_per_live_peer);
 
   const MicroFixture fx;
   std::vector<MicroResult> micros;

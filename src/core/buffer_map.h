@@ -35,9 +35,11 @@ class BufferMap {
  public:
   /// Lane capacity of the packed representation.  Params::validate()
   /// enforces substream_count <= kMaxSubstreams (the paper uses K=4; the
-  /// ablations sweep to 8).
+  /// ablations sweep to 8).  Every partner slot of every peer holds one
+  /// BufferMap, so each lane past the widest K anything runs costs 8
+  /// bytes per partner for nothing.
   // A lane capacity, not a protocol sequence/index value.
-  static constexpr int kMaxSubstreams = 16;  // lint:allow(raw-protocol-int)
+  static constexpr int kMaxSubstreams = 8;  // lint:allow(raw-protocol-int)
 
   BufferMap() = default;
 

@@ -360,4 +360,10 @@ void InvariantTestAccess::do_gossip(Peer& p) { p.do_gossip(); }
 
 Tick& InvariantTestAccess::next_bm_push(Peer& p) { return p.next_bm_push_; }
 
+std::size_t InvariantTestAccess::session_capacity(const Peer& p) {
+  return p.partners_.capacity() + p.out_links_.capacity() +
+         p.pending_attempts_.capacity() + p.skips_.capacity() +
+         p.interval_changes_.capacity() + p.mcache_.entries().capacity();
+}
+
 }  // namespace coolstream::core

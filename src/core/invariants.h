@@ -139,6 +139,10 @@ struct InvariantTestAccess {
   /// The peer's next periodic BM broadcast time (settable, so a test can
   /// make the broadcast fall due on a chosen tick).
   static Tick& next_bm_push(Peer& p);
+  /// Total element capacity of the per-session containers that
+  /// Peer::set_left frees (partners, out-links, pending attempts, skips,
+  /// partner changes, mCache).
+  static std::size_t session_capacity(const Peer& p);
 };
 
 }  // namespace coolstream::core

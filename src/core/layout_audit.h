@@ -47,13 +47,13 @@
 
 namespace coolstream {
 
-COOLSTREAM_LAYOUT_AUDIT(core::BufferMap, 136);  // 2*4 + 16 lanes * 8
-COOLSTREAM_LAYOUT_AUDIT(core::PartnerState, 168);
+COOLSTREAM_LAYOUT_AUDIT(core::BufferMap, 72);  // 2*4 + 8 lanes * 8
+COOLSTREAM_LAYOUT_AUDIT(core::PartnerState, 96);  // 4+1+3 + 8 + 72 + 8
 COOLSTREAM_LAYOUT_AUDIT(core::OutLink, 8);
 COOLSTREAM_LAYOUT_AUDIT(core::McacheEntry, 24);
 COOLSTREAM_LAYOUT_AUDIT(core::PeerSpec, 24);
 COOLSTREAM_LAYOUT_AUDIT(core::PeerStats, 96);  // hole-free: 7*8 + 10*4
-COOLSTREAM_LAYOUT_AUDIT(core::PeerProtocolState, 424);
+COOLSTREAM_LAYOUT_AUDIT(core::PeerProtocolState, 352);
 COOLSTREAM_LAYOUT_AUDIT(net::Ipv4Address, 4);
 
 // Transport message structs: the §V-A report payloads every peer emits.
@@ -84,10 +84,12 @@ inline constexpr std::size_t kBytesPerPeer =
     sizeof(McacheEntry) *
         static_cast<std::size_t>(kDefaultParams.mcache_size);
 
-/// The budget gate: the provisioned state must stay within one 4 KiB page
-/// per peer (the SoA slab's baseline to beat; renegotiate in review).
-static_assert(kBytesPerPeer <= 4096,
-              "audited bytes/peer exceeds the 4 KiB budget; shrink the hot "
-              "state or renegotiate the gate (DESIGN.md §14)");
+/// The budget gate.  The state is 2 688 bytes at 8 buffer-map lanes and
+/// 8-byte optional ticks; the gate leaves 128 bytes of headroom (5 %), so a
+/// wider BufferMap or another partner-slot field fails here unless review
+/// renegotiates it.
+static_assert(kBytesPerPeer <= 2816,
+              "audited bytes/peer exceeds the 2 816-byte budget; shrink the "
+              "hot state or renegotiate the gate (DESIGN.md §14)");
 
 }  // namespace coolstream::core::layout

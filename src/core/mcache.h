@@ -59,6 +59,9 @@ class Mcache {
   /// Removes `id` if present (e.g. learned that the peer left).
   void remove(net::NodeId id);
 
+  /// Empties the cache and frees its storage (the owner left for good).
+  void release() noexcept { std::vector<McacheEntry>().swap(entries_); }
+
   /// True when `id` is in the cache.
   bool contains(net::NodeId id) const noexcept;
 

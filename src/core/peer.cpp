@@ -881,10 +881,16 @@ void Peer::set_left() {
     end_subscription(j);
   }
   phase_ = PeerPhase::kLeft;
-  partners_.clear();
-  out_links_.clear();
   std::fill(parents_.begin(), parents_.end(), net::kInvalidNode);
-  skips_.clear();
+  // A departed peer is never revived (ids are not recycled) yet the System
+  // keeps it, so free its session containers: memory must follow the live
+  // population.  Stats and the sync-buffer heads stay for the figures.
+  std::vector<PartnerState>().swap(partners_);
+  std::vector<OutLink>().swap(out_links_);
+  std::vector<PendingAttempt>().swap(pending_attempts_);
+  std::vector<SkipRange>().swap(skips_);
+  std::vector<logging::PartnerChange>().swap(interval_changes_);
+  mcache_.release();
 }
 
 }  // namespace coolstream::core

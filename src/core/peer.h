@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -60,7 +59,7 @@ struct PartnerState {
   bool incoming = false;        ///< partner initiated the connection
   Tick established{};
   BufferMap bm;                 ///< latest buffer map received from the partner
-  std::optional<Tick> bm_time;  ///< when bm was received (nullopt: never)
+  OptionalTick bm_time;         ///< when bm was received (empty: never)
 };
 
 /// Parent-side record of one sub-stream push connection.
@@ -115,7 +114,7 @@ struct PeerProtocolState {
   Tick joined_at_;
 
   // join state
-  std::optional<Tick> first_bm_at_;
+  OptionalTick first_bm_at_;
 
   // playout state
   GlobalSeq play_start_seq_ = kNoSeq;

@@ -24,6 +24,7 @@ namespace coolstream::core {
 /// can speak about timers without pulling in the event engine.  sim::Time
 /// aliases the same units::Tick, so the two layers interoperate directly.
 using Tick = units::Tick;
+using OptionalTick = units::OptionalTick;
 using Duration = units::Duration;
 
 /// Sub-stream index in [0, K).

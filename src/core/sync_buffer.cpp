@@ -5,9 +5,7 @@
 
 namespace coolstream::core {
 
-SyncBuffer::SyncBuffer(int k)
-    : heads_(static_cast<std::size_t>(k), kNoSeq),
-      ahead_(static_cast<std::size_t>(k)) {
+SyncBuffer::SyncBuffer(int k) : heads_(static_cast<std::size_t>(k), kNoSeq) {
   assert(k >= 1);
 }
 
@@ -15,17 +13,22 @@ bool SyncBuffer::insert(SubstreamId i, SeqNum seq) {
   assert(i.index() < heads_.size());
   SeqNum& head = heads_[i.index()];
   if (seq <= head) return false;  // old or duplicate
-  auto& ahead = ahead_[i.index()];
+  const auto lane = std::ranges::equal_range(ahead_, i, {}, &AheadBlock::lane);
   if (seq == head + BlockCount(1)) {
     ++head;
     // Absorb any queued successors.
-    auto it = ahead.begin();
-    while (it != ahead.end() && *it == head + BlockCount(1)) {
+    auto it = lane.begin();
+    while (it != lane.end() && it->seq == head + BlockCount(1)) {
       ++head;
-      it = ahead.erase(it);
+      ++it;
     }
+    ahead_.erase(lane.begin(), it);
   } else {
-    if (!ahead.insert(seq).second) return false;  // duplicate ahead block
+    const auto pos = std::ranges::lower_bound(lane, seq, {}, &AheadBlock::seq);
+    if (pos != lane.end() && pos->seq == seq) {
+      return false;  // duplicate ahead block
+    }
+    ahead_.insert(pos, AheadBlock{i, seq});
   }
   ++received_;
   ++version_;
@@ -39,8 +42,9 @@ void SyncBuffer::start_at(SubstreamId i, SeqNum seq) {
   head = std::max(head, seq - BlockCount(1));
   ++version_;
   // Drop queued blocks now below the head.
-  auto& ahead = ahead_[i.index()];
-  ahead.erase(ahead.begin(), ahead.lower_bound(head + BlockCount(1)));
+  const auto lane = std::ranges::equal_range(ahead_, i, {}, &AheadBlock::lane);
+  ahead_.erase(lane.begin(), std::ranges::lower_bound(lane, head + BlockCount(1),
+                                                      {}, &AheadBlock::seq));
 }
 
 void SyncBuffer::set_combined_floor(GlobalSeq g) noexcept {
@@ -49,8 +53,8 @@ void SyncBuffer::set_combined_floor(GlobalSeq g) noexcept {
 }
 
 std::size_t SyncBuffer::pending(SubstreamId i) const {
-  assert(i.index() < ahead_.size());
-  return ahead_[i.index()].size();
+  assert(i.index() < heads_.size());
+  return std::ranges::equal_range(ahead_, i, {}, &AheadBlock::lane).size();
 }
 
 BlockCount SyncBuffer::spread() const noexcept {

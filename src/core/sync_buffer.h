@@ -9,11 +9,15 @@
 // parent switch); the buffer tracks, per sub-stream, the contiguous head
 // plus a bounded set of blocks received ahead of it, and exposes the
 // combined prefix of the interleaved global order.
+//
+// The ahead blocks of all sub-streams share one vector sorted by
+// (sub-stream, seq).  Out-of-order arrival is rare and short-lived, so the
+// vector is empty in steady state and costs no allocation, where a set per
+// sub-stream would cost one allocation per queued block.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "core/stream_types.h"
@@ -78,11 +82,18 @@ class SyncBuffer {
  private:
   friend struct InvariantTestAccess;  // seeded-corruption hooks (tests only)
 
+  /// One out-of-order block of sub-stream `lane`.
+  struct AheadBlock {
+    SubstreamId lane;
+    SeqNum seq;
+  };
+
   void recompute_combined() noexcept;
 
   std::vector<SeqNum> heads_;
-  /// Out-of-order blocks per sub-stream (strictly above the head).
-  std::vector<std::set<SeqNum>> ahead_;
+  /// Out-of-order blocks (strictly above their sub-stream's head),
+  /// sorted by (lane, seq): each lane's blocks are one ascending run.
+  std::vector<AheadBlock> ahead_;
   GlobalSeq combined_ = kNoSeq;
   std::uint64_t received_ = 0;
   std::uint64_t version_ = 0;

@@ -124,8 +124,10 @@ void System::leave(net::NodeId id, bool graceful) {
   // Notify partners (graceful FIN or TCP reset; either way partnerships
   // break promptly).  Children of this node are among its partners, so the
   // notification also triggers their parent reselection.
-  std::vector<net::NodeId> partner_ids;
-  partner_ids.reserve(p->partner_count());
+  // The ids go through a reused scratch, taken out of the member for the
+  // loop so a nested leave() from a partner callback gets its own.
+  std::vector<net::NodeId> partner_ids = std::move(leave_scratch_);
+  partner_ids.clear();
   for (const auto& ps : p->partners()) partner_ids.push_back(ps.id);
   p->set_left();
   for (net::NodeId q : partner_ids) {
@@ -133,6 +135,7 @@ void System::leave(net::NodeId id, bool graceful) {
       qp->on_partner_left(id);
     }
   }
+  leave_scratch_ = std::move(partner_ids);
 
   bootstrap_.remove(id);
   // O(1) swap-remove through the position index.

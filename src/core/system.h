@@ -327,6 +327,7 @@ class System {
   MessageArena<McacheEntry> mcache_arena_;
   std::vector<std::size_t> bootstrap_idx_scratch_;
   std::vector<net::NodeId> bootstrap_ids_scratch_;
+  std::vector<net::NodeId> leave_scratch_;  ///< leave()'s partner ids (serial)
 };
 
 }  // namespace coolstream::core

@@ -31,6 +31,7 @@
 // and may be included from any layer (sim, net, core, model, ...).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -153,6 +154,32 @@ class Tick {
 
  private:
   double v_ = 0.0;
+};
+
+/// A Tick that may be absent, in the space of one Tick.  std::optional<Tick>
+/// spends a flag byte plus 7 bytes of padding on presence; this one marks
+/// "no value" with -infinity, which no simulated time can take (assigning
+/// a Tick checks it).  It offers the subset the protocol uses: assign a
+/// Tick, test presence, read the Tick.
+class OptionalTick {
+ public:
+  OptionalTick() = default;
+  /// Implicit, like std::optional's converting constructor, so a Tick
+  /// assigns directly.
+  constexpr OptionalTick(Tick t) noexcept : t_(t) {
+    assert(t > kNone && "simulated time is finite");
+  }
+
+  constexpr bool has_value() const noexcept { return t_ != kNone; }
+  explicit constexpr operator bool() const noexcept { return has_value(); }
+  constexpr Tick operator*() const noexcept {
+    assert(has_value());
+    return t_;
+  }
+
+ private:
+  static constexpr Tick kNone = Tick(-std::numeric_limits<double>::infinity());
+  Tick t_ = kNone;
 };
 
 // ---------------------------------------------------------------------------
@@ -488,6 +515,7 @@ constexpr BlockRate rate_of(BlockCount c, Duration d) noexcept {
 
 COOLSTREAM_ASSERT_UNIT(Duration, double);
 COOLSTREAM_ASSERT_UNIT(Tick, double);
+COOLSTREAM_ASSERT_UNIT(OptionalTick, double);
 COOLSTREAM_ASSERT_UNIT(BlockCount, std::int64_t);
 COOLSTREAM_ASSERT_UNIT(BlockIndex, std::int64_t);
 COOLSTREAM_ASSERT_UNIT(SubStreamId, int);

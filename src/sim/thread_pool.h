@@ -1,10 +1,12 @@
-// Minimal work-stealing-free thread pool for parameter sweeps.
+// Minimal work-stealing-free thread pool.
 //
-// Benches sweep seeds / system sizes / join rates; each sweep point is an
-// independent simulation with its own forked RNG stream, so results are
-// identical whether the sweep runs serially or in parallel.  The pool is the
-// only place in the library that creates threads; simulations themselves are
-// single-threaded and share nothing.
+// It is the only place in the library that creates threads, and the
+// library has one user of it: a System configured with more than one shard
+// (SystemConfig::shards / COOLSTREAM_SHARDS) creates a pool in start() and
+// fans each tick phase out over it with parallel_for, one job per shard,
+// barriering on wait() between phases (DESIGN.md §15).  Everything between
+// ticks, and the whole run at one shard, stays on the calling thread.
+// Output is bit-identical at every shard count.
 //
 // All cross-thread state is guarded by mu_ and annotated for Clang's
 // -Wthread-safety analysis (core/thread_annotations.h; enabled by the

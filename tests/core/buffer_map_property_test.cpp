@@ -202,8 +202,9 @@ TEST(BufferMapPropertyTest, SubstreamCountCapacityEdges) {
     bm.set_latest(i, SeqNum(i.value()));  // lint:allow(value-escape)
     bm.set_subscribed(i, true);
   }
-  EXPECT_EQ(bm.lane_mask(), 0xFFFFu);
-  EXPECT_EQ(bm.subscription_bits(), 0xFFFFu);
+  const std::uint32_t full = (1u << BufferMap::kMaxSubstreams) - 1;
+  EXPECT_EQ(bm.lane_mask(), full);
+  EXPECT_EQ(bm.subscription_bits(), full);
   EXPECT_EQ(bm.max_latest(), SeqNum(BufferMap::kMaxSubstreams - 1));
   EXPECT_EQ(bm.min_latest(), SeqNum(0));
 

@@ -2,8 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace coolstream::core {
 namespace {
+
+TEST(OptionalTickTest, CostsOneTickAndStartsEmpty) {
+  static_assert(sizeof(OptionalTick) == sizeof(Tick));
+  static_assert(std::is_trivially_copyable_v<OptionalTick>);
+  const OptionalTick none;
+  EXPECT_FALSE(none.has_value());
+  EXPECT_FALSE(static_cast<bool>(none));
+}
+
+TEST(OptionalTickTest, HoldsEveryFiniteTickAndInfinity) {
+  // Time zero, negative "never yet" markers and Tick::max() are all
+  // values; only the -infinity sentinel means empty.
+  for (const Tick t : {Tick::zero(), Tick(0.125), Tick(-1.0e18),
+                       Tick(1.0e9), Tick::max()}) {
+    OptionalTick o;
+    o = t;
+    ASSERT_TRUE(o.has_value()) << t;
+    EXPECT_TRUE(static_cast<bool>(o)) << t;
+    EXPECT_EQ(*o, t);
+    const OptionalTick copy = o;
+    EXPECT_EQ(*copy, t);
+  }
+}
+
+TEST(OptionalTickTest, ReassignmentReplacesTheValue) {
+  OptionalTick o = Tick(3.0);
+  o = Tick(4.5);
+  EXPECT_EQ(*o, Tick(4.5));
+  o = OptionalTick{};
+  EXPECT_FALSE(o.has_value());
+}
+
+TEST(OptionalTickTest, AssigningTheSentinelIsRejected) {
+  const Tick sentinel(-std::numeric_limits<double>::infinity());
+  EXPECT_DEBUG_DEATH({ OptionalTick o = sentinel; (void)o; }, "finite");
+}
 
 TEST(StreamTypesTest, GlobalToSubstreamMapping) {
   // K = 4: global 0,1,2,3 -> substreams 0..3 seq 0; global 4 -> (0, 1)...

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
+#include "core/buffer_map.h"
 #include "sim/rng.h"
 
 namespace coolstream::core {
@@ -123,6 +128,122 @@ TEST(SyncBufferTest, RandomizedDeliveryConvergesToCompletePrefix) {
     ASSERT_EQ(sb.combined(), GlobalSeq(n * k - 1));
     ASSERT_EQ(sb.blocks_received(),
               static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k));
+  }
+}
+
+/// Reference model: the per-sub-stream std::set layout the flat ahead
+/// vector replaced, with the same head, combined and version rules.
+class ReferenceSyncBuffer {
+ public:
+  explicit ReferenceSyncBuffer(int k)
+      : heads_(static_cast<std::size_t>(k), kNoSeq),
+        ahead_(static_cast<std::size_t>(k)) {}
+
+  bool insert(SubstreamId i, SeqNum seq) {
+    SeqNum& head = heads_[i.index()];
+    if (seq <= head) return false;
+    std::set<SeqNum>& ahead = ahead_[i.index()];
+    if (seq == head + BlockCount(1)) {
+      ++head;
+      auto it = ahead.begin();
+      while (it != ahead.end() && *it == head + BlockCount(1)) {
+        ++head;
+        it = ahead.erase(it);
+      }
+    } else if (!ahead.insert(seq).second) {
+      return false;
+    }
+    ++received_;
+    ++version_;
+    recompute_combined();
+    return true;
+  }
+
+  void start_at(SubstreamId i, SeqNum seq) {
+    SeqNum& head = heads_[i.index()];
+    head = std::max(head, seq - BlockCount(1));
+    ++version_;
+    std::set<SeqNum>& ahead = ahead_[i.index()];
+    ahead.erase(ahead.begin(), ahead.lower_bound(head + BlockCount(1)));
+  }
+
+  void set_combined_floor(GlobalSeq g) {
+    combined_ = std::max(combined_, g);
+    recompute_combined();
+  }
+
+  SeqNum head(SubstreamId i) const { return heads_[i.index()]; }
+  std::size_t pending(SubstreamId i) const { return ahead_[i.index()].size(); }
+  GlobalSeq combined() const { return combined_; }
+  std::uint64_t blocks_received() const { return received_; }
+  std::uint64_t version() const { return version_; }
+
+ private:
+  void recompute_combined() {
+    combined_ = combined_prefix(heads_.data(), static_cast<int>(heads_.size()),
+                                combined_);
+  }
+
+  std::vector<SeqNum> heads_;
+  std::vector<std::set<SeqNum>> ahead_;
+  GlobalSeq combined_ = kNoSeq;
+  std::uint64_t received_ = 0;
+  std::uint64_t version_ = 0;
+};
+
+TEST(SyncBufferTest, MatchesPerLaneSetReferenceUnderRandomTraffic) {
+  // Every K the packed BufferMap can carry; per step one operation drawn
+  // from: the next block, a block ahead of the head (out of order), a
+  // duplicate of a queued or already-absorbed block, or a start_at jump
+  // (forwards, backwards or onto queued blocks).  After each step every
+  // observable must equal the reference's.
+  sim::Rng rng(2007);
+  for (int k = 1; k <= BufferMap::kMaxSubstreams; ++k) {
+    for (int trial = 0; trial < 10; ++trial) {
+      SyncBuffer sb(k);
+      ReferenceSyncBuffer ref(k);
+      if (trial % 2 == 1) {
+        // A joining node: every lane jump-started, then the floor set.
+        const SeqNum start(rng.uniform_int(0, 50));
+        for (const SubstreamId i : substreams(k)) {
+          sb.start_at(i, start);
+          ref.start_at(i, start);
+        }
+        const GlobalSeq floor =
+            global_of(SubstreamId(0), start, k) - BlockCount(1);
+        sb.set_combined_floor(floor);
+        ref.set_combined_floor(floor);
+      }
+      for (int step = 0; step < 400; ++step) {
+        const SubstreamId i(static_cast<int>(
+            rng.below(static_cast<std::uint64_t>(k))));
+        const SeqNum head = ref.head(i);
+        const double op = rng.uniform();
+        if (op < 0.04) {
+          const SeqNum to = head + BlockCount(rng.uniform_int(-3, 8));
+          sb.start_at(i, to);
+          ref.start_at(i, to);
+        } else {
+          SeqNum seq = head + BlockCount(1);                     // in order
+          if (op < 0.45) {
+            seq = head + BlockCount(rng.uniform_int(2, 12));     // ahead
+          } else if (op < 0.55) {
+            seq = head - BlockCount(rng.uniform_int(0, 3));      // stale
+          }
+          ASSERT_EQ(sb.insert(i, seq), ref.insert(i, seq))
+              << "k=" << k << " trial=" << trial << " step=" << step
+              << " lane=" << i << " seq=" << seq;
+        }
+        for (const SubstreamId j : substreams(k)) {
+          ASSERT_EQ(sb.head(j), ref.head(j)) << "k=" << k << " step=" << step;
+          ASSERT_EQ(sb.pending(j), ref.pending(j))
+              << "k=" << k << " step=" << step << " lane=" << j;
+        }
+        ASSERT_EQ(sb.combined(), ref.combined()) << "k=" << k;
+        ASSERT_EQ(sb.blocks_received(), ref.blocks_received());
+        ASSERT_EQ(sb.version(), ref.version());
+      }
+    }
   }
 }
 

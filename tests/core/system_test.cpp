@@ -167,6 +167,52 @@ TEST(SystemTest, CrashLeavesSessionOpenInLog) {
   EXPECT_FALSE(sessions.sessions[0].is_normal());
 }
 
+TEST(SystemTest, DepartedPeerFreesSessionStateAndKeepsStats) {
+  // Ids are never recycled, so every peer that ever joined stays in the
+  // System: a departed one must give back its session containers (both
+  // on a graceful leave and on a crash) while its stats and buffer heads
+  // stay readable and frozen for the figures.
+  sim::Simulation simulation(23);
+  System sys(simulation, fast_params(), small_config(), nullptr);
+  sys.start();
+  simulation.run_until(sim::Time(5.0));
+  std::vector<net::NodeId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(sys.join(viewer(static_cast<std::uint64_t>(300 + i),
+                                  net::ConnectionType::kDirect, 2e6,
+                                  simulation.rng())));
+  }
+  simulation.run_until(sim::Time(120.0));
+
+  for (const bool graceful : {true, false}) {
+    const net::NodeId id = graceful ? ids[0] : ids[1];
+    const Peer* p = sys.peer(id);
+    ASSERT_TRUE(p->alive());
+    ASSERT_GT(p->partner_count(), 0u);
+    ASSERT_GT(InvariantTestAccess::session_capacity(*p), 0u);
+
+    sys.leave(id, graceful);
+    EXPECT_EQ(InvariantTestAccess::session_capacity(*p), 0u)
+        << (graceful ? "graceful leave" : "crash");
+    const PeerStats left = p->stats();
+    const SeqNum head = p->head(SubstreamId(0));
+    EXPECT_GT(left.blocks_due, 0u);
+    EXPECT_GT(left.bytes_down, units::Bytes{});
+    EXPECT_GT(left.partnership_attempts, 0u);
+
+    // Messages still in flight to the departed peer must not regrow
+    // anything, and its record stays as it was at departure.
+    simulation.run_until(simulation.now() + units::Duration(30.0));
+    EXPECT_EQ(InvariantTestAccess::session_capacity(*p), 0u);
+    EXPECT_EQ(p->stats().blocks_due, left.blocks_due);
+    EXPECT_EQ(p->stats().blocks_on_time, left.blocks_on_time);
+    EXPECT_EQ(p->stats().bytes_down, left.bytes_down);
+    EXPECT_EQ(p->stats().bytes_up, left.bytes_up);
+    EXPECT_EQ(p->stats().parent_switches, left.parent_switches);
+    EXPECT_EQ(p->head(SubstreamId(0)), head);
+  }
+}
+
 TEST(SystemTest, NatViewersNeverAcceptInbound) {
   sim::Simulation simulation(19);
   System sys(simulation, fast_params(), small_config(), nullptr);
