@@ -10,8 +10,9 @@
 // received from each partner.
 //
 // Representation.  This is the hottest protocol object in the system: every
-// peer copies one BM per partner per exchange period and scans one per
-// partner per adaptation pass.  The 2K-tuple is therefore word-packed: a
+// peer builds one per exchange period and receives one per partner (a
+// PartnerTable keeps only the K latest lanes and the subscription word of
+// each partner's copy, core/partner_table.h).  The 2K-tuple is word-packed: a
 // fixed-width in-place array of latest sequence numbers plus one bit-word
 // of subscription flags, in a single trivially-copyable block (no heap, no
 // pointer chase).  Lane predicates (the Ineq. 1/2 lag terms of §IV-B and
@@ -35,9 +36,7 @@ class BufferMap {
  public:
   /// Lane capacity of the packed representation.  Params::validate()
   /// enforces substream_count <= kMaxSubstreams (the paper uses K=4; the
-  /// ablations sweep to 8).  Every partner slot of every peer holds one
-  /// BufferMap, so each lane past the widest K anything runs costs 8
-  /// bytes per partner for nothing.
+  /// ablations sweep to 8).
   // A lane capacity, not a protocol sequence/index value.
   static constexpr int kMaxSubstreams = 8;  // lint:allow(raw-protocol-int)
 

@@ -106,16 +106,16 @@ void InvariantAuditor::check_peer(const Peer& p,
   }
 
   // --- partnership symmetry (§III-B) --------------------------------------
-  for (const PartnerState& ps : p.partners()) {
-    const Peer* q = sys_.peer(ps.id);
+  for (const PartnerView ps : p.partners()) {
+    const Peer* q = sys_.peer(ps.id());
     if (q == nullptr || !q->alive()) {
-      add(InvariantRule::kPartnerSymmetry, ps.id,
+      add(InvariantRule::kPartnerSymmetry, ps.id(),
           "partner is dead or unknown");
       continue;
     }
-    if (q->find_partner(id) == nullptr &&
-        now - ps.established > symmetry_grace) {
-      add(InvariantRule::kPartnerSymmetry, ps.id,
+    if (!q->partners().contains(id) &&
+        now - ps.established() > symmetry_grace) {
+      add(InvariantRule::kPartnerSymmetry, ps.id(),
           "partner does not list us back (beyond the in-flight grace)");
     }
   }
@@ -133,7 +133,7 @@ void InvariantAuditor::check_peer(const Peer& p,
           "subscribed to a dead parent (sub-stream " + js + ")");
       continue;
     }
-    if (p.find_partner(parent) == nullptr) {
+    if (!p.partners().contains(parent)) {
       add(InvariantRule::kSingleParent, parent,
           "parent is not a partner (sub-stream " + js + ")");
     }
@@ -161,30 +161,25 @@ void InvariantAuditor::check_peer(const Peer& p,
   }
 
   // --- buffer-map agreement (§III-C) --------------------------------------
-  for (const PartnerState& ps : p.partners()) {
-    if (!ps.bm_time) continue;  // never received one
-    if (ps.bm.substream_count() != k) {
-      add(InvariantRule::kBufferMapAgreement, ps.id,
-          "stored buffer map has wrong sub-stream count");
-      continue;
-    }
-    const Peer* sender = sys_.peer(ps.id);
+  for (const PartnerView ps : p.partners()) {
+    if (!ps.bm_time()) continue;  // never received one
+    const Peer* sender = sys_.peer(ps.id());
     for (SubstreamId j : substreams(k)) {
-      const SeqNum lat = ps.bm.latest(j);
+      const SeqNum lat = ps.latest(j);
       if (lat < kNoSeq) {
-        add(InvariantRule::kBufferMapAgreement, ps.id,
+        add(InvariantRule::kBufferMapAgreement, ps.id(),
             "stored buffer map advertises sequence below -1");
         break;
       }
       if (lat > sys_.source_head(j, now) + BlockCount(1)) {
-        add(InvariantRule::kBufferMapAgreement, ps.id,
+        add(InvariantRule::kBufferMapAgreement, ps.id(),
             "stored buffer map advertises a block beyond the encoder");
         break;
       }
       // Heads are monotone, so a BM snapshot can never exceed the sender's
       // current head — a higher value is a stale/forged advertisement.
       if (sender != nullptr && sender->alive() && lat > sender->head(j)) {
-        add(InvariantRule::kBufferMapAgreement, ps.id,
+        add(InvariantRule::kBufferMapAgreement, ps.id(),
             "stored buffer map is ahead of the sender's own head");
         break;
       }
@@ -342,7 +337,7 @@ std::vector<InvariantViolation> InvariantAuditor::audit() {
 // Test access
 // --------------------------------------------------------------------------
 
-std::vector<PartnerState>& InvariantTestAccess::partners(Peer& p) {
+PartnerTable& InvariantTestAccess::partners(Peer& p) {
   return p.partners_;
 }
 
@@ -364,6 +359,10 @@ std::size_t InvariantTestAccess::session_capacity(const Peer& p) {
   return p.partners_.capacity() + p.out_links_.capacity() +
          p.pending_attempts_.capacity() + p.skips_.capacity() +
          p.interval_changes_.capacity() + p.mcache_.entries().capacity();
+}
+
+std::size_t InvariantTestAccess::partner_change_capacity(const Peer& p) {
+  return p.interval_changes_.capacity();
 }
 
 }  // namespace coolstream::core

@@ -38,6 +38,7 @@ namespace coolstream::core {
 
 class System;
 class Peer;
+class PartnerTable;
 struct SystemStats;
 
 /// The structural properties the auditor verifies.
@@ -126,7 +127,7 @@ class InvariantAuditor {
 /// buffer-map bit, rewound head, leaked bytes) and assert the audit
 /// reports it.  Never used outside tests.
 struct InvariantTestAccess {
-  static std::vector<struct PartnerState>& partners(Peer& p);
+  static PartnerTable& partners(Peer& p);
   static std::vector<net::NodeId>& parents(Peer& p);
   /// Forces sub-stream `j`'s contiguous head to `seq` even if that moves
   /// it backwards (something the real SyncBuffer API cannot do).
@@ -143,6 +144,9 @@ struct InvariantTestAccess {
   /// Peer::set_left frees (partners, out-links, pending attempts, skips,
   /// partner changes, mCache).
   static std::size_t session_capacity(const Peer& p);
+  /// Element capacity of the peer's partner-change history (the changes
+  /// its next partner report carries).
+  static std::size_t partner_change_capacity(const Peer& p);
 };
 
 }  // namespace coolstream::core

@@ -7,7 +7,6 @@ namespace coolstream::core {
 void Mcache::upsert(const McacheEntry& entry, sim::Rng& rng) {
   for (auto& e : entries_) {
     if (e.id == entry.id) {
-      e.updated = std::max(e.updated, entry.updated);
       e.first_seen = std::min(e.first_seen, entry.first_seen);
       e.reachable = entry.reachable;
       return;

@@ -35,12 +35,10 @@ enum class McachePolicy : unsigned char {
 /// can tell from the advertised IP whether the peer is publicly reachable
 /// (public address or UPnP mapping), so it never wastes a connection
 /// attempt on a plain-NAT peer.
-/// Ordered ticks-first so the 4-byte id and the flag share one word and
-/// the struct packs to 24 bytes (layout_audit.h pins it; the old
-/// id-first order wasted 8 bytes/entry to alignment holes).
+/// Ordered tick-first so the 4-byte id and the flag share one word and
+/// the struct packs to 16 bytes (layout_audit.h pins it).
 struct McacheEntry {
   Tick first_seen{};     ///< when this node (reportedly) joined
-  Tick updated{};        ///< when we last heard about it
   net::NodeId id = net::kInvalidNode;
   bool reachable = true; ///< accepts inbound connections
 };

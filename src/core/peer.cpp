@@ -1,6 +1,7 @@
 #include "core/peer.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -32,6 +33,7 @@ Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
       cache_(system.params().buffer_block_count()),
       mcache_(static_cast<std::size_t>(system.params().mcache_size),
               system.config().mcache_policy),
+      partners_(system.params().substream_count),
       parents_(static_cast<std::size_t>(system.params().substream_count),
                net::kInvalidNode),
       sub_since_(static_cast<std::size_t>(system.params().substream_count),
@@ -65,18 +67,11 @@ units::BlockRate Peer::upload_block_rate() const noexcept {
       sys_.params().block_size_bits());
 }
 
-PartnerState* Peer::find_partner(net::NodeId pid) noexcept {
-  for (auto& ps : partners_) {
-    if (ps.id == pid) return &ps;
-  }
-  return nullptr;
-}
-
-const PartnerState* Peer::find_partner(net::NodeId pid) const noexcept {
-  for (const auto& ps : partners_) {
-    if (ps.id == pid) return &ps;
-  }
-  return nullptr;
+bool Peer::records_partner_changes() const noexcept {
+  // Partner changes only feed PartnerReports, which System::report drops
+  // when no log server is attached.
+  return sys_.log_server() != nullptr &&
+         interval_changes_.size() < kMaxIntervalChanges;
 }
 
 bool Peer::partners_full() const noexcept {
@@ -143,7 +138,7 @@ void Peer::try_establish_partnerships(std::size_t want) {
       want, rng_,
       [this](const McacheEntry& cand) {
         return !cand.reachable || cand.id == id_ ||
-               find_partner(cand.id) != nullptr ||
+               partners_.contains(cand.id) ||
                has_pending_attempt(cand.id) || !sys_.is_live(cand.id);
       },
       sys_.mcache_scratch(),
@@ -175,24 +170,17 @@ void Peer::clear_pending_attempt(net::NodeId to) {
 void Peer::on_partnership_established(net::NodeId pid, bool incoming) {
   if (!alive()) return;
   if (!incoming) clear_pending_attempt(pid);
-  if (find_partner(pid) != nullptr) return;  // already partners
-  PartnerState ps;
-  ps.id = pid;
-  ps.incoming = incoming;
-  ps.established = sys_.now();
-  ps.bm = BufferMap(sys_.params().substream_count);
-  partners_.push_back(std::move(ps));
+  if (partners_.contains(pid)) return;  // already partners
+  partners_.add(pid, incoming, sys_.now());
   had_incoming_ = had_incoming_ || incoming;
   had_outgoing_ = had_outgoing_ || !incoming;
-  if (interval_changes_.size() < kMaxIntervalChanges) {
+  if (records_partner_changes()) {
     interval_changes_.push_back(
         logging::PartnerChange{pid, /*added=*/true, incoming});
   }
   // "The update of the mCache entries is achieved by randomly replacing
   // entries when new partnership is established" (§V-C).
-  mcache_.upsert(
-      McacheEntry{sys_.now(), sys_.now(), pid, sys_.is_reachable(pid)},
-      rng_);
+  mcache_.upsert(McacheEntry{sys_.now(), pid, sys_.is_reachable(pid)}, rng_);
   // Give the new partner our buffer map right away so it can select
   // parents without waiting for the next periodic exchange.
   sys_.push_bm(id_, pid, refreshed_bm());
@@ -209,12 +197,11 @@ void Peer::on_partnership_rejected(net::NodeId pid) {
 
 void Peer::on_partner_left(net::NodeId pid) {
   if (!alive()) return;
-  auto it = std::find_if(partners_.begin(), partners_.end(),
-                         [pid](const PartnerState& ps) { return ps.id == pid; });
-  if (it == partners_.end()) return;
-  const bool was_incoming = it->incoming;
-  partners_.erase(it);
-  if (interval_changes_.size() < kMaxIntervalChanges) {
+  const std::optional<PartnerView> ps = partners_.find(pid);
+  if (!ps) return;
+  const bool was_incoming = ps->incoming();
+  partners_.erase(pid);
+  if (records_partner_changes()) {
     interval_changes_.push_back(
         logging::PartnerChange{pid, /*added=*/false, was_incoming});
   }
@@ -236,11 +223,7 @@ void Peer::on_partner_left(net::NodeId pid) {
 void Peer::on_bm_received(net::NodeId from, const BufferMap& bm,
                           std::uint32_t sub_bits) {
   if (!alive()) return;
-  PartnerState* ps = find_partner(from);
-  if (ps == nullptr) return;  // stale sender
-  ps->bm = bm;
-  ps->bm.set_subscription_bits(sub_bits);
-  ps->bm_time = sys_.now();
+  if (!partners_.receive(from, bm, sub_bits, sys_.now())) return;  // stale
   if (phase_ == PeerPhase::kJoining && !start_decided_ && !first_bm_at_) {
     first_bm_at_ = sys_.now();
   }
@@ -274,8 +257,8 @@ void Peer::decide_start_offset() {
   const Params& p = sys_.params();
   // m = the largest sequence number available across partners (§IV-A).
   SeqNum m = kNoSeq;
-  for (const auto& ps : partners_) {
-    if (ps.bm_time) m = std::max(m, ps.bm.max_latest());
+  for (const PartnerView ps : partners_) {
+    if (ps.bm_time()) m = std::max(m, ps.max_latest());
   }
   if (m == kNoSeq) return;  // no usable buffer map yet; keep waiting
 
@@ -341,8 +324,8 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
 
   const SeqNum own_max = refreshed_bm().max_latest();
   SeqNum partner_max = kNoSeq;
-  for (const auto& ps : partners_) {
-    if (ps.bm_time) partner_max = std::max(partner_max, ps.bm.max_latest());
+  for (const PartnerView ps : partners_) {
+    if (ps.bm_time()) partner_max = std::max(partner_max, ps.max_latest());
   }
 
   // Qualified candidates satisfy both inequalities (§IV-B): adopting them
@@ -350,12 +333,12 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
   // sub-stream (1) nor hand us a parent more than T_p behind the best
   // partner (2) — and they must actually have blocks we still need.
   const SeqNum own_head = sync_.head(j);
-  const auto offers = [&](const PartnerState& ps) {
-    return ps.id != exclude && ps.bm_time && sys_.is_live(ps.id) &&
-           ps.bm.latest(j) > own_head;  // else nothing new to offer
+  const auto offers = [&](const PartnerView& ps) {
+    return ps.id() != exclude && ps.bm_time() && sys_.is_live(ps.id()) &&
+           ps.latest(j) > own_head;  // else nothing new to offer
   };
-  const auto qualified = [&](const PartnerState& ps) {
-    const SeqNum latest = ps.bm.latest(j);
+  const auto qualified = [&](const PartnerView& ps) {
+    const SeqNum latest = ps.latest(j);
     return own_max - latest < ts && partner_max - latest < tp;
   };
   // "Nodes could subscribe to sub-streams from different partners"
@@ -374,20 +357,20 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
   std::size_t least_loaded = 0;  // qualified partners at min_load
   net::NodeId best_fallback = net::kInvalidNode;
   SeqNum best_latest = own_head;
-  for (const auto& ps : partners_) {
+  for (const PartnerView ps : partners_) {
     if (!offers(ps)) continue;
     if (qualified(ps)) {
-      const int load = my_load(ps.id);
+      const int load = my_load(ps.id());
       if (load < min_load) {
         min_load = load;
         least_loaded = 0;
       }
       if (load == min_load) ++least_loaded;
     }
-    const SeqNum latest = ps.bm.latest(j);
+    const SeqNum latest = ps.latest(j);
     if (latest > best_latest) {
       best_latest = latest;
-      best_fallback = ps.id;
+      best_fallback = ps.id();
     }
   }
   if (least_loaded > 0) {
@@ -395,10 +378,10 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
     // one of them randomly."  Counted, then picked in partner order, so
     // the choice needs no candidate list.
     std::size_t pick = rng_.below(least_loaded);
-    for (const auto& ps : partners_) {
-      if (offers(ps) && qualified(ps) && my_load(ps.id) == min_load &&
+    for (const PartnerView ps : partners_) {
+      if (offers(ps) && qualified(ps) && my_load(ps.id()) == min_load &&
           pick-- == 0) {
-        return ps.id;
+        return ps.id();
       }
     }
   }
@@ -440,8 +423,8 @@ void Peer::run_adaptation(Tick now, bool cooldown_exempt) {
   const BufferMap& own = refreshed_bm();
   const SeqNum own_max = own.max_latest();
   SeqNum partner_max = kNoSeq;
-  for (const auto& ps : partners_) {
-    if (ps.bm_time) partner_max = std::max(partner_max, ps.bm.max_latest());
+  for (const PartnerView ps : partners_) {
+    if (ps.bm_time()) partner_max = std::max(partner_max, ps.max_latest());
   }
 
   // Batched scan over contiguous state, producing bit-words instead of a
@@ -460,15 +443,15 @@ void Peer::run_adaptation(Tick now, bool cooldown_exempt) {
   for (SubstreamId j : substreams(p.substream_count)) {
     const std::uint32_t bit = 1u << j.index();
     const net::NodeId parent = parents_[j.index()];
-    const PartnerState* ps =
-        parent == net::kInvalidNode ? nullptr : find_partner(parent);
-    if (ps == nullptr || !sys_.is_live(parent)) {
+    const std::optional<PartnerView> ps =
+        parent == net::kInvalidNode ? std::nullopt : partners_.find(parent);
+    if (!ps || !sys_.is_live(parent)) {
       orphaned |= bit;  // orphaned sub-stream: exempt from cool-down
       continue;
     }
     bool trip = (spread_mask & bit) != 0;
-    if (ps->bm_time) {
-      const SeqNum latest = ps->bm.latest(j);
+    if (ps->bm_time()) {
+      const SeqNum latest = ps->latest(j);
       trip = trip || (p.adaptation_ineq1 && latest - own.latest(j) >= ts);
       // Inequality (2): the parent must not lag the best partner by T_p
       // or more (a better source is known).
@@ -495,21 +478,23 @@ void Peer::drop_worst_partner() {
   // Keep current parents; drop the non-parent partner with the stalest /
   // lowest buffer map to make room for fresh candidates (§III-B: nodes
   // "drop some partners and re-establish partnership with other peers").
-  const PartnerState* worst = nullptr;
-  for (const auto& ps : partners_) {
+  net::NodeId worst = net::kInvalidNode;
+  SeqNum worst_latest = kNoSeq;
+  for (const PartnerView ps : partners_) {
     bool is_parent = false;
     for (net::NodeId parent : parents_) {
-      if (parent == ps.id) {
+      if (parent == ps.id()) {
         is_parent = true;
         break;
       }
     }
     if (is_parent) continue;
-    if (worst == nullptr || ps.bm.max_latest() < worst->bm.max_latest()) {
-      worst = &ps;
+    if (worst == net::kInvalidNode || ps.max_latest() < worst_latest) {
+      worst = ps.id();
+      worst_latest = ps.max_latest();
     }
   }
-  if (worst != nullptr) sys_.break_partnership(id_, worst->id);
+  if (worst != net::kInvalidNode) sys_.break_partnership(id_, worst);
 }
 
 void Peer::enforce_partner_silence(Tick now) {
@@ -520,9 +505,9 @@ void Peer::enforce_partner_silence(Tick now) {
   // silence is the only observable symptom.  Collect first — breaks are
   // deferred to the tick flush, where they mutate partners_.
   std::vector<net::NodeId> stale;
-  for (const auto& ps : partners_) {
-    const Tick last_heard = ps.bm_time ? *ps.bm_time : ps.established;
-    if (now - last_heard >= Duration(timeout)) stale.push_back(ps.id);
+  for (const PartnerView ps : partners_) {
+    const Tick last_heard = ps.bm_time() ? *ps.bm_time() : ps.established();
+    if (now - last_heard >= Duration(timeout)) stale.push_back(ps.id());
   }
   for (net::NodeId pid : stale) sys_.break_partnership(id_, pid);
 }
@@ -577,9 +562,9 @@ void Peer::on_tick(Tick now) {
     if (start_decided_) {
       const SeqNum own_max = refreshed_bm().max_latest();
       SeqNum partner_max = kNoSeq;
-      for (const auto& ps : partners_) {
-        if (ps.bm_time) {
-          partner_max = std::max(partner_max, ps.bm.max_latest());
+      for (const PartnerView ps : partners_) {
+        if (ps.bm_time()) {
+          partner_max = std::max(partner_max, ps.max_latest());
         }
       }
       lagging = partner_max - own_max >= p.tp_block_count();
@@ -614,7 +599,7 @@ void Peer::on_tick(Tick now) {
     if (have < target) {
       bool any_candidate = false;
       for (const auto& e : mcache_.entries()) {
-        if (e.reachable && e.id != id_ && find_partner(e.id) == nullptr) {
+        if (e.reachable && e.id != id_ && !partners_.contains(e.id)) {
           any_candidate = true;
           break;
         }
@@ -647,19 +632,20 @@ void Peer::on_tick(Tick now) {
 void Peer::do_gossip() {
   if (partners_.empty()) return;
   const auto pick = rng_.below(partners_.size());
-  const net::NodeId target = partners_[pick].id;
-  // Entries ride inline in the effect (at most 3 sampled + self); the
-  // MessageArena is main-thread-only, so the System materializes the
-  // arena batch at the serial flush, not here.
-  EffectGossip g;
-  g.to = target;
+  const net::NodeId target = partners_[pick].id();
+  // At most 3 sampled entries + self, gathered on the stack; the System
+  // copies them into shard scratch and materializes the arena batch at the
+  // serial flush (the MessageArena is main-thread-only).
+  std::array<McacheEntry, 4> entries;
+  std::size_t count = 0;
   mcache_.sample_into(
       3, rng_, [target](net::NodeId cand) { return cand == target; },
       sys_.mcache_scratch(),
-      [&g](const McacheEntry& e) { g.entries[g.count++] = e; });
-  g.entries[g.count++] = McacheEntry{joined_at_, sys_.now(), id_,
-                                     net::accepts_inbound(spec_.type)};
-  sys_.send_gossip_entries(id_, g);
+      [&](const McacheEntry& e) { entries[count++] = e; });
+  entries[count++] =
+      McacheEntry{joined_at_, id_, net::accepts_inbound(spec_.type)};
+  sys_.send_gossip_entries(id_, target,
+                           std::span<const McacheEntry>(entries.data(), count));
 }
 
 void Peer::check_media_ready(Tick now) {
@@ -842,8 +828,8 @@ void Peer::maybe_resync_forward(Tick now) {
   // Re-anchor at the freshest partner, T_p behind its latest block — the
   // same rule as the initial join (§IV-A).
   SeqNum m = kNoSeq;
-  for (const auto& ps : partners_) {
-    if (ps.bm_time) m = std::max(m, ps.bm.max_latest());
+  for (const PartnerView ps : partners_) {
+    if (ps.bm_time()) m = std::max(m, ps.max_latest());
   }
   const SeqNum s0 = m - p.tp_block_count();
   // Only jump if it actually moves us forward meaningfully.
@@ -885,7 +871,7 @@ void Peer::set_left() {
   // A departed peer is never revived (ids are not recycled) yet the System
   // keeps it, so free its session containers: memory must follow the live
   // population.  Stats and the sync-buffer heads stay for the figures.
-  std::vector<PartnerState>().swap(partners_);
+  partners_.release();
   std::vector<OutLink>().swap(out_links_);
   std::vector<PendingAttempt>().swap(pending_attempts_);
   std::vector<SkipRange>().swap(skips_);

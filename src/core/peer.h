@@ -21,6 +21,7 @@
 #include "core/cache_buffer.h"
 #include "core/mcache.h"
 #include "core/params.h"
+#include "core/partner_table.h"
 #include "core/stream_types.h"
 #include "core/sync_buffer.h"
 #include "logging/reports.h"
@@ -51,15 +52,6 @@ struct PeerSpec {
   net::ConnectionType type = net::ConnectionType::kDirect;
   net::Ipv4Address address;
   units::BitRate upload_capacity = units::BitRate(1'000'000.0);
-};
-
-/// What this node knows about one partner.
-struct PartnerState {
-  net::NodeId id = net::kInvalidNode;
-  bool incoming = false;        ///< partner initiated the connection
-  Tick established{};
-  BufferMap bm;                 ///< latest buffer map received from the partner
-  OptionalTick bm_time;         ///< when bm was received (empty: never)
 };
 
 /// Parent-side record of one sub-stream push connection.
@@ -234,9 +226,7 @@ class Peer : private PeerProtocolState {
   void count_deadline_skip() noexcept { ++stats_.deadline_skips; }
 
   // --- partnership / subscription state ------------------------------------
-  const std::vector<PartnerState>& partners() const noexcept { return partners_; }
-  PartnerState* find_partner(net::NodeId id) noexcept;
-  const PartnerState* find_partner(net::NodeId id) const noexcept;
+  const PartnerTable& partners() const noexcept { return partners_; }
   std::size_t partner_count() const noexcept { return partners_.size(); }
   bool partners_full() const noexcept;
   net::NodeId parent_of(SubstreamId j) const { return parents_[j.index()]; }
@@ -312,7 +302,7 @@ class Peer : private PeerProtocolState {
   SyncBuffer sync_;
   CacheBuffer cache_;
   Mcache mcache_;
-  std::vector<PartnerState> partners_;
+  PartnerTable partners_;
   std::vector<net::NodeId> parents_;   ///< parent per sub-stream
   std::vector<Tick> sub_since_;        ///< subscription start per sub-stream
   std::vector<OutLink> out_links_;     ///< children we push to
@@ -328,6 +318,9 @@ class Peer : private PeerProtocolState {
   };
   std::vector<PendingAttempt> pending_attempts_;
 
+  /// Whether the next partner change goes into interval_changes_.
+  bool records_partner_changes() const noexcept;
+
   bool has_pending_attempt(net::NodeId to) const noexcept;
   void clear_pending_attempt(net::NodeId to);
 
@@ -340,6 +333,8 @@ class Peer : private PeerProtocolState {
   };
   std::vector<SkipRange> skips_;
 
+  /// Partner changes since the last status report; recorded only when a
+  /// log server is attached, the one reader of partner reports.
   std::vector<logging::PartnerChange> interval_changes_;
 };
 

@@ -128,7 +128,7 @@ void System::leave(net::NodeId id, bool graceful) {
   // loop so a nested leave() from a partner callback gets its own.
   std::vector<net::NodeId> partner_ids = std::move(leave_scratch_);
   partner_ids.clear();
-  for (const auto& ps : p->partners()) partner_ids.push_back(ps.id);
+  for (const PartnerView ps : p->partners()) partner_ids.push_back(ps.id());
   p->set_left();
   for (net::NodeId q : partner_ids) {
     if (Peer* qp = peer(q); qp != nullptr && qp->alive()) {
@@ -247,8 +247,7 @@ void System::request_bootstrap_list(net::NodeId requester) {
                     auto batch = mcache_arena_.make();
                     for (net::NodeId id : bootstrap_ids_scratch_) {
                       batch.push_back(McacheEntry{
-                          bootstrap_.joined_at(id), now(), id,
-                          is_reachable(id)});
+                          bootstrap_.joined_at(id), id, is_reachable(id)});
                     }
                     p->on_bootstrap_list(batch.items());
                   });
@@ -265,7 +264,7 @@ void System::attempt_partnership(net::NodeId from, net::NodeId to) {
     const bool accept =
         callee != nullptr && callee->alive() && caller != nullptr &&
         caller->alive() && is_reachable(to) && !callee->partners_full() &&
-        callee->find_partner(from) == nullptr;
+        !callee->partners().contains(from);
     if (accept) {
       ++stats_.partnership_accepts;
       callee->on_partnership_established(from, /*incoming=*/true);
@@ -294,7 +293,7 @@ void System::push_bm(net::NodeId from, net::NodeId to, const BufferMap& bm) {
 
 void System::broadcast_bm([[maybe_unused]] net::NodeId from,
                           const BufferMap& base,
-                          std::span<const PartnerState> partners,
+                          const PartnerTable& partners,
                           std::span<const net::NodeId> parents) {
   TickEffectSink* s = tick_effect_sink();
   assert(s != nullptr && "BM broadcasts run in phase P");
@@ -306,12 +305,12 @@ void System::broadcast_bm([[maybe_unused]] net::NodeId from,
   push.first = static_cast<std::uint32_t>(scratch.bm_targets.size());
   push.count = static_cast<std::uint32_t>(partners.size());
   scratch.bm_bases.push_back(base);
-  for (const PartnerState& ps : partners) {
+  for (const PartnerView ps : partners) {
     std::uint32_t bits = 0;
     for (std::size_t j = 0; j < parents.size(); ++j) {
-      bits |= static_cast<std::uint32_t>(parents[j] == ps.id) << j;
+      bits |= static_cast<std::uint32_t>(parents[j] == ps.id()) << j;
     }
-    scratch.bm_targets.push_back(ShardScratch::BmTarget{ps.id, bits});
+    scratch.bm_targets.push_back(ShardScratch::BmTarget{ps.id(), bits});
   }
   s->emit(push);
 }
@@ -371,16 +370,21 @@ void System::send_gossip(net::NodeId from, net::NodeId to,
                   });
 }
 
-void System::send_gossip_entries(net::NodeId from, const EffectGossip& gossip) {
+void System::send_gossip_entries(net::NodeId from, net::NodeId to,
+                                 std::span<const McacheEntry> entries) {
   if (TickEffectSink* s = tick_effect_sink()) {
+    std::vector<McacheEntry>& scratch = shard_scratch_[s->shard].gossip_entries;
+    EffectGossip gossip;
+    gossip.to = to;
+    gossip.first = static_cast<std::uint32_t>(scratch.size());
+    gossip.count = static_cast<std::uint32_t>(entries.size());
+    scratch.insert(scratch.end(), entries.begin(), entries.end());
     s->emit(gossip);
     return;
   }
   auto batch = mcache_arena_.make();
-  for (std::uint32_t i = 0; i < gossip.count; ++i) {
-    batch.push_back(gossip.entries[i]);
-  }
-  send_gossip(from, gossip.to, std::move(batch));
+  for (const McacheEntry& e : entries) batch.push_back(e);
+  send_gossip(from, to, std::move(batch));
 }
 
 void System::break_partnership(net::NodeId a, net::NodeId b) {
@@ -395,7 +399,10 @@ void System::break_partnership(net::NodeId a, net::NodeId b) {
 
 void System::report(const logging::Report& r) {
   if (TickEffectSink* s = tick_effect_sink()) {
-    s->emit(EffectReport{r});
+    std::vector<logging::Report>& scratch = shard_scratch_[s->shard].reports;
+    const auto index = static_cast<std::uint32_t>(scratch.size());
+    scratch.push_back(r);
+    s->emit(EffectReport{index});
     return;
   }
   transport_.count_only(net::MessageKind::kReport);
@@ -440,6 +447,8 @@ void System::tick() {
     s.positions.clear();
     s.bm_bases.clear();
     s.bm_targets.clear();
+    s.gossip_entries.clear();
+    s.reports.clear();
   }
   for (std::uint32_t pos = 0;
        pos < static_cast<std::uint32_t>(tick_order_.size()); ++pos) {
@@ -669,13 +678,17 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
         } else if constexpr (std::is_same_v<E, EffectBreak>) {
           break_partnership(from, e.other);
         } else if constexpr (std::is_same_v<E, EffectGossip>) {
-          send_gossip_entries(from, e);
+          const ShardScratch& scratch = shard_scratch_[shard_of(from)];
+          send_gossip_entries(
+              from, e.to,
+              std::span<const McacheEntry>(scratch.gossip_entries)
+                  .subspan(e.first, e.count));
         } else if constexpr (std::is_same_v<E, EffectAttempt>) {
           attempt_partnership(from, e.to);
         } else if constexpr (std::is_same_v<E, EffectBootstrap>) {
           request_bootstrap_list(from);
         } else if constexpr (std::is_same_v<E, EffectReport>) {
-          report(e.report);
+          report(shard_scratch_[shard_of(from)].reports[e.index]);
         } else {
           static_assert(std::is_same_v<E, EffectNotify>);
           notify(from, e.event);
@@ -707,7 +720,7 @@ net::TopologySnapshot System::snapshot() const {
       node.parents.push_back(p->parent_of(j));
     }
     node.partners.reserve(p->partner_count());
-    for (const auto& ps : p->partners()) node.partners.push_back(ps.id);
+    for (const PartnerView ps : p->partners()) node.partners.push_back(ps.id());
     snap.nodes.push_back(std::move(node));
   }
   snap.compute_depths();

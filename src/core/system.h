@@ -175,7 +175,7 @@ class System {
   /// emitted as one EffectBmPush; the flush delivers them in partner order
   /// with zero latency, counting one message per partner.
   void broadcast_bm(net::NodeId from, const BufferMap& base,
-                    std::span<const PartnerState> partners,
+                    const PartnerTable& partners,
                     std::span<const net::NodeId> parents);
   /// Sub-stream subscription management (child -> parent).
   void subscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
@@ -185,9 +185,11 @@ class System {
   /// contexts only — the parallel phase routes via send_gossip_entries.
   void send_gossip(net::NodeId from, net::NodeId to,
                    MessageArena<McacheEntry>::Batch batch);
-  /// Gossip push with the entries carried inline (shard-safe): deferred in
-  /// the parallel phase, materialized into an arena batch at the flush.
-  void send_gossip_entries(net::NodeId from, const EffectGossip& gossip);
+  /// Gossip push of plain entries (shard-safe): in the parallel phase they
+  /// are copied into shard scratch and materialized into an arena batch at
+  /// the flush.
+  void send_gossip_entries(net::NodeId from, net::NodeId to,
+                           std::span<const McacheEntry> entries);
   /// The control-plane message arena (gossip + boot-strap batches).
   /// Main-thread-only: never touched inside the parallel phase.
   MessageArena<McacheEntry>& message_arena() noexcept { return mcache_arena_; }
@@ -246,10 +248,13 @@ class System {
     std::vector<std::size_t> active;
     /// This shard's tick positions, ascending (rebuilt at tick start).
     std::vector<std::uint32_t> positions;
-    /// BM broadcasts emitted in phase P, read back by the flush; cleared
-    /// at tick start.  Only the shard's own worker appends to them.
+    /// Effect payloads emitted in phase P, read back by the flush through
+    /// the indices the effects hold; cleared at tick start.  Only the
+    /// shard's own worker appends to them.
     std::vector<BufferMap> bm_bases;
     std::vector<BmTarget> bm_targets;
+    std::vector<McacheEntry> gossip_entries;
+    std::vector<logging::Report> reports;
     std::uint64_t blocks_transferred = 0;
   };
 

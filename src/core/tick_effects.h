@@ -13,18 +13,18 @@
 // Routing is transparent to Peer code: System's plumbing methods check the
 // worker-local sink and either defer (parallel phase) or execute directly
 // (serial contexts: transport callbacks, workload events, the flush
-// itself).  The periodic BM exchange is the one bulk effect: a peer's
-// whole once-a-second broadcast is one EffectBmPush whose base map and
-// per-partner subscription words sit in the sender's shard scratch, and
-// the flush expands it into one delivery per partner, in partner order.
+// itself).  Every effect is a few words: payloads that do not fit (a BM
+// broadcast's base map and per-partner subscription words, gossip entries,
+// a report) sit in the sender's shard scratch and the effect holds their
+// index.  The periodic BM exchange is the one bulk effect: a peer's whole
+// once-a-second broadcast is one EffectBmPush that the flush expands into
+// one delivery per partner, in partner order.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <variant>
 
-#include "core/mcache.h"
-#include "logging/reports.h"
+#include "core/stream_types.h"
 #include "net/types.h"
 #include "sim/shard_mailbox.h"
 
@@ -58,13 +58,14 @@ struct EffectBreak {
   net::NodeId other = net::kInvalidNode;
 };
 
-/// Gossip push: up to 3 sampled mCache entries + the sender's own entry,
-/// carried inline (the MessageArena is main-thread-only; the System
-/// materializes an arena batch from these at the flush).
+/// Gossip push to `to`: entries [first, first + count) of the sender's
+/// shard scratch, up to 3 sampled mCache entries + the sender's own (the
+/// MessageArena is main-thread-only; the System materializes an arena
+/// batch from them at the flush).
 struct EffectGossip {
   net::NodeId to = net::kInvalidNode;
+  std::uint32_t first = 0;
   std::uint32_t count = 0;
-  std::array<McacheEntry, 4> entries{};
 };
 
 /// Partnership attempt toward `to` (emitter is the initiator).
@@ -75,9 +76,10 @@ struct EffectAttempt {
 /// Boot-strap list request round trip for the emitter.
 struct EffectBootstrap {};
 
-/// Status/activity report for the log server.
+/// Status/activity report for the log server: entry `index` of the
+/// sender's shard scratch.
 struct EffectReport {
-  logging::Report report;
+  std::uint32_t index = 0;
 };
 
 /// Session milestone for the workload observer.

@@ -22,7 +22,7 @@ namespace coolstream::core {
 namespace {
 
 McacheEntry entry(std::uint32_t id) {
-  return McacheEntry{Tick(1.0), Tick(2.0), net::NodeId(id), true};
+  return McacheEntry{Tick(1.0), net::NodeId(id), true};
 }
 
 TEST(MessageArenaTest, DroppedBatchIsReusedNextTick) {

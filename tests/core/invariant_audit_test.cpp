@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/invariants.h"
@@ -98,10 +99,8 @@ TEST_F(SeededCorruptionTest, AsymmetricPartnershipDetected) {
   // other side knows nothing about it.
   const net::NodeId stranger = make_stranger();
 
-  PartnerState fake;
-  fake.id = stranger;
-  fake.established = Tick(0.0);  // long past the in-flight grace window
-  InvariantTestAccess::partners(p).push_back(fake);
+  // Established long past the in-flight grace window.
+  InvariantTestAccess::partners(p).add(stranger, false, Tick(0.0));
 
   InvariantAuditor auditor(*sys_);
   const auto violations = auditor.audit();
@@ -113,10 +112,8 @@ TEST_F(SeededCorruptionTest, AsymmetryWithinGraceIsTolerated) {
   Peer& p = playing_viewer();
   const net::NodeId stranger = make_stranger();
 
-  PartnerState fresh;
-  fresh.id = stranger;
-  fresh.established = sys_->now();  // acceptance round trip still in flight
-  InvariantTestAccess::partners(p).push_back(fresh);
+  // Acceptance round trip still in flight.
+  InvariantTestAccess::partners(p).add(stranger, false, sys_->now());
 
   InvariantAuditor auditor(*sys_);
   const auto violations = auditor.audit();
@@ -148,19 +145,26 @@ TEST_F(SeededCorruptionTest, DoubleParentSubstreamDetected) {
 
 TEST_F(SeededCorruptionTest, StaleBufferMapBitDetected) {
   Peer& p = playing_viewer();
-  PartnerState* view = nullptr;
-  for (auto& ps : InvariantTestAccess::partners(p)) {
-    if (ps.bm_time.has_value()) {
-      view = &ps;
+  PartnerTable& partners = InvariantTestAccess::partners(p);
+  std::optional<PartnerView> view;
+  for (const PartnerView ps : partners) {
+    if (ps.bm_time().has_value()) {
+      view = ps;
       break;
     }
   }
-  ASSERT_NE(view, nullptr) << "viewer never received a buffer map";
+  ASSERT_TRUE(view.has_value()) << "viewer never received a buffer map";
   // The stored view now advertises a block far beyond anything the
   // encoder has produced.
-  view->bm.set_latest(
+  BufferMap forged(params_.substream_count);
+  for (const SubstreamId j : substreams(params_.substream_count)) {
+    forged.set_latest(j, view->latest(j));
+  }
+  forged.set_latest(
       SubstreamId(0),
       sys_->source_head(SubstreamId(0), sys_->now()) + BlockCount(100));
+  partners.receive(view->id(), forged, view->subscription_bits(),
+                   *view->bm_time());
 
   InvariantAuditor auditor(*sys_);
   const auto violations = auditor.audit();

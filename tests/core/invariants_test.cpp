@@ -3,6 +3,8 @@
 // consistent.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/system.h"
 #include "logging/log_server.h"
 #include "workload/scenario.h"
@@ -40,12 +42,12 @@ TEST_P(InvariantsTest, HoldAfterChurnyRun) {
     EXPECT_TRUE(sys.bootstrap().contains(id)) << id;
 
     // Partner symmetry: every partner is alive and has us back.
-    for (const auto& ps : p->partners()) {
-      const Peer* q = sys.peer(ps.id);
+    for (const PartnerView ps : p->partners()) {
+      const Peer* q = sys.peer(ps.id());
       ASSERT_NE(q, nullptr);
-      EXPECT_TRUE(q->alive()) << id << " keeps dead partner " << ps.id;
-      EXPECT_NE(q->find_partner(id), nullptr)
-          << "asymmetric partnership " << id << " <-> " << ps.id;
+      EXPECT_TRUE(q->alive()) << id << " keeps dead partner " << ps.id();
+      EXPECT_TRUE(q->partners().contains(id))
+          << "asymmetric partnership " << id << " <-> " << ps.id();
     }
 
     // Partner cap respected (small slack for in-flight acceptances).
@@ -59,7 +61,7 @@ TEST_P(InvariantsTest, HoldAfterChurnyRun) {
       const Peer* q = sys.peer(parent);
       ASSERT_NE(q, nullptr);
       EXPECT_TRUE(q->alive()) << id << " subscribed to dead " << parent;
-      EXPECT_NE(p->find_partner(parent), nullptr)
+      EXPECT_TRUE(p->partners().contains(parent))
           << id << " subscribed to non-partner " << parent;
       bool served = false;
       for (const auto& l : q->out_links()) {
@@ -153,11 +155,11 @@ TEST(BmSubscriptionBitsTest, AdvertisedToTheServingPartner) {
   const Peer* viewer = sys.peer(id);
   ASSERT_EQ(viewer->phase(), PeerPhase::kPlaying);
   const Peer* server = sys.peer(0);
-  const PartnerState* view = server->find_partner(id);
-  ASSERT_NE(view, nullptr);
-  ASSERT_TRUE(view->bm_time.has_value());
+  const std::optional<PartnerView> view = server->partners().find(id);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_TRUE(view->bm_time().has_value());
   for (const SubstreamId j : substreams(params.substream_count)) {
-    EXPECT_EQ(view->bm.subscribed(j), viewer->parent_of(j) == 0u)
+    EXPECT_EQ(view->subscribed(j), viewer->parent_of(j) == 0u)
         << "sub-stream " << j.value();
   }
 }

@@ -8,7 +8,7 @@ namespace coolstream::core {
 namespace {
 
 McacheEntry entry(net::NodeId id, double first_seen = 0.0) {
-  return McacheEntry{Tick(first_seen), Tick(first_seen), id};
+  return McacheEntry{Tick(first_seen), id};
 }
 
 TEST(McacheTest, InsertUntilCapacity) {
@@ -26,10 +26,9 @@ TEST(McacheTest, InsertUntilCapacity) {
 TEST(McacheTest, UpsertRefreshesExisting) {
   sim::Rng rng(2);
   Mcache m(2, McachePolicy::kRandomReplace);
-  m.upsert(McacheEntry{Tick(10.0), Tick(10.0), 7}, rng);
-  m.upsert(McacheEntry{Tick(12.0), Tick(20.0), 7}, rng);
+  m.upsert(McacheEntry{Tick(10.0), 7}, rng);
+  m.upsert(McacheEntry{Tick(12.0), 7}, rng);
   EXPECT_EQ(m.size(), 1u);
-  EXPECT_EQ(m.entries()[0].updated, Tick(20.0));
   EXPECT_EQ(m.entries()[0].first_seen, Tick(10.0));  // keeps the earliest
 }
 

@@ -1,0 +1,127 @@
+// Property-based equivalence: the partner table (records + K flat lanes per
+// partner) against a naive reference that keeps one full BufferMap per
+// partner, across randomized add / erase / receive / find sequences for
+// every lane count the protocol accepts.  After every step each view must
+// agree with the reference: id, direction, establishment time, receive
+// time, every lane, the lane maximum and every subscription bit.
+#include "core/partner_table.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "core/buffer_map.h"
+#include "core/stream_types.h"
+#include "sim/rng.h"
+
+namespace coolstream::core {
+namespace {
+
+/// The obvious representation: one whole partner copy per slot.
+struct RefPartner {
+  net::NodeId id = net::kInvalidNode;
+  bool incoming = false;
+  Tick established{};
+  BufferMap bm;
+  std::optional<Tick> bm_time;
+};
+
+void expect_same(const PartnerView& got, const RefPartner& want, int k) {
+  EXPECT_EQ(got.id(), want.id);
+  EXPECT_EQ(got.incoming(), want.incoming);
+  EXPECT_EQ(got.established(), want.established);
+  ASSERT_EQ(got.bm_time().has_value(), want.bm_time.has_value());
+  if (want.bm_time) {
+    EXPECT_EQ(*got.bm_time(), *want.bm_time);
+  }
+  EXPECT_EQ(got.max_latest(), want.bm.max_latest());
+  EXPECT_EQ(got.subscription_bits(), want.bm.subscription_bits());
+  for (const SubstreamId j : substreams(k)) {
+    EXPECT_EQ(got.latest(j), want.bm.latest(j)) << "lane " << j.index();
+    EXPECT_EQ(got.subscribed(j), want.bm.subscribed(j)) << "lane " << j.index();
+  }
+}
+
+void expect_same(const PartnerTable& table, const std::vector<RefPartner>& ref,
+                 int k) {
+  ASSERT_EQ(table.size(), ref.size());
+  EXPECT_EQ(table.empty(), ref.empty());
+  std::size_t i = 0;
+  for (const PartnerView view : table) {
+    SCOPED_TRACE(::testing::Message() << "slot " << i);
+    expect_same(view, ref[i], k);
+    const std::optional<PartnerView> found = table.find(ref[i].id);
+    ASSERT_TRUE(found.has_value());
+    expect_same(*found, ref[i], k);
+    ++i;
+  }
+  EXPECT_EQ(i, ref.size());
+}
+
+TEST(PartnerTableProperty, MatchesFullCopiesForEveryLaneCount) {
+  for (int k = 1; k <= BufferMap::kMaxSubstreams; ++k) {
+    SCOPED_TRACE(::testing::Message() << "K=" << k);
+    sim::Rng rng(static_cast<std::uint64_t>(1000 + k));
+    PartnerTable table(k);
+    std::vector<RefPartner> ref;
+    net::NodeId next_id = 1;
+    double clock = 0.0;
+
+    for (int step = 0; step < 2000; ++step) {
+      clock += 0.25;
+      // Real partner lists stay under ~20; capping the reference there
+      // keeps the lists short and the erase paths busy.
+      const std::uint64_t op = rng.below(8);
+      const bool full = ref.size() >= 24;
+      if (ref.empty() || (op < 3 && !full)) {
+        // add (ids are never reused, as in the System)
+        RefPartner r;
+        r.id = next_id++;
+        r.incoming = rng.below(2) == 1;
+        r.established = Tick(clock);
+        r.bm = BufferMap(k);
+        table.add(r.id, r.incoming, r.established);
+        ref.push_back(r);
+      } else if (op < 5 || full) {
+        // erase at the front, in the middle or at the end
+        const std::uint64_t where = rng.below(3);
+        const std::size_t i = where == 0   ? 0
+                              : where == 1 ? ref.size() / 2
+                                           : ref.size() - 1;
+        table.erase(ref[i].id);
+        ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (op < 7) {
+        // receive a random map from a random partner
+        RefPartner& r = ref[rng.below(ref.size())];
+        BufferMap bm(k);
+        for (const SubstreamId j : substreams(k)) {
+          bm.set_latest(j, SeqNum(rng.uniform_int(-1, 5000)));
+        }
+        const auto bits =
+            static_cast<std::uint32_t>(rng.below(std::uint64_t{1} << k));
+        EXPECT_TRUE(table.receive(r.id, bm, bits, Tick(clock)));
+        r.bm = bm;
+        r.bm.set_subscription_bits(bits);
+        r.bm_time = Tick(clock);
+      } else {
+        // a departed or never-seen sender: nothing is stored or found
+        const net::NodeId stranger = next_id + 1000;
+        EXPECT_FALSE(table.receive(stranger, BufferMap(k), 0, Tick(clock)));
+        EXPECT_FALSE(table.find(stranger).has_value());
+        EXPECT_FALSE(table.contains(stranger));
+        table.erase(stranger);  // no-op
+      }
+      expect_same(table, ref, k);
+      if (::testing::Test::HasFailure()) return;
+    }
+
+    table.release();
+    EXPECT_TRUE(table.empty());
+    EXPECT_EQ(table.capacity(), 0u);
+  }
+}
+
+}  // namespace
+}  // namespace coolstream::core

@@ -126,9 +126,9 @@ TEST(PlayoutTest, ContinuityFromLogMatchesPeerStats) {
 TEST(McacheReachabilityTest, SampleCanFilterOnEntries) {
   sim::Rng rng(1);
   Mcache m(8, McachePolicy::kRandomReplace);
-  m.upsert(McacheEntry{Tick(0.0), Tick(0.0), 1, true}, rng);
-  m.upsert(McacheEntry{Tick(0.0), Tick(0.0), 2, false}, rng);
-  m.upsert(McacheEntry{Tick(0.0), Tick(0.0), 3, true}, rng);
+  m.upsert(McacheEntry{Tick(0.0), 1, true}, rng);
+  m.upsert(McacheEntry{Tick(0.0), 2, false}, rng);
+  m.upsert(McacheEntry{Tick(0.0), 3, true}, rng);
   const auto sample = m.sample(
       8, rng, [](const McacheEntry& e) { return !e.reachable; });
   ASSERT_EQ(sample.size(), 2u);
@@ -138,8 +138,8 @@ TEST(McacheReachabilityTest, SampleCanFilterOnEntries) {
 TEST(McacheReachabilityTest, UpsertRefreshesReachability) {
   sim::Rng rng(2);
   Mcache m(4, McachePolicy::kRandomReplace);
-  m.upsert(McacheEntry{Tick(0.0), Tick(0.0), 7, false}, rng);
-  m.upsert(McacheEntry{Tick(0.0), Tick(1.0), 7, true}, rng);
+  m.upsert(McacheEntry{Tick(0.0), 7, false}, rng);
+  m.upsert(McacheEntry{Tick(0.0), 7, true}, rng);
   EXPECT_TRUE(m.entries()[0].reachable);
 }
 

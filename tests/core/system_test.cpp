@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "core/invariants.h"
 #include "logging/sessions.h"
 #include "net/address.h"
@@ -232,8 +236,47 @@ TEST(SystemTest, NatViewersNeverAcceptInbound) {
     const Peer* p = sys.peer(id);
     if (!p->alive()) continue;
     EXPECT_FALSE(p->had_incoming()) << "NAT peer " << id;
-    for (const auto& ps : p->partners()) {
-      EXPECT_FALSE(ps.incoming);
+    for (const PartnerView ps : p->partners()) {
+      EXPECT_FALSE(ps.incoming());
+    }
+  }
+}
+
+TEST(SystemTest, PartnerChangesAreKeptOnlyForALogServer) {
+  // Partner changes only feed partner reports, which reach no one without
+  // a log server: then no peer keeps a change history, however much its
+  // partner list churns.  With a log server the same run keeps one.
+  for (const bool with_log : {false, true}) {
+    SCOPED_TRACE(with_log ? "log server" : "no log server");
+    sim::Simulation simulation(29);
+    logging::LogServer log;
+    System sys(simulation, fast_params(), small_config(),
+               with_log ? &log : nullptr);
+    sys.start();
+    std::vector<net::NodeId> ids;
+    std::size_t max_capacity = 0;
+    for (int round = 0; round < 6; ++round) {
+      for (int i = 0; i < 4; ++i) {
+        ids.push_back(sys.join(
+            viewer(static_cast<std::uint64_t>(400 + ids.size()),
+                   net::ConnectionType::kDirect, 2e6, simulation.rng())));
+      }
+      simulation.run_until(simulation.now() + units::Duration(10.0));
+      sys.leave(ids[static_cast<std::size_t>(2 * round)], /*graceful=*/true);
+      sys.leave(ids[static_cast<std::size_t>(2 * round + 1)],
+                /*graceful=*/false);
+      for (const net::NodeId id : sys.live_nodes()) {
+        max_capacity = std::max(
+            max_capacity,
+            InvariantTestAccess::partner_change_capacity(*sys.peer(id)));
+      }
+    }
+    ASSERT_GT(sys.stats().partnership_accepts, 0u);
+    ASSERT_EQ(sys.stats().leaves, 12u);
+    if (with_log) {
+      EXPECT_GT(max_capacity, 0u);
+    } else {
+      EXPECT_EQ(max_capacity, 0u);
     }
   }
 }
@@ -442,7 +485,7 @@ TEST(SystemTest, UploadBytesFlowToTheLog) {
 /// What one periodic BM broadcast left behind (see the test below).
 struct BroadcastOutcome {
   std::uint32_t parent_view_bits = 0;  ///< sub bits the parent received
-  BufferMap parent_view;               ///< the map the parent received
+  std::vector<SeqNum> parent_view_lanes;  ///< the lanes the parent received
   bool sender_kept_crashed = true;
   bool sender_kept_silent = true;
   bool silent_kept_sender = true;
@@ -450,15 +493,9 @@ struct BroadcastOutcome {
 
 /// Makes `a` list `b` as a partner whose BM was last heard at `heard`.
 void add_partner(Peer& a, net::NodeId b, Tick heard, const BufferMap& bm) {
-  auto& partners = InvariantTestAccess::partners(a);
-  PartnerState* ps = a.find_partner(b);
-  if (ps == nullptr) {
-    partners.push_back(PartnerState{b, false, heard, bm, heard});
-    return;
-  }
-  ps->established = heard;
-  ps->bm = bm;
-  ps->bm_time = heard;
+  PartnerTable& partners = InvariantTestAccess::partners(a);
+  if (!partners.contains(b)) partners.add(b, false, heard);
+  partners.receive(b, bm, bm.subscription_bits(), heard);
 }
 
 /// One sender's broadcast, in a single tick, covers three partners: the
@@ -506,29 +543,28 @@ BroadcastOutcome run_broadcast_case(int shards) {
                      << j.index();
   }
   // Crash without telling the sender: the partnership is half-open.
-  std::erase_if(InvariantTestAccess::partners(crashed),
-                [sender_id](const PartnerState& ps) {
-                  return ps.id == sender_id;
-                });
+  InvariantTestAccess::partners(crashed).erase(sender_id);
   sys.leave(crashed_id, /*graceful=*/false);
-  EXPECT_NE(sender.find_partner(crashed_id), nullptr);
+  EXPECT_TRUE(sender.partners().contains(crashed_id));
   InvariantTestAccess::next_bm_push(sender) = now;
 
   simulation.run_until(sim::Time(30.7));  // exactly one tick, at 30.5 s
 
   BroadcastOutcome out;
-  const PartnerState* view = parent.find_partner(sender_id);
-  EXPECT_NE(view, nullptr);
-  if (view != nullptr) {
-    EXPECT_TRUE(view->bm_time.has_value() && *view->bm_time > now);
-    EXPECT_EQ(view->bm.subscription_bits(), expected_bits);
-    out.parent_view_bits = view->bm.subscription_bits();
-    out.parent_view = view->bm;
+  const std::optional<PartnerView> view = parent.partners().find(sender_id);
+  EXPECT_TRUE(view.has_value());
+  if (view) {
+    EXPECT_TRUE(view->bm_time() && *view->bm_time() > now);
+    EXPECT_EQ(view->subscription_bits(), expected_bits);
+    out.parent_view_bits = view->subscription_bits();
+    for (const SubstreamId j : substreams(params.substream_count)) {
+      out.parent_view_lanes.push_back(view->latest(j));
+    }
   }
   EXPECT_NE(expected_bits, 0u);
-  out.sender_kept_crashed = sender.find_partner(crashed_id) != nullptr;
-  out.sender_kept_silent = sender.find_partner(silent_id) != nullptr;
-  out.silent_kept_sender = silent.find_partner(sender_id) != nullptr;
+  out.sender_kept_crashed = sender.partners().contains(crashed_id);
+  out.sender_kept_silent = sender.partners().contains(silent_id);
+  out.silent_kept_sender = silent.partners().contains(sender_id);
   return out;
 }
 
@@ -543,7 +579,7 @@ TEST(SystemTest, BmBroadcastFlushesPerPartnerAtAnyShardCount) {
     EXPECT_FALSE(by_shards[k].silent_kept_sender);
   }
   EXPECT_EQ(by_shards[0].parent_view_bits, by_shards[1].parent_view_bits);
-  EXPECT_EQ(by_shards[0].parent_view, by_shards[1].parent_view);
+  EXPECT_EQ(by_shards[0].parent_view_lanes, by_shards[1].parent_view_lanes);
 }
 
 }  // namespace

@@ -137,15 +137,14 @@ PROPERTY_TEST(ProtocolProperties, BufferMapsMatchBuffers) {
         }
         heads[j.index()] = head;
       }
-      for (const core::PartnerState& ps : p.partners()) {
-        if (!ps.bm_time) continue;
-        const core::Peer* q = sys.peer(ps.id);
+      for (const core::PartnerView ps : p.partners()) {
+        if (!ps.bm_time()) continue;
+        const core::Peer* q = sys.peer(ps.id());
         if (q == nullptr || !q->alive()) continue;
         for (core::SubstreamId j : core::substreams(k)) {
-          if (ps.bm.latest(j) != core::kNoSeq &&
-              ps.bm.latest(j) > q->head(j)) {
+          if (ps.latest(j) != core::kNoSeq && ps.latest(j) > q->head(j)) {
             err = "node " + node_str(id) + " stores a BM for partner " +
-                  node_str(ps.id) + " that is ahead of the partner's head";
+                  node_str(ps.id()) + " that is ahead of the partner's head";
             return;
           }
         }
@@ -177,12 +176,11 @@ PROPERTY_TEST(ProtocolProperties, PartnershipsSymmetricAfterQuiesce) {
     for (net::NodeId id : sys.live_nodes()) {
       const core::Peer* p = sys.peer(id);
       if (p == nullptr || !p->alive()) continue;
-      for (const core::PartnerState& ps : p->partners()) {
-        if (now - ps.established <= grace) continue;
-        const core::Peer* q = sys.peer(ps.id);
-        if (q == nullptr || !q->alive() ||
-            q->find_partner(id) == nullptr) {
-          out->push_back({id, ps.id});
+      for (const core::PartnerView ps : p->partners()) {
+        if (now - ps.established() <= grace) continue;
+        const core::Peer* q = sys.peer(ps.id());
+        if (q == nullptr || !q->alive() || !q->partners().contains(id)) {
+          out->push_back({id, ps.id()});
         }
       }
       if (p->kind() != core::PeerKind::kViewer) continue;
@@ -190,7 +188,7 @@ PROPERTY_TEST(ProtocolProperties, PartnershipsSymmetricAfterQuiesce) {
            core::substreams(sys.params().substream_count)) {
         const net::NodeId parent = p->parent_of(j);
         if (parent != net::kInvalidNode &&
-            p->find_partner(parent) == nullptr) {
+            !p->partners().contains(parent)) {
           out->push_back({id, parent});
         }
       }
@@ -253,9 +251,9 @@ std::optional<std::string> adaptation_liveness(const GeneratedCase& c,
           own_max = std::max(own_max, p.head(j));
         }
         core::SeqNum partner_max = core::kNoSeq;
-        for (const core::PartnerState& ps : p.partners()) {
-          if (ps.bm_time) {
-            partner_max = std::max(partner_max, ps.bm.max_latest());
+        for (const core::PartnerView ps : p.partners()) {
+          if (ps.bm_time()) {
+            partner_max = std::max(partner_max, ps.max_latest());
           }
         }
         for (core::SubstreamId j : core::substreams(k)) {
@@ -263,13 +261,14 @@ std::optional<std::string> adaptation_liveness(const GeneratedCase& c,
           // Orphaned sub-streams are repaired cool-down-exempt on the next
           // check; they are not this property's concern.
           if (parent == net::kInvalidNode || !sys.is_live(parent)) continue;
-          const core::PartnerState* ps = p.find_partner(parent);
-          if (ps == nullptr) continue;
+          const std::optional<core::PartnerView> ps =
+              p.partners().find(parent);
+          if (!ps) continue;
           const bool ineq1_spread = own_max - p.head(j) >= ts;
           const bool ineq1_parent_lag =
-              ps->bm_time && ps->bm.latest(j) - p.head(j) >= ts;
+              ps->bm_time() && ps->latest(j) - p.head(j) >= ts;
           const bool ineq2 =
-              ps->bm_time && partner_max - ps->bm.latest(j) >= tp;
+              ps->bm_time() && partner_max - ps->latest(j) >= tp;
           if (ineq1_spread || ineq1_parent_lag || ineq2) {
             violated = true;
             break;
