@@ -37,7 +37,7 @@ void MultiTreeOverlay::start() {
 
 double MultiTreeOverlay::root_stripe_head() const noexcept {
   // The baseline trees work in raw fractional block positions.
-  return sim_.now().value() *  // lint:allow(value-escape)
+  return sim_.now().value() *
          params_.stripe_block_rate();
 }
 
@@ -179,7 +179,7 @@ int MultiTreeOverlay::depth(net::NodeId id, int stripe) const {
 
 void MultiTreeOverlay::tick() {
   const double dt = params_.tick;
-  const double now = sim_.now().value();  // lint:allow(value-escape)
+  const double now = sim_.now().value();
   const double root_head = root_stripe_head();
   for (auto& h : nodes_[root_].head) h = root_head;
 

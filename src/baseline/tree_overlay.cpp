@@ -31,7 +31,7 @@ void TreeOverlay::start() {
 
 double TreeOverlay::root_head() const noexcept {
   // The baseline tree works in raw fractional block positions.
-  return sim_.now().value() * params_.block_rate;  // lint:allow(value-escape)
+  return sim_.now().value() * params_.block_rate;
 }
 
 int TreeOverlay::max_children_of(const Node& n) const noexcept {
@@ -148,7 +148,7 @@ int TreeOverlay::depth(net::NodeId id) const {
 
 void TreeOverlay::tick() {
   const double dt = params_.tick;
-  const double now = sim_.now().value();  // lint:allow(value-escape)
+  const double now = sim_.now().value();
   nodes_[root_].head = root_head();
 
   // Fluid transfer, parents before children is not required: heads only

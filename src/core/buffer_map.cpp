@@ -35,8 +35,8 @@ std::string BufferMap::encode() const {
   std::string out;
   for (int i = 0; i < k_; ++i) {
     if (i != 0) out.push_back(',');
-    out += std::to_string(  // lint:allow(hot-path-string)
-        latest_[i].value());  // lint:allow(value-escape)
+    out += std::to_string(
+        latest_[i].value());
   }
   out.push_back('|');
   for (int i = 0; i < k_; ++i) {
@@ -50,7 +50,7 @@ std::size_t BufferMap::wire_size() const noexcept {
   std::size_t n = 1 + static_cast<std::size_t>(k_);
   for (int i = 0; i < k_; ++i) {
     if (i != 0) ++n;
-    n += decimal_width(latest_[i].value());  // lint:allow(value-escape)
+    n += decimal_width(latest_[i].value());
   }
   return n;
 }

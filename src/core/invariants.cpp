@@ -57,7 +57,7 @@ void InvariantAuditor::start(Duration period) {
     }
     for (const auto& v : found) {
       std::fprintf(stderr, "invariant violation @t=%.3f: %s\n",
-                   sys_.now().value(),  // lint:allow(value-escape)
+                   sys_.now().value(),
                    to_string(v).c_str());
     }
     std::abort();
@@ -126,7 +126,7 @@ void InvariantAuditor::check_peer(const Peer& p,
     if (parent == net::kInvalidNode) continue;
     // Diagnostic strings carry the raw sub-stream number.
     const std::string js =
-        std::to_string(j.value());  // lint:allow(value-escape)
+        std::to_string(j.value());
     const Peer* q = sys_.peer(parent);
     if (q == nullptr || !q->alive()) {
       add(InvariantRule::kSingleParent, parent,
@@ -210,7 +210,7 @@ void InvariantAuditor::check_peer(const Peer& p,
     if (p.head(j) < last_seq_at_or_below(combined, j, k)) {
       add(InvariantRule::kSyncMonotonic, net::kInvalidNode,
           "combined prefix ahead of sub-stream " +
-              std::to_string(j.value()) +  // lint:allow(value-escape)
+              std::to_string(j.value()) +
               "'s contiguous head");
     }
   }
@@ -220,7 +220,7 @@ void InvariantAuditor::check_peer(const Peer& p,
       if (p.head(j) < old.heads[j.index()]) {
         add(InvariantRule::kSyncMonotonic, net::kInvalidNode,
             "sub-stream " +
-                std::to_string(j.value()) +  // lint:allow(value-escape)
+                std::to_string(j.value()) +
                 " head moved backwards");
       }
     }
@@ -263,17 +263,17 @@ void InvariantAuditor::check_global(std::vector<InvariantViolation>* out,
   if (up != down) {
     add(InvariantRule::kBlockConservation,
         "uploaded bytes (" +
-            std::to_string(up.value()) +  // lint:allow(value-escape)
+            std::to_string(up.value()) +
             ") != downloaded bytes (" +
-            std::to_string(down.value()) +  // lint:allow(value-escape)
+            std::to_string(down.value()) +
             ")");
   }
   if (up != expect) {
     add(InvariantRule::kBlockConservation,
         "transferred bytes (" +
-            std::to_string(up.value()) +  // lint:allow(value-escape)
+            std::to_string(up.value()) +
             ") disagree with the block counter (" +
-            std::to_string(expect.value()) +  // lint:allow(value-escape)
+            std::to_string(expect.value()) +
             ")");
   }
 
@@ -285,7 +285,7 @@ void InvariantAuditor::check_global(std::vector<InvariantViolation>* out,
             std::to_string(sys_.live_viewer_count()) + " + servers " +
             std::to_string(servers));
   }
-  if (sys_.concurrent_viewers().value() !=  // lint:allow(value-escape)
+  if (sys_.concurrent_viewers().value() !=
       static_cast<long long>(sys_.live_viewer_count())) {
     add(InvariantRule::kCensus,
         "concurrent-viewer step counter disagrees with the live census");

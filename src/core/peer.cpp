@@ -63,7 +63,7 @@ Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
 units::BlockRate Peer::upload_block_rate() const noexcept {
   // Boundary conversion: bits/s over bits/block yields blocks/s.
   return units::BlockRate(
-      spec_.upload_capacity.value() /  // lint:allow(value-escape)
+      spec_.upload_capacity.value() /
       sys_.params().block_size_bits());
 }
 
@@ -106,11 +106,11 @@ void Peer::start_join() {
     return;
   }
   logging::ActivityReport r;
-  r.header = {spec_.user_id, session_id_.value(),  // lint:allow(value-escape)
-              sys_.now().value()};                 // lint:allow(value-escape)
+  r.header = {spec_.user_id, session_id_.value(),
+              sys_.now().value()};
   r.activity = logging::Activity::kJoin;
   // Join-time activity report: once per session, off the per-tick path.
-  r.address = spec_.address.to_string();  // lint:allow(hot-path-string)
+  r.address = spec_.address.to_string();
   sys_.report(logging::Report(r));
   sys_.request_bootstrap_list(id_);
 }
@@ -309,8 +309,8 @@ void Peer::subscribe_substream(SubstreamId j, net::NodeId parent) {
     start_sub_emitted_ = true;
     logging::ActivityReport r;
     r.header = {spec_.user_id,
-                session_id_.value(),  // lint:allow(value-escape)
-                sys_.now().value()};  // lint:allow(value-escape)
+                session_id_.value(),
+                sys_.now().value()};
     r.activity = logging::Activity::kStartSubscription;
     sys_.report(logging::Report(r));
     sys_.notify(id_, SessionEvent::kStartSubscription);
@@ -656,8 +656,8 @@ void Peer::check_media_ready(Tick now) {
     play_start_time_ = now;
     logging::ActivityReport r;
     r.header = {spec_.user_id,
-                session_id_.value(),  // lint:allow(value-escape)
-                now.value()};         // lint:allow(value-escape)
+                session_id_.value(),
+                now.value()};
     r.activity = logging::Activity::kMediaPlayerReady;
     sys_.report(logging::Report(r));
     sys_.notify(id_, SessionEvent::kMediaReady);
@@ -715,7 +715,7 @@ void Peer::do_playout(Tick now) {
         play_start_time_ +
         Duration(static_cast<double>(
                      (g - play_start_seq_ + BlockCount(1))
-                         .value()) *  // lint:allow(value-escape)
+                         .value()) *
                  spb);
     if (deadline > now) break;
 
@@ -786,8 +786,8 @@ void Peer::do_playout(Tick now) {
 void Peer::send_status_reports(Tick now) {
   const logging::ReportHeader header{
       spec_.user_id,
-      session_id_.value(),  // lint:allow(value-escape)
-      now.value()};         // lint:allow(value-escape)
+      session_id_.value(),
+      now.value()};
 
   logging::QosReport qos;
   qos.header = header;
@@ -799,8 +799,8 @@ void Peer::send_status_reports(Tick now) {
 
   logging::TrafficReport traffic;
   traffic.header = header;
-  traffic.bytes_down = interval_bytes_down_.value();  // lint:allow(value-escape)
-  traffic.bytes_up = interval_bytes_up_.value();      // lint:allow(value-escape)
+  traffic.bytes_down = interval_bytes_down_.value();
+  traffic.bytes_up = interval_bytes_up_.value();
   sys_.report(logging::Report(traffic));
   interval_bytes_down_ = units::Bytes::zero();
   interval_bytes_up_ = units::Bytes::zero();
@@ -821,7 +821,7 @@ void Peer::maybe_resync_forward(Tick now) {
                 p.substream_count);
   const Duration lag = Duration(
       static_cast<double>(
-          (live - last_deadline_counted_).value()) /  // lint:allow(value-escape)
+          (live - last_deadline_counted_).value()) /
       p.block_rate);
   if (lag <= Duration(p.max_playback_lag_seconds)) return;
 

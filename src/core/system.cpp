@@ -113,8 +113,8 @@ void System::leave(net::NodeId id, bool graceful) {
   if (graceful) {
     logging::ActivityReport r;
     r.header = {p->spec().user_id,
-                p->session_id().value(),  // lint:allow(value-escape)
-                now().value()};           // lint:allow(value-escape)
+                p->session_id().value(),
+                now().value()};
     r.activity = logging::Activity::kLeave;
     r.had_incoming = p->had_incoming();
     r.had_outgoing = p->had_outgoing();
@@ -200,7 +200,7 @@ int System::max_partners_of(const Peer& p) const noexcept {
   // number of partners is less than the upper bound M" — with M set the
   // only way a deployment can set it: per the peer's capacity.
   const double substream_units =
-      p.spec().upload_capacity.value() /  // lint:allow(value-escape)
+      p.spec().upload_capacity.value() /
       params_.substream_rate_bps();
   const int budget = params_.initial_partner_target +
                      static_cast<int>(std::ceil(substream_units / 1.5));
@@ -220,7 +220,7 @@ SeqNum System::source_head(SubstreamId j, Tick t) const noexcept {
   // Global blocks [0, G) have been produced by time t; sub-stream j holds
   // those g with g mod K == j.
   const auto produced = static_cast<std::int64_t>(
-      std::floor(t.value() * params_.block_rate));  // lint:allow(value-escape)
+      std::floor(t.value() * params_.block_rate));
   return last_seq_at_or_below(GlobalSeq(produced - 1), j,
                               params_.substream_count);
 }
@@ -703,7 +703,7 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
 
 net::TopologySnapshot System::snapshot() const {
   net::TopologySnapshot snap;
-  snap.time = sim_.now().value();  // lint:allow(value-escape)
+  snap.time = sim_.now().value();
   snap.nodes.reserve(live_.size());
   for (net::NodeId id : live_) {
     const Peer* p = peer(id);
@@ -713,7 +713,7 @@ net::TopologySnapshot System::snapshot() const {
     node.type = p->spec().type;
     node.is_server = p->kind() == PeerKind::kServer;
     node.upload_capacity_bps =
-        p->spec().upload_capacity.value();  // lint:allow(value-escape)
+        p->spec().upload_capacity.value();
     node.parents.reserve(
         static_cast<std::size_t>(params_.substream_count));
     for (SubstreamId j : substreams(params_.substream_count)) {

@@ -70,8 +70,8 @@ class CAPABILITY("mutex") Mutex {
 
  private:
   // The one sanctioned raw std::mutex: it IS the capability this header
-  // wraps, so the unguarded-mutex-member rule does not apply to it.
-  // census: the sync::Mutex wrapper's own lock (every real mutex is the member instantiating this class)
+  // wraps (every sync::Mutex in the tree is an instance of this class), so
+  // the unguarded-mutex-member rule does not apply to it.
   std::mutex mu_;  // lint:allow(unguarded-mutex-member)
 };
 

@@ -16,10 +16,10 @@
 //   BlockRate * Duration  -> double blocks   (fluid data plane; fractional)
 //
 // and *no* cross-type comparison or implicit construction.  `value()` is
-// the single escape hatch; outside whitelisted boundary files (config
-// parsing, CSV/log emission, the slab event engine's bucket math) every
-// use needs a value-escape lint:allow annotation — enforced by
-// tools/lint/coolstream_lint.cpp.
+// the single escape hatch, and nothing converts implicitly (the
+// compile-fail tier in tests/static pins that), so every unwrap — config
+// parsing, CSV/log emission, the slab event engine's bucket math — is an
+// explicit, greppable call.
 //
 // Zero overhead: every type is a trivially copyable standard-layout wrapper
 // the size of its representation (static_assert-verified below), all

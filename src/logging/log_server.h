@@ -61,7 +61,9 @@ class LogServer {
   bool load(const std::string& path) EXCLUDES(mu_);
 
  private:
-  mutable sync::Mutex mu_;  // census: simulation-global report sink; serializes submits from (future) sharded peers
+  // submit()'s one caller is core::System::report, on the System's own
+  // thread: between ticks, or in the serial flush after a sharded phase.
+  mutable sync::Mutex mu_;
   std::vector<std::string> lines_ GUARDED_BY(mu_);
 };
 

@@ -15,7 +15,7 @@ units::Duration catch_up_time(double deficit_blocks, BlockRate upload_rate,
   if (margin <= BlockRate::zero()) return Duration::infinity();
   // blocks over blocks/s: seconds.
   return Duration(deficit_blocks /
-                  margin.value());  // lint:allow(value-escape)
+                  margin.value());
 }
 
 units::Duration abandon_time(double slack_blocks, BlockRate download_rate,
@@ -24,7 +24,7 @@ units::Duration abandon_time(double slack_blocks, BlockRate download_rate,
   const BlockRate shortfall = rates.substream_rate() - download_rate;
   if (shortfall <= BlockRate::zero()) return Duration::infinity();
   return Duration(slack_blocks /
-                  shortfall.value());  // lint:allow(value-escape)
+                  shortfall.value());
 }
 
 units::BlockRate competition_rate(int parent_degree,
@@ -43,7 +43,7 @@ units::Duration lose_time(int parent_degree, double ts_blocks,
   // t = (D+1)(T_s - t_delta) / (R/K).
   return Duration(
       static_cast<double>(parent_degree + 1) * (ts_blocks - t_delta_blocks) /
-      rates.substream_rate().value());  // lint:allow(value-escape)
+      rates.substream_rate().value());
 }
 
 double lose_slack_threshold(int parent_degree, double ts_blocks,

@@ -37,9 +37,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a job.  Safe to call from any thread (churn drivers and
-  /// nested sweeps submit concurrently).  Must not be called after wait()
-  /// has returned and the pool is being destroyed concurrently.
+  /// Enqueues a job.  Safe to call from any thread; in the library only
+  /// parallel_for calls it, from the System's own thread.  Must not be
+  /// called after wait() has returned and the pool is being destroyed
+  /// concurrently.
   void submit(std::function<void()> job) EXCLUDES(mu_);
 
   /// Blocks until every submitted job has finished.  If any job threw, the
@@ -52,9 +53,10 @@ class ThreadPool {
  private:
   void worker_loop() EXCLUDES(mu_);
 
-  /// Guards every member below it; workers_ is written only while
-  /// single-threaded (constructor spawn / destructor join).
-  sync::Mutex mu_;  // census: sweep-pool job queue; simulations stay single-threaded per shard
+  /// Guards every member below it: the job queue and the bookkeeping the
+  /// submitting thread shares with the workers.  workers_ is written only
+  /// while single-threaded (constructor spawn / destructor join).
+  sync::Mutex mu_;
   sync::CondVar work_cv_;
   sync::CondVar idle_cv_;
   std::queue<std::function<void()>> jobs_ GUARDED_BY(mu_);

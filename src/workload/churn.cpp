@@ -93,7 +93,7 @@ void ChurnDriver::arm() {
   sim::Simulation& sim = sys.simulation();
   for (const ChurnBurst& b : schedule_.bursts) {
     for (std::size_t i = 0; i < b.arrivals; ++i) {
-      const double spread = b.spread.value();  // lint:allow(value-escape)
+      const double spread = b.spread.value();
       const auto offset =
           units::Duration(spread > 0.0 ? rng_.uniform(0.0, spread) : 0.0);
       sim.at(b.at + offset, [this] {

@@ -22,7 +22,7 @@ double mean_duration(const SessionModel& m, double tail_duration) {
 Scenario Scenario::steady(std::size_t target_users, units::Duration duration) {
   Scenario s;
   // Conversion boundary into the raw-seconds config fields.
-  s.end_time = duration.value();  // lint:allow(value-escape)
+  s.end_time = duration.value();
   // Fast-mixing lognormal sessions (median 5 min, mean ~10 min) so the
   // population reaches its Little's-law target well inside typical
   // horizons.  No stay-to-program-end tail: steady scenarios have no
@@ -42,7 +42,7 @@ Scenario Scenario::evening(std::size_t peak_users, units::Duration span) {
   // exactly for spans built via Duration::hours (x*3600/3600 == x for
   // every finite double), so traces are bit-identical to the old raw-hours
   // signature.
-  const double hours = span.value() / 3600.0;  // lint:allow(value-escape)
+  const double hours = span.value() / 3600.0;
   assert(hours >= 2.0 && "evening preset needs at least 2 simulated hours");
   Scenario s;
   constexpr double h = 3600.0;
@@ -72,7 +72,7 @@ Scenario Scenario::flash_crowd(std::size_t base_users,
   // The crowd joins within ~3 sigma of the center; amplitude such that the
   // integral of the Gaussian equals crowd_extra arrivals.
   FlashCrowd c;
-  c.center = crowd_at.value();  // lint:allow(value-escape)
+  c.center = crowd_at.value();
   c.width = 60.0;
   c.amplitude =
       static_cast<double>(crowd_extra) / (c.width * std::sqrt(2.0 * 3.14159265358979));
@@ -148,7 +148,7 @@ void ScenarioRunner::inject_arrival() {
 
 void ScenarioRunner::schedule_next_arrival() {
   const double t = arrivals_.next_arrival(
-      sim_.now().value(),  // lint:allow(value-escape)
+      sim_.now().value(),
       scenario_.end_time, sim_.rng());
   if (t > scenario_.end_time) return;
   sim_.at(sim::Time(t), [this] {
@@ -196,7 +196,7 @@ void ScenarioRunner::on_ready(net::NodeId node, SessionCtl& ctl) {
   // Session durations come from the scenario config in raw seconds; this
   // is the conversion boundary into simulation time.
   double leave_at =
-      sim_.now().value() +  // lint:allow(value-escape)
+      sim_.now().value() +
       m.draw_duration(sim_.rng());
   if (std::isfinite(scenario_.program_end)) {
     const double end_spread = std::abs(

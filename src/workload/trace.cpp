@@ -47,7 +47,7 @@ std::vector<TraceRow> generate_trace(const Scenario& scenario,
     row.type = spec.type;
     row.address = spec.address;
     // Trace rows are the CSV wire format: raw bps.
-    row.upload_bps = spec.upload_capacity.value();  // lint:allow(value-escape)
+    row.upload_bps = spec.upload_capacity.value();
     row.duration_s = scenario.sessions.draw_duration(rng);
     row.patience_s = scenario.sessions.draw_patience(rng);
     rows.push_back(row);
@@ -183,7 +183,7 @@ void TraceRunner::on_event(net::NodeId node, core::SessionEvent event) {
       it->second.patience.cancel();
       // Trace durations are raw seconds (CSV boundary); convert once.
       double leave_at =
-          sim_.now().value() +  // lint:allow(value-escape)
+          sim_.now().value() +
           it->second.row.duration_s;
       if (std::isfinite(scenario_.program_end)) {
         leave_at = std::min(

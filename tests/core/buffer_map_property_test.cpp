@@ -83,8 +83,8 @@ struct RefBufferMap {
     std::string out;
     for (std::size_t i = 0; i < latest.size(); ++i) {
       if (i != 0) out.push_back(',');
-      out += std::to_string(  // lint:allow(hot-path-string)
-          latest[i].value());  // lint:allow(value-escape)
+      out += std::to_string(
+          latest[i].value());
     }
     out.push_back('|');
     for (const bool b : sub) out.push_back(b ? '1' : '0');
@@ -199,7 +199,7 @@ TEST(BufferMapPropertyTest, SubstreamCountCapacityEdges) {
   // k == kMaxSubstreams fills the packed word exactly.
   BufferMap bm(BufferMap::kMaxSubstreams);
   for (const SubstreamId i : substreams(BufferMap::kMaxSubstreams)) {
-    bm.set_latest(i, SeqNum(i.value()));  // lint:allow(value-escape)
+    bm.set_latest(i, SeqNum(i.value()));
     bm.set_subscribed(i, true);
   }
   const std::uint32_t full = (1u << BufferMap::kMaxSubstreams) - 1;

@@ -1,34 +1,10 @@
-// hot-path-string and cross-shard-call fixtures.  The file name matters:
-// "core/peer.cpp" is in the linter's hot-path file set (per-tick
-// control-plane code), where string formatting is either a perf bug or a
-// debug-only site that must be annotated — and in its parallel-phase set,
-// where direct System::peer() lookups must go through the effect mailbox.
-// Declarations that merely *name* to_string are not calls and stay clean.
+// cross-shard-call fixtures.  The file name matters: "core/peer.cpp" is in
+// the linter's parallel-phase set, where direct System::peer() lookups must
+// go through the effect mailbox.
 //
 // This file is lint-test data only — it is never compiled.
-#include <string>
 
 namespace coolstream::core {
-
-struct Bm {
-  std::string encode() const;
-  int v = 0;
-};
-
-std::string_view to_string(int kind);  // a declaration: not flagged
-
-std::string bad(const Bm& bm, int n) {
-  std::string wire = bm.encode();          // lint:expect(hot-path-string)
-  wire += std::to_string(n);               // lint:expect(hot-path-string)
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%d", n);  // lint:expect(hot-path-string)
-  return wire + buf;
-}
-
-std::string tolerated(const Bm& bm) {
-  // Golden-trace serialization is off the hot path and says so.
-  return bm.encode();  // lint:allow(hot-path-string)
-}
 
 struct Peer;
 struct System {

@@ -26,13 +26,10 @@
 //                    (src/sim/event_queue.h) — protocol code allocates
 //                    through containers or the event slab
 //
-// PR 3 adds the domain-type rules that back core/units.h: protocol state
-// must stay inside the strong types (Tick, SeqNum, SubstreamId, BitRate,
-// ...) except at sanctioned serialization boundaries:
+// The domain-type rules back core/units.h: protocol state stays inside the
+// strong types (Tick, SeqNum, SubstreamId, BitRate, ...), and the module
+// graph stays one-way:
 //
-//   value-escape        .value() unwrap in protocol code (core, net, model,
-//                       workload, baseline) — each boundary must carry an
-//                       explicit value-escape lint:allow
 //   raw-protocol-int    integer variable whose name says it holds a seq /
 //                       tick / sub-stream — that state has a strong type
 //   double-seconds-param  `double` function parameter named like a time
@@ -42,24 +39,17 @@
 //                       (units < sim < net < {logging, model, baseline}
 //                       < core < workload; analysis reads logs only) —
 //                       cross-TU: the whole include graph is checked
-//   odr-header-def      non-inline function definition at namespace scope
-//                       in a header — an ODR violation once two TUs
-//                       include it
-//   hot-path-string     string formatting / encode() call in a per-tick
-//                       protocol file (core/peer, core/system,
-//                       core/buffer_map, core/sync_buffer, net/transport)
-//                       — debug and cold-path sites carry an allow
 //
-// The shard-purity family (PR 7) prepares the sharded multi-core
-// simulation: protocol code must hold no state that two shards could
-// share, and every lock must be visible to Clang's capability analysis
+// The shard-purity rules keep the sharded tick deterministic: no module
+// under src/ may hold state that two shards could share, and every lock
+// must be visible to Clang's capability analysis
 // (core/thread_annotations.h):
 //
-//   mutable-global      namespace-scope mutable object in protocol code
-//                       (core/net/model/workload/baseline) — shards would
-//                       share it; make it per-System state or const
-//   static-local-state  function-local `static` (non-const) in protocol
-//                       code — one instance shared across every shard
+//   mutable-global      namespace-scope mutable object in any src/ module
+//                       — shards would share it; make it per-System state
+//                       or const
+//   static-local-state  function-local `static` (non-const) in any src/
+//                       module — one instance shared across every shard
 //   unguarded-mutex-member  a raw std::mutex member (use sync::Mutex), or
 //                       a sync::Mutex member in a file with no GUARDED_BY
 //                       annotations
@@ -81,17 +71,7 @@
 // parentheses — e.g. std-random — to the offending line, or put the
 // comment alone on the preceding line.  A suppression that suppresses
 // nothing is itself an error (stale-allow), so dead allows cannot rot in
-// the tree; `--list-allows` prints the full suppression inventory.
-//
-// Shared-state census (`--census=<path|->`): walks the given roots and
-// emits a machine-readable JSON inventory of every mutex, atomic,
-// namespace-scope mutable object and function-local static, each of which
-// must carry a one-line `// census: <why>` justification on its own or the
-// preceding line.  `--census-check=<file>` recomputes the inventory and
-// fails unless it is byte-identical to the checked-in allowlist
-// (tools/lint/shared_state.json) — any new shared state fails review
-// explicitly.  Regenerate after intentional changes with
-// `coolstream_lint --census=tools/lint/shared_state.json src`.
+// the tree.
 //
 // Fixture mode (`--fixtures <dir>`): every expected finding in a fixture
 // file is annotated e.g. `// lint:expect(std-random)` on the same line (or
@@ -112,7 +92,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 namespace {
@@ -131,12 +110,9 @@ enum class Rule {
   kNoFloat,
   kPragmaOnce,
   kRawNewDelete,
-  kValueEscape,
   kRawProtocolInt,
   kDoubleSecondsParam,
   kIncludeLayering,
-  kOdrHeaderDef,
-  kHotPathString,
   kMutableGlobal,
   kStaticLocalState,
   kUnguardedMutexMember,
@@ -172,9 +148,6 @@ constexpr RuleInfo kRules[] = {
     {Rule::kRawNewDelete, "raw-new-delete",
      "naked new/delete outside the slab engine; use containers, "
      "make_unique, or the event slab"},
-    {Rule::kValueEscape, "value-escape",
-     ".value() unwrap in protocol code; keep the strong type, or mark the "
-     "serialization/config boundary with lint:allow(value-escape)"},
     {Rule::kRawProtocolInt, "raw-protocol-int",
      "raw integer named like protocol state (seq/tick/sub-stream); use the "
      "strong types in core/units.h"},
@@ -184,13 +157,6 @@ constexpr RuleInfo kRules[] = {
     {Rule::kIncludeLayering, "include-layering",
      "#include crosses the module layering upward; only units < sim < net "
      "< {logging, model, baseline} < core < workload edges are allowed"},
-    {Rule::kOdrHeaderDef, "odr-header-def",
-     "non-inline function definition at namespace scope in a header; mark "
-     "it inline/constexpr or move it to a .cpp"},
-    {Rule::kHotPathString, "hot-path-string",
-     "string formatting / encode() call in a protocol hot-path file; the "
-     "control plane uses packed buffer maps and arena batches — mark "
-     "debug/cold-path sites with lint:allow(hot-path-string)"},
     {Rule::kMutableGlobal, "mutable-global",
      "namespace-scope mutable state in protocol code; every shard would "
      "share it — make it per-System state or const"},
@@ -467,10 +433,8 @@ struct FileContext {
   bool in_sim = false;        // under a sim/ directory
   bool is_slab = false;       // the event-queue slab engine itself
   bool protocol = false;      // src/core, src/net, src/workload
-  bool value_scope = false;   // value-escape applies (protocol + baseline)
   bool raw_int_scope = false;   // raw-protocol-int applies
   bool seconds_scope = false;   // double-seconds-param applies
-  bool hot_path = false;        // hot-path-string applies (per-tick files)
   bool shard_scope = false;     // mutable-global / static-local-state apply
   bool cross_peer_scope = false;  // cross-peer-ptr applies (per-peer state)
   bool parallel_phase_scope = false;  // cross-shard-call applies (files whose
@@ -478,17 +442,6 @@ struct FileContext {
   bool atomic_scope = false;      // atomic-in-protocol applies
   bool mutex_scope = false;       // unguarded-mutex-member applies
   std::string module;  // layering module ("" = unconstrained, e.g. bench/)
-};
-
-// ---------------------------------------------------------------------------
-// Shared-state census records (see --census / --census-check)
-// ---------------------------------------------------------------------------
-
-struct CensusRecord {
-  std::string kind;  // "global" | "static-local" | "mutex" | "atomic"
-  std::string file;  // repo-relative (src/...)
-  std::string name;  // declared identifier
-  int line = 0;      // 1-based, used to locate the justification comment
 };
 
 // ---------------------------------------------------------------------------
@@ -584,11 +537,6 @@ const std::regex& replacement_alloc_re() {
   return re;
 }
 
-const std::regex& value_escape_re() {
-  static const std::regex re(R"(\.\s*value\s*\(\s*\))");
-  return re;
-}
-
 const std::regex& raw_int_decl_re() {
   // An integer-typed declaration: capture the declared name.
   static const std::regex re(
@@ -628,15 +576,6 @@ bool is_seconds_name(std::string name) {
          name.find("interval") != std::string::npos;
 }
 
-const std::regex& hot_path_string_re() {
-  // Formatting *call sites* only: member/std-qualified spellings, so a
-  // declaration like `std::string_view to_string(MessageKind)` in the same
-  // file does not match.
-  static const std::regex re(
-      R"((\.\s*encode\s*\()|(\bstd\s*::\s*to_string\s*\()|(\.\s*to_string\s*\()|(\bstringstream\b)|(\bsn?printf\s*\()|(\bstd\s*::\s*format\s*\())");
-  return re;
-}
-
 const std::regex& include_detect_re() {
   // Runs on the *stripped* line (path chars are blanked but the quotes
   // survive), so commented-out includes never match.
@@ -657,7 +596,7 @@ const std::regex& unordered_decl_re() {
 }
 
 const std::regex& raw_mutex_member_re() {
-  // A raw standard mutex declared as a member/variable: capture the name.
+  // A raw standard mutex declared as a member/variable.
   static const std::regex re(
       R"(\b(?:std\s*::\s*)?(?:mutex|recursive_mutex|timed_mutex|shared_mutex|shared_timed_mutex)\s+([A-Za-z_]\w*)\s*[;{])");
   return re;
@@ -680,13 +619,6 @@ const std::regex& atomic_use_re() {
   return re;
 }
 
-const std::regex& atomic_decl_name_re() {
-  // Named atomic declaration, for the census inventory.
-  static const std::regex re(
-      R"(\b(?:std\s*::\s*)?atomic\w*(?:\s*<[^;{=]*>)?\s+([A-Za-z_]\w*))");
-  return re;
-}
-
 const std::regex& cross_peer_ptr_re() {
   static const std::regex re(
       R"(\b(?:core\s*::\s*)?(?:Peer|System)\s*[*&])");
@@ -703,14 +635,11 @@ const std::regex& cross_shard_call_re() {
 
 // ---------------------------------------------------------------------------
 // Structural pass: one brace-tracking walk over the stripped text drives
-//   * odr-header-def   (function definitions at namespace scope in headers)
 //   * mutable-global   (namespace-scope mutable objects, incl. `static
 //                       inline` class members and brace-initialized forms)
 //   * static-local-state (function-local mutable `static`)
 //   * cross-peer-ptr   (Peer*/System* members of protocol state)
-// and collects the shared-state census records for --census.
-// Class bodies are skipped for ODR purposes (members are implicitly
-// inline); namespace/class/function scopes are tracked on a stack.
+// Namespace/class/function scopes are tracked on a stack.
 // ---------------------------------------------------------------------------
 
 const std::regex& fn_introducer_re() {
@@ -718,14 +647,6 @@ const std::regex& fn_introducer_re() {
   // the shape of a function definition's introducer.
   static const std::regex re(
       R"(\)\s*(?:const\b|noexcept\b(?:\s*\([^()]*\))?|override\b|final\b|&&?|\s)*(?:->[^{;]*)?$)");
-  return re;
-}
-
-const std::regex& odr_exempt_re() {
-  // inline/constexpr/template/... definitions are ODR-safe; `=` catches
-  // lambdas and initializers; `#` catches stray preprocessor fragments.
-  static const std::regex re(
-      R"(\b(?:inline|constexpr|consteval|template|static|friend|extern)\b|[=#])");
   return re;
 }
 
@@ -756,21 +677,6 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-/// Best-effort name of the object a declaration introduces (census label).
-std::string declared_name(const std::string& intro) {
-  std::smatch m;
-  if (std::regex_match(intro, m, var_decl_re())) return m[1].str();
-  static const std::regex before_init_re(R"(([A-Za-z_]\w*)\s*[({=\[])");
-  if (std::regex_search(intro, m, before_init_re)) return m[1].str();
-  static const std::regex id_re(R"([A-Za-z_]\w*)");
-  std::string last;
-  for (auto it = std::sregex_iterator(intro.begin(), intro.end(), id_re);
-       it != std::sregex_iterator(); ++it) {
-    last = it->str();
-  }
-  return last.empty() ? "<unnamed>" : last;
-}
-
 /// True when `in` declares a mutable object (not a function, type alias, or
 /// const/constexpr object).  A '(' before any '=' means a parameter list or
 /// constructor-style init of a function declaration — rejected; a '(' after
@@ -788,8 +694,7 @@ bool is_mutable_var_decl(const std::string& in) {
 }
 
 void scan_structure(const FileContext& ctx, const std::string& stripped,
-                    std::vector<Finding>* findings,
-                    std::vector<CensusRecord>* census) {
+                    std::vector<Finding>* findings) {
   static const std::regex ns_re(R"(\bnamespace\b)");
   static const std::regex class_re(R"(\b(?:class|struct|union|enum)\b)");
   static const std::regex static_re(R"(\bstatic\b)");
@@ -811,12 +716,6 @@ void scan_structure(const FileContext& ctx, const std::string& stripped,
     return !scopes.empty() && scopes.back() == 'c';
   };
 
-  const auto record = [&](const char* kind, const std::string& in, int at) {
-    if (census != nullptr) {
-      census->push_back({kind, ctx.display_path, declared_name(in), at});
-    }
-  };
-
   // Namespace-scope object, or a `static inline` class data member — both
   // are one process-wide instance every shard would share.
   const auto check_global = [&](const std::string& in, int at) {
@@ -831,7 +730,6 @@ void scan_structure(const FileContext& ctx, const std::string& stripped,
     } else {
       return;
     }
-    record("global", in, at);
     if (ctx.shard_scope) {
       findings->push_back({ctx.display_path, at, Rule::kMutableGlobal});
     }
@@ -841,7 +739,6 @@ void scan_structure(const FileContext& ctx, const std::string& stripped,
     if (!fn_scope()) return;
     if (!std::regex_search(in, static_re)) return;
     if (std::regex_search(in, const_decl_re())) return;  // immutable: fine
-    record("static-local", in, at);
     if (ctx.shard_scope) {
       findings->push_back({ctx.display_path, at, Rule::kStaticLocalState});
     }
@@ -913,11 +810,6 @@ void scan_structure(const FileContext& ctx, const std::string& stripped,
       } else if (std::regex_search(in, fn_introducer_re()) &&
                  !std::regex_search(in, std::regex("="))) {
         kind = 'f';
-        if (ctx.is_header && ns_scope() && !in.empty() &&
-            !std::regex_search(in, odr_exempt_re())) {
-          findings->push_back(
-              {ctx.display_path, intro_line, Rule::kOdrHeaderDef});
-        }
       } else if (std::regex_search(in, class_re)) {
         kind = 'c';
       } else if (!in.empty()) {
@@ -939,8 +831,7 @@ void scan_structure(const FileContext& ctx, const std::string& stripped,
 
 void scan_file(const FileContext& ctx, const std::vector<std::string>& lines,
                const std::vector<std::string>& raw_lines,
-               std::vector<Finding>* findings,
-               std::vector<CensusRecord>* census) {
+               std::vector<Finding>* findings) {
   // sync::Mutex members are only useful when the file actually annotates
   // what they guard; a raw standard mutex is never visible to the analysis.
   bool file_has_guarded_by = false;
@@ -999,46 +890,20 @@ void scan_file(const FileContext& ctx, const std::vector<std::string>& lines,
         !std::regex_search(l, replacement_alloc_re())) {
       findings->push_back({ctx.display_path, lineno, Rule::kRawNewDelete});
     }
-    if (ctx.value_scope && std::regex_search(l, value_escape_re())) {
-      findings->push_back({ctx.display_path, lineno, Rule::kValueEscape});
-    }
-    if (ctx.hot_path && std::regex_search(l, hot_path_string_re())) {
-      findings->push_back({ctx.display_path, lineno, Rule::kHotPathString});
-    }
     if (ctx.parallel_phase_scope &&
         std::regex_search(l, cross_shard_call_re())) {
       findings->push_back({ctx.display_path, lineno, Rule::kCrossShardCall});
     }
     if (ctx.mutex_scope) {
-      std::smatch m;
-      if (std::regex_search(l, m, raw_mutex_member_re())) {
-        if (census != nullptr) {
-          census->push_back({"mutex", ctx.display_path, m[1].str(), lineno});
-        }
+      if (std::regex_search(l, raw_mutex_member_re()) ||
+          (!file_has_guarded_by &&
+           std::regex_search(l, sync_mutex_member_re()))) {
         findings->push_back(
             {ctx.display_path, lineno, Rule::kUnguardedMutexMember});
-      } else if (std::regex_search(l, m, sync_mutex_member_re())) {
-        if (census != nullptr) {
-          census->push_back({"mutex", ctx.display_path, m[1].str(), lineno});
-        }
-        if (!file_has_guarded_by) {
-          findings->push_back(
-              {ctx.display_path, lineno, Rule::kUnguardedMutexMember});
-        }
       }
     }
-    if (std::regex_search(l, atomic_use_re())) {
-      if (census != nullptr) {
-        std::smatch m;
-        const std::string name =
-            std::regex_search(l, m, atomic_decl_name_re()) ? m[1].str()
-                                                           : "<expr>";
-        census->push_back({"atomic", ctx.display_path, name, lineno});
-      }
-      if (ctx.atomic_scope) {
-        findings->push_back(
-            {ctx.display_path, lineno, Rule::kAtomicInProtocol});
-      }
+    if (ctx.atomic_scope && std::regex_search(l, atomic_use_re())) {
+      findings->push_back({ctx.display_path, lineno, Rule::kAtomicInProtocol});
     }
     if (ctx.raw_int_scope) {
       std::smatch m;
@@ -1121,36 +986,21 @@ FileContext make_context(const fs::path& path) {
   const bool in_net = p.find("/net/") != std::string::npos;
   const bool in_model = p.find("/model/") != std::string::npos;
   const bool in_workload = p.find("/workload/") != std::string::npos;
-  const bool in_baseline = p.find("/baseline/") != std::string::npos;
   const bool unit_layer = has_suffix(p, "/core/units.h") ||
                           has_suffix(p, "/core/stream_types.h") ||
                           has_suffix(p, "/core/thread_annotations.h");
   const bool config = has_suffix(p, "/core/params.h");
-  ctx.value_scope =
-      (in_core || in_net || in_model || in_workload || in_baseline) &&
-      !unit_layer;
   ctx.raw_int_scope =
       (in_core || in_net || in_model || in_workload) && !unit_layer && !config;
   ctx.seconds_scope = (in_core || in_net || in_model || in_workload) &&
                       !unit_layer && !config;
-  ctx.shard_scope =
-      (in_core || in_net || in_model || in_workload || in_baseline) &&
-      !unit_layer;
   ctx.cross_peer_scope = (in_core || in_workload) && !unit_layer;
-  // The per-tick control-plane files: one BM copy/scan per partner per
-  // period.  String formatting here is either a perf bug or debug-only.
-  for (const char* hot : {"/core/peer.", "/core/system.", "/core/buffer_map.",
-                          "/core/sync_buffer.", "/net/transport."}) {
-    if (p.find(hot) != std::string::npos) {
-      ctx.hot_path = true;
-      break;
-    }
-  }
   // Peer code runs inside the sharded tick's parallel phases, where the
   // only safe cross-peer channel is the deferred-effect mailbox.  System
   // itself is exempt: it owns the phase barriers and does the resolving.
   ctx.parallel_phase_scope = p.find("/core/peer.") != std::string::npos;
   ctx.module = file_module(ctx.display_path);
+  ctx.shard_scope = !ctx.module.empty() && !unit_layer;
   ctx.atomic_scope = !ctx.module.empty() && !ctx.in_sim && !unit_layer;
   ctx.mutex_scope = !ctx.module.empty();
   return ctx;
@@ -1192,9 +1042,7 @@ struct FileResult {
   Annotations annotations;
 };
 
-FileResult lint_file(const fs::path& path, std::vector<std::string>* errors,
-                     std::vector<CensusRecord>* census = nullptr,
-                     std::vector<std::string>* raw_out = nullptr) {
+FileResult lint_file(const fs::path& path, std::vector<std::string>* errors) {
   FileResult result;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -1214,8 +1062,8 @@ FileResult lint_file(const fs::path& path, std::vector<std::string>* errors,
   for (const auto& e : result.annotations.errors) errors->push_back(e);
 
   std::vector<Finding> all;
-  scan_file(ctx, stripped, raw_lines, &all, census);
-  scan_structure(ctx, stripped_text, &all, census);
+  scan_file(ctx, stripped, raw_lines, &all);
+  scan_structure(ctx, stripped_text, &all);
 
   for (const auto& f : all) {
     const char* id = kRules[static_cast<std::size_t>(f.rule)].id;
@@ -1232,7 +1080,6 @@ FileResult lint_file(const fs::path& path, std::vector<std::string>* errors,
           {ctx.display_path, site.origin, Rule::kStaleAllow});
     }
   }
-  if (raw_out != nullptr) *raw_out = raw_lines;
   return result;
 }
 
@@ -1305,195 +1152,18 @@ int run_fixture_mode(const std::vector<fs::path>& files) {
   return 1;
 }
 
-// ---------------------------------------------------------------------------
-// Shared-state census (--census / --census-check) and --list-allows
-// ---------------------------------------------------------------------------
-
-/// Repo-relative census path: trim everything before the last "/src/"
-/// component so the inventory is stable however the tool is invoked.
-std::string census_path(const std::string& p) {
-  const std::size_t pos = p.rfind("/src/");
-  if (pos != std::string::npos) return p.substr(pos + 1);
-  return p;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-struct CensusEntry {
-  std::string kind, file, name, why;
-};
-
-/// The `// census: <why>` justification for a record, from the same line or
-/// the line above it.  Empty when the declaration carries none.
-std::string census_why(const std::vector<std::string>& raw_lines, int line) {
-  for (const int cand : {line, line - 1}) {
-    if (cand < 1 || cand > static_cast<int>(raw_lines.size())) continue;
-    const std::string& l = raw_lines[static_cast<std::size_t>(cand - 1)];
-    const std::size_t comment = l.find("//");
-    if (comment == std::string::npos) continue;
-    const std::size_t mark = l.find("census:", comment);
-    if (mark == std::string::npos) continue;
-    return trim(l.substr(mark + 7));
-  }
-  return "";
-}
-
-std::string render_census(std::vector<CensusEntry> entries) {
-  std::sort(entries.begin(), entries.end(),
-            [](const CensusEntry& a, const CensusEntry& b) {
-              return std::tie(a.file, a.kind, a.name) <
-                     std::tie(b.file, b.kind, b.name);
-            });
-  std::string out;
-  out += "{\n";
-  out +=
-      "  \"_comment\": \"Shared-state census: every mutex, atomic, "
-      "namespace-scope mutable object and function-local static under src/. "
-      "Each entry carries the in-source census justification. Regenerate "
-      "from the repo root with: "
-      "coolstream_lint --census=tools/lint/shared_state.json src\",\n";
-  out += "  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const CensusEntry& e = entries[i];
-    out += "    {\"kind\": \"" + json_escape(e.kind) + "\", \"file\": \"" +
-           json_escape(e.file) + "\", \"name\": \"" + json_escape(e.name) +
-           "\", \"why\": \"" + json_escape(e.why) + "\"}";
-    out += i + 1 < entries.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-/// --census=<path|->: emit the inventory; --census-check=<file>: recompute
-/// and require it byte-identical to the checked-in allowlist.
-int run_census_mode(const std::vector<fs::path>& files,
-                    const std::string& out_path, bool check) {
-  std::vector<std::string> errors;
-  std::vector<CensusEntry> entries;
-  for (const auto& path : files) {
-    std::vector<CensusRecord> records;
-    std::vector<std::string> raw_lines;
-    (void)lint_file(path, &errors, &records, &raw_lines);
-    for (const auto& rec : records) {
-      const std::string why = census_why(raw_lines, rec.line);
-      if (why.empty()) {
-        errors.push_back(rec.file + ":" + std::to_string(rec.line) +
-                         ": shared state (" + rec.kind + " '" + rec.name +
-                         "') without a `// census: <why>` justification");
-      }
-      entries.push_back({rec.kind, census_path(rec.file), rec.name, why});
-    }
-  }
-  for (const auto& e : errors) std::fprintf(stderr, "%s\n", e.c_str());
-  if (!errors.empty()) return 1;
-  const std::string rendered = render_census(std::move(entries));
-
-  if (check) {
-    std::ifstream in(out_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "coolstream_lint: cannot read census file %s\n",
-                   out_path.c_str());
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    if (buf.str() != rendered) {
-      std::fprintf(stderr,
-                   "coolstream_lint: shared-state census drifted from %s\n"
-                   "  The tree's mutexes/atomics/globals/static-locals no "
-                   "longer match the checked-in inventory.\n"
-                   "  If the change is intentional, regenerate with:\n"
-                   "    coolstream_lint --census=%s <roots>\n"
-                   "  and justify every new entry in review.\n",
-                   out_path.c_str(), out_path.c_str());
-      std::fprintf(stderr, "---- recomputed census ----\n%s",
-                   rendered.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "coolstream_lint: census matches %s\n",
-                 out_path.c_str());
-    return 0;
-  }
-  if (out_path == "-") {
-    std::fwrite(rendered.data(), 1, rendered.size(), stdout);
-    return 0;
-  }
-  std::ofstream out(out_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "coolstream_lint: cannot write %s\n",
-                 out_path.c_str());
-    return 2;
-  }
-  out << rendered;
-  std::fprintf(stderr, "coolstream_lint: census written to %s\n",
-               out_path.c_str());
-  return 0;
-}
-
-/// --list-allows: the full suppression inventory, with liveness.
-int run_list_allows(const std::vector<fs::path>& files) {
-  std::vector<std::string> errors;
-  std::size_t total = 0, stale = 0;
-  for (const auto& path : files) {
-    const FileResult r = lint_file(path, &errors);
-    for (const auto& site : r.annotations.allows) {
-      ++total;
-      if (!site.used) ++stale;
-      std::printf("%s:%d: lint:allow(%s)%s\n", path.generic_string().c_str(),
-                  site.origin, site.id.c_str(),
-                  site.used ? "" : "  [stale]");
-    }
-  }
-  for (const auto& e : errors) std::fprintf(stderr, "%s\n", e.c_str());
-  if (!errors.empty()) return 2;
-  std::fprintf(stderr, "coolstream_lint: %zu allow(s), %zu stale\n", total,
-               stale);
-  return stale > 0 ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool fixture_mode = false;
-  bool list_allows = false;
-  std::string census_out;    // --census=<path|->
-  std::string census_check;  // --census-check=<file>
   std::vector<std::string> roots;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--fixtures") {
       fixture_mode = true;
-    } else if (arg == "--list-allows") {
-      list_allows = true;
-    } else if (arg.rfind("--census=", 0) == 0) {
-      census_out = arg.substr(9);
-    } else if (arg.rfind("--census-check=", 0) == 0) {
-      census_check = arg.substr(15);
     } else if (arg == "--help" || arg == "-h") {
-      std::fprintf(
-          stderr,
-          "usage: coolstream_lint [--fixtures] [--list-allows]\n"
-          "                       [--census=<path|->] [--census-check=<file>]\n"
-          "                       <file-or-dir>...\n");
+      std::fprintf(stderr,
+                   "usage: coolstream_lint [--fixtures] <file-or-dir>...\n");
       return 2;
     } else {
       roots.push_back(arg);
@@ -1510,9 +1180,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "coolstream_lint: no source files found\n");
     return 2;
   }
-  if (!census_check.empty()) return run_census_mode(files, census_check, true);
-  if (!census_out.empty()) return run_census_mode(files, census_out, false);
-  if (list_allows) return run_list_allows(files);
   if (fixture_mode) return run_fixture_mode(files);
 
   std::size_t finding_count = 0;
