@@ -10,6 +10,7 @@
 #include "net/latency.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
+#include "sim/shard_workers.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -121,6 +122,18 @@ void BM_ReportSerializeParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReportSerializeParse);
+
+// One sharded tick phase with no work: the cost of releasing the shard
+// workers and waiting for all of them, paid three times per tick.  At 1
+// shard it is a plain call.
+void BM_ShardPhase(benchmark::State& state) {
+  sim::ShardWorkers workers(static_cast<std::size_t>(state.range(0)));
+  const sim::ShardWorkers::Phase phase = [](std::size_t s) {
+    benchmark::DoNotOptimize(s);
+  };
+  for (auto _ : state) workers.run(phase);
+}
+BENCHMARK(BM_ShardPhase)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace
 

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "core/invariants.h"
 #include "net/bandwidth.h"
@@ -18,6 +22,32 @@ constexpr net::NodeId kBootstrapNodeId = net::kInvalidNode - 1;
 /// Per-connection credit cap (whole blocks) for the fluid data plane.
 constexpr double kMaxFlowCredit = 4.0;
 
+/// Most shards a System accepts (SystemConfig::shards, COOLSTREAM_SHARDS).
+constexpr int kMaxShards = 64;
+
+/// SystemConfig::shards, else COOLSTREAM_SHARDS, else 1.
+std::size_t resolve_shard_count(int configured) {
+  if (configured < 0 || configured > kMaxShards) {
+    throw std::invalid_argument(
+        "SystemConfig: shards must be in [0, 64], got " +
+        std::to_string(configured));
+  }
+  if (configured > 0) return static_cast<std::size_t>(configured);
+  const char* env = std::getenv("COOLSTREAM_SHARDS");
+  if (env == nullptr || *env == '\0') return 1;
+  // The whole value must be the number: "4x", " 4" and "+4" are typos a
+  // CI matrix could otherwise run quietly at some other shard count.
+  const char* end = env + std::strlen(env);
+  int n = 0;
+  const auto [rest, ec] = std::from_chars(env, end, n);
+  if (ec != std::errc() || rest != end || n < 1 || n > kMaxShards) {
+    throw std::invalid_argument(
+        std::string("COOLSTREAM_SHARDS must be an integer in [1, 64], got \"") +
+        env + '"');
+  }
+  return static_cast<std::size_t>(n);
+}
+
 }  // namespace
 
 System::System(sim::Simulation& simulation, Params params,
@@ -28,6 +58,7 @@ System::System(sim::Simulation& simulation, Params params,
       log_(log_server),
       latency_model_(simulation.rng().next_u64(), config.latency),
       transport_(simulation, latency_model_),
+      workers_(resolve_shard_count(config.shards)),
       // Largest control-plane batch: a boot-strap list response (gossip
       // pushes carry at most 3 sampled entries + self).
       mcache_arena_(std::max<std::size_t>(
@@ -35,20 +66,10 @@ System::System(sim::Simulation& simulation, Params params,
                  ? static_cast<std::size_t>(params.bootstrap_list_size)
                  : 0)) {
   params_.validate();
-  shard_count_ = resolve_shard_count(config_.shards);
-  shard_scratch_.resize(static_cast<std::size_t>(shard_count_));
+  shard_scratch_.resize(workers_.shard_count());
 }
 
 System::~System() { tick_handle_.cancel(); }
-
-int System::resolve_shard_count(int configured) {
-  int n = configured;
-  if (n <= 0) {
-    if (const char* env = std::getenv("COOLSTREAM_SHARDS")) n = std::atoi(env);
-  }
-  if (n < 1) n = 1;
-  return std::min(n, 64);
-}
 
 void System::start() {
   assert(!started_);
@@ -59,10 +80,6 @@ void System::start() {
   // one random stream and sharding could perturb the workload.
   assert(sim::peer_stream_tag(net::kInvalidNode) >=
          sim::kMaxReservedStreamTag);
-  if (shard_count_ > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<sim::ThreadPool>(
-        static_cast<std::size_t>(shard_count_));
-  }
   for (int s = 0; s < config_.server_count; ++s) {
     PeerSpec spec;
     spec.user_id = 0;  // servers are infrastructure, not users
@@ -459,12 +476,12 @@ void System::tick() {
   if (inflow_.size() < peers_.size() * k_streams) {
     inflow_.resize(peers_.size() * k_streams);
   }
-  effects_.reset(static_cast<std::size_t>(shard_count_));
+  effects_.reset(workers_.shard_count());
 
-  run_sharded_phase([this, dt](std::size_t s) { flow_rates(s, dt); });
-  run_sharded_phase([this, dt](std::size_t s) { flow_apply(s, dt); });
+  workers_.run([this, dt](std::size_t s) { flow_rates(s, dt); });
+  workers_.run([this, dt](std::size_t s) { flow_apply(s, dt); });
   in_protocol_phase_ = true;
-  run_sharded_phase([this, t](std::size_t s) { protocol_phase(s, t); });
+  workers_.run([this, t](std::size_t s) { protocol_phase(s, t); });
   in_protocol_phase_ = false;
 
   for (ShardScratch& s : shard_scratch_) {
@@ -472,15 +489,6 @@ void System::tick() {
     s.blocks_transferred = 0;
   }
   flush_effects();
-}
-
-void System::run_sharded_phase(
-    const std::function<void(std::size_t)>& phase) {
-  if (pool_ == nullptr) {
-    for (int s = 0; s < shard_count_; ++s) phase(static_cast<std::size_t>(s));
-    return;
-  }
-  sim::parallel_for(*pool_, static_cast<std::size_t>(shard_count_), phase);
 }
 
 void System::flow_rates(std::size_t shard, Duration dt) {

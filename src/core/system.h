@@ -34,8 +34,8 @@
 #include "net/topology.h"
 #include "net/transport.h"
 #include "sim/shard_mailbox.h"
+#include "sim/shard_workers.h"
 #include "sim/simulation.h"
-#include "sim/thread_pool.h"
 #include "sim/time_series.h"
 
 namespace coolstream::core {
@@ -72,8 +72,11 @@ struct SystemConfig {
   /// Protocol shards: peers are partitioned by id across N workers that
   /// run the tick's phases between deterministic barriers.  N >= 1 fixes
   /// the count; 0 (the default) resolves the COOLSTREAM_SHARDS environment
-  /// variable, falling back to 1.  Every N produces bit-identical results
-  /// (the tests/sharded differential tier is the proof).
+  /// variable, falling back to 1 when it is unset or empty.  The System
+  /// constructor throws std::invalid_argument for a count outside [0, 64]
+  /// and for a COOLSTREAM_SHARDS that is not an integer in [1, 64].  Every
+  /// N produces bit-identical results (the tests/sharded differential tier
+  /// is the proof).
   int shards = 0;
 };
 
@@ -219,11 +222,13 @@ class System {
   InvariantAuditor* auditor() noexcept { return auditor_.get(); }
 
   /// Resolved shard count (config().shards / COOLSTREAM_SHARDS / 1).
-  int shard_count() const noexcept { return shard_count_; }
+  int shard_count() const noexcept {
+    return static_cast<int>(workers_.shard_count());
+  }
   /// The shard that owns node `id` (pure id partition, stable for the
   /// node's lifetime).
   std::size_t shard_of(net::NodeId id) const noexcept {
-    return id % static_cast<net::NodeId>(shard_count_);
+    return id % workers_.shard_count();
   }
 
  private:
@@ -272,9 +277,6 @@ class System {
   void tick();
   /// Appends a freshly minted id to live_ and records its position.
   void add_live(net::NodeId id);
-  /// Runs `phase(shard)` for every shard — inline at 1 shard, on the
-  /// worker pool otherwise — and barriers before returning.
-  void run_sharded_phase(const std::function<void(std::size_t)>& phase);
   /// Phase F1 (sharded by parent): compute per-link rates from the frozen
   /// tick-start heads and publish them as InFlow slots.
   void flow_rates(std::size_t shard, Duration dt);
@@ -292,7 +294,6 @@ class System {
   void deliver_bm(net::NodeId from, net::NodeId to, const BufferMap& base,
                   std::uint32_t sub_bits);
   std::size_t current_shard() const noexcept;
-  static int resolve_shard_count(int configured);
 
   sim::Simulation& sim_;
   Params params_;
@@ -315,17 +316,17 @@ class System {
   bool started_ = false;
 
   // --- sharded tick engine -------------------------------------------------
-  int shard_count_ = 1;
   std::uint32_t tick_stamp_ = 0;
   /// True only while phase P workers run: is_live() then answers from the
   /// frozen alive snapshot (peers mutate their own phase bytes in P).
   bool in_protocol_phase_ = false;
-  std::unique_ptr<sim::ThreadPool> pool_;  ///< created by start() when N > 1
   std::vector<net::NodeId> tick_order_;    ///< live_, frozen at tick start
   std::vector<std::uint8_t> alive_snapshot_;  ///< by id, at tick start
   std::vector<InFlow> inflow_;  ///< peers_.size() * K slots, stamp-guarded
   sim::ShardMailbox<TickEffect> effects_;
   std::vector<ShardScratch> shard_scratch_;  ///< one per shard
+  /// Runs the tick's phases, one shard each; it owns the resolved count.
+  sim::ShardWorkers workers_;
 
   // zero-alloc control plane: arena chunks and sampling scratch reused
   // across gossip sends, boot-strap responses and partner refills

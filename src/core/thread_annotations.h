@@ -8,8 +8,8 @@
 //   * the capability macros (GUARDED_BY, REQUIRES, ACQUIRE/RELEASE, ...)
 //     wrap Clang's -Wthread-safety attributes and expand to nothing on
 //     compilers without the analysis (GCC builds stay clean);
-//   * sync::Mutex / sync::MutexLock / sync::CondVar are the repo's only
-//     sanctioned lock types.  libstdc++'s std::mutex carries no capability
+//   * sync::Mutex / sync::MutexLock are the repo's only sanctioned lock
+//     types.  libstdc++'s std::mutex carries no capability
 //     attributes, so the analysis cannot see std::lock_guard acquisitions;
 //     these thin wrappers restore visibility with zero overhead.
 //
@@ -25,7 +25,6 @@
 //     (unguarded-mutex-member) — use sync::Mutex.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__) && defined(__has_attribute)
@@ -86,27 +85,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable usable under sync::Mutex.  wait() REQUIRES the mutex:
-/// callers hold it before and after, which is exactly what the capability
-/// analysis can verify (the release/reacquire inside is invisible to it and
-/// nets out to "still held").
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu`, blocks, and reacquires before returning.
-  /// Spurious wakeups are possible: always wait in a predicate loop.
-  void wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace coolstream::sync

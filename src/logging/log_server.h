@@ -10,9 +10,11 @@
 // never from simulator ground truth.  Logs can be saved to / loaded from
 // disk so examples can replay a previously recorded broadcast.
 //
-// Concurrency (DESIGN.md §13): the log server is *simulation-global* — in a
-// sharded run every shard's peers report into the same instance, so the
-// store is mutex-guarded and annotated for Clang's thread-safety analysis.
+// Concurrency (DESIGN.md §13): reports reach the server only on its
+// System's thread — in a sharded tick a peer's report is deferred as an
+// effect and submitted by the serial flush.  The store is still
+// mutex-guarded and annotated for Clang's thread-safety analysis, so
+// Systems running on concurrent threads may share one instance.
 // Readers (lines(), parse_all(), save()) are the analysis phase and run
 // after the broadcast; the reference returned by lines() is stable only
 // while no concurrent submit is in flight.

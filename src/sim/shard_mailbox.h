@@ -16,9 +16,9 @@
 // Concurrency contract (why there is no lock here): each shard writes only
 // its own lane, exactly one worker runs per shard, and drain() happens
 // strictly after the barrier that joins the workers — so no two threads
-// ever touch the same lane concurrently.  The barrier's mutex/cond-var pair
-// (sim::ThreadPool::wait) provides the happens-before edge that publishes
-// the lanes to the drainer.
+// ever touch the same lane concurrently.  The std::barrier that ends each
+// phase (sim::ShardWorkers::run) provides the happens-before edge that
+// publishes the lanes to the drainer.
 //
 // Per-lane ordering contract: a worker visits its peers in ascending tick
 // position, so each lane is pushed in non-decreasing `pos` order.  drain()

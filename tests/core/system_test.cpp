@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/invariants.h"
@@ -580,6 +583,60 @@ TEST(SystemTest, BmBroadcastFlushesPerPartnerAtAnyShardCount) {
   }
   EXPECT_EQ(by_shards[0].parent_view_bits, by_shards[1].parent_view_bits);
   EXPECT_EQ(by_shards[0].parent_view_lanes, by_shards[1].parent_view_lanes);
+}
+
+TEST(SystemTest, MalformedShardCountsAreRejected) {
+  // CI runs this suite with COOLSTREAM_SHARDS set; put it back afterwards.
+  struct RestoreEnv {
+    std::optional<std::string> saved;
+    ~RestoreEnv() {
+      if (saved) {
+        setenv("COOLSTREAM_SHARDS", saved->c_str(), 1);
+      } else {
+        unsetenv("COOLSTREAM_SHARDS");
+      }
+    }
+  } restore;
+  if (const char* env = std::getenv("COOLSTREAM_SHARDS")) restore.saved = env;
+
+  sim::Simulation simulation(3);
+  const auto shards_of = [&simulation](SystemConfig cfg) {
+    return System(simulation, fast_params(), cfg, nullptr).shard_count();
+  };
+  const auto expect_rejected = [&shards_of](SystemConfig cfg,
+                                            const std::string& needle) {
+    try {
+      shards_of(cfg);
+      ADD_FAILURE() << "accepted " << needle;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+
+  for (const char* bad : {"four", "0", "4x", "65", "-2", " 4", "+4"}) {
+    setenv("COOLSTREAM_SHARDS", bad, 1);
+    expect_rejected(small_config(),
+                    std::string("COOLSTREAM_SHARDS must be an integer in "
+                                "[1, 64], got \"") +
+                        bad + '"');
+  }
+  setenv("COOLSTREAM_SHARDS", "64", 1);
+  EXPECT_EQ(shards_of(small_config()), 64);
+  setenv("COOLSTREAM_SHARDS", "", 1);
+  EXPECT_EQ(shards_of(small_config()), 1);
+  unsetenv("COOLSTREAM_SHARDS");
+  EXPECT_EQ(shards_of(small_config()), 1);
+
+  // The config field is range-checked too, not clamped.
+  SystemConfig cfg = small_config();
+  cfg.shards = 65;
+  expect_rejected(cfg, "shards must be in [0, 64], got 65");
+  cfg.shards = -1;
+  expect_rejected(cfg, "shards must be in [0, 64], got -1");
+  cfg.shards = 3;
+  setenv("COOLSTREAM_SHARDS", "four", 1);  // a fixed count ignores the env
+  EXPECT_EQ(shards_of(cfg), 3);
 }
 
 }  // namespace

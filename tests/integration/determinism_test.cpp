@@ -1,21 +1,21 @@
 // Cross-thread determinism of full scenario runs.
 //
-// Simulations are single-threaded and share nothing; the ThreadPool only
-// distributes independent sweep points.  This test locks that contract in:
-// the same scenario seed must produce bit-identical log output and summary
-// statistics whether the sweep runs serially or on 4 threads — the property
-// every figure bench relies on when parallelizing, and the determinism
-// guarantee the event engine must preserve.
+// Independent Systems share nothing, so they can run on concurrent threads.
+// This test locks that contract in: the same scenario seed must produce
+// bit-identical log output and summary statistics whether the seeds run
+// one after another or each on its own thread — the determinism guarantee
+// the event engine must preserve.  With COOLSTREAM_SHARDS set, each of
+// those Systems also runs its own shard workers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "logging/log_server.h"
 #include "sim/simulation.h"
-#include "sim/thread_pool.h"
 #include "workload/scenario.h"
 
 namespace coolstream {
@@ -60,10 +60,13 @@ TEST(DeterminismTest, SerialAndThreadedSweepsAreBitIdentical) {
   }
 
   std::vector<std::string> threaded(seeds.size());
-  sim::ThreadPool pool(4);
-  sim::parallel_for(pool, seeds.size(), [&](std::size_t i) {
-    threaded[i] = run_scenario_digest(seeds[i]);
-  });
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      threads.emplace_back(
+          [&threaded, &seeds, i] { threaded[i] = run_scenario_digest(seeds[i]); });
+    }
+  }  // joins every thread
 
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     ASSERT_FALSE(serial[i].empty());

@@ -1,5 +1,5 @@
-// Atomics are permitted inside the simulation engine (src/sim/): the sweep
-// thread pool and instrumentation counters live below the deterministic
+// Atomics are permitted inside the simulation engine (src/sim/): thread
+// handoff and instrumentation counters live below the deterministic
 // protocol layers.  The linter must be silent.
 //
 // This file is lint-test data only — it is never compiled.

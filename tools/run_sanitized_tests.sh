@@ -50,7 +50,7 @@ fi
 # a sanitizer report pinpoints the tier that produced it.
 if [ "$QUICK" = "1" ]; then
   # The suites where instrumentation has signal: the threaded components
-  # (incl. the thread-pool contention stress tier), the slab/event engine,
+  # (incl. the shard-worker handoff stress tier), the slab/event engine,
   # the protocol core, and one end-to-end pass.
   TIERS=(
     "sim-engine:^(sim_tests|sim_stress_tests|sim_allocation_tests)$"
