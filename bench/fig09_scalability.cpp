@@ -141,12 +141,11 @@ int run_peak(int argc, char** argv) {
     std::fprintf(f,
                  "  \"macro\": {\"peers\": %zu, \"shards\": %d, "
                  "\"window_s\": %.0f, \"peer_ticks\": %llu, "
-                 "\"ns_per_peer_tick\": %.1f, \"peak_rss_mb\": %.1f},\n",
+                 "\"ns_per_peer_tick\": %.1f, \"peak_rss_mb\": %.1f}\n}\n",
                  system.live_viewer_count(), system.shard_count(),
                  end_s - warm_end_s,
                  static_cast<unsigned long long>(peer_ticks),
                  ns_per_peer_tick, peak_rss_mb);
-    std::fprintf(f, "  \"micro\": [\n  ]\n}\n");
     std::fclose(f);
   }
 

@@ -3,7 +3,6 @@
 // hot paths that make the figure benches tractable on one core.
 #include <benchmark/benchmark.h>
 
-#include "core/buffer_map.h"
 #include "core/sync_buffer.h"
 #include "logging/reports.h"
 #include "net/bandwidth.h"
@@ -75,19 +74,6 @@ void BM_SyncBufferInOrderInsert(benchmark::State& state) {
                           4000);
 }
 BENCHMARK(BM_SyncBufferInOrderInsert);
-
-void BM_BufferMapRoundTrip(benchmark::State& state) {
-  core::BufferMap bm(4);
-  for (int j = 0; j < 4; ++j) {
-    bm.set_latest(core::SubstreamId(j), core::SeqNum(123456 + j));
-    bm.set_subscribed(core::SubstreamId(j), j % 2 == 0);
-  }
-  for (auto _ : state) {
-    auto decoded = core::BufferMap::decode(bm.encode());
-    benchmark::DoNotOptimize(decoded);
-  }
-}
-BENCHMARK(BM_BufferMapRoundTrip);
 
 void BM_MaxMinFair(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -16,9 +16,8 @@
 //     simulated seconds; by default a violation prints and aborts (fail
 //     fast, like nano-node's debug asserts), or set `on_violations` to
 //     collect them instead.
-//   * Build-wide: configure with -DCOOLSTREAM_AUDIT=ON and set
-//     SystemConfig::audit_period > 0; System::start() then attaches an
-//     auditor automatically.  Release builds compile the hook out.
+//   * Per run: set SystemConfig::audit_period > 0; System::start() then
+//     attaches an auditor automatically.  The default 0 attaches none.
 //
 // The audit never draws from the simulation RNG and never mutates protocol
 // state, so enabling it cannot change a run's trajectory — determinism

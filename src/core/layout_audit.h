@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <type_traits>
 
-#include "core/buffer_map.h"
 #include "core/mcache.h"
 #include "core/params.h"
 #include "core/partner_table.h"
@@ -49,13 +48,12 @@
 
 namespace coolstream {
 
-COOLSTREAM_LAYOUT_AUDIT(core::BufferMap, 72);  // 2*4 + 8 lanes * 8
 COOLSTREAM_LAYOUT_AUDIT(core::PartnerRecord, 24);  // 8 + 8 + 4+1+1 + 2 tail
 COOLSTREAM_LAYOUT_AUDIT(core::OutLink, 8);
 COOLSTREAM_LAYOUT_AUDIT(core::McacheEntry, 16);  // 8 + 4+1 + 3 tail
 COOLSTREAM_LAYOUT_AUDIT(core::PeerSpec, 24);
 COOLSTREAM_LAYOUT_AUDIT(core::PeerStats, 96);  // hole-free: 7*8 + 10*4
-COOLSTREAM_LAYOUT_AUDIT(core::PeerProtocolState, 352);
+COOLSTREAM_LAYOUT_AUDIT(core::PeerProtocolState, 272);
 COOLSTREAM_LAYOUT_AUDIT(net::Ipv4Address, 4);
 // One mailbox entry per deferred effect: payloads live in shard scratch.
 COOLSTREAM_LAYOUT_AUDIT(core::TickEffect, 16);  // 12-byte largest + index
@@ -76,8 +74,8 @@ namespace coolstream::core::layout {
 inline constexpr Params kDefaultParams{};
 
 /// Bytes of audited slab state one peer is provisioned for at default
-/// Params: its protocol state (which contains its BufferMap, PeerSpec and
-/// PeerStats) plus, per partner slot, one PartnerRecord and K buffer-map
+/// Params: its protocol state (which contains its PeerSpec and PeerStats)
+/// plus, per partner slot, one PartnerRecord and K buffer-map
 /// lanes, one OutLink per sub-stream and one McacheEntry per partial-view
 /// slot.
 inline constexpr std::size_t kBytesPerPeer =
@@ -91,12 +89,12 @@ inline constexpr std::size_t kBytesPerPeer =
     sizeof(McacheEntry) *
         static_cast<std::size_t>(kDefaultParams.mcache_size);
 
-/// The budget gate.  The state is 1 792 bytes with K = 4 lanes per partner
+/// The budget gate.  The state is 1 712 bytes with K = 4 lanes per partner
 /// slot and 16-byte mCache entries; the gate leaves 88 bytes of headroom
 /// (~5 %), so another partner-slot or mCache field fails here unless
 /// review renegotiates it.
-static_assert(kBytesPerPeer <= 1880,
-              "audited bytes/peer exceeds the 1 880-byte budget; shrink the "
+static_assert(kBytesPerPeer <= 1800,
+              "audited bytes/peer exceeds the 1 800-byte budget; shrink the "
               "hot state or renegotiate the gate (DESIGN.md §14)");
 
 }  // namespace coolstream::core::layout

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "core/buffer_map.h"
+#include "core/stream_types.h"
 
 namespace coolstream::core {
 
@@ -12,9 +12,9 @@ void Params::validate() const {
   };
   if (stream_rate_bps <= 0.0) fail("stream_rate_bps must be positive");
   if (substream_count < 1) fail("substream_count must be >= 1");
-  if (substream_count > BufferMap::kMaxSubstreams) {
-    fail("substream_count exceeds BufferMap::kMaxSubstreams (the packed "
-         "buffer-map lane capacity)");
+  if (substream_count > kMaxSubstreams) {
+    fail("substream_count exceeds kMaxSubstreams (the buffer-map lane "
+         "capacity)");
   }
   if (buffer_seconds <= 0.0) fail("buffer_seconds must be positive");
   if (ts_seconds <= 0.0) fail("ts_seconds must be positive");

@@ -36,13 +36,13 @@ void PartnerTable::erase(net::NodeId id) {
   lanes_.erase(first, first + static_cast<std::ptrdiff_t>(lane_stride()));
 }
 
-bool PartnerTable::receive(net::NodeId id, const BufferMap& bm,
+bool PartnerTable::receive(net::NodeId id, std::span<const SeqNum> lanes,
                            std::uint32_t sub_bits, Tick at) {
-  assert(bm.substream_count() == k_);
-  assert((sub_bits & ~bm.lane_mask()) == 0);
+  assert(lanes.size() == lane_stride());
+  assert((sub_bits >> k_) == 0);
   const std::size_t i = index_of(id);
   if (i == kNone) return false;
-  std::copy_n(bm.latest_data(), lane_stride(),
+  std::copy_n(lanes.begin(), lane_stride(),
               lanes_.begin() + static_cast<std::ptrdiff_t>(i * lane_stride()));
   records_[i].sub_bits = static_cast<std::uint8_t>(sub_bits);
   records_[i].bm_time = at;

@@ -14,9 +14,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
-#include "core/buffer_map.h"
 #include "core/stream_types.h"
 #include "net/types.h"
 
@@ -31,7 +31,7 @@ struct PartnerRecord {
   std::uint8_t sub_bits = 0;     ///< its subscription word: bit j = it pulls j
   bool incoming = false;         ///< the partner initiated the connection
 };
-static_assert(BufferMap::kMaxSubstreams <= 8,
+static_assert(kMaxSubstreams <= 8,
               "PartnerRecord::sub_bits holds one bit per lane");
 
 /// Read-only view of one partner: its record plus its K lanes.
@@ -53,11 +53,8 @@ class PartnerView {
   }
   /// Highest latest() across the K lanes.
   SeqNum max_latest() const noexcept {
-    SeqNum best = kNoSeq;
-    for (int i = 0; i < k_; ++i) {
-      if (lanes_[i] > best) best = lanes_[i];
-    }
-    return best;
+    return core::max_latest(
+        std::span<const SeqNum>(lanes_, static_cast<std::size_t>(k_)));
   }
   /// Whether the partner subscribes to sub-stream `j` from us.
   bool subscribed(SubstreamId j) const {
@@ -77,7 +74,7 @@ class PartnerTable {
  public:
   /// An empty table whose partners carry `k` lanes each.
   explicit PartnerTable(int k) : k_(k) {
-    assert(k >= 1 && k <= BufferMap::kMaxSubstreams);
+    assert(k >= 1 && k <= kMaxSubstreams);
   }
 
   std::size_t size() const noexcept { return records_.size(); }
@@ -117,10 +114,10 @@ class PartnerTable {
   void add(net::NodeId id, bool incoming, Tick established);
   /// Removes partner `id`, keeping the others in order; no-op if absent.
   void erase(net::NodeId id);
-  /// Stores the lanes of `bm` (K lanes) with `sub_bits` as partner `id`'s
-  /// latest map, received at `at`.  Returns false when `id` is not listed.
-  bool receive(net::NodeId id, const BufferMap& bm, std::uint32_t sub_bits,
-               Tick at);
+  /// Stores `lanes` (exactly K) with `sub_bits` as partner `id`'s latest
+  /// map, received at `at`.  Returns false when `id` is not listed.
+  bool receive(net::NodeId id, std::span<const SeqNum> lanes,
+               std::uint32_t sub_bits, Tick at);
   /// Empties the table and frees its storage.
   void release() noexcept;
 

@@ -13,10 +13,6 @@
 namespace coolstream::core {
 namespace {
 
-/// Cap on the per-connection credit bucket: a connection can burst at most
-/// this many whole blocks in one tick beyond its steady rate.
-constexpr double kMaxCredit = 4.0;
-
 /// Partner-change entries retained per status-report interval (the paper's
 /// compact partner report bounds log load).
 constexpr std::size_t kMaxIntervalChanges = 64;
@@ -78,21 +74,6 @@ bool Peer::partners_full() const noexcept {
   return partner_count() >=
          static_cast<std::size_t>(sys_.max_partners_of(*this));
 }
-
-const BufferMap& Peer::refreshed_bm() const {
-  const std::uint64_t v = sync_.version();
-  if (bm_cache_version_ != v) {
-    BufferMap bm(sys_.params().substream_count);
-    for (SubstreamId j : substreams(sys_.params().substream_count)) {
-      bm.set_latest(j, sync_.head(j));
-    }
-    bm_cache_ = bm;
-    bm_cache_version_ = v;
-  }
-  return bm_cache_;
-}
-
-BufferMap Peer::current_bm() const { return refreshed_bm(); }
 
 // --------------------------------------------------------------------------
 // Join process (§IV-A)
@@ -183,7 +164,7 @@ void Peer::on_partnership_established(net::NodeId pid, bool incoming) {
   mcache_.upsert(McacheEntry{sys_.now(), pid, sys_.is_reachable(pid)}, rng_);
   // Give the new partner our buffer map right away so it can select
   // parents without waiting for the next periodic exchange.
-  sys_.push_bm(id_, pid, refreshed_bm());
+  sys_.push_bm(id_, pid, sync_.heads());
 }
 
 void Peer::on_partnership_rejected(net::NodeId pid) {
@@ -220,10 +201,10 @@ void Peer::on_partner_left(net::NodeId pid) {
   }
 }
 
-void Peer::on_bm_received(net::NodeId from, const BufferMap& bm,
+void Peer::on_bm_received(net::NodeId from, std::span<const SeqNum> lanes,
                           std::uint32_t sub_bits) {
   if (!alive()) return;
-  if (!partners_.receive(from, bm, sub_bits, sys_.now())) return;  // stale
+  if (!partners_.receive(from, lanes, sub_bits, sys_.now())) return;  // stale
   if (phase_ == PeerPhase::kJoining && !start_decided_ && !first_bm_at_) {
     first_bm_at_ = sys_.now();
   }
@@ -322,7 +303,7 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
   const BlockCount ts = p.ts_block_count();
   const BlockCount tp = p.tp_block_count();
 
-  const SeqNum own_max = refreshed_bm().max_latest();
+  const SeqNum own_max = max_latest(sync_.heads());
   SeqNum partner_max = kNoSeq;
   for (const PartnerView ps : partners_) {
     if (ps.bm_time()) partner_max = std::max(partner_max, ps.max_latest());
@@ -420,24 +401,20 @@ void Peer::run_adaptation(Tick now, bool cooldown_exempt) {
   const BlockCount ts = p.ts_block_count();
   const BlockCount tp = p.tp_block_count();
 
-  const BufferMap& own = refreshed_bm();
-  const SeqNum own_max = own.max_latest();
+  const std::span<const SeqNum> own = sync_.heads();
+  const SeqNum own_max = max_latest(own);
   SeqNum partner_max = kNoSeq;
   for (const PartnerView ps : partners_) {
     if (ps.bm_time()) partner_max = std::max(partner_max, ps.max_latest());
   }
 
-  // Batched scan over contiguous state, producing bit-words instead of a
-  // per-call vector.  Inequality (1) is stated two ways in the paper: the
-  // prose bounds the spread between any two sub-streams *within* the node
-  // by T_s (one word op over the packed lanes, below), while the printed
-  // formula bounds the deviation between the node's and the *parent's*
-  // latest blocks (per-lane, in the loop).  Both signal insufficient
-  // parent upload — the first catches one lagging sub-stream, the second
-  // catches uniform starvation behind an overloaded parent — so either
-  // triggers.
-  const std::uint32_t spread_mask =
-      p.adaptation_ineq1 ? own.lag_mask(own_max, ts) : 0u;
+  // One scan over the K lanes, producing bit-words instead of a per-call
+  // vector.  Inequality (1) is stated two ways in the paper: the prose
+  // bounds the spread between any two sub-streams *within* the node by T_s,
+  // while the printed formula bounds the deviation between the node's and
+  // the *parent's* latest blocks.  Both signal insufficient parent upload —
+  // the first catches one lagging sub-stream, the second catches uniform
+  // starvation behind an overloaded parent — so either triggers.
   std::uint32_t orphaned = 0;  // lanes with no live partner parent
   std::uint32_t violated = 0;  // lanes tripping Ineq. (1) or (2)
   for (SubstreamId j : substreams(p.substream_count)) {
@@ -449,10 +426,11 @@ void Peer::run_adaptation(Tick now, bool cooldown_exempt) {
       orphaned |= bit;  // orphaned sub-stream: exempt from cool-down
       continue;
     }
-    bool trip = (spread_mask & bit) != 0;
+    const SeqNum own_latest = own[j.index()];
+    bool trip = p.adaptation_ineq1 && own_max - own_latest >= ts;
     if (ps->bm_time()) {
       const SeqNum latest = ps->latest(j);
-      trip = trip || (p.adaptation_ineq1 && latest - own.latest(j) >= ts);
+      trip = trip || (p.adaptation_ineq1 && latest - own_latest >= ts);
       // Inequality (2): the parent must not lag the best partner by T_p
       // or more (a better source is known).
       trip = trip || (p.adaptation_ineq2 && partner_max - latest >= tp);
@@ -527,7 +505,7 @@ void Peer::on_tick(Tick now) {
     enforce_partner_silence(now);
     // A server's parents are all unset, so its maps carry no
     // subscription bits.
-    sys_.broadcast_bm(id_, refreshed_bm(), partners_, parents_);
+    sys_.broadcast_bm(id_, sync_.heads(), partners_, parents_);
     next_bm_push_ = now + Duration(p.bm_exchange_period);
   }
   if (server) return;
@@ -560,7 +538,7 @@ void Peer::on_tick(Tick now) {
     auto target = static_cast<std::size_t>(p.initial_partner_target);
     bool lagging = false;
     if (start_decided_) {
-      const SeqNum own_max = refreshed_bm().max_latest();
+      const SeqNum own_max = max_latest(sync_.heads());
       SeqNum partner_max = kNoSeq;
       for (const PartnerView ps : partners_) {
         if (ps.bm_time()) {

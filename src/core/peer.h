@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "core/buffer_map.h"
 #include "core/cache_buffer.h"
 #include "core/mcache.h"
 #include "core/params.h"
@@ -129,11 +128,6 @@ struct PeerProtocolState {
   units::Bytes interval_bytes_up_{};
   units::Bytes interval_bytes_down_{};
 
-  /// Cached current buffer map + the SyncBuffer version it was built from
-  /// (~0: never built).  See Peer::refreshed_bm().
-  mutable BufferMap bm_cache_;
-  mutable std::uint64_t bm_cache_version_ = ~std::uint64_t{0};
-
   PeerStats stats_;
 
   PeerPhase phase_ = PeerPhase::kJoining;
@@ -174,9 +168,10 @@ class Peer : private PeerProtocolState {
   void on_partnership_rejected(net::NodeId peer);
   /// Partner left or broke the connection.
   void on_partner_left(net::NodeId peer);
-  /// Buffer map received from a partner: `bm` with `sub_bits` as its
-  /// subscription word (lane j set: the partner pulls sub-stream j from us).
-  void on_bm_received(net::NodeId from, const BufferMap& bm,
+  /// Buffer map received from a partner: its K `lanes` with `sub_bits` as
+  /// its subscription word (lane j set: the partner pulls sub-stream j from
+  /// us).
+  void on_bm_received(net::NodeId from, std::span<const SeqNum> lanes,
                       std::uint32_t sub_bits);
   /// Gossip payload: entries from a partner's mCache.
   void on_gossip(std::span<const McacheEntry> entries);
@@ -236,10 +231,6 @@ class Peer : private PeerProtocolState {
   // --- measurement ----------------------------------------------------------
   const PeerStats& stats() const noexcept { return stats_; }
   const Mcache& mcache() const noexcept { return mcache_; }
-  /// Current buffer map (the first K components; subscription bits are
-  /// per-partner and filled in when pushing to a specific partner).
-  /// Copies the cached map; hot paths use refreshed_bm() internally.
-  BufferMap current_bm() const;
   /// Global sequence the player starts at; set at start-subscription.
   GlobalSeq play_start_seq() const noexcept { return play_start_seq_; }
   /// Last global block whose deadline has been processed (the playhead);
@@ -248,11 +239,6 @@ class Peer : private PeerProtocolState {
 
  private:
   friend struct InvariantTestAccess;  // seeded-corruption hooks (tests only)
-
-  /// The node's current buffer map (subscription bits zero), rebuilt from
-  /// the sync-buffer heads only when SyncBuffer::version() moved — the
-  /// dirty-bit cache behind current_bm() and the per-partner BM broadcast.
-  const BufferMap& refreshed_bm() const;
 
   // --- join / subscription logic ---
   void try_establish_partnerships(std::size_t want);

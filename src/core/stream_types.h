@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "core/units.h"
 
@@ -42,6 +43,21 @@ using BlockCount = units::BlockCount;
 
 /// The "nothing yet" sentinel shared by both sequence spaces.
 inline constexpr SeqNum kNoSeq = SeqNum::none();
+
+/// Lane capacity of a buffer map: Params::validate() enforces
+/// substream_count <= kMaxSubstreams (the paper uses K = 4; the ablations
+/// sweep to 8), and a partner's subscription word holds one bit per lane.
+inline constexpr int kMaxSubstreams = 8;
+
+/// Highest sequence number across buffer-map lanes (a sync buffer's heads
+/// or a partner's advertised lanes); kNoSeq when nothing was received.
+constexpr SeqNum max_latest(std::span<const SeqNum> lanes) noexcept {
+  SeqNum best = kNoSeq;
+  for (const SeqNum s : lanes) {
+    if (s > best) best = s;
+  }
+  return best;
+}
 
 /// Iterable range over the K sub-stream ids: `for (SubstreamId j :
 /// substreams(k))`.  Keeps protocol loops free of raw-int index juggling.

@@ -31,7 +31,6 @@ bool SyncBuffer::insert(SubstreamId i, SeqNum seq) {
     ahead_.insert(pos, AheadBlock{i, seq});
   }
   ++received_;
-  ++version_;
   recompute_combined();
   return true;
 }
@@ -40,7 +39,6 @@ void SyncBuffer::start_at(SubstreamId i, SeqNum seq) {
   assert(i.index() < heads_.size());
   SeqNum& head = heads_[i.index()];
   head = std::max(head, seq - BlockCount(1));
-  ++version_;
   // Drop queued blocks now below the head.
   const auto lane = std::ranges::equal_range(ahead_, i, {}, &AheadBlock::lane);
   ahead_.erase(lane.begin(), std::ranges::lower_bound(lane, head + BlockCount(1),

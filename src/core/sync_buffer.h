@@ -67,17 +67,12 @@ class SyncBuffer {
   /// max head - min head across sub-streams: the Ineq.-(1) spread.
   BlockCount spread() const noexcept;
 
-  /// All heads, indexable by sub-stream.
+  /// All heads, indexable by sub-stream: the first K components of the
+  /// node's buffer map, advertised to every partner as they are.
   const std::vector<SeqNum>& heads() const noexcept { return heads_; }
 
   /// Total blocks accepted by insert().
   std::uint64_t blocks_received() const noexcept { return received_; }
-
-  /// Monotonic mutation counter: bumps whenever the heads can have moved
-  /// (accepted insert or start_at).  A cached BufferMap built from these
-  /// heads is valid exactly while the version is unchanged — the dirty
-  /// bit for Peer's current-BM cache.
-  std::uint64_t version() const noexcept { return version_; }
 
  private:
   friend struct InvariantTestAccess;  // seeded-corruption hooks (tests only)
@@ -96,7 +91,6 @@ class SyncBuffer {
   std::vector<AheadBlock> ahead_;
   GlobalSeq combined_ = kNoSeq;
   std::uint64_t received_ = 0;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace coolstream::core

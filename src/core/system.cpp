@@ -96,12 +96,10 @@ void System::start() {
   }
   tick_handle_ =
       sim_.every(params_.flow_dt(), params_.flow_dt(), [this] { tick(); });
-#ifdef COOLSTREAM_AUDIT
   if (config_.audit_period > 0.0) {
     auditor_ = std::make_unique<InvariantAuditor>(*this);
     auditor_->start(Duration(config_.audit_period));
   }
-#endif
 }
 
 net::NodeId System::join(const PeerSpec& spec) {
@@ -147,6 +145,16 @@ void System::leave(net::NodeId id, bool graceful) {
   partner_ids.clear();
   for (const PartnerView ps : p->partners()) partner_ids.push_back(ps.id());
   p->set_left();
+  // O(1) swap-remove through the position index, before the partners hear
+  // of it, so is_live(id) already answers false in their callbacks.  The
+  // sentinel goes in last, which also covers moved == id.
+  const std::uint32_t pos = live_index_[id];
+  assert(live_[pos] == id);
+  const net::NodeId moved = live_.back();
+  live_[pos] = moved;
+  live_index_[moved] = pos;
+  live_index_[id] = kNotLive;
+  live_.pop_back();
   for (net::NodeId q : partner_ids) {
     if (Peer* qp = peer(q); qp != nullptr && qp->alive()) {
       qp->on_partner_left(id);
@@ -155,13 +163,6 @@ void System::leave(net::NodeId id, bool graceful) {
   leave_scratch_ = std::move(partner_ids);
 
   bootstrap_.remove(id);
-  // O(1) swap-remove through the position index.
-  const std::uint32_t pos = live_index_[id];
-  assert(live_[pos] == id);
-  const net::NodeId moved = live_.back();
-  live_[pos] = moved;
-  live_index_[moved] = pos;
-  live_.pop_back();
   --live_viewers_;
   viewers_over_time_.add(now(), -1);
   ++stats_.leaves;
@@ -176,14 +177,7 @@ void System::add_live(net::NodeId id) {
 }
 
 bool System::is_live(net::NodeId id) const noexcept {
-  // During the parallel protocol phase peers flip their own phase bytes
-  // (join/buffer/play transitions); cross-shard liveness queries answer
-  // from the tick-start snapshot instead — deterministic and race-free.
-  if (in_protocol_phase_) {
-    return id < alive_snapshot_.size() && alive_snapshot_[id] != 0;
-  }
-  const Peer* p = peer(id);
-  return p != nullptr && p->alive();
+  return id < live_index_.size() && live_index_[id] != kNotLive;
 }
 
 std::size_t System::current_shard() const noexcept {
@@ -303,13 +297,14 @@ void System::attempt_partnership(net::NodeId from, net::NodeId to) {
   });
 }
 
-void System::push_bm(net::NodeId from, net::NodeId to, const BufferMap& bm) {
+void System::push_bm(net::NodeId from, net::NodeId to,
+                     std::span<const SeqNum> lanes) {
   assert(tick_effect_sink() == nullptr && "phase P uses broadcast_bm");
-  deliver_bm(from, to, bm, bm.subscription_bits());
+  deliver_bm(from, to, lanes, 0);
 }
 
 void System::broadcast_bm([[maybe_unused]] net::NodeId from,
-                          const BufferMap& base,
+                          std::span<const SeqNum> lanes,
                           const PartnerTable& partners,
                           std::span<const net::NodeId> parents) {
   TickEffectSink* s = tick_effect_sink();
@@ -318,10 +313,10 @@ void System::broadcast_bm([[maybe_unused]] net::NodeId from,
   if (partners.empty()) return;
   ShardScratch& scratch = shard_scratch_[s->shard];
   EffectBmPush push;
-  push.base = static_cast<std::uint32_t>(scratch.bm_bases.size());
+  push.base = static_cast<std::uint32_t>(scratch.bm_lanes.size());
   push.first = static_cast<std::uint32_t>(scratch.bm_targets.size());
   push.count = static_cast<std::uint32_t>(partners.size());
-  scratch.bm_bases.push_back(base);
+  scratch.bm_lanes.insert(scratch.bm_lanes.end(), lanes.begin(), lanes.end());
   for (const PartnerView ps : partners) {
     std::uint32_t bits = 0;
     for (std::size_t j = 0; j < parents.size(); ++j) {
@@ -333,7 +328,8 @@ void System::broadcast_bm([[maybe_unused]] net::NodeId from,
 }
 
 void System::deliver_bm(net::NodeId from, net::NodeId to,
-                        const BufferMap& base, std::uint32_t sub_bits) {
+                        std::span<const SeqNum> lanes,
+                        std::uint32_t sub_bits) {
   // BM exchange is modelled with zero latency (the exchange period, 1 s,
   // dominates the tens-of-ms delivery delay); messages are still counted
   // for control-overhead reporting.
@@ -345,7 +341,7 @@ void System::deliver_bm(net::NodeId from, net::NodeId to,
     }
     return;
   }
-  dest->on_bm_received(from, base, sub_bits);
+  dest->on_bm_received(from, lanes, sub_bits);
 }
 
 void System::subscribe(net::NodeId child, net::NodeId parent, SubstreamId j) {
@@ -457,12 +453,11 @@ void System::tick() {
   const auto k_streams = static_cast<std::size_t>(params_.substream_count);
   ++tick_stamp_;
 
-  // Freeze the tick-start view: peer order, liveness, and flow slots.
+  // Freeze the tick-start view: peer order and flow slots.
   tick_order_.assign(live_.begin(), live_.end());
-  alive_snapshot_.assign(peers_.size(), 0);
   for (ShardScratch& s : shard_scratch_) {
     s.positions.clear();
-    s.bm_bases.clear();
+    s.bm_lanes.clear();
     s.bm_targets.clear();
     s.gossip_entries.clear();
     s.reports.clear();
@@ -470,7 +465,6 @@ void System::tick() {
   for (std::uint32_t pos = 0;
        pos < static_cast<std::uint32_t>(tick_order_.size()); ++pos) {
     const net::NodeId id = tick_order_[pos];
-    alive_snapshot_[id] = 1;
     shard_scratch_[shard_of(id)].positions.push_back(pos);
   }
   if (inflow_.size() < peers_.size() * k_streams) {
@@ -480,9 +474,7 @@ void System::tick() {
 
   workers_.run([this, dt](std::size_t s) { flow_rates(s, dt); });
   workers_.run([this, dt](std::size_t s) { flow_apply(s, dt); });
-  in_protocol_phase_ = true;
   workers_.run([this, t](std::size_t s) { protocol_phase(s, t); });
-  in_protocol_phase_ = false;
 
   for (ShardScratch& s : shard_scratch_) {
     stats_.blocks_transferred += s.blocks_transferred;
@@ -661,10 +653,12 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
           // flush effect that edits partner lists (a silence break, the
           // dead-partner cleanup below) cannot reshape this broadcast.
           const ShardScratch& scratch = shard_scratch_[shard_of(from)];
-          const BufferMap& base = scratch.bm_bases[e.base];
+          const std::span<const SeqNum> lanes(
+              scratch.bm_lanes.data() + e.base,
+              static_cast<std::size_t>(params_.substream_count));
           for (std::uint32_t k = e.first; k < e.first + e.count; ++k) {
             const ShardScratch::BmTarget& t = scratch.bm_targets[k];
-            deliver_bm(from, t.to, base, t.sub_bits);
+            deliver_bm(from, t.to, lanes, t.sub_bits);
           }
         } else if constexpr (std::is_same_v<E, EffectSubscribe>) {
           // Stale intent: an earlier flush effect (say, a broken

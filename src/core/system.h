@@ -65,9 +65,8 @@ struct SystemConfig {
   /// Viewers' download capacity is modelled as unconstrained (uplink is
   /// the era's bottleneck) unless this is set to a positive bps value.
   double download_capacity_bps = 0.0;
-  /// Simulated seconds between runtime invariant audits (core/invariants.h).
-  /// Only honoured in builds configured with -DCOOLSTREAM_AUDIT=ON; 0
-  /// disables auditing even there.
+  /// Simulated seconds between runtime invariant audits (core/invariants.h);
+  /// 0 (the default) attaches no auditor.
   double audit_period = 0.0;
   /// Protocol shards: peers are partitioned by id across N workers that
   /// run the tick's phases between deterministic barriers.  N >= 1 fixes
@@ -121,6 +120,8 @@ class System {
   /// nothing — their sessions stay open in the log, as in the real trace.
   void leave(net::NodeId id, bool graceful = true);
 
+  /// Whether `id` has joined and not left.  Liveness changes only in the
+  /// serial join() and leave(), so any shard may ask during phase P.
   bool is_live(net::NodeId id) const noexcept;
   Peer* peer(net::NodeId id) noexcept;
   const Peer* peer(net::NodeId id) const noexcept;
@@ -167,17 +168,19 @@ class System {
   void request_bootstrap_list(net::NodeId requester);
   /// Initiates a partnership attempt (latency-delayed; §III-B).
   void attempt_partnership(net::NodeId from, net::NodeId to);
-  /// Pushes `bm` (built by `from`) into `to`'s view of `from` right away:
-  /// the one-off push when a partnership comes up.  Serial contexts only;
-  /// the periodic exchange goes through broadcast_bm.
-  void push_bm(net::NodeId from, net::NodeId to, const BufferMap& bm);
-  /// Periodic BM exchange (§III-C), phase P only: sends `base` to every
-  /// partner, each copy carrying the subscription bits for that partner
-  /// (lane j set when `parents[j]` is the partner).  The base map and the
-  /// target list are snapshotted now into the worker's shard scratch and
-  /// emitted as one EffectBmPush; the flush delivers them in partner order
-  /// with zero latency, counting one message per partner.
-  void broadcast_bm(net::NodeId from, const BufferMap& base,
+  /// Pushes `from`'s K head `lanes` into `to`'s view of `from` right away,
+  /// with no subscription bits: the one-off push when a partnership comes
+  /// up.  Serial contexts only; the periodic exchange goes through
+  /// broadcast_bm.
+  void push_bm(net::NodeId from, net::NodeId to,
+               std::span<const SeqNum> lanes);
+  /// Periodic BM exchange (§III-C), phase P only: sends the K head `lanes`
+  /// to every partner, each copy carrying the subscription bits for that
+  /// partner (lane j set when `parents[j]` is the partner).  The lanes and
+  /// the target list are snapshotted now into the worker's shard scratch
+  /// and emitted as one EffectBmPush; the flush delivers them in partner
+  /// order with zero latency, counting one message per partner.
+  void broadcast_bm(net::NodeId from, std::span<const SeqNum> lanes,
                     const PartnerTable& partners,
                     std::span<const net::NodeId> parents);
   /// Sub-stream subscription management (child -> parent).
@@ -217,8 +220,8 @@ class System {
   /// (servers lag this by config().server_lag).
   SeqNum source_head(SubstreamId j, Tick t) const noexcept;
 
-  /// The runtime invariant auditor, when one was attached by start()
-  /// (COOLSTREAM_AUDIT builds with config().audit_period > 0); else null.
+  /// The runtime invariant auditor, when start() attached one
+  /// (config().audit_period > 0); else null.
   InvariantAuditor* auditor() noexcept { return auditor_.get(); }
 
   /// Resolved shard count (config().shards / COOLSTREAM_SHARDS / 1).
@@ -256,7 +259,7 @@ class System {
     /// Effect payloads emitted in phase P, read back by the flush through
     /// the indices the effects hold; cleared at tick start.  Only the
     /// shard's own worker appends to them.
-    std::vector<BufferMap> bm_bases;
+    std::vector<SeqNum> bm_lanes;  ///< K lanes per broadcast
     std::vector<BmTarget> bm_targets;
     std::vector<McacheEntry> gossip_entries;
     std::vector<logging::Report> reports;
@@ -290,9 +293,10 @@ class System {
   void flush_effects();
   void apply_effect(net::NodeId from, TickEffect&& effect);
   /// One BM delivery: counts the message, lets `from` drop a dead `to`,
-  /// else hands `to` the map with `sub_bits` as its subscription word.
-  void deliver_bm(net::NodeId from, net::NodeId to, const BufferMap& base,
-                  std::uint32_t sub_bits);
+  /// else hands `to` the K `lanes` with `sub_bits` as its subscription
+  /// word.
+  void deliver_bm(net::NodeId from, net::NodeId to,
+                  std::span<const SeqNum> lanes, std::uint32_t sub_bits);
   std::size_t current_shard() const noexcept;
 
   sim::Simulation& sim_;
@@ -304,7 +308,9 @@ class System {
   BootstrapServer bootstrap_;
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<net::NodeId> live_;  ///< ids of live nodes, join order
-  std::vector<std::uint32_t> live_index_;  ///< by id: position in live_
+  /// By id: position in live_, or kNotLive once the node has left.
+  std::vector<std::uint32_t> live_index_;
+  static constexpr std::uint32_t kNotLive = ~std::uint32_t{0};
   std::size_t live_viewers_ = 0;
   std::uint64_t next_session_id_ = 1;
   std::uint64_t next_user_auto_ = 1'000'000'000ULL;
@@ -317,11 +323,7 @@ class System {
 
   // --- sharded tick engine -------------------------------------------------
   std::uint32_t tick_stamp_ = 0;
-  /// True only while phase P workers run: is_live() then answers from the
-  /// frozen alive snapshot (peers mutate their own phase bytes in P).
-  bool in_protocol_phase_ = false;
   std::vector<net::NodeId> tick_order_;    ///< live_, frozen at tick start
-  std::vector<std::uint8_t> alive_snapshot_;  ///< by id, at tick start
   std::vector<InFlow> inflow_;  ///< peers_.size() * K slots, stamp-guarded
   sim::ShardMailbox<TickEffect> effects_;
   std::vector<ShardScratch> shard_scratch_;  ///< one per shard

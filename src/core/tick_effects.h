@@ -33,8 +33,9 @@ namespace coolstream::core {
 enum class SessionEvent : unsigned char;  // defined in core/system.h
 
 /// Periodic BM broadcast to every partner, snapshotted when the sender
-/// ran: base map `base` and targets [first, first + count) index the
-/// sender's shard scratch (System::broadcast_bm).  Delivered with zero
+/// ran: its K head lanes start at `base` and its targets are
+/// [first, first + count), both indexing the sender's shard scratch
+/// (System::broadcast_bm).  Delivered with zero
 /// latency at the flush, one target at a time.
 struct EffectBmPush {
   std::uint32_t base = 0;

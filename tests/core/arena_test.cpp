@@ -1,21 +1,16 @@
-// MessageArena lease mechanics and BufferMap lane-boundary coverage.
+// MessageArena lease mechanics.
 //
 // The allocation-free claims live in hotpath_allocation_test.cpp (its own
 // binary, counting operator new).  This suite pins the *lease semantics*
 // the control plane leans on tick after tick: a dropped batch's chunk is
 // recycled for the next tick's sends, copies extend a chunk's life without
 // growing the pool, and the pool only grows while leases genuinely
-// overlap.  The BufferMap half exercises encode()/decode() exactly at the
-// packed representation's lane boundaries (k = 1, kMaxSubstreams - 1,
-// kMaxSubstreams, and one past), where an off-by-one in the lane mask or
-// the decoder's count check would hide at the paper's K = 4.
-#include <string>
+// overlap.
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/arena.h"
-#include "core/buffer_map.h"
 #include "core/mcache.h"
 
 namespace coolstream::core {
@@ -98,74 +93,6 @@ TEST(MessageArenaTest, MoveTransfersLeaseWithoutRefcountChange) {
   EXPECT_EQ(arena.live_batches(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(b.items()[0].id, net::NodeId(3));
-}
-
-// -- BufferMap at the lane boundaries ------------------------------------
-
-BufferMap filled(int k) {
-  BufferMap bm(k);
-  for (int i = 0; i < k; ++i) {
-    bm.set_latest(SubstreamId(i), SeqNum(1000 * i + 9));
-    bm.set_subscribed(SubstreamId(i), i % 3 == 0);
-  }
-  return bm;
-}
-
-TEST(BufferMapLaneBoundaryTest, RoundTripAtBoundaryTupleCounts) {
-  for (const int k :
-       {1, BufferMap::kMaxSubstreams - 1, BufferMap::kMaxSubstreams}) {
-    const BufferMap bm = filled(k);
-    EXPECT_EQ(bm.lane_mask(), k == 32 ? ~0u : ((1u << k) - 1u));
-    const auto decoded = BufferMap::decode(bm.encode());
-    ASSERT_TRUE(decoded.has_value()) << "k=" << k;
-    EXPECT_EQ(*decoded, bm) << "k=" << k;
-    EXPECT_EQ(decoded->wire_size(), bm.encode().size()) << "k=" << k;
-  }
-}
-
-TEST(BufferMapLaneBoundaryTest, FullWidthMapUsesEveryLane) {
-  const int k = BufferMap::kMaxSubstreams;
-  BufferMap bm(k);
-  for (int i = 0; i < k; ++i) bm.set_subscribed(SubstreamId(i), true);
-  EXPECT_EQ(bm.subscription_bits(), bm.lane_mask());
-  bm.set_subscribed(SubstreamId(k - 1), false);
-  EXPECT_EQ(bm.subscription_bits(), bm.lane_mask() >> 1);
-  EXPECT_TRUE(bm.subscribed(SubstreamId(0)));
-  EXPECT_FALSE(bm.subscribed(SubstreamId(k - 1)));
-}
-
-TEST(BufferMapLaneBoundaryTest, DecodeRejectsOnePastLaneCapacity) {
-  // Build a syntactically valid k = kMaxSubstreams + 1 encoding by hand;
-  // the decoder's capacity check, not the parser, must reject it.
-  std::string text;
-  for (int i = 0; i < BufferMap::kMaxSubstreams + 1; ++i) {
-    text += i == 0 ? "1" : ",1";
-  }
-  text += "|";
-  text.append(static_cast<std::size_t>(BufferMap::kMaxSubstreams + 1), '0');
-  EXPECT_FALSE(BufferMap::decode(text).has_value());
-
-  // The same text one lane narrower parses fine (control).
-  std::string ok;
-  for (int i = 0; i < BufferMap::kMaxSubstreams; ++i) {
-    ok += i == 0 ? "1" : ",1";
-  }
-  ok += "|";
-  ok.append(static_cast<std::size_t>(BufferMap::kMaxSubstreams), '0');
-  EXPECT_TRUE(BufferMap::decode(ok).has_value());
-}
-
-TEST(BufferMapLaneBoundaryTest, NeedAndGapMasksAtFullWidth) {
-  const int k = BufferMap::kMaxSubstreams;
-  BufferMap own(k), partner(k);
-  for (int i = 0; i < k; ++i) {
-    own.set_latest(SubstreamId(i), SeqNum(10));
-    partner.set_latest(SubstreamId(i), i % 2 == 0 ? SeqNum(20) : SeqNum(5));
-  }
-  const std::uint32_t even_lanes = 0x5555u & own.lane_mask();
-  EXPECT_EQ(partner.need_mask(own), even_lanes);
-  EXPECT_EQ(partner.gap_mask(own, BlockCount(10)), even_lanes);
-  EXPECT_EQ(own.lag_mask(SeqNum(20), BlockCount(10)), own.lane_mask());
 }
 
 }  // namespace

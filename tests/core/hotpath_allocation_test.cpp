@@ -129,14 +129,14 @@ TEST(HotpathAllocationTest, BmExchangeIsAllocationFree) {
   Peer* b = t.sys->peer(b_id);
   ASSERT_NE(b, nullptr);
 
-  // Warm-up: one exchange each way (the BM caches rebuild lazily).
-  t.sys->push_bm(a->id(), b_id, a->current_bm());
-  t.sys->push_bm(b_id, a->id(), b->current_bm());
+  // Warm-up: one exchange each way.
+  t.sys->push_bm(a->id(), b_id, a->sync().heads());
+  t.sys->push_bm(b_id, a->id(), b->sync().heads());
 
   const std::uint64_t allocs_before = g_allocations;
   for (int round = 0; round < 1000; ++round) {
-    t.sys->push_bm(a->id(), b_id, a->current_bm());
-    t.sys->push_bm(b_id, a->id(), b->current_bm());
+    t.sys->push_bm(a->id(), b_id, a->sync().heads());
+    t.sys->push_bm(b_id, a->id(), b->sync().heads());
   }
   EXPECT_EQ(g_allocations - allocs_before, 0u)
       << "steady-state BM exchange touched the heap";

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/stream_types.h"
+
 namespace coolstream::core {
 namespace {
 
@@ -54,6 +56,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         BadParamCase{"rate", [](Params& p) { p.stream_rate_bps = 0.0; }},
         BadParamCase{"substreams", [](Params& p) { p.substream_count = 0; }},
+        // One lane past capacity, with a block rate that is otherwise
+        // valid for it, so only the lane-capacity check can reject it.
+        BadParamCase{"substreams_gt_lanes",
+                     [](Params& p) {
+                       p.substream_count = kMaxSubstreams + 1;
+                       p.block_rate = 2.0 * p.substream_count;
+                     }},
         BadParamCase{"buffer", [](Params& p) { p.buffer_seconds = -1.0; }},
         BadParamCase{"ts", [](Params& p) { p.ts_seconds = 0.0; }},
         BadParamCase{"tp_lt_ts", [](Params& p) { p.tp_seconds = p.ts_seconds / 2.0; }},

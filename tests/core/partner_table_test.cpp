@@ -1,6 +1,6 @@
 // Property-based equivalence: the partner table (records + K flat lanes per
-// partner) against a naive reference that keeps one full BufferMap per
-// partner, across randomized add / erase / receive / find sequences for
+// partner) against a naive reference that keeps a plain lane vector and
+// subscription word per partner, across randomized add / erase / receive / find sequences for
 // every lane count the protocol accepts.  After every step each view must
 // agree with the reference: id, direction, establishment time, receive
 // time, every lane, the lane maximum and every subscription bit.
@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "core/buffer_map.h"
 #include "core/stream_types.h"
 #include "sim/rng.h"
 
@@ -24,7 +24,8 @@ struct RefPartner {
   net::NodeId id = net::kInvalidNode;
   bool incoming = false;
   Tick established{};
-  BufferMap bm;
+  std::vector<SeqNum> lanes;
+  std::uint32_t sub_bits = 0;
   std::optional<Tick> bm_time;
 };
 
@@ -36,11 +37,14 @@ void expect_same(const PartnerView& got, const RefPartner& want, int k) {
   if (want.bm_time) {
     EXPECT_EQ(*got.bm_time(), *want.bm_time);
   }
-  EXPECT_EQ(got.max_latest(), want.bm.max_latest());
-  EXPECT_EQ(got.subscription_bits(), want.bm.subscription_bits());
+  ASSERT_EQ(want.lanes.size(), static_cast<std::size_t>(k));
+  EXPECT_EQ(got.max_latest(),
+            *std::max_element(want.lanes.begin(), want.lanes.end()));
+  EXPECT_EQ(got.subscription_bits(), want.sub_bits);
   for (const SubstreamId j : substreams(k)) {
-    EXPECT_EQ(got.latest(j), want.bm.latest(j)) << "lane " << j.index();
-    EXPECT_EQ(got.subscribed(j), want.bm.subscribed(j)) << "lane " << j.index();
+    EXPECT_EQ(got.latest(j), want.lanes[j.index()]) << "lane " << j.index();
+    EXPECT_EQ(got.subscribed(j), ((want.sub_bits >> j.index()) & 1u) != 0)
+        << "lane " << j.index();
   }
 }
 
@@ -61,7 +65,7 @@ void expect_same(const PartnerTable& table, const std::vector<RefPartner>& ref,
 }
 
 TEST(PartnerTableProperty, MatchesFullCopiesForEveryLaneCount) {
-  for (int k = 1; k <= BufferMap::kMaxSubstreams; ++k) {
+  for (int k = 1; k <= kMaxSubstreams; ++k) {
     SCOPED_TRACE(::testing::Message() << "K=" << k);
     sim::Rng rng(static_cast<std::uint64_t>(1000 + k));
     PartnerTable table(k);
@@ -81,7 +85,7 @@ TEST(PartnerTableProperty, MatchesFullCopiesForEveryLaneCount) {
         r.id = next_id++;
         r.incoming = rng.below(2) == 1;
         r.established = Tick(clock);
-        r.bm = BufferMap(k);
+        r.lanes.assign(static_cast<std::size_t>(k), kNoSeq);
         table.add(r.id, r.incoming, r.established);
         ref.push_back(r);
       } else if (op < 5 || full) {
@@ -95,20 +99,21 @@ TEST(PartnerTableProperty, MatchesFullCopiesForEveryLaneCount) {
       } else if (op < 7) {
         // receive a random map from a random partner
         RefPartner& r = ref[rng.below(ref.size())];
-        BufferMap bm(k);
-        for (const SubstreamId j : substreams(k)) {
-          bm.set_latest(j, SeqNum(rng.uniform_int(-1, 5000)));
+        std::vector<SeqNum> lanes;
+        for (int j = 0; j < k; ++j) {
+          lanes.push_back(SeqNum(rng.uniform_int(-1, 5000)));
         }
         const auto bits =
             static_cast<std::uint32_t>(rng.below(std::uint64_t{1} << k));
-        EXPECT_TRUE(table.receive(r.id, bm, bits, Tick(clock)));
-        r.bm = bm;
-        r.bm.set_subscription_bits(bits);
+        EXPECT_TRUE(table.receive(r.id, lanes, bits, Tick(clock)));
+        r.lanes = lanes;
+        r.sub_bits = bits;
         r.bm_time = Tick(clock);
       } else {
         // a departed or never-seen sender: nothing is stored or found
         const net::NodeId stranger = next_id + 1000;
-        EXPECT_FALSE(table.receive(stranger, BufferMap(k), 0, Tick(clock)));
+        const std::vector<SeqNum> none(static_cast<std::size_t>(k), kNoSeq);
+        EXPECT_FALSE(table.receive(stranger, none, 0, Tick(clock)));
         EXPECT_FALSE(table.find(stranger).has_value());
         EXPECT_FALSE(table.contains(stranger));
         table.erase(stranger);  // no-op

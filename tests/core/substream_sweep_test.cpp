@@ -1,5 +1,6 @@
 // End-to-end health across sub-stream counts: the protocol must work for
-// any K, not just the deployed 4.
+// any K up to the buffer-map lane capacity (kMaxSubstreams = 8), not just
+// the deployed 4.
 #include <gtest/gtest.h>
 
 #include "core/system.h"
@@ -67,7 +68,7 @@ TEST_P(SubstreamSweepTest, SmallBroadcastStaysHealthy) {
   EXPECT_EQ(sys.stats().blocks_transferred > 0, true);
 }
 
-INSTANTIATE_TEST_SUITE_P(K, SubstreamSweepTest, ::testing::Values(1, 2, 4, 6));
+INSTANTIATE_TEST_SUITE_P(K, SubstreamSweepTest, ::testing::Values(1, 2, 4, 6, 8));
 
 }  // namespace
 }  // namespace coolstream::core

@@ -6,7 +6,7 @@
 #include <set>
 #include <vector>
 
-#include "core/buffer_map.h"
+#include "core/stream_types.h"
 #include "sim/rng.h"
 
 namespace coolstream::core {
@@ -132,7 +132,7 @@ TEST(SyncBufferTest, RandomizedDeliveryConvergesToCompletePrefix) {
 }
 
 /// Reference model: the per-sub-stream std::set layout the flat ahead
-/// vector replaced, with the same head, combined and version rules.
+/// vector replaced, with the same head and combined rules.
 class ReferenceSyncBuffer {
  public:
   explicit ReferenceSyncBuffer(int k)
@@ -154,7 +154,6 @@ class ReferenceSyncBuffer {
       return false;
     }
     ++received_;
-    ++version_;
     recompute_combined();
     return true;
   }
@@ -162,7 +161,6 @@ class ReferenceSyncBuffer {
   void start_at(SubstreamId i, SeqNum seq) {
     SeqNum& head = heads_[i.index()];
     head = std::max(head, seq - BlockCount(1));
-    ++version_;
     std::set<SeqNum>& ahead = ahead_[i.index()];
     ahead.erase(ahead.begin(), ahead.lower_bound(head + BlockCount(1)));
   }
@@ -176,7 +174,6 @@ class ReferenceSyncBuffer {
   std::size_t pending(SubstreamId i) const { return ahead_[i.index()].size(); }
   GlobalSeq combined() const { return combined_; }
   std::uint64_t blocks_received() const { return received_; }
-  std::uint64_t version() const { return version_; }
 
  private:
   void recompute_combined() {
@@ -188,17 +185,16 @@ class ReferenceSyncBuffer {
   std::vector<std::set<SeqNum>> ahead_;
   GlobalSeq combined_ = kNoSeq;
   std::uint64_t received_ = 0;
-  std::uint64_t version_ = 0;
 };
 
 TEST(SyncBufferTest, MatchesPerLaneSetReferenceUnderRandomTraffic) {
-  // Every K the packed BufferMap can carry; per step one operation drawn
+  // Every K a buffer map can carry; per step one operation drawn
   // from: the next block, a block ahead of the head (out of order), a
   // duplicate of a queued or already-absorbed block, or a start_at jump
   // (forwards, backwards or onto queued blocks).  After each step every
   // observable must equal the reference's.
   sim::Rng rng(2007);
-  for (int k = 1; k <= BufferMap::kMaxSubstreams; ++k) {
+  for (int k = 1; k <= kMaxSubstreams; ++k) {
     for (int trial = 0; trial < 10; ++trial) {
       SyncBuffer sb(k);
       ReferenceSyncBuffer ref(k);
@@ -241,7 +237,6 @@ TEST(SyncBufferTest, MatchesPerLaneSetReferenceUnderRandomTraffic) {
         }
         ASSERT_EQ(sb.combined(), ref.combined()) << "k=" << k;
         ASSERT_EQ(sb.blocks_received(), ref.blocks_received());
-        ASSERT_EQ(sb.version(), ref.version());
       }
     }
   }

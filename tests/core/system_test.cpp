@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -494,11 +495,13 @@ struct BroadcastOutcome {
   bool silent_kept_sender = true;
 };
 
-/// Makes `a` list `b` as a partner whose BM was last heard at `heard`.
-void add_partner(Peer& a, net::NodeId b, Tick heard, const BufferMap& bm) {
+/// Makes `a` list `b` as a partner whose `lanes` were last heard at
+/// `heard`, with no subscription bits.
+void add_partner(Peer& a, net::NodeId b, Tick heard,
+                 std::span<const SeqNum> lanes) {
   PartnerTable& partners = InvariantTestAccess::partners(a);
   if (!partners.contains(b)) partners.add(b, false, heard);
-  partners.receive(b, bm, bm.subscription_bits(), heard);
+  partners.receive(b, lanes, 0, heard);
 }
 
 /// One sender's broadcast, in a single tick, covers three partners: the
@@ -533,11 +536,11 @@ BroadcastOutcome run_broadcast_case(int shards) {
   const Tick now = sys.now();
   const Tick long_ago = now - units::Duration(2 * params.partner_silence_timeout);
 
-  add_partner(sender, parent_id, now, parent.current_bm());
-  add_partner(parent, sender_id, now, sender.current_bm());
-  add_partner(sender, crashed_id, now, crashed.current_bm());
-  add_partner(sender, silent_id, long_ago, silent.current_bm());
-  add_partner(silent, sender_id, now, sender.current_bm());
+  add_partner(sender, parent_id, now, parent.sync().heads());
+  add_partner(parent, sender_id, now, sender.sync().heads());
+  add_partner(sender, crashed_id, now, crashed.sync().heads());
+  add_partner(sender, silent_id, long_ago, silent.sync().heads());
+  add_partner(silent, sender_id, now, sender.sync().heads());
   InvariantTestAccess::parents(sender)[0] = parent_id;
   std::uint32_t expected_bits = 0;
   for (const SubstreamId j : substreams(params.substream_count)) {

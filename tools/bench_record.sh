@@ -2,8 +2,8 @@
 # Appends one single-run bench result to a checked-in perf trajectory.
 #
 # A bench tool writes a single-run BENCH_<name>.json into its working
-# directory (usually the build tree): one `"macro": {...}` line plus a
-# `"micro": [...]` array (possibly empty).  Producers today:
+# directory (usually the build tree): one `"macro": {...}` line.  Producers
+# today:
 #   bench/protocol_hotpath.cpp       -> BENCH_protocol_hotpath.json
 #   bench/fig09_scalability.cpp      -> BENCH_sim_scale.json (--peak)
 # This script wraps such a run with a label, the date, and a machine tag,
@@ -38,11 +38,11 @@ model=$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)
 machine="$(uname -m), $cores core(s), $model"
 recorded=$(date -u +%Y-%m-%d)
 
-# Pull the macro line and the micro entries out of the single-run file
-# (fixed format, written by bench/protocol_hotpath.cpp's write_json).
+# Pull the macro line out of the single-run file (fixed format, written by
+# the producers' write_json).  Older trajectory entries also carry a
+# "micro" array; new entries carry none.
 macro=$(sed -n 's/^  "macro": \(.*\),\{0,1\}$/\1/p' "$src" | sed 's/,$//')
 [ -n "$macro" ] || { echo "bench_record.sh: no \"macro\" in $src" >&2; exit 1; }
-micro=$(sed -n '/^  "micro": \[$/,/^  \]$/p' "$src" | sed '1d;$d' | sed 's/^    /        /')
 
 entry=$(mktemp)
 trap 'rm -f "$entry"' EXIT
@@ -51,12 +51,7 @@ trap 'rm -f "$entry"' EXIT
   printf '      "label": "%s",\n' "$label"
   printf '      "recorded": "%s",\n' "$recorded"
   printf '      "machine": "%s",\n' "$machine"
-  printf '      "macro": %s,\n' "$macro"
-  if [ -n "$micro" ]; then
-    printf '      "micro": [\n%s\n      ]\n' "$micro"
-  else
-    printf '      "micro": []\n'
-  fi
+  printf '      "macro": %s\n' "$macro"
   printf '    }\n'
 } > "$entry"
 
