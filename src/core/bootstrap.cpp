@@ -29,10 +29,10 @@ Tick BootstrapServer::joined_at(net::NodeId id) const noexcept {
   return order_[index_[id] - 1].joined_at;
 }
 
-std::vector<net::NodeId> BootstrapServer::random_list(
+std::vector<McacheEntry> BootstrapServer::random_list(
     std::size_t k, net::NodeId requester, sim::Rng& rng) const {
   std::vector<std::size_t> idx_scratch;
-  std::vector<net::NodeId> out;
+  std::vector<McacheEntry> out;
   random_list_into(k, requester, rng, idx_scratch, out);
   return out;
 }
@@ -40,17 +40,17 @@ std::vector<net::NodeId> BootstrapServer::random_list(
 void BootstrapServer::random_list_into(std::size_t k, net::NodeId requester,
                                        sim::Rng& rng,
                                        std::vector<std::size_t>& idx_scratch,
-                                       std::vector<net::NodeId>& out) const {
+                                       std::vector<McacheEntry>& out) const {
   out.clear();
   if (order_.empty()) return;
   // Sample k+1 to be able to drop the requester without bias.
   const std::size_t want = std::min(k + 1, order_.size());
   rng.sample_indices_into(order_.size(), want, idx_scratch);
   for (std::size_t idx : idx_scratch) {
-    const net::NodeId id = order_[idx].id;
-    if (id == requester) continue;
+    const ActiveNode& node = order_[idx];
+    if (node.id == requester) continue;
     if (out.size() == k) break;
-    out.push_back(id);
+    out.push_back(McacheEntry{node.joined_at, node.id, true});
   }
 }
 

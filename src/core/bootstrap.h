@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "core/mcache.h"
 #include "core/stream_types.h"
 #include "net/types.h"
 #include "sim/rng.h"
@@ -27,15 +28,16 @@ class BootstrapServer {
   void remove(net::NodeId id);
 
   /// Uniformly random subset of up to `k` active nodes, excluding
-  /// `requester`.
-  std::vector<net::NodeId> random_list(std::size_t k, net::NodeId requester,
+  /// `requester`, as mCache entries stamped with their join times.  The
+  /// registry does not know address classes: every entry says reachable.
+  std::vector<McacheEntry> random_list(std::size_t k, net::NodeId requester,
                                        sim::Rng& rng) const;
 
   /// random_list into caller-owned buffers (cleared first): identical RNG
   /// draws, allocation-free once capacities are warm.
   void random_list_into(std::size_t k, net::NodeId requester, sim::Rng& rng,
                         std::vector<std::size_t>& idx_scratch,
-                        std::vector<net::NodeId>& out) const;
+                        std::vector<McacheEntry>& out) const;
 
   std::size_t active_count() const noexcept { return order_.size(); }
   bool contains(net::NodeId id) const noexcept;

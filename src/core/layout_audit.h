@@ -20,6 +20,7 @@
 #include <type_traits>
 
 #include "core/mcache.h"
+#include "core/message.h"
 #include "core/params.h"
 #include "core/partner_table.h"
 #include "core/peer.h"
@@ -57,6 +58,8 @@ COOLSTREAM_LAYOUT_AUDIT(core::PeerProtocolState, 272);
 COOLSTREAM_LAYOUT_AUDIT(net::Ipv4Address, 4);
 // One mailbox entry per deferred effect: payloads live in shard scratch.
 COOLSTREAM_LAYOUT_AUDIT(core::TickEffect, 16);  // 12-byte largest + index
+// One in-flight table slot per queued delivery.
+COOLSTREAM_LAYOUT_AUDIT(core::Message, 80);  // 4*16 + 4+4+1+1 + 6 tail
 
 // Transport message structs: the §V-A report payloads every peer emits.
 // (ActivityReport and PartnerReport stay cold: they carry a string /

@@ -612,8 +612,8 @@ void Peer::do_gossip() {
   const auto pick = rng_.below(partners_.size());
   const net::NodeId target = partners_[pick].id();
   // At most 3 sampled entries + self, gathered on the stack; the System
-  // copies them into shard scratch and materializes the arena batch at the
-  // serial flush (the MessageArena is main-thread-only).
+  // copies them into shard scratch and sends them as one Message record at
+  // the serial flush.
   std::array<McacheEntry, 4> entries;
   std::size_t count = 0;
   mcache_.sample_into(
@@ -622,8 +622,8 @@ void Peer::do_gossip() {
       [&](const McacheEntry& e) { entries[count++] = e; });
   entries[count++] =
       McacheEntry{joined_at_, id_, net::accepts_inbound(spec_.type)};
-  sys_.send_gossip_entries(id_, target,
-                           std::span<const McacheEntry>(entries.data(), count));
+  sys_.send_gossip(id_, target,
+                   std::span<const McacheEntry>(entries.data(), count));
 }
 
 void Peer::check_media_ready(Tick now) {

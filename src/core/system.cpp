@@ -8,6 +8,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "core/invariants.h"
 #include "net/bandwidth.h"
@@ -58,13 +59,7 @@ System::System(sim::Simulation& simulation, Params params,
       log_(log_server),
       latency_model_(simulation.rng().next_u64(), config.latency),
       transport_(simulation, latency_model_),
-      workers_(resolve_shard_count(config.shards)),
-      // Largest control-plane batch: a boot-strap list response (gossip
-      // pushes carry at most 3 sampled entries + self).
-      mcache_arena_(std::max<std::size_t>(
-          4, params.bootstrap_list_size > 0
-                 ? static_cast<std::size_t>(params.bootstrap_list_size)
-                 : 0)) {
+      workers_(resolve_shard_count(config.shards)) {
   params_.validate();
   shard_scratch_.resize(workers_.shard_count());
 }
@@ -247,21 +242,9 @@ void System::request_bootstrap_list(net::NodeId requester) {
   }
   // One one-way delay models the whole request/response exchange; the
   // list is sampled when it arrives (server-side state at that instant).
-  transport_.send(requester, kBootstrapNodeId, net::MessageKind::kGossip,
-                  [this, requester] {
-                    Peer* p = peer(requester);
-                    if (p == nullptr || !p->alive()) return;
-                    bootstrap_.random_list_into(
-                        static_cast<std::size_t>(params_.bootstrap_list_size),
-                        requester, sim_.rng(), bootstrap_idx_scratch_,
-                        bootstrap_ids_scratch_);
-                    auto batch = mcache_arena_.make();
-                    for (net::NodeId id : bootstrap_ids_scratch_) {
-                      batch.push_back(McacheEntry{
-                          bootstrap_.joined_at(id), id, is_reachable(id)});
-                    }
-                    p->on_bootstrap_list(batch.items());
-                  });
+  send(Message{.from = requester,
+               .to = kBootstrapNodeId,
+               .kind = Message::Kind::kBootstrapRequest});
 }
 
 void System::attempt_partnership(net::NodeId from, net::NodeId to) {
@@ -269,32 +252,8 @@ void System::attempt_partnership(net::NodeId from, net::NodeId to) {
     s->emit(EffectAttempt{to});
     return;
   }
-  transport_.send(from, to, net::MessageKind::kPartnership, [this, from, to] {
-    Peer* callee = peer(to);
-    Peer* caller = peer(from);
-    const bool accept =
-        callee != nullptr && callee->alive() && caller != nullptr &&
-        caller->alive() && is_reachable(to) && !callee->partners_full() &&
-        !callee->partners().contains(from);
-    if (accept) {
-      ++stats_.partnership_accepts;
-      callee->on_partnership_established(from, /*incoming=*/true);
-      transport_.send(to, from, net::MessageKind::kPartnership,
-                      [this, from, to] {
-                        Peer* c = peer(from);
-                        if (c == nullptr || !c->alive()) return;
-                        c->on_partnership_established(to, /*incoming=*/false);
-                      });
-    } else {
-      ++stats_.partnership_rejects;
-      transport_.send(to, from, net::MessageKind::kPartnership,
-                      [this, from, to] {
-                        Peer* c = peer(from);
-                        if (c == nullptr || !c->alive()) return;
-                        c->on_partnership_rejected(to);
-                      });
-    }
-  });
+  send(Message{
+      .from = from, .to = to, .kind = Message::Kind::kPartnershipRequest});
 }
 
 void System::push_bm(net::NodeId from, net::NodeId to,
@@ -369,22 +328,8 @@ void System::unsubscribe(net::NodeId child, net::NodeId parent,
 }
 
 void System::send_gossip(net::NodeId from, net::NodeId to,
-                         MessageArena<McacheEntry>::Batch batch) {
-  // The lease rides inside the delivery callback: a dropped message
-  // releases it on callback destruction, a duplicated one copies it
-  // (refcount bump, no heap).  Arena batches are main-thread-only, so this
-  // entry point is serial-context-only by construction.
-  assert(tick_effect_sink() == nullptr);
-  transport_.send(from, to, net::MessageKind::kGossip,
-                  [this, to, batch = std::move(batch)] {
-                    if (Peer* p = peer(to); p != nullptr && p->alive()) {
-                      p->on_gossip(batch.items());
-                    }
-                  });
-}
-
-void System::send_gossip_entries(net::NodeId from, net::NodeId to,
-                                 std::span<const McacheEntry> entries) {
+                         std::span<const McacheEntry> entries) {
+  assert(entries.size() <= Message::kMaxEntries);
   if (TickEffectSink* s = tick_effect_sink()) {
     std::vector<McacheEntry>& scratch = shard_scratch_[s->shard].gossip_entries;
     EffectGossip gossip;
@@ -395,9 +340,90 @@ void System::send_gossip_entries(net::NodeId from, net::NodeId to,
     s->emit(gossip);
     return;
   }
-  auto batch = mcache_arena_.make();
-  for (const McacheEntry& e : entries) batch.push_back(e);
-  send_gossip(from, to, std::move(batch));
+  Message msg{.from = from,
+              .to = to,
+              .kind = Message::Kind::kGossip,
+              .count = static_cast<std::uint8_t>(entries.size())};
+  std::copy(entries.begin(), entries.end(), msg.entries.begin());
+  send(msg);
+}
+
+void System::send(const Message& msg) {
+  assert(tick_effect_sink() == nullptr && "messages leave from serial contexts");
+  const net::MessageKind category =
+      msg.kind == Message::Kind::kBootstrapRequest ||
+              msg.kind == Message::Kind::kGossip
+          ? net::MessageKind::kGossip
+          : net::MessageKind::kPartnership;
+  for (const Duration delay : transport_.route(msg.from, msg.to, category)) {
+    if (free_slots_.empty()) {
+      free_slots_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
+      in_flight_.emplace_back();
+      free_slots_.reserve(in_flight_.capacity());
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = msg;
+    const auto arrive = [this, slot] {
+      const Message arrived = in_flight_[slot];
+      free_slots_.push_back(slot);
+      deliver(arrived);
+    };
+    static_assert(sizeof(arrive) <= sim::detail::InlineFn::kInlineSize &&
+                      std::is_trivially_copyable_v<decltype(arrive)>,
+                  "a delivery must stay a small inline event callback");
+    sim_.after(delay, arrive);
+  }
+}
+
+void System::deliver(const Message& msg) {
+  // Every kind but the boot-strap round trip acts on the destination.  The
+  // sender is looked up only where its state matters: each lookup is a
+  // likely cache miss at scale.
+  Peer* dest = peer(msg.to);  // null for the boot-strap node
+  const bool dest_live = dest != nullptr && dest->alive();
+  switch (msg.kind) {
+    case Message::Kind::kBootstrapRequest: {  // answered to the requester
+      Peer* requester = peer(msg.from);
+      if (requester == nullptr || !requester->alive()) return;
+      bootstrap_.random_list_into(
+          static_cast<std::size_t>(params_.bootstrap_list_size), msg.from,
+          sim_.rng(), bootstrap_idx_scratch_, bootstrap_list_scratch_);
+      for (McacheEntry& e : bootstrap_list_scratch_) {
+        e.reachable = is_reachable(e.id);
+      }
+      requester->on_bootstrap_list(bootstrap_list_scratch_);
+      return;
+    }
+    case Message::Kind::kPartnershipRequest: {
+      const Peer* caller = peer(msg.from);
+      const bool accept = dest_live && caller != nullptr && caller->alive() &&
+                          is_reachable(msg.to) && !dest->partners_full() &&
+                          !dest->partners().contains(msg.from);
+      if (accept) {
+        ++stats_.partnership_accepts;
+        dest->on_partnership_established(msg.from, /*incoming=*/true);
+      } else {
+        ++stats_.partnership_rejects;
+      }
+      send(Message{.from = msg.to,
+                   .to = msg.from,
+                   .kind = accept ? Message::Kind::kPartnershipConfirm
+                                  : Message::Kind::kPartnershipReject});
+      return;
+    }
+    case Message::Kind::kPartnershipConfirm:
+      if (dest_live) {
+        dest->on_partnership_established(msg.from, /*incoming=*/false);
+      }
+      return;
+    case Message::Kind::kPartnershipReject:
+      if (dest_live) dest->on_partnership_rejected(msg.from);
+      return;
+    case Message::Kind::kGossip:
+      if (dest_live) dest->on_gossip(msg.payload());
+      return;
+  }
 }
 
 void System::break_partnership(net::NodeId a, net::NodeId b) {
@@ -681,7 +707,7 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
           break_partnership(from, e.other);
         } else if constexpr (std::is_same_v<E, EffectGossip>) {
           const ShardScratch& scratch = shard_scratch_[shard_of(from)];
-          send_gossip_entries(
+          send_gossip(
               from, e.to,
               std::span<const McacheEntry>(scratch.gossip_entries)
                   .subspan(e.first, e.count));

@@ -4,7 +4,9 @@
 // One System instance is one broadcast channel: it owns the dedicated
 // servers, the boot-strap node, every peer that ever joined, and the global
 // tick that drives block transfer and protocol timers.  Workload drivers
-// call join()/leave(); everything else is protocol behaviour.
+// call join()/leave(); everything else is protocol behaviour.  Messages
+// that travel with latency are Message records (core/message.h): the System
+// keeps them in flight in a flat table and handles every kind in deliver().
 //
 // Data plane.  Block transfer uses a discrete-time fluid model (period
 // Params::flow_tick): each parent divides its upload capacity max-min
@@ -23,9 +25,9 @@
 #include <span>
 #include <vector>
 
-#include "core/arena.h"
 #include "core/bootstrap.h"
 #include "core/mcache.h"
+#include "core/message.h"
 #include "core/params.h"
 #include "core/peer.h"
 #include "core/tick_effects.h"
@@ -186,19 +188,11 @@ class System {
   /// Sub-stream subscription management (child -> parent).
   void subscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
   void unsubscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
-  /// Gossip push of membership entries (an arena batch lease; the chunk
-  /// recycles when every queued delivery has run or been dropped).  Serial
-  /// contexts only — the parallel phase routes via send_gossip_entries.
+  /// Gossip push of at most Message::kMaxEntries membership entries
+  /// (shard-safe): in the parallel phase they are copied into shard
+  /// scratch and sent at the flush.
   void send_gossip(net::NodeId from, net::NodeId to,
-                   MessageArena<McacheEntry>::Batch batch);
-  /// Gossip push of plain entries (shard-safe): in the parallel phase they
-  /// are copied into shard scratch and materialized into an arena batch at
-  /// the flush.
-  void send_gossip_entries(net::NodeId from, net::NodeId to,
-                           std::span<const McacheEntry> entries);
-  /// The control-plane message arena (gossip + boot-strap batches).
-  /// Main-thread-only: never touched inside the parallel phase.
-  MessageArena<McacheEntry>& message_arena() noexcept { return mcache_arena_; }
+                   std::span<const McacheEntry> entries);
   /// Sampling scratch for Mcache::sample_into, one per shard (no
   /// re-entrant use: protocol callbacks never nest a second sample inside
   /// one; serial contexts all use shard 0's).
@@ -298,6 +292,11 @@ class System {
   void deliver_bm(net::NodeId from, net::NodeId to,
                   std::span<const SeqNum> lanes, std::uint32_t sub_bits);
   std::size_t current_shard() const noexcept;
+  /// Counts `msg` and files each copy the transport lets through in the
+  /// in-flight table, with its delivery queued.  Serial contexts only.
+  void send(const Message& msg);
+  /// Handles one arrived message, whatever its kind.
+  void deliver(const Message& msg);
 
   sim::Simulation& sim_;
   Params params_;
@@ -330,11 +329,14 @@ class System {
   /// Runs the tick's phases, one shard each; it owns the resolved count.
   sim::ShardWorkers workers_;
 
-  // zero-alloc control plane: arena chunks and sampling scratch reused
-  // across gossip sends, boot-strap responses and partner refills
-  MessageArena<McacheEntry> mcache_arena_;
+  // In-flight messages: a slot per queued delivery, recycled through the
+  // free list, whose capacity keeps up with the table's so freeing a slot
+  // never allocates.
+  std::vector<Message> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
+  // zero-alloc boot-strap responses: sampling and list scratch
   std::vector<std::size_t> bootstrap_idx_scratch_;
-  std::vector<net::NodeId> bootstrap_ids_scratch_;
+  std::vector<McacheEntry> bootstrap_list_scratch_;
   std::vector<net::NodeId> leave_scratch_;  ///< leave()'s partner ids (serial)
 };
 

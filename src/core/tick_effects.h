@@ -60,9 +60,8 @@ struct EffectBreak {
 };
 
 /// Gossip push to `to`: entries [first, first + count) of the sender's
-/// shard scratch, up to 3 sampled mCache entries + the sender's own (the
-/// MessageArena is main-thread-only; the System materializes an arena
-/// batch from them at the flush).
+/// shard scratch, up to 3 sampled mCache entries + the sender's own,
+/// copied into one Message record when the flush sends it.
 struct EffectGossip {
   net::NodeId to = net::kInvalidNode;
   std::uint32_t first = 0;

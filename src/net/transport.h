@@ -1,8 +1,11 @@
 // Control-plane message transport.
 //
-// Delivers callbacks between nodes after the pairwise latency.  Control
-// messages (gossip, buffer maps, subscribe/unsubscribe) are small; we model
-// their propagation delay but not their bandwidth, which is standard for
+// Routes control messages between nodes: counts each one and tells the
+// sender when its copies arrive, after the pairwise latency and whatever
+// the fault plane decides.  It schedules nothing; the System keeps the
+// in-flight records and queues their deliveries.  Control messages
+// (gossip, buffer maps, subscribe/unsubscribe) are small; we model their
+// propagation delay but not their bandwidth, which is standard for
 // overlay simulations — the data plane (sub-stream blocks) is where
 // bandwidth is modelled (see core::FlowModel).
 //
@@ -13,8 +16,6 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
-#include <type_traits>
-#include <utility>
 
 #include "net/latency.h"
 #include "net/types.h"
@@ -37,42 +38,31 @@ inline constexpr int kMessageKindCount = 5;
 /// Name for a message kind ("gossip", "buffermap", ...).
 std::string_view to_string(MessageKind kind) noexcept;
 
-/// Latency-delayed delivery of callbacks between nodes.
+/// When the copies of one sent message arrive, relative to the send: none
+/// when the fault plane drops it, two when it duplicates it (the
+/// duplicate first).
+struct Arrivals {
+  std::array<units::Duration, 2> delays{};
+  std::size_t count = 0;
+
+  const units::Duration* begin() const noexcept { return delays.data(); }
+  const units::Duration* end() const noexcept { return delays.data() + count; }
+};
+
+/// Latency and fault routing of control messages between nodes.
 class Transport {
  public:
-  Transport(sim::Simulation& simulation, const LatencyModel& latency)
+  Transport(const sim::Simulation& simulation, const LatencyModel& latency)
       : sim_(simulation), latency_(latency) {}
 
-  /// Delivers `deliver` at the destination after the one-way delay from
-  /// `from` to `to`.  The callback must internally route to the right
-  /// recipient object; the transport does not keep a node registry (the
-  /// System layer does).  Templated so the callable lands directly in the
-  /// event engine's in-record storage instead of a std::function.
-  ///
-  /// With a fault injector attached the message may additionally be
-  /// dropped, duplicated, or delayed by bounded jitter (independent jitter
-  /// of back-to-back messages is what produces reordering).  Without one,
-  /// the cost is a single null check and behaviour is bit-identical to the
-  /// fault-free transport.
-  template <typename F>
-  void send(NodeId from, NodeId to, MessageKind kind, F&& deliver) {
-    ++counts_[static_cast<std::size_t>(kind)];
-    const auto base = latency_.delay(from, to);
-    if (faults_ != nullptr) {
-      const sim::MessageDecision d = faults_->on_message(sim_.now(), from, to);
-      if (d.drop) return;
-      if constexpr (std::is_copy_constructible_v<std::decay_t<F>>) {
-        if (d.duplicate) {
-          auto copy = deliver;
-          sim_.after(base + d.extra_delay + d.duplicate_delay,
-                     std::move(copy));
-        }
-      }
-      sim_.after(base + d.extra_delay, std::forward<F>(deliver));
-      return;
-    }
-    sim_.after(base, std::forward<F>(deliver));
-  }
+  /// Counts one `kind` message from `from` to `to` and returns the delays
+  /// after which its copies arrive: the one-way latency of the pair.  With
+  /// a fault injector attached the message may instead be dropped,
+  /// duplicated, or delayed by bounded jitter (independent jitter of
+  /// back-to-back messages is what produces reordering).  Without one,
+  /// the cost is a single null check and the result is the fault-free
+  /// latency.
+  Arrivals route(NodeId from, NodeId to, MessageKind kind);
 
   /// Attaches (or detaches, with nullptr) a fault injector.  The injector
   /// must outlive the transport or be detached first.
@@ -95,11 +85,10 @@ class Transport {
   /// Total messages sent.
   std::uint64_t total_sent() const noexcept;
 
-  sim::Simulation& simulation() noexcept { return sim_; }
   const LatencyModel& latency() const noexcept { return latency_; }
 
  private:
-  sim::Simulation& sim_;
+  const sim::Simulation& sim_;
   const LatencyModel& latency_;
   sim::FaultInjector* faults_ = nullptr;
   std::array<std::uint64_t, kMessageKindCount> counts_{};

@@ -53,12 +53,13 @@ TEST(BootstrapTest, RandomListExcludesRequester) {
   for (int trial = 0; trial < 200; ++trial) {
     const auto list = b.random_list(5, 3, rng);
     ASSERT_EQ(list.size(), 5u);
-    for (net::NodeId id : list) {
-      ASSERT_NE(id, 3u);
-      ASSERT_TRUE(b.contains(id));
+    std::vector<net::NodeId> sorted;
+    for (const McacheEntry& e : list) {
+      ASSERT_NE(e.id, 3u);
+      ASSERT_TRUE(b.contains(e.id));
+      sorted.push_back(e.id);
     }
     // Distinct.
-    auto sorted = list;
     std::sort(sorted.begin(), sorted.end());
     ASSERT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
                 sorted.end());
@@ -72,7 +73,7 @@ TEST(BootstrapTest, RandomListSmallPopulation) {
   b.add(2, Tick(0.0));
   const auto list = b.random_list(8, 1, rng);
   ASSERT_EQ(list.size(), 1u);
-  EXPECT_EQ(list[0], 2u);
+  EXPECT_EQ(list[0].id, 2u);
 }
 
 TEST(BootstrapTest, RandomListEmptyRegistry) {
@@ -87,7 +88,7 @@ TEST(BootstrapTest, RandomListCoversAllNodes) {
   for (net::NodeId id = 0; id < 20; ++id) b.add(id, Tick(0.0));
   std::vector<int> seen(20, 0);
   for (int trial = 0; trial < 2000; ++trial) {
-    for (net::NodeId id : b.random_list(4, 999, rng)) ++seen[id];
+    for (const McacheEntry& e : b.random_list(4, 999, rng)) ++seen[e.id];
   }
   // Every node appears, roughly uniformly (expected 400 each).
   for (int s : seen) EXPECT_NEAR(s, 400, 120);
@@ -104,7 +105,10 @@ TEST(BootstrapTest, SwapRemoveKeepsRegistryConsistent) {
   }
   const auto list = b.random_list(25, 1000, rng);
   EXPECT_EQ(list.size(), 25u);
-  for (net::NodeId id : list) EXPECT_EQ(id % 2, 1u);
+  for (const McacheEntry& e : list) {
+    EXPECT_EQ(e.id % 2, 1u);
+    EXPECT_EQ(e.first_seen, Tick(e.id));  // stamped with its join time
+  }
 }
 
 }  // namespace

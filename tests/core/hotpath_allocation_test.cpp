@@ -3,16 +3,18 @@
 // This test binary replaces the global operator new/delete with counting
 // versions (same pattern as tests/sim/allocation_test.cpp, and a separate
 // binary for the same reason: the replacement must not interfere with the
-// other suites).  After warm-up — arena chunks, mCache fill, sampling
-// scratch capacities and event-slab growth are amortized infrastructure —
-// the periodic protocol messages themselves must not touch the heap:
+// other suites).  After warm-up — the in-flight message table, mCache
+// fill, sampling scratch capacities and event-slab growth are amortized
+// infrastructure — the periodic protocol messages themselves must not
+// touch the heap:
 //   * buffer-map exchange (build + copy + deliver, both directions),
-//   * gossip sends (arena batch + mCache sampling + transport enqueue),
+//   * gossip sends (mCache sampling + message table + event enqueue),
+//   * gossip sends and deliveries with drop, duplicate and jitter armed,
 //   * gossip receives (mCache refresh of known entries),
-//   * MessageArena batch recycling, including leases outliving the arena,
 //   * the flow-rate allocator (max_min_fair) on warm scratch.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -20,13 +22,13 @@
 #include <span>
 #include <vector>
 
-#include "core/arena.h"
 #include "core/invariants.h"
 #include "core/mcache.h"
 #include "core/params.h"
 #include "core/system.h"
 #include "net/address.h"
 #include "net/bandwidth.h"
+#include "sim/fault_injector.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -173,8 +175,8 @@ TEST(HotpathAllocationTest, GossipSendPathIsAllocationFree) {
   Peer* a = t.connected_viewer();
   ASSERT_NE(a, nullptr);
 
-  // Warm-up round: grows the arena pool, the event slab and the event
-  // queue's spill heap.  3x the counted burst so every capacity peaks well
+  // Warm-up round: grows the message table, the event slab and the event
+  // heap.  3x the counted burst so every capacity peaks well
   // above what the counted region can reach even with background gossip
   // still in flight at the measurement boundary; then drain (uncounted —
   // the global tick's status reports legitimately allocate).
@@ -185,8 +187,41 @@ TEST(HotpathAllocationTest, GossipSendPathIsAllocationFree) {
   const std::uint64_t allocs_before = g_allocations;
   for (int i = 0; i < 64; ++i) InvariantTestAccess::do_gossip(*a);
   EXPECT_EQ(g_allocations - allocs_before, 0u)
-      << "gossip send (arena batch + sampling + enqueue) touched the heap";
-  t.simulation.run_until(sim::Time(130.0));  // drain leases
+      << "gossip send (sampling + message table + enqueue) touched the heap";
+  t.simulation.run_until(sim::Time(130.0));  // drain the deliveries
+}
+
+TEST(HotpathAllocationTest, MessagesUnderFaultsAreAllocationFree) {
+  SteadySystem t;
+  sim::FaultSchedule schedule;
+  sim::MessageFault m;
+  m.window = {sim::Time::zero(), sim::Time(1e9)};
+  m.drop = 0.2;
+  m.dup = 0.5;
+  m.jitter = 0.5;
+  schedule.messages.push_back(m);
+  sim::FaultInjector faults(21, schedule);
+  t.sys->attach_faults(&faults);
+  Peer* a = t.connected_viewer();
+  ASSERT_NE(a, nullptr);
+
+  // Warm-up: 3x the counted burst, then drain (uncounted), so the message
+  // table and the event heap have peaked above what the counted region
+  // can reach.  A delivery arrives at most 1.5 s of latency plus 2 x 0.5 s
+  // of jitter after its send.
+  for (int i = 0; i < 192; ++i) InvariantTestAccess::do_gossip(*a);
+  t.simulation.run_until(sim::Time(125.0));
+  ASSERT_TRUE(a->alive());
+
+  const std::uint64_t allocs_before = g_allocations;
+  for (int i = 0; i < 64; ++i) InvariantTestAccess::do_gossip(*a);
+  t.simulation.run_until(sim::Time(128.0));
+  EXPECT_EQ(g_allocations - allocs_before, 0u)
+      << "gossip under drop/duplicate/jitter touched the heap";
+  EXPECT_GT(faults.counters().dropped, 0u);
+  EXPECT_GT(faults.counters().duplicated, 0u);
+  EXPECT_GT(faults.counters().jittered, 0u);
+  t.sys->attach_faults(nullptr);
 }
 
 TEST(HotpathAllocationTest, GossipReceiveIsAllocationFree) {
@@ -194,63 +229,23 @@ TEST(HotpathAllocationTest, GossipReceiveIsAllocationFree) {
   Peer* a = t.connected_viewer();
   ASSERT_NE(a, nullptr);
 
-  auto batch = t.sys->message_arena().make();
   // Entries for nodes the cache will already know after one delivery, so
   // the counted rounds exercise the refresh path (the steady state: gossip
   // mostly re-announces peers you have heard of).
-  batch.push_back(McacheEntry{Tick(0.0), net::NodeId(0), true});
-  batch.push_back(McacheEntry{Tick(0.0), net::NodeId(1), true});
-  batch.push_back(McacheEntry{Tick(10.0), net::NodeId(500), true});
-  batch.push_back(McacheEntry{Tick(10.0), net::NodeId(501), false});
-  a->on_gossip(batch.items());  // warm: may insert new entries
+  const std::array<McacheEntry, 4> entries{{
+      {Tick(0.0), net::NodeId(0), true},
+      {Tick(0.0), net::NodeId(1), true},
+      {Tick(10.0), net::NodeId(500), true},
+      {Tick(10.0), net::NodeId(501), false},
+  }};
+  a->on_gossip(entries);  // warm: may insert new entries
 
   const std::uint64_t allocs_before = g_allocations;
   for (int round = 0; round < 1000; ++round) {
-    a->on_gossip(batch.items());
+    a->on_gossip(entries);
   }
   EXPECT_EQ(g_allocations - allocs_before, 0u)
       << "gossip receive (mCache refresh) touched the heap";
-}
-
-TEST(HotpathAllocationTest, ArenaBatchCycleIsAllocationFree) {
-  MessageArena<McacheEntry> arena(4);
-  const McacheEntry e{Tick(1.0), net::NodeId(7), true};
-  {
-    auto warm = arena.make();  // allocates the first chunk
-    warm.push_back(e);
-    auto copy = warm;  // refcount bump only
-    EXPECT_EQ(copy.size(), 1u);
-  }
-
-  const std::uint64_t allocs_before = g_allocations;
-  for (int round = 0; round < 1000; ++round) {
-    auto batch = arena.make();
-    for (int i = 0; i < 4; ++i) batch.push_back(e);
-    auto copy = batch;           // shared lease
-    auto moved = std::move(batch);
-    EXPECT_EQ(copy.size(), 4u);
-    EXPECT_EQ(moved.size(), 4u);
-    copy.reset();
-    // `moved` recycles the chunk on scope exit.
-  }
-  EXPECT_EQ(g_allocations - allocs_before, 0u);
-  EXPECT_EQ(arena.chunk_count(), 1u) << "recycling failed; pool grew";
-  EXPECT_EQ(arena.live_batches(), 0u);
-}
-
-TEST(HotpathAllocationTest, BatchLeaseOutlivesArenaWithoutAllocating) {
-  auto arena = std::make_unique<MessageArena<McacheEntry>>(4);
-  auto batch = arena->make();
-  batch.push_back(McacheEntry{Tick(0.0), net::NodeId(3), true});
-  batch.push_back(McacheEntry{Tick(0.0), net::NodeId(4), false});
-
-  const std::uint64_t allocs_before = g_allocations;
-  arena.reset();  // System gone; queued deliveries may still hold leases
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch.items()[0].id, net::NodeId(3));
-  EXPECT_EQ(batch.items()[1].id, net::NodeId(4));
-  batch.reset();  // last lease frees the pool — release, not allocation
-  EXPECT_EQ(g_allocations - allocs_before, 0u);
 }
 
 TEST(HotpathAllocationTest, McacheSamplingIsAllocationFree) {

@@ -136,13 +136,15 @@ TEST(AllocationTest, CancelPathIsAllocationFree) {
 }
 
 TEST(AllocationTest, SmallCallbacksStayInline) {
-  // The protocol callbacks capture at most ~40 bytes (this pointer, a node
-  // id, a small vector); they must fit the in-record buffer.
+  // Pins the inline limit: a 40-byte capture (a pointer, two ids and 24
+  // more bytes) must fit the in-record buffer without a heap allocation.
+  // The protocol's own callbacks are far smaller; a message delivery is
+  // [System*, slot].
   EventQueue q;
-  struct Capture {  // mirrors the largest capture in src/core/system.cpp
-    void* self;                // [this]
-    std::uint32_t from, to;    // node ids
-    unsigned char vec[24];     // a moved-in std::vector (send_gossip)
+  struct Capture {
+    void* self;
+    std::uint32_t from, to;
+    unsigned char payload[24];
   };
   static_assert(sizeof(Capture) + sizeof(void*) <=
                 detail::InlineFn::kInlineSize);
