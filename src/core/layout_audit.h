@@ -58,8 +58,9 @@ COOLSTREAM_LAYOUT_AUDIT(core::PeerProtocolState, 272);
 COOLSTREAM_LAYOUT_AUDIT(net::Ipv4Address, 4);
 // One mailbox entry per deferred effect: payloads live in shard scratch.
 COOLSTREAM_LAYOUT_AUDIT(core::TickEffect, 16);  // 12-byte largest + index
-// One in-flight table slot per queued delivery.
-COOLSTREAM_LAYOUT_AUDIT(core::Message, 80);  // 4*16 + 4+4+1+1 + 6 tail
+// One in-flight table slot per queued delivery, one outbox record per
+// message posted in phase P.
+COOLSTREAM_LAYOUT_AUDIT(core::Message, 80);  // 4*16 + 4+4+4+1+1 + 2 tail
 
 // Transport message structs: the §V-A report payloads every peer emits.
 // (ActivityReport and PartnerReport stay cold: they carry a string /

@@ -104,8 +104,10 @@ struct Params {
   /// When > 0: a partner whose buffer map has not been refreshed for this
   /// many seconds is presumed dead or unreachable and the partnership is
   /// dropped.  Under message loss this is what clears phantom partnerships
-  /// left by a dropped establishment confirm.  0 disables the timeout
-  /// (clean-trace runs never need it: BM exchange is modelled losslessly).
+  /// left by a dropped establishment confirm.  0 disables the timeout.
+  /// Clean runs leave one-sided partnerships too: a confirm that arrives
+  /// after the callee broke the partnership is still applied, and with the
+  /// timeout off nothing removes it (ROADMAP item 1 fixes the confirm).
   double partner_silence_timeout = 0.0;
   /// Ablation switches for the two adaptation triggers (§IV-B).  Disabling
   /// one models a protocol bug; the property harness uses these to prove

@@ -92,7 +92,7 @@ void Peer::start_join() {
   r.activity = logging::Activity::kJoin;
   // Join-time activity report: once per session, off the per-tick path.
   r.address = spec_.address.to_string();
-  sys_.report(logging::Report(r));
+  sys_.report(id_, logging::Report(r));
   sys_.request_bootstrap_list(id_);
 }
 
@@ -113,7 +113,7 @@ void Peer::try_establish_partnerships(std::size_t want) {
   // partner with us by initiating themselves).  Sampled into the System's
   // shared scratch: attempt_partnership only queues a delayed event, so the
   // buffer is never used re-entrantly.
-  std::vector<McacheEntry>& candidates = sys_.candidate_scratch();
+  std::vector<McacheEntry>& candidates = sys_.candidate_scratch(id_);
   candidates.clear();
   mcache_.sample_into(
       want, rng_,
@@ -122,7 +122,7 @@ void Peer::try_establish_partnerships(std::size_t want) {
                partners_.contains(cand.id) ||
                has_pending_attempt(cand.id) || !sys_.is_live(cand.id);
       },
-      sys_.mcache_scratch(),
+      sys_.mcache_scratch(id_),
       [&candidates](const McacheEntry& e) { candidates.push_back(e); });
   for (const auto& cand : candidates) {
     pending_attempts_.push_back(PendingAttempt{sys_.now(), cand.id});
@@ -293,7 +293,7 @@ void Peer::subscribe_substream(SubstreamId j, net::NodeId parent) {
                 session_id_.value(),
                 sys_.now().value()};
     r.activity = logging::Activity::kStartSubscription;
-    sys_.report(logging::Report(r));
+    sys_.report(id_, logging::Report(r));
     sys_.notify(id_, SessionEvent::kStartSubscription);
   }
 }
@@ -612,13 +612,13 @@ void Peer::do_gossip() {
   const auto pick = rng_.below(partners_.size());
   const net::NodeId target = partners_[pick].id();
   // At most 3 sampled entries + self, gathered on the stack; the System
-  // copies them into shard scratch and sends them as one Message record at
-  // the serial flush.
+  // copies them into one Message record, which waits in the shard outbox
+  // until the serial flush.
   std::array<McacheEntry, 4> entries;
   std::size_t count = 0;
   mcache_.sample_into(
       3, rng_, [target](net::NodeId cand) { return cand == target; },
-      sys_.mcache_scratch(),
+      sys_.mcache_scratch(id_),
       [&](const McacheEntry& e) { entries[count++] = e; });
   entries[count++] =
       McacheEntry{joined_at_, id_, net::accepts_inbound(spec_.type)};
@@ -637,7 +637,7 @@ void Peer::check_media_ready(Tick now) {
                 session_id_.value(),
                 now.value()};
     r.activity = logging::Activity::kMediaPlayerReady;
-    sys_.report(logging::Report(r));
+    sys_.report(id_, logging::Report(r));
     sys_.notify(id_, SessionEvent::kMediaReady);
   }
 }
@@ -771,7 +771,7 @@ void Peer::send_status_reports(Tick now) {
   qos.header = header;
   qos.blocks_due = interval_due_;
   qos.blocks_on_time = interval_on_time_;
-  sys_.report(logging::Report(qos));
+  sys_.report(id_, logging::Report(qos));
   interval_due_ = 0;
   interval_on_time_ = 0;
 
@@ -779,7 +779,7 @@ void Peer::send_status_reports(Tick now) {
   traffic.header = header;
   traffic.bytes_down = interval_bytes_down_.value();
   traffic.bytes_up = interval_bytes_up_.value();
-  sys_.report(logging::Report(traffic));
+  sys_.report(id_, logging::Report(traffic));
   interval_bytes_down_ = units::Bytes::zero();
   interval_bytes_up_ = units::Bytes::zero();
 
@@ -787,7 +787,7 @@ void Peer::send_status_reports(Tick now) {
   partner.header = header;
   partner.partner_count = static_cast<std::uint32_t>(partner_count());
   partner.changes = std::move(interval_changes_);
-  sys_.report(logging::Report(partner));
+  sys_.report(id_, logging::Report(partner));
   interval_changes_.clear();
 }
 

@@ -49,6 +49,24 @@ std::size_t resolve_shard_count(int configured) {
   return static_cast<std::size_t>(n);
 }
 
+/// The accounting category a message kind counts under.
+net::MessageKind category_of(Message::Kind kind) noexcept {
+  switch (kind) {
+    case Message::Kind::kBootstrapRequest:
+    case Message::Kind::kGossip:
+      return net::MessageKind::kGossip;
+    case Message::Kind::kSubscribe:
+    case Message::Kind::kUnsubscribe:
+      return net::MessageKind::kSubscribe;
+    case Message::Kind::kPartnershipRequest:
+    case Message::Kind::kPartnershipConfirm:
+    case Message::Kind::kPartnershipReject:
+    case Message::Kind::kBreak:
+      break;
+  }
+  return net::MessageKind::kPartnership;
+}
+
 }  // namespace
 
 System::System(sim::Simulation& simulation, Params params,
@@ -128,7 +146,7 @@ void System::leave(net::NodeId id, bool graceful) {
     r.activity = logging::Activity::kLeave;
     r.had_incoming = p->had_incoming();
     r.had_outgoing = p->had_outgoing();
-    report(logging::Report(r));
+    report(id, logging::Report(r));
   }
 
   // Notify partners (graceful FIN or TCP reset; either way partnerships
@@ -175,17 +193,12 @@ bool System::is_live(net::NodeId id) const noexcept {
   return id < live_index_.size() && live_index_[id] != kNotLive;
 }
 
-std::size_t System::current_shard() const noexcept {
-  const TickEffectSink* s = tick_effect_sink();
-  return s != nullptr ? s->shard : 0;
+Mcache::SampleScratch& System::mcache_scratch(net::NodeId id) noexcept {
+  return shard_scratch_[shard_of(id)].mcache;
 }
 
-Mcache::SampleScratch& System::mcache_scratch() noexcept {
-  return shard_scratch_[current_shard()].mcache;
-}
-
-std::vector<McacheEntry>& System::candidate_scratch() noexcept {
-  return shard_scratch_[current_shard()].candidates;
+std::vector<McacheEntry>& System::candidate_scratch(net::NodeId id) noexcept {
+  return shard_scratch_[shard_of(id)].candidates;
 }
 
 Peer* System::peer(net::NodeId id) noexcept {
@@ -236,41 +249,30 @@ SeqNum System::source_head(SubstreamId j, Tick t) const noexcept {
 // --------------------------------------------------------------------------
 
 void System::request_bootstrap_list(net::NodeId requester) {
-  if (TickEffectSink* s = tick_effect_sink()) {
-    s->emit(EffectBootstrap{});
-    return;
-  }
   // One one-way delay models the whole request/response exchange; the
   // list is sampled when it arrives (server-side state at that instant).
-  send(Message{.from = requester,
+  post(Message{.from = requester,
                .to = kBootstrapNodeId,
                .kind = Message::Kind::kBootstrapRequest});
 }
 
 void System::attempt_partnership(net::NodeId from, net::NodeId to) {
-  if (TickEffectSink* s = tick_effect_sink()) {
-    s->emit(EffectAttempt{to});
-    return;
-  }
-  send(Message{
+  post(Message{
       .from = from, .to = to, .kind = Message::Kind::kPartnershipRequest});
 }
 
 void System::push_bm(net::NodeId from, net::NodeId to,
                      std::span<const SeqNum> lanes) {
-  assert(tick_effect_sink() == nullptr && "phase P uses broadcast_bm");
+  assert(!deferring_ && "phase P uses broadcast_bm");
   deliver_bm(from, to, lanes, 0);
 }
 
-void System::broadcast_bm([[maybe_unused]] net::NodeId from,
-                          std::span<const SeqNum> lanes,
+void System::broadcast_bm(net::NodeId from, std::span<const SeqNum> lanes,
                           const PartnerTable& partners,
                           std::span<const net::NodeId> parents) {
-  TickEffectSink* s = tick_effect_sink();
-  assert(s != nullptr && "BM broadcasts run in phase P");
-  assert(tick_order_[s->pos] == from);
+  assert(deferring_ && "BM broadcasts run in phase P");
   if (partners.empty()) return;
-  ShardScratch& scratch = shard_scratch_[s->shard];
+  ShardScratch& scratch = shard_scratch_[shard_of(from)];
   EffectBmPush push;
   push.base = static_cast<std::uint32_t>(scratch.bm_lanes.size());
   push.first = static_cast<std::uint32_t>(scratch.bm_targets.size());
@@ -283,7 +285,7 @@ void System::broadcast_bm([[maybe_unused]] net::NodeId from,
     }
     scratch.bm_targets.push_back(ShardScratch::BmTarget{ps.id(), bits});
   }
-  s->emit(push);
+  defer(from, push);
 }
 
 void System::deliver_bm(net::NodeId from, net::NodeId to,
@@ -304,58 +306,56 @@ void System::deliver_bm(net::NodeId from, net::NodeId to,
 }
 
 void System::subscribe(net::NodeId child, net::NodeId parent, SubstreamId j) {
-  if (TickEffectSink* s = tick_effect_sink()) {
-    s->emit(EffectSubscribe{parent, j});
-    return;
-  }
-  ++stats_.subscriptions;
-  transport_.count_only(net::MessageKind::kSubscribe);
-  if (Peer* p = peer(parent); p != nullptr && p->alive()) {
-    p->on_subscribe(child, j);
-  }
+  post(Message{.from = child,
+               .to = parent,
+               .substream = j,
+               .kind = Message::Kind::kSubscribe});
 }
 
 void System::unsubscribe(net::NodeId child, net::NodeId parent,
                          SubstreamId j) {
-  if (TickEffectSink* s = tick_effect_sink()) {
-    s->emit(EffectUnsubscribe{parent, j});
-    return;
-  }
-  transport_.count_only(net::MessageKind::kSubscribe);
-  if (Peer* p = peer(parent); p != nullptr && p->alive()) {
-    p->on_unsubscribe(child, j);
-  }
+  post(Message{.from = child,
+               .to = parent,
+               .substream = j,
+               .kind = Message::Kind::kUnsubscribe});
 }
 
 void System::send_gossip(net::NodeId from, net::NodeId to,
                          std::span<const McacheEntry> entries) {
   assert(entries.size() <= Message::kMaxEntries);
-  if (TickEffectSink* s = tick_effect_sink()) {
-    std::vector<McacheEntry>& scratch = shard_scratch_[s->shard].gossip_entries;
-    EffectGossip gossip;
-    gossip.to = to;
-    gossip.first = static_cast<std::uint32_t>(scratch.size());
-    gossip.count = static_cast<std::uint32_t>(entries.size());
-    scratch.insert(scratch.end(), entries.begin(), entries.end());
-    s->emit(gossip);
-    return;
-  }
   Message msg{.from = from,
               .to = to,
               .kind = Message::Kind::kGossip,
               .count = static_cast<std::uint8_t>(entries.size())};
   std::copy(entries.begin(), entries.end(), msg.entries.begin());
-  send(msg);
+  post(msg);
+}
+
+void System::break_partnership(net::NodeId a, net::NodeId b) {
+  post(Message{.from = a, .to = b, .kind = Message::Kind::kBreak});
+}
+
+void System::post(const Message& msg) {
+  if (deferring_) {
+    std::vector<Message>& outbox = shard_scratch_[shard_of(msg.from)].outbox;
+    defer(msg.from,
+          EffectMessage{static_cast<std::uint32_t>(outbox.size())});
+    outbox.push_back(msg);
+    return;
+  }
+  if (msg.delayed()) {
+    send(msg);
+    return;
+  }
+  transport_.count_only(category_of(msg.kind));
+  deliver(msg);
 }
 
 void System::send(const Message& msg) {
-  assert(tick_effect_sink() == nullptr && "messages leave from serial contexts");
-  const net::MessageKind category =
-      msg.kind == Message::Kind::kBootstrapRequest ||
-              msg.kind == Message::Kind::kGossip
-          ? net::MessageKind::kGossip
-          : net::MessageKind::kPartnership;
-  for (const Duration delay : transport_.route(msg.from, msg.to, category)) {
+  assert(!deferring_ && "messages leave from serial contexts");
+  assert(msg.delayed() && "zero-latency kinds are delivered by post");
+  for (const Duration delay :
+       transport_.route(msg.from, msg.to, category_of(msg.kind))) {
     if (free_slots_.empty()) {
       free_slots_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
       in_flight_.emplace_back();
@@ -423,25 +423,29 @@ void System::deliver(const Message& msg) {
     case Message::Kind::kGossip:
       if (dest_live) dest->on_gossip(msg.payload());
       return;
+    case Message::Kind::kSubscribe:
+      ++stats_.subscriptions;
+      if (dest_live) dest->on_subscribe(msg.from, msg.substream);
+      return;
+    case Message::Kind::kUnsubscribe:
+      if (dest_live) dest->on_unsubscribe(msg.from, msg.substream);
+      return;
+    case Message::Kind::kBreak:
+      if (Peer* caller = peer(msg.from); caller != nullptr && caller->alive()) {
+        caller->on_partner_left(msg.to);
+      }
+      // Re-checked: the caller's callback ran in between.
+      if (dest != nullptr && dest->alive()) dest->on_partner_left(msg.from);
+      return;
   }
 }
 
-void System::break_partnership(net::NodeId a, net::NodeId b) {
-  if (TickEffectSink* s = tick_effect_sink()) {
-    s->emit(EffectBreak{b});
-    return;
-  }
-  transport_.count_only(net::MessageKind::kPartnership);
-  if (Peer* pa = peer(a); pa != nullptr && pa->alive()) pa->on_partner_left(b);
-  if (Peer* pb = peer(b); pb != nullptr && pb->alive()) pb->on_partner_left(a);
-}
-
-void System::report(const logging::Report& r) {
-  if (TickEffectSink* s = tick_effect_sink()) {
-    std::vector<logging::Report>& scratch = shard_scratch_[s->shard].reports;
-    const auto index = static_cast<std::uint32_t>(scratch.size());
-    scratch.push_back(r);
-    s->emit(EffectReport{index});
+void System::report(net::NodeId from, const logging::Report& r) {
+  if (deferring_) {
+    std::vector<logging::Report>& reports =
+        shard_scratch_[shard_of(from)].reports;
+    defer(from, EffectReport{static_cast<std::uint32_t>(reports.size())});
+    reports.push_back(r);
     return;
   }
   transport_.count_only(net::MessageKind::kReport);
@@ -449,8 +453,8 @@ void System::report(const logging::Report& r) {
 }
 
 void System::notify(net::NodeId id, SessionEvent event) {
-  if (TickEffectSink* s = tick_effect_sink()) {
-    s->emit(EffectNotify{event});
+  if (deferring_) {
+    defer(id, EffectNotify{event});
     return;
   }
   if (observer) observer(id, event);
@@ -483,9 +487,9 @@ void System::tick() {
   tick_order_.assign(live_.begin(), live_.end());
   for (ShardScratch& s : shard_scratch_) {
     s.positions.clear();
+    s.outbox.clear();
     s.bm_lanes.clear();
     s.bm_targets.clear();
-    s.gossip_entries.clear();
     s.reports.clear();
   }
   for (std::uint32_t pos = 0;
@@ -500,7 +504,9 @@ void System::tick() {
 
   workers_.run([this, dt](std::size_t s) { flow_rates(s, dt); });
   workers_.run([this, dt](std::size_t s) { flow_apply(s, dt); });
+  deferring_ = true;
   workers_.run([this, t](std::size_t s) { protocol_phase(s, t); });
+  deferring_ = false;
 
   for (ShardScratch& s : shard_scratch_) {
     stats_.blocks_transferred += s.blocks_transferred;
@@ -522,20 +528,23 @@ void System::flow_rates(std::size_t shard, Duration dt) {
     Peer* parent = peer(id);
     if (parent == nullptr || !parent->alive()) continue;
     auto& links = parent->out_links();
+    // Compact stale links first: a child that left or reselected this
+    // sub-stream's parent.  Exactly one parent passes the parent_of()
+    // check for a given (child, sub-stream), so each slot published below
+    // has a unique writer this phase.
+    std::erase_if(links, [this, id](const OutLink& l) {
+      const Peer* child = peer(l.child);
+      return child == nullptr || !child->alive() ||
+             child->parent_of(l.substream) != id;
+    });
     if (links.empty()) continue;
 
     // Demands per outgoing sub-stream connection (blocks/s), from heads
     // frozen at tick start — no phase writes them until F2.
-    demands.assign(links.size(), units::BlockRate::zero());
-    bool any_stale = false;
+    demands.resize(links.size());
     for (std::size_t k = 0; k < links.size(); ++k) {
       const OutLink& l = links[k];
       const Peer* child = peer(l.child);
-      if (child == nullptr || !child->alive() ||
-          child->parent_of(l.substream) != id) {
-        any_stale = true;
-        continue;  // demand stays 0; link compacted below
-      }
       const BlockCount backlog =
           parent->head(l.substream) - child->head(l.substream);
       if (backlog <= BlockCount::zero()) {
@@ -558,31 +567,16 @@ void System::flow_rates(std::size_t shard, Duration dt) {
       net::equal_share(capacity, demands, rates);
     }
 
-    // Publish one InFlow slot per granted link.  Exactly one parent can
-    // pass the parent_of() check for a given (child, sub-stream), so each
-    // slot has a unique writer this phase.
+    // Publish one InFlow slot per granted link.
     for (std::size_t k = 0; k < links.size(); ++k) {
       if (rates[k] <= units::BlockRate::zero()) continue;
       const OutLink& l = links[k];
-      const Peer* child = peer(l.child);
-      if (child == nullptr || !child->alive() ||
-          child->parent_of(l.substream) != id) {
-        continue;  // stale link: never granted a slot
-      }
       InFlow& slot = inflow_[l.child * k_streams + l.substream.index()];
       slot.rate = rates[k];
       slot.parent_head = parent->head(l.substream);
       slot.parent = id;
       slot.pushed = 0;
       slot.stamp = tick_stamp_;
-    }
-
-    if (any_stale) {
-      std::erase_if(links, [this, id](const OutLink& l) {
-        const Peer* child = peer(l.child);
-        return child == nullptr || !child->alive() ||
-               child->parent_of(l.substream) != id;
-      });
     }
   }
 }
@@ -637,11 +631,8 @@ void System::flow_apply(std::size_t shard, Duration dt) {
 void System::protocol_phase(std::size_t shard, Tick t) {
   const units::Bytes block_bytes = params_.block_bytes();
   const auto k_streams = static_cast<std::size_t>(params_.substream_count);
-  TickEffectSink sink;
-  sink.mailbox = &effects_;
-  sink.shard = shard;
-  set_tick_effect_sink(&sink);
-  for (const std::uint32_t pos : shard_scratch_[shard].positions) {
+  ShardScratch& scratch = shard_scratch_[shard];
+  for (const std::uint32_t pos : scratch.positions) {
     const net::NodeId id = tick_order_[pos];
     Peer* p = peer(id);
     if (p == nullptr || !p->alive()) continue;
@@ -650,14 +641,18 @@ void System::protocol_phase(std::size_t shard, Tick t) {
     for (const OutLink& l : p->out_links()) {
       const InFlow& slot = inflow_[l.child * k_streams + l.substream.index()];
       if (slot.stamp != tick_stamp_ || slot.parent != id) continue;
-      for (std::uint32_t n = 0; n < slot.pushed; ++n) {
-        p->add_bytes_up(block_bytes);
-      }
+      p->add_bytes_up(block_bytes * slot.pushed);
     }
-    sink.pos = pos;
+    scratch.pos = pos;
     p->on_tick(t);
   }
-  set_tick_effect_sink(nullptr);
+}
+
+void System::defer(net::NodeId from, TickEffect effect) {
+  const std::size_t shard = shard_of(from);
+  assert(deferring_ && tick_order_[shard_scratch_[shard].pos] == from &&
+         "effects come from the peer its shard is running");
+  effects_.push(shard, shard_scratch_[shard].pos, effect);
 }
 
 void System::flush_effects() {
@@ -670,7 +665,7 @@ void System::flush_effects() {
 }
 
 void System::apply_effect(net::NodeId from, TickEffect&& effect) {
-  assert(tick_effect_sink() == nullptr && "flush must run serially");
+  assert(!deferring_ && "flush must run serially");
   std::visit(
       [this, from](auto&& e) {
         using E = std::decay_t<decltype(e)>;
@@ -686,37 +681,25 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
             const ShardScratch::BmTarget& t = scratch.bm_targets[k];
             deliver_bm(from, t.to, lanes, t.sub_bits);
           }
-        } else if constexpr (std::is_same_v<E, EffectSubscribe>) {
-          // Stale intent: an earlier flush effect (say, a broken
-          // partnership) made the sender reselect this sub-stream's parent
-          // mid-flush; applying the old subscription would plant a serving
-          // link the child no longer points at.
-          const Peer* p = peer(from);
-          if (p != nullptr && p->parent_of(e.substream) == e.parent) {
-            subscribe(from, e.parent, e.substream);
+        } else if constexpr (std::is_same_v<E, EffectMessage>) {
+          const Message& msg = shard_scratch_[shard_of(from)].outbox[e.index];
+          if (msg.kind == Message::Kind::kSubscribe) {
+            // Stale intent: an earlier flush effect (say, a broken
+            // partnership) made the sender reselect this sub-stream's
+            // parent mid-flush; applying the old subscription would plant
+            // a serving link the child no longer points at.
+            const Peer* p = peer(from);
+            if (p == nullptr || p->parent_of(msg.substream) != msg.to) return;
+          } else if (msg.kind == Message::Kind::kUnsubscribe) {
+            // Mirror guard: if a mid-flush reselect re-subscribed the
+            // sender to this same parent, the deferred unsubscribe must not
+            // tear the fresh link down.
+            const Peer* p = peer(from);
+            if (p != nullptr && p->parent_of(msg.substream) == msg.to) return;
           }
-        } else if constexpr (std::is_same_v<E, EffectUnsubscribe>) {
-          // Mirror guard: if a mid-flush reselect re-subscribed the sender
-          // to this same parent, the deferred unsubscribe must not tear the
-          // fresh link down.
-          const Peer* p = peer(from);
-          if (p == nullptr || p->parent_of(e.substream) != e.parent) {
-            unsubscribe(from, e.parent, e.substream);
-          }
-        } else if constexpr (std::is_same_v<E, EffectBreak>) {
-          break_partnership(from, e.other);
-        } else if constexpr (std::is_same_v<E, EffectGossip>) {
-          const ShardScratch& scratch = shard_scratch_[shard_of(from)];
-          send_gossip(
-              from, e.to,
-              std::span<const McacheEntry>(scratch.gossip_entries)
-                  .subspan(e.first, e.count));
-        } else if constexpr (std::is_same_v<E, EffectAttempt>) {
-          attempt_partnership(from, e.to);
-        } else if constexpr (std::is_same_v<E, EffectBootstrap>) {
-          request_bootstrap_list(from);
+          post(msg);
         } else if constexpr (std::is_same_v<E, EffectReport>) {
-          report(shard_scratch_[shard_of(from)].reports[e.index]);
+          report(from, shard_scratch_[shard_of(from)].reports[e.index]);
         } else {
           static_assert(std::is_same_v<E, EffectNotify>);
           notify(from, e.event);

@@ -4,9 +4,10 @@
 // One System instance is one broadcast channel: it owns the dedicated
 // servers, the boot-strap node, every peer that ever joined, and the global
 // tick that drives block transfer and protocol timers.  Workload drivers
-// call join()/leave(); everything else is protocol behaviour.  Messages
-// that travel with latency are Message records (core/message.h): the System
-// keeps them in flight in a flat table and handles every kind in deliver().
+// call join()/leave(); everything else is protocol behaviour.  Control
+// messages are Message records (core/message.h) that all leave through
+// post(): the System keeps the delayed ones in flight in a flat table and
+// handles every kind in deliver().
 //
 // Data plane.  Block transfer uses a discrete-time fluid model (period
 // Params::flow_tick): each parent divides its upload capacity max-min
@@ -179,7 +180,7 @@ class System {
   /// Periodic BM exchange (§III-C), phase P only: sends the K head `lanes`
   /// to every partner, each copy carrying the subscription bits for that
   /// partner (lane j set when `parents[j]` is the partner).  The lanes and
-  /// the target list are snapshotted now into the worker's shard scratch
+  /// the target list are snapshotted now into the sender's shard scratch
   /// and emitted as one EffectBmPush; the flush delivers them in partner
   /// order with zero latency, counting one message per partner.
   void broadcast_bm(net::NodeId from, std::span<const SeqNum> lanes,
@@ -188,21 +189,22 @@ class System {
   /// Sub-stream subscription management (child -> parent).
   void subscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
   void unsubscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
-  /// Gossip push of at most Message::kMaxEntries membership entries
-  /// (shard-safe): in the parallel phase they are copied into shard
-  /// scratch and sent at the flush.
+  /// Gossip push of at most Message::kMaxEntries membership entries, copied
+  /// into the Message record.
   void send_gossip(net::NodeId from, net::NodeId to,
                    std::span<const McacheEntry> entries);
-  /// Sampling scratch for Mcache::sample_into, one per shard (no
-  /// re-entrant use: protocol callbacks never nest a second sample inside
-  /// one; serial contexts all use shard 0's).
-  Mcache::SampleScratch& mcache_scratch() noexcept;
-  /// Candidate buffer for Peer::try_establish_partnerships (per shard).
-  std::vector<McacheEntry>& candidate_scratch() noexcept;
+  /// Sampling scratch for Mcache::sample_into, from the shard that owns
+  /// peer `id` (no re-entrant use: protocol callbacks never nest a second
+  /// sample inside one, and the scratch is cleared before each use).
+  Mcache::SampleScratch& mcache_scratch(net::NodeId id) noexcept;
+  /// Candidate buffer for Peer::try_establish_partnerships, from the shard
+  /// that owns peer `id`.
+  std::vector<McacheEntry>& candidate_scratch(net::NodeId id) noexcept;
   /// Drops the partnership between two nodes (both sides notified).
   void break_partnership(net::NodeId a, net::NodeId b);
-  /// Files a report with the log server (no-op when none attached).
-  void report(const logging::Report& r);
+  /// Files peer `from`'s report with the log server (no-op when none
+  /// attached).
+  void report(net::NodeId from, const logging::Report& r);
   /// Session milestones, called by Peer.
   void notify(net::NodeId id, SessionEvent event);
   /// Max partner count for a node (M for viewers, server override).
@@ -232,9 +234,10 @@ class System {
   friend struct InvariantTestAccess;  // seeded-corruption hooks (tests only)
 
   /// One worker's private buffers, indexed by shard (serial contexts use
-  /// shard 0's).  Consumed within a tick — the BM lists by the flush,
-  /// everything else within its phase — and never carry results across
-  /// ticks, so placement cannot influence behaviour.
+  /// those of the shard that owns the peer at hand).  Consumed within a
+  /// tick — the phase-P outputs by the flush, everything else within its
+  /// phase — and never carry results across ticks, so placement cannot
+  /// influence behaviour.
   struct ShardScratch {
     /// One partner of a snapshotted BM broadcast.
     struct BmTarget {
@@ -250,12 +253,14 @@ class System {
     std::vector<std::size_t> active;
     /// This shard's tick positions, ascending (rebuilt at tick start).
     std::vector<std::uint32_t> positions;
+    /// Phase P: the tick position of the peer this shard is running.
+    std::uint32_t pos = 0;
     /// Effect payloads emitted in phase P, read back by the flush through
     /// the indices the effects hold; cleared at tick start.  Only the
     /// shard's own worker appends to them.
+    std::vector<Message> outbox;  ///< posted messages, in post order
     std::vector<SeqNum> bm_lanes;  ///< K lanes per broadcast
     std::vector<BmTarget> bm_targets;
-    std::vector<McacheEntry> gossip_entries;
     std::vector<logging::Report> reports;
     std::uint64_t blocks_transferred = 0;
   };
@@ -283,6 +288,9 @@ class System {
   /// Phase P (sharded by peer): tally bytes_up from the slots, then run
   /// Peer::on_tick with every cross-peer interaction deferred as effects.
   void protocol_phase(std::size_t shard, Tick t);
+  /// Queues `effect` in the lane of `from`'s shard, at the tick position
+  /// that shard is running (phase P only; `from` must be that peer).
+  void defer(net::NodeId from, TickEffect effect);
   /// Drains the effect mailbox in canonical sender order (serial).
   void flush_effects();
   void apply_effect(net::NodeId from, TickEffect&& effect);
@@ -291,9 +299,13 @@ class System {
   /// word.
   void deliver_bm(net::NodeId from, net::NodeId to,
                   std::span<const SeqNum> lanes, std::uint32_t sub_bits);
-  std::size_t current_shard() const noexcept;
-  /// Counts `msg` and files each copy the transport lets through in the
-  /// in-flight table, with its delivery queued.  Serial contexts only.
+  /// Sends `msg` from `msg.from`: in phase P it waits in the sender's
+  /// outbox for the flush; otherwise a delayed kind goes through send()
+  /// and a zero-latency kind is counted and delivered at once.
+  void post(const Message& msg);
+  /// Counts a delayed `msg` and files each copy the transport lets through
+  /// in the in-flight table, with its delivery queued.  Serial contexts
+  /// only.
   void send(const Message& msg);
   /// Handles one arrived message, whatever its kind.
   void deliver(const Message& msg);
@@ -325,6 +337,9 @@ class System {
   std::vector<net::NodeId> tick_order_;    ///< live_, frozen at tick start
   std::vector<InFlow> inflow_;  ///< peers_.size() * K slots, stamp-guarded
   sim::ShardMailbox<TickEffect> effects_;
+  /// True while phase P runs, when the plumbing defers.  Only the tick
+  /// thread writes it, and only between phase barriers.
+  bool deferring_ = false;
   std::vector<ShardScratch> shard_scratch_;  ///< one per shard
   /// Runs the tick's phases, one shard each; it owns the resolved count.
   sim::ShardWorkers workers_;

@@ -179,18 +179,4 @@ bool FaultInjector::any_active(units::Tick now) const noexcept {
   return false;
 }
 
-units::Tick FaultInjector::last_window_end() const noexcept {
-  units::Tick last = units::Tick::zero();
-  for (const MessageFault& m : schedule_.messages) {
-    last = std::max(last, m.window.end);
-  }
-  for (const CapacityFault& c : schedule_.capacities) {
-    last = std::max(last, c.window.end);
-  }
-  for (const FlapFault& f : schedule_.flaps) {
-    last = std::max(last, f.window.end);
-  }
-  return last;
-}
-
 }  // namespace coolstream::sim

@@ -157,8 +157,6 @@ class FaultInjector {
   /// True when any entry's window is active at `now` (used by harnesses
   /// to know when a run has quiesced).
   bool any_active(units::Tick now) const noexcept;
-  /// End of the latest window in the schedule (Tick::zero() when empty).
-  units::Tick last_window_end() const noexcept;
 
   const FaultSchedule& schedule() const noexcept { return schedule_; }
   const FaultCounters& counters() const noexcept { return counters_; }
