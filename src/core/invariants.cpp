@@ -355,10 +355,6 @@ void InvariantTestAccess::do_gossip(Peer& p) { p.do_gossip(); }
 
 Mcache& InvariantTestAccess::mcache(Peer& p) { return p.mcache_; }
 
-std::size_t InvariantTestAccess::messages_in_flight(const System& sys) {
-  return sys.in_flight_.size() - sys.free_slots_.size();
-}
-
 Tick& InvariantTestAccess::next_bm_push(Peer& p) { return p.next_bm_push_; }
 
 std::size_t InvariantTestAccess::session_capacity(const Peer& p) {

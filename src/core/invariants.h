@@ -135,12 +135,10 @@ struct InvariantTestAccess {
   static SystemStats& stats(System& sys);
   /// Fires one gossip round from `p` right now, bypassing the gossip
   /// timer.  Used by the allocation-counting tier to bracket the
-  /// sample_into / message-table send path with heap counters.
+  /// sample_into / message send path with heap counters.
   static void do_gossip(Peer& p);
   /// The peer's mCache, writable (to observe repeated gossip deliveries).
   static Mcache& mcache(Peer& p);
-  /// Messages the System holds in flight: live slots of its table.
-  static std::size_t messages_in_flight(const System& sys);
   /// The peer's next periodic BM broadcast time (settable, so a test can
   /// make the broadcast fall due on a chosen tick).
   static Tick& next_bm_push(Peer& p);

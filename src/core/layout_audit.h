@@ -58,8 +58,10 @@ COOLSTREAM_LAYOUT_AUDIT(core::PeerProtocolState, 272);
 COOLSTREAM_LAYOUT_AUDIT(net::Ipv4Address, 4);
 // One mailbox entry per deferred effect: payloads live in shard scratch.
 COOLSTREAM_LAYOUT_AUDIT(core::TickEffect, 16);  // 12-byte largest + index
-// One in-flight table slot per queued delivery, one outbox record per
-// message posted in phase P.
+// Carried by every queued delivery (inside the event record's in-place
+// callback, next to the System pointer: 88 bytes, which is
+// sim::detail::InlineFn::kInlineSize) and by one outbox record per message
+// posted in phase P.
 COOLSTREAM_LAYOUT_AUDIT(core::Message, 80);  // 4*16 + 4+4+4+1+1 + 2 tail
 
 // Transport message structs: the §V-A report payloads every peer emits.

@@ -4,13 +4,14 @@
 // trivially copyable Message: its kind, its endpoints, a sub-stream and up
 // to four inline mCache entries.  Five kinds travel with latency: the
 // boot-strap list request, the partnership request and its confirm or
-// reject, and mCache gossip.  The System keeps those in flight in a flat
-// table; the event queue only carries a [System*, slot] callback.  Three
-// kinds act at once: sub-stream subscribe and unsubscribe, and a
-// partnership break.  Every kind is handled in one switch
-// (System::deliver); during the sharded protocol phase every kind waits in
-// its sender's shard outbox until the flush (core/tick_effects.h).
-// net::MessageKind stays the accounting category.
+// reject, and mCache gossip.  Each copy in flight is carried whole by its
+// delivery event, a [System*, Message] callback stored in place in the
+// event queue's record (sim/event_queue.h).  Three kinds act at once:
+// sub-stream subscribe and unsubscribe, and a partnership break.  Every
+// kind is handled in one switch (System::deliver); during the sharded
+// protocol phase every kind waits in its sender's shard outbox until the
+// flush (core/tick_effects.h).  net::MessageKind stays the accounting
+// category.
 #pragma once
 
 #include <array>

@@ -106,6 +106,12 @@ class PartnerTable {
   Iterator begin() const noexcept { return Iterator(*this, 0); }
   Iterator end() const noexcept { return Iterator(*this, records_.size()); }
 
+  /// Highest latest() across the partners whose map has arrived (kNoSeq
+  /// when none has): the freshest block any partner has advertised.  A
+  /// partner without a map holds kNoSeq lanes, so one scan of every lane
+  /// gives the same answer.
+  SeqNum max_advertised() const noexcept { return core::max_latest(lanes_); }
+
   /// The partner `id`, if listed.
   std::optional<PartnerView> find(net::NodeId id) const;
   bool contains(net::NodeId id) const noexcept { return index_of(id) != kNone; }

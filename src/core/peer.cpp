@@ -237,10 +237,7 @@ void Peer::on_unsubscribe(net::NodeId child, SubstreamId j) {
 void Peer::decide_start_offset() {
   const Params& p = sys_.params();
   // m = the largest sequence number available across partners (§IV-A).
-  SeqNum m = kNoSeq;
-  for (const PartnerView ps : partners_) {
-    if (ps.bm_time()) m = std::max(m, ps.max_latest());
-  }
+  const SeqNum m = partners_.max_advertised();
   if (m == kNoSeq) return;  // no usable buffer map yet; keep waiting
 
   // "a node subscribes from a block that is shifted by a parameter T_p
@@ -304,10 +301,7 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
   const BlockCount tp = p.tp_block_count();
 
   const SeqNum own_max = max_latest(sync_.heads());
-  SeqNum partner_max = kNoSeq;
-  for (const PartnerView ps : partners_) {
-    if (ps.bm_time()) partner_max = std::max(partner_max, ps.max_latest());
-  }
+  const SeqNum partner_max = partners_.max_advertised();
 
   // Qualified candidates satisfy both inequalities (§IV-B): adopting them
   // must neither leave sub-stream j more than T_s behind our freshest
@@ -403,10 +397,7 @@ void Peer::run_adaptation(Tick now, bool cooldown_exempt) {
 
   const std::span<const SeqNum> own = sync_.heads();
   const SeqNum own_max = max_latest(own);
-  SeqNum partner_max = kNoSeq;
-  for (const PartnerView ps : partners_) {
-    if (ps.bm_time()) partner_max = std::max(partner_max, ps.max_latest());
-  }
+  const SeqNum partner_max = partners_.max_advertised();
 
   // One scan over the K lanes, producing bit-words instead of a per-call
   // vector.  Inequality (1) is stated two ways in the paper: the prose
@@ -539,12 +530,7 @@ void Peer::on_tick(Tick now) {
     bool lagging = false;
     if (start_decided_) {
       const SeqNum own_max = max_latest(sync_.heads());
-      SeqNum partner_max = kNoSeq;
-      for (const PartnerView ps : partners_) {
-        if (ps.bm_time()) {
-          partner_max = std::max(partner_max, ps.max_latest());
-        }
-      }
+      const SeqNum partner_max = partners_.max_advertised();
       lagging = partner_max - own_max >= p.tp_block_count();
       // The broadcast clock (block timestamps) also exposes staleness a
       // collectively-stale partner set cannot: explore when the freshest
@@ -805,10 +791,7 @@ void Peer::maybe_resync_forward(Tick now) {
 
   // Re-anchor at the freshest partner, T_p behind its latest block — the
   // same rule as the initial join (§IV-A).
-  SeqNum m = kNoSeq;
-  for (const PartnerView ps : partners_) {
-    if (ps.bm_time()) m = std::max(m, ps.max_latest());
-  }
+  const SeqNum m = partners_.max_advertised();
   const SeqNum s0 = m - p.tp_block_count();
   // Only jump if it actually moves us forward meaningfully.
   const GlobalSeq target = global_of(SubstreamId(0), s0, p.substream_count);

@@ -356,19 +356,7 @@ void System::send(const Message& msg) {
   assert(msg.delayed() && "zero-latency kinds are delivered by post");
   for (const Duration delay :
        transport_.route(msg.from, msg.to, category_of(msg.kind))) {
-    if (free_slots_.empty()) {
-      free_slots_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
-      in_flight_.emplace_back();
-      free_slots_.reserve(in_flight_.capacity());
-    }
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_flight_[slot] = msg;
-    const auto arrive = [this, slot] {
-      const Message arrived = in_flight_[slot];
-      free_slots_.push_back(slot);
-      deliver(arrived);
-    };
+    const auto arrive = [this, msg] { deliver(msg); };
     static_assert(sizeof(arrive) <= sim::detail::InlineFn::kInlineSize &&
                       std::is_trivially_copyable_v<decltype(arrive)>,
                   "a delivery must stay a small inline event callback");

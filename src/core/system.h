@@ -6,8 +6,8 @@
 // tick that drives block transfer and protocol timers.  Workload drivers
 // call join()/leave(); everything else is protocol behaviour.  Control
 // messages are Message records (core/message.h) that all leave through
-// post(): the System keeps the delayed ones in flight in a flat table and
-// handles every kind in deliver().
+// post(): each delayed copy rides in its delivery event's in-place
+// callback storage, and deliver() handles every kind.
 //
 // Data plane.  Block transfer uses a discrete-time fluid model (period
 // Params::flow_tick): each parent divides its upload capacity max-min
@@ -65,9 +65,6 @@ struct SystemConfig {
   /// How long a joining node aggregates partner BMs before choosing its
   /// initial sequence offset (§IV-A).
   double join_aggregation_delay = 1.0;
-  /// Viewers' download capacity is modelled as unconstrained (uplink is
-  /// the era's bottleneck) unless this is set to a positive bps value.
-  double download_capacity_bps = 0.0;
   /// Simulated seconds between runtime invariant audits (core/invariants.h);
   /// 0 (the default) attaches no auditor.
   double audit_period = 0.0;
@@ -303,9 +300,9 @@ class System {
   /// outbox for the flush; otherwise a delayed kind goes through send()
   /// and a zero-latency kind is counted and delivered at once.
   void post(const Message& msg);
-  /// Counts a delayed `msg` and files each copy the transport lets through
-  /// in the in-flight table, with its delivery queued.  Serial contexts
-  /// only.
+  /// Counts a delayed `msg` and queues one delivery per copy the
+  /// transport lets through; each delivery event carries the record.
+  /// Serial contexts only.
   void send(const Message& msg);
   /// Handles one arrived message, whatever its kind.
   void deliver(const Message& msg);
@@ -344,11 +341,6 @@ class System {
   /// Runs the tick's phases, one shard each; it owns the resolved count.
   sim::ShardWorkers workers_;
 
-  // In-flight messages: a slot per queued delivery, recycled through the
-  // free list, whose capacity keeps up with the table's so freeing a slot
-  // never allocates.
-  std::vector<Message> in_flight_;
-  std::vector<std::uint32_t> free_slots_;
   // zero-alloc boot-strap responses: sampling and list scratch
   std::vector<std::size_t> bootstrap_idx_scratch_;
   std::vector<McacheEntry> bootstrap_list_scratch_;

@@ -2,8 +2,8 @@
 //
 // Routes control messages between nodes: counts each one and tells the
 // sender when its copies arrive, after the pairwise latency and whatever
-// the fault plane decides.  It schedules nothing; the System keeps the
-// in-flight records and queues their deliveries.  Control messages
+// the fault plane decides.  It schedules nothing; the System queues the
+// deliveries, each carrying its message record.  Control messages
 // (gossip, buffer maps, subscribe/unsubscribe) are small; we model their
 // propagation delay but not their bandwidth, which is standard for
 // overlay simulations — the data plane (sub-stream blocks) is where

@@ -8,9 +8,10 @@
 //   * Event records live in a chunked slab; records never move, and freed
 //     slots are recycled through a free list, so the steady state performs
 //     zero heap allocations per event.
-//   * Callbacks are stored in-place when they fit a 48-byte small-buffer
-//     (every periodic protocol-loop callback does); larger captures fall
-//     back to one heap allocation owned by the record.
+//   * Callbacks are stored in place, in an 88-byte buffer inside the
+//     record: every protocol callback fits, and so does a message delivery
+//     that carries its whole control-message record.  A larger capture is
+//     a compile error, so no event ever allocates for its callback.
 //   * Cancellation tokens are {slot, generation} pairs.  Firing, cancelling
 //     or completing an event bumps the slot's generation, so stale handles
 //     become inert automatically — no shared_ptr, no reference counting.
@@ -59,24 +60,17 @@ using EventFn = std::function<void()>;
 
 namespace detail {
 
-/// Type-erased move-only callable with in-place storage for small targets.
-/// Callables up to kInlineSize bytes (all protocol-loop lambdas) are stored
-/// inside the record; larger ones cost one heap allocation.
+/// Type-erased callable stored in place.  Callables up to kInlineSize
+/// bytes (every protocol callback, and a delivery carrying its whole
+/// control message) live inside the event record; a larger capture does
+/// not compile.  Records never move, so neither does an InlineFn.
 class InlineFn {
  public:
-  static constexpr std::size_t kInlineSize = 48;
+  static constexpr std::size_t kInlineSize = 88;
 
   InlineFn() = default;
   InlineFn(const InlineFn&) = delete;
   InlineFn& operator=(const InlineFn&) = delete;
-  InlineFn(InlineFn&& other) noexcept { move_from(other); }
-  InlineFn& operator=(InlineFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
   ~InlineFn() { reset(); }
 
   template <typename F>
@@ -84,14 +78,12 @@ class InlineFn {
     using D = std::decay_t<F>;
     static_assert(std::is_invocable_r_v<void, D&>,
                   "event callbacks must be invocable as void()");
+    static_assert(sizeof(D) <= kInlineSize &&
+                      alignof(D) <= alignof(std::max_align_t),
+                  "event callback capture exceeds InlineFn::kInlineSize");
     reset();
-    if constexpr (fits_inline<D>()) {
-      ::new (storage()) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (storage()) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-    }
+    ::new (storage()) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
   }
 
   void operator()() { ops_->invoke(storage()); }
@@ -108,17 +100,8 @@ class InlineFn {
  private:
   struct Ops {
     void (*invoke)(void* storage);
-    /// Move-constructs the target into `dst` and destroys the `src` copy.
-    void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* storage) noexcept;
   };
-
-  template <typename D>
-  static constexpr bool fits_inline() {
-    return sizeof(D) <= kInlineSize &&
-           alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
 
   template <typename D>
   static D* as(void* s) noexcept {
@@ -126,31 +109,12 @@ class InlineFn {
   }
 
   template <typename D>
-  static constexpr Ops kInlineOps{
+  static constexpr Ops kOps{
       [](void* s) { (*as<D>(s))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D(std::move(*as<D>(src)));
-        as<D>(src)->~D();
-      },
       [](void* s) noexcept { as<D>(s)->~D(); },
   };
 
-  template <typename D>
-  static constexpr Ops kHeapOps{
-      [](void* s) { (**as<D*>(s))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D*(*as<D*>(src));
-      },
-      [](void* s) noexcept { delete *as<D*>(s); },
-  };
-
   void* storage() noexcept { return static_cast<void*>(storage_); }
-
-  void move_from(InlineFn& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) ops_->relocate(storage(), other.storage());
-    other.ops_ = nullptr;
-  }
 
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;

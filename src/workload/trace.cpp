@@ -28,6 +28,9 @@ bool parse_double_field(const std::string& text, double& out) {
   return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
+/// Join times and upload capacities must be real, non-negative numbers.
+bool finite_non_negative(double v) { return std::isfinite(v) && v >= 0.0; }
+
 }  // namespace
 
 std::vector<TraceRow> generate_trace(const Scenario& scenario,
@@ -90,7 +93,10 @@ std::optional<std::vector<TraceRow>> load_trace(const std::string& path) {
     TraceRow row;
     std::uint64_t uid = 0;
     double upload = 0.0;
-    if (!parse_double_field(fields[0], row.join_time)) return std::nullopt;
+    if (!parse_double_field(fields[0], row.join_time) ||
+        !finite_non_negative(row.join_time)) {
+      return std::nullopt;
+    }
     {
       auto [ptr, ec] = std::from_chars(
           fields[1].data(), fields[1].data() + fields[1].size(), uid);
@@ -101,10 +107,22 @@ std::optional<std::vector<TraceRow>> load_trace(const std::string& path) {
     row.user_id = uid;
     if (!net::parse_connection_type(fields[2], row.type)) return std::nullopt;
     if (!net::Ipv4Address::parse(fields[3], row.address)) return std::nullopt;
-    if (!parse_double_field(fields[4], upload)) return std::nullopt;
+    if (!parse_double_field(fields[4], upload) ||
+        !finite_non_negative(upload)) {
+      return std::nullopt;
+    }
     row.upload_bps = upload;
-    if (!parse_double_field(fields[5], row.duration_s)) return std::nullopt;
-    if (!parse_double_field(fields[6], row.patience_s)) return std::nullopt;
+    // Infinite spans are legal: a viewer who stays to program end, or one
+    // who never gives up on startup.  A negative patience would schedule
+    // its timer in the past.
+    if (!parse_double_field(fields[5], row.duration_s) ||
+        !(row.duration_s >= 0.0)) {
+      return std::nullopt;
+    }
+    if (!parse_double_field(fields[6], row.patience_s) ||
+        !(row.patience_s >= 0.0)) {
+      return std::nullopt;
+    }
     rows.push_back(row);
   }
   return rows;
@@ -117,6 +135,7 @@ TraceRunner::TraceRunner(sim::Simulation& simulation, Scenario scenario,
       scenario_(std::move(scenario)),
       rows_(std::move(rows)),
       system_(simulation, scenario_.params, scenario_.system, log) {
+  scenario_.validate();
   system_.observer = [this](net::NodeId node, core::SessionEvent event) {
     on_event(node, event);
   };

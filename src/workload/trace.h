@@ -50,13 +50,16 @@ std::vector<TraceRow> generate_trace(const Scenario& scenario,
 bool save_trace(const std::string& path, const std::vector<TraceRow>& rows);
 
 /// Loads a CSV trace written by save_trace.  Returns nullopt on a missing
-/// file or malformed content.
+/// file or malformed content, which includes a NaN, infinite or negative
+/// join time or upload capacity, and a NaN or negative duration or
+/// patience (infinite ones are legal).
 std::optional<std::vector<TraceRow>> load_trace(const std::string& path);
 
 /// Replays a trace against a fresh System built from `scenario`'s
 /// params/system config (the scenario's arrival process and user mixture
 /// are ignored — the trace supplies them).  Retry behaviour still follows
-/// scenario.sessions at replay time.
+/// scenario.sessions at replay time.  The constructor throws
+/// std::invalid_argument when scenario.validate() does.
 class TraceRunner {
  public:
   TraceRunner(sim::Simulation& simulation, Scenario scenario,

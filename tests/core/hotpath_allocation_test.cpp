@@ -3,12 +3,11 @@
 // This test binary replaces the global operator new/delete with counting
 // versions (same pattern as tests/sim/allocation_test.cpp, and a separate
 // binary for the same reason: the replacement must not interfere with the
-// other suites).  After warm-up — the in-flight message table, mCache
-// fill, sampling scratch capacities and event-slab growth are amortized
-// infrastructure — the periodic protocol messages themselves must not
-// touch the heap:
+// other suites).  After warm-up — mCache fill, sampling scratch
+// capacities and event-slab growth are amortized infrastructure — the
+// periodic protocol messages themselves must not touch the heap:
 //   * buffer-map exchange (build + copy + deliver, both directions),
-//   * gossip sends (mCache sampling + message table + event enqueue),
+//   * gossip sends (mCache sampling + event enqueue),
 //   * gossip sends and deliveries with drop, duplicate and jitter armed,
 //   * gossip receives (mCache refresh of known entries),
 //   * the flow-rate allocator (max_min_fair) on warm scratch.
@@ -175,11 +174,11 @@ TEST(HotpathAllocationTest, GossipSendPathIsAllocationFree) {
   Peer* a = t.connected_viewer();
   ASSERT_NE(a, nullptr);
 
-  // Warm-up round: grows the message table, the event slab and the event
-  // heap.  3x the counted burst so every capacity peaks well
-  // above what the counted region can reach even with background gossip
-  // still in flight at the measurement boundary; then drain (uncounted —
-  // the global tick's status reports legitimately allocate).
+  // Warm-up round: grows the event slab and the event heap.  3x the
+  // counted burst so every capacity peaks well above what the counted
+  // region can reach even with background gossip still in flight at the
+  // measurement boundary; then drain (uncounted — the global tick's status
+  // reports legitimately allocate).
   for (int i = 0; i < 192; ++i) InvariantTestAccess::do_gossip(*a);
   t.simulation.run_until(sim::Time(125.0));
   ASSERT_TRUE(a->alive());
@@ -187,7 +186,7 @@ TEST(HotpathAllocationTest, GossipSendPathIsAllocationFree) {
   const std::uint64_t allocs_before = g_allocations;
   for (int i = 0; i < 64; ++i) InvariantTestAccess::do_gossip(*a);
   EXPECT_EQ(g_allocations - allocs_before, 0u)
-      << "gossip send (sampling + message table + enqueue) touched the heap";
+      << "gossip send (sampling + enqueue) touched the heap";
   t.simulation.run_until(sim::Time(130.0));  // drain the deliveries
 }
 

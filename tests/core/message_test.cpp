@@ -1,8 +1,8 @@
-// The System's in-flight message table under the fault plane: a duplicate
-// verdict delivers one record twice, a drop verdict never files it, and no
-// slot stays live once the deliveries have run.  Also the teardown order
-// the table must survive: a System destroyed with messages in flight,
-// then its Simulation.
+// Messages in flight under the fault plane: each copy is one queued
+// delivery event carrying the whole record, so a duplicate verdict queues
+// two, a drop verdict none, and none stays queued once they have run.
+// Also the teardown order the queued records must survive: a System
+// destroyed with messages in flight, then its Simulation.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -25,6 +25,7 @@ struct QuietSystem {
   sim::Simulation simulation{3};
   sim::FaultInjector faults;
   std::unique_ptr<System> sys;
+  std::size_t idle_events = 0;
 
   QuietSystem(double drop, double dup) : faults(5, schedule(drop, dup)) {
     SystemConfig config;
@@ -32,6 +33,12 @@ struct QuietSystem {
     sys = std::make_unique<System>(simulation, Params{}, config, nullptr);
     sys->attach_faults(&faults);
     sys->start();
+    idle_events = simulation.queue().size();
+  }
+
+  /// Events queued beyond the System's own timers: the deliveries.
+  std::size_t deliveries_queued() {
+    return simulation.queue().size() - idle_events;
   }
 
   static sim::FaultSchedule schedule(double drop, double dup) {
@@ -80,33 +87,34 @@ const std::array<McacheEntry, 3> kSent{{
 TEST(MessageTableTest, DuplicateVerdictDeliversGossipTwice) {
   QuietSystem q(/*drop=*/0.0, /*dup=*/1.0);
   q.sys->send_gossip(0, 1, kSent);
-  EXPECT_EQ(InvariantTestAccess::messages_in_flight(*q.sys), 2u);
+  EXPECT_EQ(q.deliveries_queued(), 2u);
   EXPECT_EQ(q.deliveries_of(kSent), 2);
   EXPECT_EQ(q.faults.counters().duplicated, 1u);
   EXPECT_EQ(q.sys->transport().sent(net::MessageKind::kGossip), 1u);
-  EXPECT_EQ(InvariantTestAccess::messages_in_flight(*q.sys), 0u);
+  EXPECT_EQ(q.deliveries_queued(), 0u);
 }
 
 TEST(MessageTableTest, DropVerdictDeliversNothing) {
   QuietSystem q(/*drop=*/1.0, /*dup=*/0.0);
   q.sys->send_gossip(0, 1, kSent);
-  EXPECT_EQ(InvariantTestAccess::messages_in_flight(*q.sys), 0u);
+  EXPECT_EQ(q.deliveries_queued(), 0u);
   EXPECT_EQ(q.deliveries_of(kSent), 0);
   EXPECT_EQ(q.faults.counters().dropped, 1u);
   EXPECT_EQ(q.sys->transport().sent(net::MessageKind::kGossip), 1u);
-  EXPECT_EQ(InvariantTestAccess::messages_in_flight(*q.sys), 0u);
+  EXPECT_EQ(q.deliveries_queued(), 0u);
 }
 
 TEST(MessageTableTest, SystemDestroyedWithMessagesInFlight) {
-  // Members die before the Simulation declared above them, so the queue
-  // still holds [System*, slot] deliveries when the System is gone.  They
-  // must be dropped without running (clean under ASan).
+  // The System dies before its Simulation, so the queue still holds
+  // [System*, Message] deliveries when the System is gone.  They must be
+  // dropped without running (clean under ASan).
   auto simulation = std::make_unique<sim::Simulation>(9);
   SystemConfig config;
   config.server_count = 2;
   auto sys =
       std::make_unique<System>(*simulation, Params{}, config, nullptr);
   sys->start();
+  const std::size_t idle_events = simulation->queue().size();
   PeerSpec viewer;
   viewer.kind = PeerKind::kViewer;
   viewer.address = net::random_public_address(simulation->rng());
@@ -114,7 +122,7 @@ TEST(MessageTableTest, SystemDestroyedWithMessagesInFlight) {
   sys->join(viewer);  // its boot-strap request is now in flight
   sys->send_gossip(0, 1, kSent);
   sys->attempt_partnership(0, 1);
-  ASSERT_EQ(InvariantTestAccess::messages_in_flight(*sys), 3u);
+  ASSERT_EQ(simulation->queue().size() - idle_events, 3u);
   sys.reset();
   simulation.reset();
 }

@@ -3,7 +3,8 @@
 // subscription word per partner, across randomized add / erase / receive / find sequences for
 // every lane count the protocol accepts.  After every step each view must
 // agree with the reference: id, direction, establishment time, receive
-// time, every lane, the lane maximum and every subscription bit.
+// time, every lane, the lane maximum and every subscription bit, and the
+// table's maximum over the partners whose map has arrived.
 #include "core/partner_table.h"
 
 #include <gtest/gtest.h>
@@ -62,6 +63,13 @@ void expect_same(const PartnerTable& table, const std::vector<RefPartner>& ref,
     ++i;
   }
   EXPECT_EQ(i, ref.size());
+  SeqNum advertised = kNoSeq;
+  for (const RefPartner& r : ref) {
+    if (!r.bm_time) continue;
+    advertised = std::max(advertised,
+                          *std::max_element(r.lanes.begin(), r.lanes.end()));
+  }
+  EXPECT_EQ(table.max_advertised(), advertised);
 }
 
 TEST(PartnerTableProperty, MatchesFullCopiesForEveryLaneCount) {

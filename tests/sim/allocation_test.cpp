@@ -7,6 +7,7 @@
 // exactly zero heap allocations.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -136,28 +137,27 @@ TEST(AllocationTest, CancelPathIsAllocationFree) {
 }
 
 TEST(AllocationTest, SmallCallbacksStayInline) {
-  // Pins the inline limit: a 40-byte capture (a pointer, two ids and 24
-  // more bytes) must fit the in-record buffer without a heap allocation.
-  // The protocol's own callbacks are far smaller; a message delivery is
-  // [System*, slot].
+  // Pins the inline limit at the largest callback the protocol queues: a
+  // message delivery, [System*, Message] with its 80-byte record (four
+  // 16-byte mCache entries, two ids, a sub-stream, the kind and the entry
+  // count).  It must fit the in-record buffer without a heap allocation.
   EventQueue q;
   struct Capture {
-    void* self;
-    std::uint32_t from, to;
-    unsigned char payload[24];
+    std::array<std::uint64_t, 8> entries;
+    std::uint32_t from, to, substream;
+    unsigned char kind, count;
   };
-  static_assert(sizeof(Capture) + sizeof(void*) <=
+  static_assert(sizeof(Capture) == 80);
+  static_assert(sizeof(Capture) + sizeof(void*) ==
                 detail::InlineFn::kInlineSize);
 
-  q.schedule(Time(1.0), [] {});  // warm the slab and the spill heap
+  q.schedule(Time(1.0), [] {});  // warm the slab and the entry heap
   q.run_next();
   const std::uint64_t allocs_before = g_allocations;
   Capture c{};
+  c.entries[7] = 42;
   bool ran = false;
-  q.schedule(Time(2.0), [c, &ran] {
-    (void)c;
-    ran = true;
-  });
+  q.schedule(Time(2.0), [c, &ran] { ran = c.entries[7] == 42; });
   q.run_next();
   EXPECT_TRUE(ran);
   EXPECT_EQ(g_allocations - allocs_before, 0u);

@@ -153,21 +153,6 @@ TEST(EventQueueTest, HandleOfFiredEventDoesNotCancelReusedSlot) {
   EXPECT_TRUE(ran);
 }
 
-TEST(EventQueueTest, LargeCallbackFallsBackToHeapAndRuns) {
-  EventQueue q;
-  // A capture much larger than the 48-byte inline buffer.
-  std::array<std::uint64_t, 32> payload{};
-  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = i * 3 + 1;
-  std::uint64_t sum = 0;
-  q.schedule(Time(1.0), [payload, &sum] {
-    for (const auto v : payload) sum += v;
-  });
-  drain(q);
-  std::uint64_t expect = 0;
-  for (std::size_t i = 0; i < payload.size(); ++i) expect += i * 3 + 1;
-  EXPECT_EQ(sum, expect);
-}
-
 TEST(EventQueueTest, MoveOnlyCallback) {
   EventQueue q;
   auto owned = std::make_unique<int>(7);

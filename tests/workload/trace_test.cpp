@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analysis/continuity.h"
 #include "logging/sessions.h"
@@ -67,15 +71,47 @@ TEST(TraceTest, SaveLoadRoundTrip) {
   }
 }
 
-TEST(TraceTest, LoadRejectsMalformed) {
-  const std::string path = ::testing::TempDir() + "/coolstream_bad.csv";
+/// Writes a header plus `row` to a temporary trace file and loads it.
+std::optional<std::vector<TraceRow>> load_one_row(const std::string& row) {
+  const std::string path = ::testing::TempDir() + "/coolstream_row.csv";
   {
     std::ofstream out(path);
     out << "join_time,user_id,type,address,upload_bps,duration_s,patience_s\n";
-    out << "1.0,2,nat,10.0.0.1,500000\n";  // missing fields
+    out << row << "\n";
   }
-  EXPECT_FALSE(load_trace(path).has_value());
+  return load_trace(path);
+}
+
+TEST(TraceTest, LoadRejectsMalformed) {
+  // Control: a well-formed row, with an infinite duration (the viewer
+  // stays to program end), loads.
+  const auto good = load_one_row("1.0,2,nat,10.0.0.1,500000,inf,20.0");
+  ASSERT_TRUE(good.has_value());
+  ASSERT_EQ(good->size(), 1u);
+  EXPECT_TRUE(std::isinf(good->front().duration_s));
+
+  for (const char* bad : {
+           "1.0,2,nat,10.0.0.1,500000",              // missing fields
+           "nan,2,nat,10.0.0.1,500000,60.0,20.0",    // join_time
+           "-1.0,2,nat,10.0.0.1,500000,60.0,20.0",   // join_time
+           "1.0,2,nat,10.0.0.1,nan,60.0,20.0",       // upload_bps
+           "1.0,2,nat,10.0.0.1,-500000,60.0,20.0",   // upload_bps
+           "1.0,2,nat,10.0.0.1,500000,nan,20.0",     // duration_s
+           "1.0,2,nat,10.0.0.1,500000,-60.0,20.0",   // duration_s
+           "1.0,2,nat,10.0.0.1,500000,60.0,nan",     // patience_s
+           "1.0,2,nat,10.0.0.1,500000,60.0,-20.0",   // patience_s
+       }) {
+    EXPECT_FALSE(load_one_row(bad).has_value()) << bad;
+  }
   EXPECT_FALSE(load_trace("/nonexistent/trace.csv").has_value());
+}
+
+TEST(TraceTest, RunnerValidatesScenario) {
+  Scenario s = small_scenario();
+  s.program_end = -10.0;
+  sim::Simulation simulation(3);
+  EXPECT_THROW(TraceRunner(simulation, s, {}, nullptr),
+               std::invalid_argument);
 }
 
 TEST(TraceTest, ReplayProducesSessions) {
