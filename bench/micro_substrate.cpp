@@ -65,7 +65,7 @@ void BM_SyncBufferInOrderInsert(benchmark::State& state) {
     core::SyncBuffer sb(4);
     for (int s = 0; s < 1000; ++s) {
       for (int j = 0; j < 4; ++j) {
-        sb.insert(core::SubstreamId(j), core::SeqNum(s));
+        sb.advance(core::SubstreamId(j));
       }
     }
     benchmark::DoNotOptimize(sb.combined());

@@ -341,10 +341,6 @@ PartnerTable& InvariantTestAccess::partners(Peer& p) {
   return p.partners_;
 }
 
-std::vector<net::NodeId>& InvariantTestAccess::parents(Peer& p) {
-  return p.parents_;
-}
-
 void InvariantTestAccess::rewind_head(Peer& p, SubstreamId j, SeqNum seq) {
   p.sync_.heads_[j.index()] = seq;
 }

@@ -128,7 +128,6 @@ class InvariantAuditor {
 /// reports it.  Never used outside tests.
 struct InvariantTestAccess {
   static PartnerTable& partners(Peer& p);
-  static std::vector<net::NodeId>& parents(Peer& p);
   /// Forces sub-stream `j`'s contiguous head to `seq` even if that moves
   /// it backwards (something the real SyncBuffer API cannot do).
   static void rewind_head(Peer& p, SubstreamId j, SeqNum seq);

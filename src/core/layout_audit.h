@@ -49,7 +49,7 @@
 
 namespace coolstream {
 
-COOLSTREAM_LAYOUT_AUDIT(core::PartnerRecord, 24);  // 8 + 8 + 4+1+1 + 2 tail
+COOLSTREAM_LAYOUT_AUDIT(core::PartnerRecord, 24);  // 8 + 8 + 4+1 + 3 tail
 COOLSTREAM_LAYOUT_AUDIT(core::OutLink, 8);
 COOLSTREAM_LAYOUT_AUDIT(core::McacheEntry, 16);  // 8 + 4+1 + 3 tail
 COOLSTREAM_LAYOUT_AUDIT(core::PeerSpec, 24);

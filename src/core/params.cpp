@@ -56,22 +56,9 @@ void Params::validate() const {
     fail("tp_seconds must be smaller than buffer_seconds (the join offset "
          "must land inside partners' buffers)");
   }
-  if (stall_skip_after <= 0.0) fail("stall_skip_after must be positive");
-  if (resync_skip_seconds <= 0.0) {
-    fail("resync_skip_seconds must be positive");
-  }
-  if (stale_threshold_seconds <= 0.0) {
-    fail("stale_threshold_seconds must be positive");
-  }
-  if (max_playback_lag_seconds <= tp_seconds) {
-    fail("max_playback_lag_seconds must exceed tp_seconds (the resync "
-         "target is T_p behind the freshest partner)");
-  }
-  if (resync_cooldown_seconds <= 0.0) {
-    fail("resync_cooldown_seconds must be positive");
-  }
-  if (stall_rebuffer_seconds < 0.0) {
-    fail("stall_rebuffer_seconds must be non-negative");
+  if (tp_seconds >= kMaxPlaybackLagSeconds) {
+    fail("tp_seconds must be smaller than kMaxPlaybackLagSeconds (the "
+         "resync target is T_p behind the freshest partner)");
   }
   if (partner_silence_timeout < 0.0) {
     fail("partner_silence_timeout must be non-negative (0 disables it)");

@@ -27,6 +27,44 @@
 
 namespace coolstream::core {
 
+// --- client playout constants (seconds) --------------------------------------
+
+/// Player stall semantics: when the next block is missing at its
+/// deadline the player freezes (all later deadlines shift) and waits up
+/// to this long before skipping the block and counting it missed.
+/// Blocks that arrive during a stall played late but did play; the
+/// continuity index — "blocks that arrive before playback deadlines" —
+/// charges only the skipped ones, as a real player-side meter does.
+inline constexpr double kStallSkipAfter = 1.5;
+
+/// After a stall, the player resumes only once this much contiguous
+/// video is buffered beyond the stalled position (rebuffering).  Without
+/// it a zero-slack player micro-stalls on every delivery batch.
+inline constexpr double kStallRebufferSeconds = 2.0;
+
+/// When a window skip jumps a sub-stream forward by at least this much
+/// video, the client *resyncs*: it restarts its playout timeline at the
+/// new position instead of charging every jumped block as missed — the
+/// behaviour of a live client that fell behind and re-anchors (the
+/// paper's NAT users that "simply depart and re-enter the overlay",
+/// whose catch-up gap never reaches the log).
+inline constexpr double kResyncSkipSeconds = 20.0;
+
+/// A client knows the broadcast clock from block timestamps; when its
+/// freshest sub-stream falls this far behind the live edge it starts
+/// exploring for fresher partners even if its current partners look
+/// mutually consistent (a collectively stale neighbourhood).
+inline constexpr double kStaleThresholdSeconds = 30.0;
+
+/// Upper bound on playback latency behind the live edge.  A live client
+/// that drifts beyond this jumps forward (re-anchoring at the freshest
+/// partner position minus T_p) instead of downloading minutes of stale
+/// video — catch-up work per episode stays bounded by ~T_p instead of
+/// growing with the backlog.  Params::validate() keeps T_p below it.
+inline constexpr double kMaxPlaybackLagSeconds = 60.0;
+/// Minimum spacing between forward resyncs.
+inline constexpr double kResyncCooldownSeconds = 15.0;
+
 /// All protocol and measurement constants for one broadcast.
 struct Params {
   // --- Table I -----------------------------------------------------------
@@ -62,42 +100,6 @@ struct Params {
   /// Seconds of contiguous video buffered ahead of the playhead before the
   /// media player starts (the 10-20 s wait of Fig. 6).
   double media_ready_buffer_seconds = 10.0;
-
-  /// Player stall semantics: when the next block is missing at its
-  /// deadline the player freezes (all later deadlines shift) and waits up
-  /// to this long before skipping the block and counting it missed.
-  /// Blocks that arrive during a stall played late but did play; the
-  /// continuity index — "blocks that arrive before playback deadlines" —
-  /// charges only the skipped ones, as a real player-side meter does.
-  double stall_skip_after = 1.5;
-
-  /// After a stall, the player resumes only once this much contiguous
-  /// video is buffered beyond the stalled position (rebuffering).  Without
-  /// it a zero-slack player micro-stalls on every delivery batch.
-  double stall_rebuffer_seconds = 2.0;
-
-  /// When a window skip jumps a sub-stream forward by at least this much
-  /// video, the client *resyncs*: it restarts its playout timeline at the
-  /// new position instead of charging every jumped block as missed — the
-  /// behaviour of a live client that fell behind and re-anchors (the
-  /// paper's NAT users that "simply depart and re-enter the overlay",
-  /// whose catch-up gap never reaches the log).
-  double resync_skip_seconds = 20.0;
-
-  /// A client knows the broadcast clock from block timestamps; when its
-  /// freshest sub-stream falls this far behind the live edge it starts
-  /// exploring for fresher partners even if its current partners look
-  /// mutually consistent (a collectively stale neighbourhood).
-  double stale_threshold_seconds = 30.0;
-
-  /// Upper bound on playback latency behind the live edge.  A live client
-  /// that drifts beyond this jumps forward (re-anchoring at the freshest
-  /// partner position minus T_p) instead of downloading minutes of stale
-  /// video — catch-up work per episode stays bounded by ~T_p instead of
-  /// growing with the backlog.
-  double max_playback_lag_seconds = 60.0;
-  /// Minimum spacing between forward resyncs.
-  double resync_cooldown_seconds = 15.0;
 
   // --- robustness (fault-tolerance knobs; defaults preserve the clean
   // protocol behaviour bit-for-bit) -----------------------------------------

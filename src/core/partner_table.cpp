@@ -37,14 +37,12 @@ void PartnerTable::erase(net::NodeId id) {
 }
 
 bool PartnerTable::receive(net::NodeId id, std::span<const SeqNum> lanes,
-                           std::uint32_t sub_bits, Tick at) {
+                           Tick at) {
   assert(lanes.size() == lane_stride());
-  assert((sub_bits >> k_) == 0);
   const std::size_t i = index_of(id);
   if (i == kNone) return false;
   std::copy_n(lanes.begin(), lane_stride(),
               lanes_.begin() + static_cast<std::ptrdiff_t>(i * lane_stride()));
-  records_[i].sub_bits = static_cast<std::uint8_t>(sub_bits);
   records_[i].bm_time = at;
   return true;
 }

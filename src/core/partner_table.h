@@ -1,18 +1,16 @@
 // A peer's partner list with each partner's latest buffer map (§III-B/C).
 //
-// A received buffer map is a 2K-tuple, but a partner copy only needs what
-// the protocol reads back: the K latest-sequence lanes (parent selection,
-// the adaptation inequalities, the start offset) and the subscription word
-// (the invariants).  The table therefore keeps one small record per partner
-// and, next to the records, one flat array of exactly K lanes per partner,
-// in record order.  Only the table adds, erases and finds partners, so the
+// A buffer map carries the sender's K latest sequence numbers, which
+// parent selection, the adaptation inequalities and the start offset read
+// back.  The table keeps one small record per partner and, next to the
+// records, one flat array of exactly K lanes per partner, in record
+// order.  Only the table adds, erases and finds partners, so the
 // records and the lanes cannot drift apart.  Readers see a partner through
 // a PartnerView, which is valid until the table next changes.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -28,11 +26,8 @@ struct PartnerRecord {
   Tick established{};
   OptionalTick bm_time;          ///< when its map was received (empty: never)
   net::NodeId id = net::kInvalidNode;
-  std::uint8_t sub_bits = 0;     ///< its subscription word: bit j = it pulls j
   bool incoming = false;         ///< the partner initiated the connection
 };
-static_assert(kMaxSubstreams <= 8,
-              "PartnerRecord::sub_bits holds one bit per lane");
 
 /// Read-only view of one partner: its record plus its K lanes.
 class PartnerView {
@@ -56,12 +51,6 @@ class PartnerView {
     return core::max_latest(
         std::span<const SeqNum>(lanes_, static_cast<std::size_t>(k_)));
   }
-  /// Whether the partner subscribes to sub-stream `j` from us.
-  bool subscribed(SubstreamId j) const {
-    assert(j.index() < static_cast<std::size_t>(k_));
-    return (record_->sub_bits >> j.index()) & 1u;
-  }
-  std::uint32_t subscription_bits() const noexcept { return record_->sub_bits; }
 
  private:
   const PartnerRecord* record_;
@@ -120,10 +109,9 @@ class PartnerTable {
   void add(net::NodeId id, bool incoming, Tick established);
   /// Removes partner `id`, keeping the others in order; no-op if absent.
   void erase(net::NodeId id);
-  /// Stores `lanes` (exactly K) with `sub_bits` as partner `id`'s latest
-  /// map, received at `at`.  Returns false when `id` is not listed.
-  bool receive(net::NodeId id, std::span<const SeqNum> lanes,
-               std::uint32_t sub_bits, Tick at);
+  /// Stores `lanes` (exactly K) as partner `id`'s latest map, received at
+  /// `at`.  Returns false when `id` is not listed.
+  bool receive(net::NodeId id, std::span<const SeqNum> lanes, Tick at);
   /// Empties the table and frees its storage.
   void release() noexcept;
 

@@ -26,7 +26,6 @@ Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
       id_(id),
       rng_(system.rng().stream(sim::peer_stream_tag(id))),
       sync_(system.params().substream_count),
-      cache_(system.params().buffer_block_count()),
       mcache_(static_cast<std::size_t>(system.params().mcache_size),
               system.config().mcache_policy),
       partners_(system.params().substream_count),
@@ -201,10 +200,9 @@ void Peer::on_partner_left(net::NodeId pid) {
   }
 }
 
-void Peer::on_bm_received(net::NodeId from, std::span<const SeqNum> lanes,
-                          std::uint32_t sub_bits) {
+void Peer::on_bm_received(net::NodeId from, std::span<const SeqNum> lanes) {
   if (!alive()) return;
-  if (!partners_.receive(from, lanes, sub_bits, sys_.now())) return;  // stale
+  if (!partners_.receive(from, lanes, sys_.now())) return;  // stale
   if (phase_ == PeerPhase::kJoining && !start_decided_ && !first_bm_at_) {
     first_bm_at_ = sys_.now();
   }
@@ -494,9 +492,7 @@ void Peer::on_tick(Tick now) {
 
   if (now >= next_bm_push_) {
     enforce_partner_silence(now);
-    // A server's parents are all unset, so its maps carry no
-    // subscription bits.
-    sys_.broadcast_bm(id_, sync_.heads(), partners_, parents_);
+    sys_.broadcast_bm(id_, sync_.heads(), partners_);
     next_bm_push_ = now + Duration(p.bm_exchange_period);
   }
   if (server) return;
@@ -507,7 +503,7 @@ void Peer::on_tick(Tick now) {
   }
 
   if (phase_ == PeerPhase::kJoining && !start_decided_ && first_bm_at_ &&
-      now >= *first_bm_at_ + Duration(sys_.config().join_aggregation_delay)) {
+      now >= *first_bm_at_ + Duration(kJoinAggregationDelay)) {
     decide_start_offset();
   }
   if (phase_ == PeerPhase::kBuffering) check_media_ready(now);
@@ -539,7 +535,7 @@ void Peer::on_tick(Tick now) {
       lagging = lagging ||
                 live_edge - own_max >=
                     BlockCount(static_cast<std::int64_t>(
-                        p.stale_threshold_seconds * p.substream_block_rate()));
+                        kStaleThresholdSeconds * p.substream_block_rate()));
       if (lagging) {
         target = std::min<std::size_t>(
             static_cast<std::size_t>(sys_.max_partners_of(*this)),
@@ -647,7 +643,7 @@ void Peer::handle_window_gap(SubstreamId j, SeqNum window_start) {
 
   const Params& p = sys_.params();
   const BlockCount resync_blocks = BlockCount(static_cast<std::int64_t>(
-      p.resync_skip_seconds * p.substream_block_rate()));
+      kResyncSkipSeconds * p.substream_block_rate()));
   if (phase_ == PeerPhase::kPlaying &&
       to - from + BlockCount(1) >= resync_blocks) {
     // Deep skip: re-anchor the playout timeline at the new position (a
@@ -671,7 +667,7 @@ void Peer::do_playout(Tick now) {
 
   // Advance the playhead block by block.  When the next block is missing
   // at its deadline the player stalls: later deadlines shift by the stall
-  // duration (play_start_time_ moves forward).  After stall_skip_after of
+  // duration (play_start_time_ moves forward).  After kStallSkipAfter of
   // freezing, the block is skipped and charged as missed.
   for (;;) {
     const GlobalSeq g = last_deadline_counted_ + BlockCount(1);
@@ -702,11 +698,11 @@ void Peer::do_playout(Tick now) {
         // or the skip timeout expiring (whichever comes first), so the
         // player does not micro-stall on every delivery batch.
         const BlockCount rebuffer_blocks =
-            BlockCount(static_cast<std::int64_t>(p.stall_rebuffer_seconds *
+            BlockCount(static_cast<std::int64_t>(kStallRebufferSeconds *
                                                  p.block_rate));
         const bool rebuffered = sync_.combined() >= g + rebuffer_blocks;
         const Duration stalled_for = now - deadline;
-        if (!rebuffered && stalled_for < Duration(p.stall_skip_after)) break;
+        if (!rebuffered && stalled_for < Duration(kStallSkipAfter)) break;
         play_start_time_ += stalled_for;
         stats_.stall_seconds += stalled_for;
         stalled_on_ = kNoSeq;
@@ -720,7 +716,7 @@ void Peer::do_playout(Tick now) {
     }
 
     const Duration overdue = now - deadline;
-    if (overdue < Duration(p.stall_skip_after)) {
+    if (overdue < Duration(kStallSkipAfter)) {
       // Keep the player frozen, waiting for block g.
       if (stalled_on_ != g) {
         stalled_on_ = g;
@@ -729,8 +725,8 @@ void Peer::do_playout(Tick now) {
       break;
     }
     // Gave up on block g: skip it, shift later deadlines by the stall.
-    play_start_time_ += Duration(p.stall_skip_after);
-    stats_.stall_seconds += Duration(p.stall_skip_after);
+    play_start_time_ += Duration(kStallSkipAfter);
+    stats_.stall_seconds += Duration(kStallSkipAfter);
     stalled_on_ = kNoSeq;
     ++stats_.blocks_due;
     ++interval_due_;
@@ -779,7 +775,7 @@ void Peer::send_status_reports(Tick now) {
 
 void Peer::maybe_resync_forward(Tick now) {
   const Params& p = sys_.params();
-  if (now - last_resync_ < Duration(p.resync_cooldown_seconds)) return;
+  if (now - last_resync_ < Duration(kResyncCooldownSeconds)) return;
   const GlobalSeq live =
       global_of(SubstreamId(0), sys_.source_head(SubstreamId(0), now),
                 p.substream_count);
@@ -787,7 +783,7 @@ void Peer::maybe_resync_forward(Tick now) {
       static_cast<double>(
           (live - last_deadline_counted_).value()) /
       p.block_rate);
-  if (lag <= Duration(p.max_playback_lag_seconds)) return;
+  if (lag <= Duration(kMaxPlaybackLagSeconds)) return;
 
   // Re-anchor at the freshest partner, T_p behind its latest block — the
   // same rule as the initial join (§IV-A).
@@ -815,7 +811,7 @@ void Peer::maybe_resync_forward(Tick now) {
 }
 
 void Peer::server_feed(Tick now) {
-  const Tick feed_time = now - Duration(sys_.config().server_lag);
+  const Tick feed_time = now - Duration(kServerLag);
   if (feed_time <= Tick::zero()) return;
   for (SubstreamId j : substreams(sys_.params().substream_count)) {
     const SeqNum target = sys_.source_head(j, feed_time);

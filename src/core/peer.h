@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "core/cache_buffer.h"
 #include "core/mcache.h"
 #include "core/params.h"
 #include "core/partner_table.h"
@@ -168,11 +167,8 @@ class Peer : private PeerProtocolState {
   void on_partnership_rejected(net::NodeId peer);
   /// Partner left or broke the connection.
   void on_partner_left(net::NodeId peer);
-  /// Buffer map received from a partner: its K `lanes` with `sub_bits` as
-  /// its subscription word (lane j set: the partner pulls sub-stream j from
-  /// us).
-  void on_bm_received(net::NodeId from, std::span<const SeqNum> lanes,
-                      std::uint32_t sub_bits);
+  /// Buffer map received from a partner: its K head `lanes`.
+  void on_bm_received(net::NodeId from, std::span<const SeqNum> lanes);
   /// Gossip payload: entries from a partner's mCache.
   void on_gossip(std::span<const McacheEntry> entries);
   /// Child subscribes to / unsubscribes from sub-stream `j` (parent side).
@@ -191,7 +187,6 @@ class Peer : private PeerProtocolState {
   // --- data plane (FlowModel access) ---------------------------------------
   SyncBuffer& sync() noexcept { return sync_; }
   const SyncBuffer& sync() const noexcept { return sync_; }
-  const CacheBuffer& cache() const noexcept { return cache_; }
   std::vector<OutLink>& out_links() noexcept { return out_links_; }
   const std::vector<OutLink>& out_links() const noexcept { return out_links_; }
   SeqNum head(SubstreamId j) const { return sync_.head(j); }
@@ -257,7 +252,7 @@ class Peer : private PeerProtocolState {
   void do_playout(Tick now);
   void check_media_ready(Tick now);
   /// Bounded-latency enforcement: when playback drifts beyond
-  /// Params::max_playback_lag_seconds behind the live edge, jump the
+  /// kMaxPlaybackLagSeconds behind the live edge, jump the
   /// buffers and the playout timeline forward to T_p behind the freshest
   /// partner (skipped content is abandoned, not charged — §V-D blindness).
   void maybe_resync_forward(Tick now);
@@ -286,7 +281,6 @@ class Peer : private PeerProtocolState {
   mutable sim::Rng rng_;
 
   SyncBuffer sync_;
-  CacheBuffer cache_;
   Mcache mcache_;
   PartnerTable partners_;
   std::vector<net::NodeId> parents_;   ///< parent per sub-stream

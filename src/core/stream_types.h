@@ -46,7 +46,7 @@ inline constexpr SeqNum kNoSeq = SeqNum::none();
 
 /// Lane capacity of a buffer map: Params::validate() enforces
 /// substream_count <= kMaxSubstreams (the paper uses K = 4; the ablations
-/// sweep to 8), and a partner's subscription word holds one bit per lane.
+/// sweep to 8).
 inline constexpr int kMaxSubstreams = 8;
 
 /// Highest sequence number across buffer-map lanes (a sync buffer's heads
@@ -57,6 +57,18 @@ constexpr SeqNum max_latest(std::span<const SeqNum> lanes) noexcept {
     if (s > best) best = s;
   }
   return best;
+}
+
+/// Cache buffer (Fig. 2a): a node retains the most recent `window` blocks
+/// of each sub-stream (B = Params::buffer_seconds, converted by
+/// Params::buffer_block_count()); older blocks were pushed out by playout.
+/// Returns the oldest block still held when the contiguous head is `head`,
+/// so a parent serves only [cache_window_start(head, window), head] — the
+/// reason §IV-A warns that starting from the *lowest* available sequence
+/// number risks blocks being "pushed out of the partners' buffer".
+constexpr SeqNum cache_window_start(SeqNum head, BlockCount window) noexcept {
+  const SeqNum start = head - window + BlockCount(1);
+  return start > SeqNum(0) ? start : SeqNum(0);
 }
 
 /// Iterable range over the K sub-stream ids: `for (SubstreamId j :

@@ -5,15 +5,11 @@
 // blocks with continuous sequence numbers have been received from each
 // sub-stream."
 //
-// Blocks may arrive out of order within a sub-stream (e.g. right after a
-// parent switch); the buffer tracks, per sub-stream, the contiguous head
-// plus a bounded set of blocks received ahead of it, and exposes the
+// The fluid data plane pushes each sub-stream's blocks in order, so a
+// sub-stream is fully described by its contiguous head: a block arrives by
+// advancing the head one step, and a jump (join, skip, resync) moves it
+// forward past blocks that will never arrive.  The buffer exposes the
 // combined prefix of the interleaved global order.
-//
-// The ahead blocks of all sub-streams share one vector sorted by
-// (sub-stream, seq).  Out-of-order arrival is rare and short-lived, so the
-// vector is empty in steady state and costs no allocation, where a set per
-// sub-stream would cost one allocation per queued block.
 #pragma once
 
 #include <cassert>
@@ -33,9 +29,9 @@ class SyncBuffer {
     return static_cast<int>(heads_.size());
   }
 
-  /// Inserts block `seq` of sub-stream `i`.  Returns true when the block
-  /// was new (false: duplicate or already below the contiguous head).
-  bool insert(SubstreamId i, SeqNum seq);
+  /// Receives the next block of sub-stream `i`: moves its head one block,
+  /// counts the block and extends the combined prefix.
+  void advance(SubstreamId i);
 
   /// Latest *contiguous* sequence number of sub-stream `i` (-1: none).
   /// This is what the node advertises in its Buffer Map.
@@ -55,10 +51,6 @@ class SyncBuffer {
   /// incremental instead of scanning from stream start.
   void set_combined_floor(GlobalSeq g) noexcept;
 
-  /// Number of blocks of sub-stream `i` received ahead of the contiguous
-  /// head (out-of-order backlog).
-  std::size_t pending(SubstreamId i) const;
-
   /// Last global block such that the whole interleaved prefix is
   /// combinable (Fig. 2b); -1 when nothing combinable yet.  Cached;
   /// O(new blocks) amortized.
@@ -71,24 +63,15 @@ class SyncBuffer {
   /// node's buffer map, advertised to every partner as they are.
   const std::vector<SeqNum>& heads() const noexcept { return heads_; }
 
-  /// Total blocks accepted by insert().
+  /// Total blocks received through advance().
   std::uint64_t blocks_received() const noexcept { return received_; }
 
  private:
   friend struct InvariantTestAccess;  // seeded-corruption hooks (tests only)
 
-  /// One out-of-order block of sub-stream `lane`.
-  struct AheadBlock {
-    SubstreamId lane;
-    SeqNum seq;
-  };
-
   void recompute_combined() noexcept;
 
   std::vector<SeqNum> heads_;
-  /// Out-of-order blocks (strictly above their sub-stream's head),
-  /// sorted by (lane, seq): each lane's blocks are one ascending run.
-  std::vector<AheadBlock> ahead_;
   GlobalSeq combined_ = kNoSeq;
   std::uint64_t received_ = 0;
 };

@@ -264,33 +264,6 @@ void System::attempt_partnership(net::NodeId from, net::NodeId to) {
 void System::push_bm(net::NodeId from, net::NodeId to,
                      std::span<const SeqNum> lanes) {
   assert(!deferring_ && "phase P uses broadcast_bm");
-  deliver_bm(from, to, lanes, 0);
-}
-
-void System::broadcast_bm(net::NodeId from, std::span<const SeqNum> lanes,
-                          const PartnerTable& partners,
-                          std::span<const net::NodeId> parents) {
-  assert(deferring_ && "BM broadcasts run in phase P");
-  if (partners.empty()) return;
-  ShardScratch& scratch = shard_scratch_[shard_of(from)];
-  EffectBmPush push;
-  push.base = static_cast<std::uint32_t>(scratch.bm_lanes.size());
-  push.first = static_cast<std::uint32_t>(scratch.bm_targets.size());
-  push.count = static_cast<std::uint32_t>(partners.size());
-  scratch.bm_lanes.insert(scratch.bm_lanes.end(), lanes.begin(), lanes.end());
-  for (const PartnerView ps : partners) {
-    std::uint32_t bits = 0;
-    for (std::size_t j = 0; j < parents.size(); ++j) {
-      bits |= static_cast<std::uint32_t>(parents[j] == ps.id()) << j;
-    }
-    scratch.bm_targets.push_back(ShardScratch::BmTarget{ps.id(), bits});
-  }
-  defer(from, push);
-}
-
-void System::deliver_bm(net::NodeId from, net::NodeId to,
-                        std::span<const SeqNum> lanes,
-                        std::uint32_t sub_bits) {
   // BM exchange is modelled with zero latency (the exchange period, 1 s,
   // dominates the tens-of-ms delivery delay); messages are still counted
   // for control-overhead reporting.
@@ -302,7 +275,21 @@ void System::deliver_bm(net::NodeId from, net::NodeId to,
     }
     return;
   }
-  dest->on_bm_received(from, lanes, sub_bits);
+  dest->on_bm_received(from, lanes);
+}
+
+void System::broadcast_bm(net::NodeId from, std::span<const SeqNum> lanes,
+                          const PartnerTable& partners) {
+  assert(deferring_ && "BM broadcasts run in phase P");
+  if (partners.empty()) return;
+  ShardScratch& scratch = shard_scratch_[shard_of(from)];
+  EffectBmPush push;
+  push.base = static_cast<std::uint32_t>(scratch.bm_lanes.size());
+  push.first = static_cast<std::uint32_t>(scratch.bm_targets.size());
+  push.count = static_cast<std::uint32_t>(partners.size());
+  scratch.bm_lanes.insert(scratch.bm_lanes.end(), lanes.begin(), lanes.end());
+  for (const PartnerView ps : partners) scratch.bm_targets.push_back(ps.id());
+  defer(from, push);
 }
 
 void System::subscribe(net::NodeId child, net::NodeId parent, SubstreamId j) {
@@ -571,6 +558,7 @@ void System::flow_rates(std::size_t shard, Duration dt) {
 
 void System::flow_apply(std::size_t shard, Duration dt) {
   const units::Bytes block_bytes = params_.block_bytes();
+  const BlockCount window = params_.buffer_block_count();
   const auto k_streams = static_cast<std::size_t>(params_.substream_count);
   ShardScratch& scratch = shard_scratch_[shard];
   std::uint64_t& blocks = scratch.blocks_transferred;
@@ -594,19 +582,17 @@ void System::flow_apply(std::size_t shard, Duration dt) {
         child->sync().start_at(j, dead + BlockCount(1));
       }
       // The parent's cache window is a pure function of its frozen head
-      // and the (deployment-wide) window size, so the child computes it
-      // from its own CacheBuffer — no cross-shard read.
-      const SeqNum oldest = child->cache().oldest(parent_head);
+      // and the deployment-wide window size — no cross-shard read.
+      const SeqNum oldest = cache_window_start(parent_head, window);
       while (credit >= 1.0 && child->head(j) < parent_head) {
-        SeqNum next = child->head(j) + BlockCount(1);
-        if (next < oldest) {
+        if (child->head(j) + BlockCount(1) < oldest) {
           // The child fell behind the parent's cache window: the missing
           // range is gone (pushed out by playout) and must be skipped.
+          // The head lands on oldest - 1, still below parent_head.
           child->handle_window_gap(j, oldest);
-          next = child->head(j) + BlockCount(1);
-          if (next > parent_head) break;
         }
-        child->sync().insert(j, next);
+        // Blocks go out in order: the next one is always head + 1.
+        child->sync().advance(j);
         credit -= 1.0;
         ++blocks;
         ++slot.pushed;
@@ -666,8 +652,7 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
               scratch.bm_lanes.data() + e.base,
               static_cast<std::size_t>(params_.substream_count));
           for (std::uint32_t k = e.first; k < e.first + e.count; ++k) {
-            const ShardScratch::BmTarget& t = scratch.bm_targets[k];
-            deliver_bm(from, t.to, lanes, t.sub_bits);
+            push_bm(from, scratch.bm_targets[k], lanes);
           }
         } else if constexpr (std::is_same_v<E, EffectMessage>) {
           const Message& msg = shard_scratch_[shard_of(from)].outbox[e.index];

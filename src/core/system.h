@@ -52,19 +52,22 @@ enum class AllocationPolicy : unsigned char {
   kEqualShare = 1,  ///< naive per-connection split; surplus can be wasted
 };
 
+/// Encoder -> server delay, seconds.
+inline constexpr double kServerLag = 0.2;
+
+/// How long a joining node aggregates partner BMs before choosing its
+/// initial sequence offset (§IV-A), seconds.
+inline constexpr double kJoinAggregationDelay = 1.0;
+
 /// Deployment-level configuration (everything that is not a Table-I
 /// protocol parameter).
 struct SystemConfig {
   int server_count = 24;                 ///< dedicated servers (§V-A)
   double server_capacity_bps = 100e6;    ///< 100 Mbps each (§V-A)
   int server_max_partners = 50;          ///< servers accept more partners
-  double server_lag = 0.2;               ///< encoder -> server delay, s
   McachePolicy mcache_policy = McachePolicy::kRandomReplace;
   AllocationPolicy allocation = AllocationPolicy::kMaxMinFair;
   net::LatencyParams latency;            ///< control-plane delays
-  /// How long a joining node aggregates partner BMs before choosing its
-  /// initial sequence offset (§IV-A).
-  double join_aggregation_delay = 1.0;
   /// Simulated seconds between runtime invariant audits (core/invariants.h);
   /// 0 (the default) attaches no auditor.
   double audit_period = 0.0;
@@ -168,21 +171,18 @@ class System {
   void request_bootstrap_list(net::NodeId requester);
   /// Initiates a partnership attempt (latency-delayed; §III-B).
   void attempt_partnership(net::NodeId from, net::NodeId to);
-  /// Pushes `from`'s K head `lanes` into `to`'s view of `from` right away,
-  /// with no subscription bits: the one-off push when a partnership comes
-  /// up.  Serial contexts only; the periodic exchange goes through
-  /// broadcast_bm.
+  /// Delivers `from`'s K head `lanes` to `to` right away (zero latency;
+  /// counted as one BM message).  A dead `to` is dropped from `from`'s
+  /// partners instead.  Serial contexts only: the one-off push when a
+  /// partnership comes up, and the flush of a periodic broadcast.
   void push_bm(net::NodeId from, net::NodeId to,
                std::span<const SeqNum> lanes);
   /// Periodic BM exchange (§III-C), phase P only: sends the K head `lanes`
-  /// to every partner, each copy carrying the subscription bits for that
-  /// partner (lane j set when `parents[j]` is the partner).  The lanes and
-  /// the target list are snapshotted now into the sender's shard scratch
-  /// and emitted as one EffectBmPush; the flush delivers them in partner
-  /// order with zero latency, counting one message per partner.
+  /// to every partner.  The lanes and the partner ids are snapshotted now
+  /// into the sender's shard scratch and emitted as one EffectBmPush; the
+  /// flush pushes them in partner order.
   void broadcast_bm(net::NodeId from, std::span<const SeqNum> lanes,
-                    const PartnerTable& partners,
-                    std::span<const net::NodeId> parents);
+                    const PartnerTable& partners);
   /// Sub-stream subscription management (child -> parent).
   void subscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
   void unsubscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
@@ -210,7 +210,7 @@ class System {
   /// the advertised address class (public / UPnP-mapped vs plain NAT).
   bool is_reachable(net::NodeId id) const noexcept;
   /// Encoder position: contiguous head of sub-stream `j` at time `t`
-  /// (servers lag this by config().server_lag).
+  /// (servers lag this by kServerLag).
   SeqNum source_head(SubstreamId j, Tick t) const noexcept;
 
   /// The runtime invariant auditor, when start() attached one
@@ -236,12 +236,6 @@ class System {
   /// phase — and never carry results across ticks, so placement cannot
   /// influence behaviour.
   struct ShardScratch {
-    /// One partner of a snapshotted BM broadcast.
-    struct BmTarget {
-      net::NodeId to = net::kInvalidNode;
-      std::uint32_t sub_bits = 0;
-    };
-
     Mcache::SampleScratch mcache;
     std::vector<McacheEntry> candidates;
     /// F1 allocator buffers, one entry per out-link of the current parent.
@@ -257,7 +251,7 @@ class System {
     /// shard's own worker appends to them.
     std::vector<Message> outbox;  ///< posted messages, in post order
     std::vector<SeqNum> bm_lanes;  ///< K lanes per broadcast
-    std::vector<BmTarget> bm_targets;
+    std::vector<net::NodeId> bm_targets;  ///< partners per broadcast
     std::vector<logging::Report> reports;
     std::uint64_t blocks_transferred = 0;
   };
@@ -291,11 +285,6 @@ class System {
   /// Drains the effect mailbox in canonical sender order (serial).
   void flush_effects();
   void apply_effect(net::NodeId from, TickEffect&& effect);
-  /// One BM delivery: counts the message, lets `from` drop a dead `to`,
-  /// else hands `to` the K `lanes` with `sub_bits` as its subscription
-  /// word.
-  void deliver_bm(net::NodeId from, net::NodeId to,
-                  std::span<const SeqNum> lanes, std::uint32_t sub_bits);
   /// Sends `msg` from `msg.from`: in phase P it waits in the sender's
   /// outbox for the flush; otherwise a delayed kind goes through send()
   /// and a zero-latency kind is counted and delivered at once.

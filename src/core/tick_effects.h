@@ -15,8 +15,8 @@
 // whether phase P is running and either defer or execute directly (serial
 // contexts: transport callbacks, workload events, the flush itself).
 // Every effect is a few words: its payload (a Message record, a BM
-// broadcast's lanes and per-partner subscription words, a report) sits in
-// the sender's shard scratch and the effect holds its index.  The periodic
+// broadcast's lanes and partner ids, a report) sits in the sender's shard
+// scratch and the effect holds its index.  The periodic
 // BM exchange is the one bulk effect: a peer's whole once-a-second
 // broadcast is one EffectBmPush that the flush expands into one delivery
 // per partner, in partner order.
@@ -30,10 +30,10 @@ namespace coolstream::core {
 enum class SessionEvent : unsigned char;  // defined in core/system.h
 
 /// Periodic BM broadcast to every partner, snapshotted when the sender
-/// ran: its K head lanes start at `base` and its targets are
+/// ran: its K head lanes start at `base` and its partner ids are
 /// [first, first + count), both indexing the sender's shard scratch
-/// (System::broadcast_bm).  Delivered with zero
-/// latency at the flush, one target at a time.
+/// (System::broadcast_bm).  The flush pushes the lanes to one partner at
+/// a time, with zero latency.
 struct EffectBmPush {
   std::uint32_t base = 0;
   std::uint32_t first = 0;

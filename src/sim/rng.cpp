@@ -85,19 +85,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log1p(-uniform());
 }
 
-double Rng::pareto(double x_m, double alpha) noexcept {
-  assert(x_m > 0.0 && alpha > 0.0);
-  return x_m / std::pow(1.0 - uniform(), 1.0 / alpha);
-}
-
-double Rng::bounded_pareto(double lo, double hi, double alpha) noexcept {
-  assert(0.0 < lo && lo < hi && alpha > 0.0);
-  const double u = uniform();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
 double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(mu + sigma * normal());
 }
@@ -119,11 +106,6 @@ double Rng::normal() noexcept {
 
 double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
-}
-
-double Rng::weibull(double lambda, double k) noexcept {
-  assert(lambda > 0.0 && k > 0.0);
-  return lambda * std::pow(-std::log1p(-uniform()), 1.0 / k);
 }
 
 std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
@@ -189,10 +171,6 @@ void Rng::sample_indices_into(std::size_t n, std::size_t k,
     out.push_back(seen ? j : t);
   }
   shuffle(out);
-}
-
-Rng Rng::fork() noexcept {
-  return Rng(next_u64() ^ 0xd1b54a32d192ed03ULL);
 }
 
 Rng Rng::stream(std::uint64_t tag) const noexcept {

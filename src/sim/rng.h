@@ -7,9 +7,9 @@
 // and test expectations are portable.
 //
 // Rng is xoshiro256++ seeded via splitmix64.  Independent streams for
-// parallel parameter sweeps are derived with Rng::fork(), which uses the
-// splitmix64 sequence of the parent seed, guaranteeing streams do not overlap
-// in practice.
+// subsystems and peers are derived with Rng::stream(tag), which mixes the
+// parent seed and the tag through splitmix64, so streams do not overlap in
+// practice.
 #pragma once
 
 #include <array>
@@ -55,13 +55,6 @@ class Rng {
   /// Exponential variate with the given mean (mean = 1/rate, must be > 0).
   double exponential(double mean) noexcept;
 
-  /// Pareto (type I) variate with scale x_m > 0 and shape alpha > 0.
-  /// Heavy tailed; used for session durations.
-  double pareto(double x_m, double alpha) noexcept;
-
-  /// Bounded Pareto on [lo, hi] with shape alpha.
-  double bounded_pareto(double lo, double hi, double alpha) noexcept;
-
   /// Lognormal variate where `mu`/`sigma` parameterize the underlying
   /// normal distribution.
   double lognormal(double mu, double sigma) noexcept;
@@ -72,9 +65,6 @@ class Rng {
 
   /// Normal variate with given mean and standard deviation.
   double normal(double mean, double stddev) noexcept;
-
-  /// Weibull variate with scale lambda > 0 and shape k > 0.
-  double weibull(double lambda, double k) noexcept;
 
   /// Zipf-distributed integer in [1, n] with exponent s >= 0, by inversion
   /// on the precomputed CDF is avoided; uses rejection-inversion
@@ -103,20 +93,16 @@ class Rng {
   void sample_indices_into(std::size_t n, std::size_t k,
                            std::vector<std::size_t>& out);
 
-  /// Derives an independent child generator.  Each call yields a distinct
-  /// stream; the parent state advances.
-  Rng fork() noexcept;
-
   /// Derives an independent child generator keyed by `tag`, without
-  /// touching this generator's state (unlike fork()).  The same
+  /// touching this generator's state.  The same
   /// (seed, tag) pair always yields the same stream, and streams with
   /// different tags are statistically independent — use for decoupling
   /// subsystems (fault injection, churn, workload) that must not perturb
   /// each other's draws.
   Rng stream(std::uint64_t tag) const noexcept;
 
-  /// The seed this generator was constructed with (forked generators report
-  /// their derived seed).
+  /// The seed this generator was constructed with (derived generators
+  /// report their derived seed).
   std::uint64_t seed() const noexcept { return seed_; }
 
  private:

@@ -2,64 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace coolstream::sim {
-
-void TimeSeries::record(Time t, double value) {
-  assert(samples_.empty() || t >= samples_.back().time);
-  samples_.push_back(Sample{t, value});
-}
-
-std::optional<double> TimeSeries::value_at(Time t) const {
-  // Last sample with time <= t.
-  auto it = std::upper_bound(
-      samples_.begin(), samples_.end(), t,
-      [](Time lhs, const Sample& s) { return lhs < s.time; });
-  if (it == samples_.begin()) return std::nullopt;
-  return std::prev(it)->value;
-}
-
-double TimeSeries::min_value() const {
-  assert(!samples_.empty());
-  return std::min_element(samples_.begin(), samples_.end(),
-                          [](const Sample& a, const Sample& b) {
-                            return a.value < b.value;
-                          })
-      ->value;
-}
-
-double TimeSeries::max_value() const {
-  assert(!samples_.empty());
-  return std::max_element(samples_.begin(), samples_.end(),
-                          [](const Sample& a, const Sample& b) {
-                            return a.value < b.value;
-                          })
-      ->value;
-}
-
-BucketSeries::BucketSeries(Duration width, Time origin)
-    : width_(width), origin_(origin) {
-  assert(width > Duration::zero());
-}
-
-void BucketSeries::record(Time t, double value) {
-  std::size_t index = 0;
-  if (t > origin_) {
-    index = static_cast<std::size_t>((t - origin_) / width_);
-  }
-  while (buckets_.size() <= index) {
-    buckets_.push_back(
-        Bucket{origin_ + width_ * static_cast<double>(buckets_.size()), 0, 0.0,
-               std::numeric_limits<double>::infinity(),
-               -std::numeric_limits<double>::infinity()});
-  }
-  Bucket& b = buckets_[index];
-  ++b.count;
-  b.sum += value;
-  b.min = std::min(b.min, value);
-  b.max = std::max(b.max, value);
-}
 
 void StepCounter::add(Time t, int delta) {
   assert(steps_.empty() || t >= steps_.back().first);

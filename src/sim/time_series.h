@@ -1,14 +1,9 @@
-// Time-series recording utilities used by the measurement pipeline.
-//
-// TimeSeries stores (time, value) samples; BucketSeries aggregates samples
-// into fixed-width time buckets (mean/min/max/count), which is how the
-// paper's figures (users-vs-time, continuity-vs-time) are produced.
+// Time-series recording for the measurement pipeline: StepCounter tracks
+// a piecewise-constant counter (concurrent viewers) and samples it onto a
+// fixed grid, which is how the users-vs-time figure is produced.
 #pragma once
 
-#include <cstddef>
-#include <limits>
-#include <optional>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"  // for Time
@@ -19,62 +14,6 @@ namespace coolstream::sim {
 struct Sample {
   Time time{};
   double value = 0.0;
-};
-
-/// Append-only series of timestamped samples.
-class TimeSeries {
- public:
-  /// Records one observation.  Times should be non-decreasing (asserted in
-  /// debug builds); the figure pipelines rely on temporal order.
-  void record(Time t, double value);
-
-  const std::vector<Sample>& samples() const noexcept { return samples_; }
-  bool empty() const noexcept { return samples_.empty(); }
-  std::size_t size() const noexcept { return samples_.size(); }
-
-  /// Value of the last sample at or before `t`, if any.
-  std::optional<double> value_at(Time t) const;
-
-  /// Minimum / maximum recorded values.  Require !empty().
-  double min_value() const;
-  double max_value() const;
-
- private:
-  std::vector<Sample> samples_;
-};
-
-/// One aggregated bucket of a BucketSeries.
-struct Bucket {
-  Time start{};                  ///< inclusive bucket start time
-  std::size_t count = 0;         ///< samples that fell in the bucket
-  double sum = 0.0;              ///< sum of sample values
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-
-  double mean() const noexcept { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
-};
-
-/// Aggregates samples into fixed-width time buckets starting at `origin`.
-class BucketSeries {
- public:
-  /// `width` is the bucket width (must be > 0).
-  explicit BucketSeries(Duration width, Time origin = Time::zero());
-
-  /// Adds an observation.  Samples before `origin` are clamped into the
-  /// first bucket.
-  void record(Time t, double value);
-
-  /// All buckets from origin to the latest sample.  Buckets that received
-  /// no samples are present with count == 0.
-  const std::vector<Bucket>& buckets() const noexcept { return buckets_; }
-
-  Duration width() const noexcept { return width_; }
-  Time origin() const noexcept { return origin_; }
-
- private:
-  Duration width_;
-  Time origin_;
-  std::vector<Bucket> buckets_;
 };
 
 /// Tracks a piecewise-constant counter (e.g. "number of concurrent users")

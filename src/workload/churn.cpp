@@ -1,6 +1,7 @@
 #include "workload/churn.h"
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "sim/stream_tags.h"
@@ -42,13 +43,16 @@ std::optional<ChurnSchedule> ChurnSchedule::parse(const std::string& text) {
     if (verb == "burst") {
       double at = 0.0;
       double spread = 0.0;
-      std::size_t arrivals = 0;
-      if (!(ls >> at >> arrivals >> spread) || at < 0.0 || arrivals == 0 ||
+      // Signed, so "-5" fails the range check instead of wrapping to a
+      // huge unsigned count.
+      std::int64_t arrivals = 0;
+      if (!(ls >> at >> arrivals >> spread) || at < 0.0 || arrivals < 1 ||
           spread < 0.0) {
         return std::nullopt;
       }
-      s.bursts.push_back(
-          ChurnBurst{units::Tick(at), arrivals, units::Duration(spread)});
+      s.bursts.push_back(ChurnBurst{units::Tick(at),
+                                    static_cast<std::size_t>(arrivals),
+                                    units::Duration(spread)});
     } else if (verb == "mass") {
       double at = 0.0;
       double fraction = 0.0;

@@ -161,8 +161,7 @@ TEST_F(SeededCorruptionTest, StaleBufferMapBitDetected) {
     forged.push_back(view->latest(j));
   }
   forged[0] = sys_->source_head(SubstreamId(0), sys_->now()) + BlockCount(100);
-  partners.receive(view->id(), forged, view->subscription_bits(),
-                   *view->bm_time());
+  partners.receive(view->id(), forged, *view->bm_time());
 
   InvariantAuditor auditor(*sys_);
   const auto violations = auditor.audit();

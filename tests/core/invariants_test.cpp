@@ -129,40 +129,5 @@ TEST(GossipTest, MembershipKnowledgeSpreads) {
             0.8);
 }
 
-TEST(BmSubscriptionBitsTest, AdvertisedToTheServingPartner) {
-  // A viewer's BM push to partner X sets subscription bits exactly for
-  // the sub-streams it receives from X; verify through the parent's
-  // stored view after the system settles.
-  sim::Simulation simulation(3);
-  Params params;
-  params.status_report_period = 30.0;
-  SystemConfig cfg;
-  cfg.server_count = 1;
-  cfg.server_capacity_bps = 10e6;
-  cfg.server_max_partners = 6;
-  System sys(simulation, params, cfg, nullptr);
-  sys.start();
-  simulation.run_until(sim::Time(10.0));
-  PeerSpec spec;
-  spec.user_id = 5;
-  spec.kind = PeerKind::kViewer;
-  spec.type = net::ConnectionType::kNat;
-  spec.address = net::random_private_address(simulation.rng());
-  spec.upload_capacity = units::BitRate(0.0);
-  const net::NodeId id = sys.join(spec);
-  simulation.run_until(sim::Time(60.0));
-
-  const Peer* viewer = sys.peer(id);
-  ASSERT_EQ(viewer->phase(), PeerPhase::kPlaying);
-  const Peer* server = sys.peer(0);
-  const std::optional<PartnerView> view = server->partners().find(id);
-  ASSERT_TRUE(view.has_value());
-  ASSERT_TRUE(view->bm_time().has_value());
-  for (const SubstreamId j : substreams(params.substream_count)) {
-    EXPECT_EQ(view->subscribed(j), viewer->parent_of(j) == 0u)
-        << "sub-stream " << j.value();
-  }
-}
-
 }  // namespace
 }  // namespace coolstream::core

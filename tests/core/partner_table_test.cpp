@@ -1,10 +1,10 @@
 // Property-based equivalence: the partner table (records + K flat lanes per
-// partner) against a naive reference that keeps a plain lane vector and
-// subscription word per partner, across randomized add / erase / receive / find sequences for
+// partner) against a naive reference that keeps a plain lane vector per
+// partner, across randomized add / erase / receive / find sequences for
 // every lane count the protocol accepts.  After every step each view must
 // agree with the reference: id, direction, establishment time, receive
-// time, every lane, the lane maximum and every subscription bit, and the
-// table's maximum over the partners whose map has arrived.
+// time, every lane and the lane maximum, and the table's maximum over the
+// partners whose map has arrived.
 #include "core/partner_table.h"
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@ struct RefPartner {
   bool incoming = false;
   Tick established{};
   std::vector<SeqNum> lanes;
-  std::uint32_t sub_bits = 0;
   std::optional<Tick> bm_time;
 };
 
@@ -41,11 +40,8 @@ void expect_same(const PartnerView& got, const RefPartner& want, int k) {
   ASSERT_EQ(want.lanes.size(), static_cast<std::size_t>(k));
   EXPECT_EQ(got.max_latest(),
             *std::max_element(want.lanes.begin(), want.lanes.end()));
-  EXPECT_EQ(got.subscription_bits(), want.sub_bits);
   for (const SubstreamId j : substreams(k)) {
     EXPECT_EQ(got.latest(j), want.lanes[j.index()]) << "lane " << j.index();
-    EXPECT_EQ(got.subscribed(j), ((want.sub_bits >> j.index()) & 1u) != 0)
-        << "lane " << j.index();
   }
 }
 
@@ -111,17 +107,14 @@ TEST(PartnerTableProperty, MatchesFullCopiesForEveryLaneCount) {
         for (int j = 0; j < k; ++j) {
           lanes.push_back(SeqNum(rng.uniform_int(-1, 5000)));
         }
-        const auto bits =
-            static_cast<std::uint32_t>(rng.below(std::uint64_t{1} << k));
-        EXPECT_TRUE(table.receive(r.id, lanes, bits, Tick(clock)));
+        EXPECT_TRUE(table.receive(r.id, lanes, Tick(clock)));
         r.lanes = lanes;
-        r.sub_bits = bits;
         r.bm_time = Tick(clock);
       } else {
         // a departed or never-seen sender: nothing is stored or found
         const net::NodeId stranger = next_id + 1000;
         const std::vector<SeqNum> none(static_cast<std::size_t>(k), kNoSeq);
-        EXPECT_FALSE(table.receive(stranger, none, 0, Tick(clock)));
+        EXPECT_FALSE(table.receive(stranger, none, Tick(clock)));
         EXPECT_FALSE(table.find(stranger).has_value());
         EXPECT_FALSE(table.contains(stranger));
         table.erase(stranger);  // no-op

@@ -33,7 +33,7 @@ double playback_lag_seconds(const System& sys, const Peer& p, Tick now) {
 TEST(ResyncTest, PlaybackLagStaysBounded) {
   // A server that can push only 90% of the stream rate: without the lag
   // bound the viewer would drift behind without limit; with it, playback
-  // stays within max_playback_lag (+ a resync-cooldown's worth of slack).
+  // stays within kMaxPlaybackLagSeconds (+ a resync-cooldown's worth of slack).
   sim::Simulation simulation(3);
   SystemConfig cfg;
   cfg.server_count = 1;
@@ -49,10 +49,8 @@ TEST(ResyncTest, PlaybackLagStaysBounded) {
   ASSERT_EQ(p->phase(), PeerPhase::kPlaying);
   EXPECT_GT(p->stats().resyncs, 0u);
   const double lag = playback_lag_seconds(sys, *p, simulation.now());
-  const Params& params = sys.params();
-  EXPECT_LT(lag, params.max_playback_lag_seconds +
-                     0.2 * params.max_playback_lag_seconds +
-                     params.resync_cooldown_seconds);
+  EXPECT_LT(lag, kMaxPlaybackLagSeconds + 0.2 * kMaxPlaybackLagSeconds +
+                     kResyncCooldownSeconds);
 }
 
 TEST(ResyncTest, HealthyViewerNeverResyncs) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <type_traits>
 
 namespace coolstream::core {
@@ -101,6 +102,34 @@ TEST(StreamTypesTest, CombinedPrefixHintResumes) {
 TEST(StreamTypesTest, CombinedPrefixSingleSubstream) {
   const SeqNum heads[1] = {SeqNum(7)};
   EXPECT_EQ(combined_prefix(heads, 1), GlobalSeq(7));
+}
+
+TEST(StreamTypesTest, CacheWindowStartFollowsHead) {
+  const BlockCount window(10);
+  EXPECT_EQ(cache_window_start(SeqNum(5), window), SeqNum(0));  // not full
+  EXPECT_EQ(cache_window_start(SeqNum(9), window), SeqNum(0));
+  EXPECT_EQ(cache_window_start(SeqNum(10), window), SeqNum(1));
+  EXPECT_EQ(cache_window_start(SeqNum(100), window), SeqNum(91));
+}
+
+TEST(StreamTypesTest, CacheWindowOfOneBlockHoldsOnlyTheHead) {
+  EXPECT_EQ(cache_window_start(SeqNum(5), BlockCount(1)), SeqNum(5));
+  EXPECT_EQ(cache_window_start(SeqNum(0), BlockCount(1)), SeqNum(0));
+}
+
+TEST(StreamTypesTest, CacheWindowSweep) {
+  // The window [start, head] holds exactly min(window, head + 1) blocks
+  // and never reaches below block 0 or above the head.
+  for (std::int64_t window = 1; window <= 64; window *= 2) {
+    for (std::int64_t head = 0; head < 200; head += 7) {
+      const SeqNum h(head);
+      const SeqNum start = cache_window_start(h, BlockCount(window));
+      ASSERT_GE(start, SeqNum(0));
+      ASSERT_LE(start, h);
+      ASSERT_EQ(h - start + BlockCount(1),
+                BlockCount(std::min(window, head + 1)));
+    }
+  }
 }
 
 }  // namespace

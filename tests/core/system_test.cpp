@@ -488,27 +488,26 @@ TEST(SystemTest, UploadBytesFlowToTheLog) {
 
 /// What one periodic BM broadcast left behind (see the test below).
 struct BroadcastOutcome {
-  std::uint32_t parent_view_bits = 0;  ///< sub bits the parent received
-  std::vector<SeqNum> parent_view_lanes;  ///< the lanes the parent received
+  std::vector<SeqNum> partner_view_lanes;  ///< the lanes the partner received
   bool sender_kept_crashed = true;
   bool sender_kept_silent = true;
   bool silent_kept_sender = true;
 };
 
 /// Makes `a` list `b` as a partner whose `lanes` were last heard at
-/// `heard`, with no subscription bits.
+/// `heard`.
 void add_partner(Peer& a, net::NodeId b, Tick heard,
                  std::span<const SeqNum> lanes) {
   PartnerTable& partners = InvariantTestAccess::partners(a);
   if (!partners.contains(b)) partners.add(b, false, heard);
-  partners.receive(b, lanes, 0, heard);
+  partners.receive(b, lanes, heard);
 }
 
-/// One sender's broadcast, in a single tick, covers three partners: the
-/// live parent of one of its sub-streams (its sub bit must be set), a
-/// crashed partner that never told the sender (the delivery must make the
-/// sender drop it), and a partner the sender silence-breaks earlier in
-/// the same tick (the delivery must be dropped as stale).
+/// One sender's broadcast, in a single tick, covers three partners: a
+/// live partner (it must receive the lanes), a crashed partner that never
+/// told the sender (the delivery must make the sender drop it), and a
+/// partner the sender silence-breaks earlier in the same tick (the
+/// delivery must be dropped as stale).
 BroadcastOutcome run_broadcast_case(int shards) {
   sim::Simulation simulation(31);
   Params params = fast_params();
@@ -526,28 +525,21 @@ BroadcastOutcome run_broadcast_case(int shards) {
   // Ticks fall on multiples of flow_tick (0.5 s); stop between two.
   simulation.run_until(sim::Time(30.2));
   const net::NodeId sender_id = ids[0];
-  const net::NodeId parent_id = ids[1];
+  const net::NodeId partner_id = ids[1];
   const net::NodeId crashed_id = ids[2];
   const net::NodeId silent_id = ids[3];
   Peer& sender = *sys.peer(sender_id);
-  Peer& parent = *sys.peer(parent_id);
+  Peer& partner = *sys.peer(partner_id);
   Peer& crashed = *sys.peer(crashed_id);
   Peer& silent = *sys.peer(silent_id);
   const Tick now = sys.now();
   const Tick long_ago = now - units::Duration(2 * params.partner_silence_timeout);
 
-  add_partner(sender, parent_id, now, parent.sync().heads());
-  add_partner(parent, sender_id, now, sender.sync().heads());
+  add_partner(sender, partner_id, now, partner.sync().heads());
+  add_partner(partner, sender_id, now, sender.sync().heads());
   add_partner(sender, crashed_id, now, crashed.sync().heads());
   add_partner(sender, silent_id, long_ago, silent.sync().heads());
   add_partner(silent, sender_id, now, sender.sync().heads());
-  InvariantTestAccess::parents(sender)[0] = parent_id;
-  std::uint32_t expected_bits = 0;
-  for (const SubstreamId j : substreams(params.substream_count)) {
-    expected_bits |= static_cast<std::uint32_t>(sender.parent_of(j) ==
-                                                parent_id)
-                     << j.index();
-  }
   // Crash without telling the sender: the partnership is half-open.
   InvariantTestAccess::partners(crashed).erase(sender_id);
   sys.leave(crashed_id, /*graceful=*/false);
@@ -557,17 +549,14 @@ BroadcastOutcome run_broadcast_case(int shards) {
   simulation.run_until(sim::Time(30.7));  // exactly one tick, at 30.5 s
 
   BroadcastOutcome out;
-  const std::optional<PartnerView> view = parent.partners().find(sender_id);
+  const std::optional<PartnerView> view = partner.partners().find(sender_id);
   EXPECT_TRUE(view.has_value());
   if (view) {
     EXPECT_TRUE(view->bm_time() && *view->bm_time() > now);
-    EXPECT_EQ(view->subscription_bits(), expected_bits);
-    out.parent_view_bits = view->subscription_bits();
     for (const SubstreamId j : substreams(params.substream_count)) {
-      out.parent_view_lanes.push_back(view->latest(j));
+      out.partner_view_lanes.push_back(view->latest(j));
     }
   }
-  EXPECT_NE(expected_bits, 0u);
   out.sender_kept_crashed = sender.partners().contains(crashed_id);
   out.sender_kept_silent = sender.partners().contains(silent_id);
   out.silent_kept_sender = silent.partners().contains(sender_id);
@@ -584,8 +573,7 @@ TEST(SystemTest, BmBroadcastFlushesPerPartnerAtAnyShardCount) {
     EXPECT_FALSE(by_shards[k].sender_kept_silent);
     EXPECT_FALSE(by_shards[k].silent_kept_sender);
   }
-  EXPECT_EQ(by_shards[0].parent_view_bits, by_shards[1].parent_view_bits);
-  EXPECT_EQ(by_shards[0].parent_view_lanes, by_shards[1].parent_view_lanes);
+  EXPECT_EQ(by_shards[0].partner_view_lanes, by_shards[1].partner_view_lanes);
 }
 
 TEST(SystemTest, MalformedShardCountsAreRejected) {

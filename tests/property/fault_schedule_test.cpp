@@ -205,6 +205,8 @@ TEST(ChurnSchedule, ParseRejectsBadVerbsAndRanges) {
   EXPECT_FALSE(workload::ChurnSchedule::parse("mass 10 1.5 crash"));
   EXPECT_FALSE(workload::ChurnSchedule::parse("mass 10 0.5 explode"));
   EXPECT_FALSE(workload::ChurnSchedule::parse("burst 10 0 2"));
+  // A negative count must not wrap to a huge unsigned one.
+  EXPECT_FALSE(workload::ChurnSchedule::parse("burst 10 -5 2"));
   EXPECT_FALSE(workload::ChurnSchedule::parse("nonsense 1 2 3"));
   const auto ok = workload::ChurnSchedule::parse(
       "# clean\nburst 10 3 2.5\nmass 40 0.25 leave\nflap 5 9 2\n");

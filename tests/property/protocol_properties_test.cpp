@@ -91,10 +91,9 @@ PROPERTY_TEST(ProtocolProperties, PlayedImpliesReceived) {
 }
 
 // --------------------------------------------------------------------------
-// P2: buffer maps stay consistent with buffer contents — the cache window
-// covers exactly what was received up to the contiguous head (the heads
-// are the advertised BM, by construction), stored partner BMs never run
-// ahead of the partner's real state, and heads are monotonic.
+// P2: buffer maps stay consistent with buffer contents — stored partner
+// BMs never run ahead of the partner's real state (the heads are the
+// advertised BM, by construction), and heads are monotonic.
 // --------------------------------------------------------------------------
 
 PROPERTY_TEST(ProtocolProperties, BufferMapsMatchBuffers) {
@@ -112,18 +111,6 @@ PROPERTY_TEST(ProtocolProperties, BufferMapsMatchBuffers) {
                                       core::kNoSeq);
       for (core::SubstreamId j : core::substreams(k)) {
         const core::SeqNum head = p.head(j);
-        if (head != core::kNoSeq) {
-          if (!p.cache().available(head, head)) {
-            err = "node " + node_str(id) +
-                  " head block missing from its own cache window";
-            return;
-          }
-          if (p.cache().available(head, head + core::BlockCount(1))) {
-            err = "node " + node_str(id) +
-                  " cache claims a block beyond the contiguous head";
-            return;
-          }
-        }
         const core::SeqNum prev = heads[j.index()];
         if (prev != core::kNoSeq && (head == core::kNoSeq || head < prev)) {
           err = "node " + node_str(id) + " sub-stream head moved backwards";

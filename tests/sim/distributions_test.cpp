@@ -67,53 +67,6 @@ INSTANTIATE_TEST_SUITE_P(Grid, LognormalMomentsTest,
                                            std::make_pair(5.7, 0.6),
                                            std::make_pair(6.9, 1.0)));
 
-// --- weibull ----------------------------------------------------------------
-
-class WeibullMomentsTest
-    : public ::testing::TestWithParam<std::pair<double, double>> {};
-
-TEST_P(WeibullMomentsTest, MeanTracksClosedForm) {
-  const auto [lambda, k] = GetParam();
-  Rng rng(300 + static_cast<std::uint64_t>(lambda * 10 + k * 100));
-  const auto m = sample_moments(
-      rng, [lambda, k](Rng& r) { return r.weibull(lambda, k); });
-  const double expected = lambda * std::tgamma(1.0 + 1.0 / k);
-  EXPECT_NEAR(m.mean, expected, expected * 0.05);
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, WeibullMomentsTest,
-                         ::testing::Values(std::make_pair(1.0, 0.8),
-                                           std::make_pair(2.0, 1.0),
-                                           std::make_pair(2.0, 1.5),
-                                           std::make_pair(10.0, 3.0)));
-
-// --- bounded pareto ---------------------------------------------------------
-
-class BoundedParetoTest
-    : public ::testing::TestWithParam<std::tuple<double, double, double>> {};
-
-TEST_P(BoundedParetoTest, CdfMatchesClosedForm) {
-  const auto [lo, hi, alpha] = GetParam();
-  Rng rng(400 + static_cast<std::uint64_t>(alpha * 100));
-  // Compare the empirical CDF at the geometric midpoint against the
-  // bounded-Pareto CDF.
-  const double x = std::sqrt(lo * hi);
-  const double la = std::pow(lo, alpha);
-  const double expected =
-      (1.0 - la * std::pow(x, -alpha)) / (1.0 - la / std::pow(hi, alpha));
-  int below = 0;
-  for (int i = 0; i < kSamples; ++i) {
-    if (rng.bounded_pareto(lo, hi, alpha) <= x) ++below;
-  }
-  EXPECT_NEAR(static_cast<double>(below) / kSamples, expected, 0.02);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, BoundedParetoTest,
-    ::testing::Values(std::make_tuple(1.0, 100.0, 1.2),
-                      std::make_tuple(10.0, 1000.0, 0.8),
-                      std::make_tuple(2.0, 50.0, 2.0)));
-
 // --- normal -----------------------------------------------------------------
 
 class NormalMomentsTest
@@ -132,27 +85,6 @@ INSTANTIATE_TEST_SUITE_P(Grid, NormalMomentsTest,
                          ::testing::Values(std::make_pair(0.0, 1.0),
                                            std::make_pair(-5.0, 2.0),
                                            std::make_pair(100.0, 25.0)));
-
-// --- uniform independence across forks ---------------------------------------
-
-TEST(ForkIndependenceTest, CrossCorrelationNearZero) {
-  Rng parent(999);
-  Rng a = parent.fork();
-  Rng b = parent.fork();
-  double sum_ab = 0.0;
-  double sum_a = 0.0;
-  double sum_b = 0.0;
-  for (int i = 0; i < kSamples; ++i) {
-    const double x = a.uniform();
-    const double y = b.uniform();
-    sum_ab += x * y;
-    sum_a += x;
-    sum_b += y;
-  }
-  const double cov =
-      sum_ab / kSamples - (sum_a / kSamples) * (sum_b / kSamples);
-  EXPECT_NEAR(cov, 0.0, 0.003);  // var of uniform is 1/12 ~ 0.083
-}
 
 }  // namespace
 }  // namespace coolstream::sim

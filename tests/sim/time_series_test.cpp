@@ -5,67 +5,6 @@
 namespace coolstream::sim {
 namespace {
 
-TEST(TimeSeriesTest, RecordsSamples) {
-  TimeSeries ts;
-  EXPECT_TRUE(ts.empty());
-  ts.record(Time(1.0), 10.0);
-  ts.record(Time(2.0), 20.0);
-  EXPECT_EQ(ts.size(), 2u);
-  EXPECT_DOUBLE_EQ(ts.samples()[1].value, 20.0);
-}
-
-TEST(TimeSeriesTest, ValueAtFindsLastSampleAtOrBefore) {
-  TimeSeries ts;
-  ts.record(Time(1.0), 10.0);
-  ts.record(Time(3.0), 30.0);
-  EXPECT_FALSE(ts.value_at(Time(0.5)).has_value());
-  EXPECT_DOUBLE_EQ(*ts.value_at(Time(1.0)), 10.0);
-  EXPECT_DOUBLE_EQ(*ts.value_at(Time(2.9)), 10.0);
-  EXPECT_DOUBLE_EQ(*ts.value_at(Time(3.0)), 30.0);
-  EXPECT_DOUBLE_EQ(*ts.value_at(Time(99.0)), 30.0);
-}
-
-TEST(TimeSeriesTest, MinMax) {
-  TimeSeries ts;
-  ts.record(Time(0.0), 5.0);
-  ts.record(Time(1.0), -2.0);
-  ts.record(Time(2.0), 9.0);
-  EXPECT_DOUBLE_EQ(ts.min_value(), -2.0);
-  EXPECT_DOUBLE_EQ(ts.max_value(), 9.0);
-}
-
-TEST(BucketSeriesTest, AggregatesIntoBuckets) {
-  BucketSeries bs(Duration(10.0));
-  bs.record(Time(1.0), 2.0);
-  bs.record(Time(9.0), 4.0);
-  bs.record(Time(15.0), 10.0);
-  ASSERT_EQ(bs.buckets().size(), 2u);
-  EXPECT_EQ(bs.buckets()[0].count, 2u);
-  EXPECT_DOUBLE_EQ(bs.buckets()[0].mean(), 3.0);
-  EXPECT_DOUBLE_EQ(bs.buckets()[0].min, 2.0);
-  EXPECT_DOUBLE_EQ(bs.buckets()[0].max, 4.0);
-  EXPECT_EQ(bs.buckets()[1].count, 1u);
-  EXPECT_EQ(bs.buckets()[1].start, Time(10.0));
-}
-
-TEST(BucketSeriesTest, GapsProduceEmptyBuckets) {
-  BucketSeries bs(Duration(1.0));
-  bs.record(Time(0.5), 1.0);
-  bs.record(Time(4.5), 1.0);
-  ASSERT_EQ(bs.buckets().size(), 5u);
-  EXPECT_EQ(bs.buckets()[2].count, 0u);
-  EXPECT_DOUBLE_EQ(bs.buckets()[2].mean(), 0.0);
-}
-
-TEST(BucketSeriesTest, RespectsOrigin) {
-  BucketSeries bs(Duration(10.0), Time(100.0));
-  bs.record(Time(105.0), 1.0);
-  bs.record(Time(95.0), 2.0);  // before origin -> clamped into first bucket
-  ASSERT_EQ(bs.buckets().size(), 1u);
-  EXPECT_EQ(bs.buckets()[0].count, 2u);
-  EXPECT_EQ(bs.buckets()[0].start, Time(100.0));
-}
-
 TEST(StepCounterTest, TracksValue) {
   StepCounter c;
   EXPECT_EQ(c.value(), 0);
