@@ -43,16 +43,15 @@ int main(int argc, char** argv) {
     const auto snap = sys.snapshot();
     for (const auto& node : snap.nodes) {
       if (node.is_server) continue;
-      const core::Peer* p = sys.peer(node.id);
-      if (p == nullptr || !p->alive()) continue;
+      const core::Peer* p = sys.peer(node.id);  // snapshot nodes are live
       const double age =
           at - p->joined_at().value();
       const auto bucket = static_cast<std::size_t>(age / kAgeBucket);
       if (bucket >= kBuckets) continue;
       for (net::NodeId parent_id : node.parents) {
         if (parent_id == net::kInvalidNode) continue;
-        const core::Peer* parent = sys.peer(parent_id);
-        if (parent == nullptr || !parent->alive()) continue;
+        const core::Peer* parent = sys.live_peer(parent_id);
+        if (parent == nullptr) continue;
         ++total_links[bucket];
         const bool capable =
             parent->kind() == core::PeerKind::kServer ||

@@ -79,7 +79,7 @@ void InvariantAuditor::check_peer(const Peer& p,
 
   if (!p.alive()) {
     // A departed peer must be fully dismantled: no partner or serving state
-    // left behind, and no longer offered to joiners by the boot-strap node.
+    // left behind, and off the live list the boot-strap node samples.
     if (!p.partners().empty()) {
       add(InvariantRule::kTeardown, net::kInvalidNode,
           "departed peer still holds partner state");
@@ -88,16 +88,16 @@ void InvariantAuditor::check_peer(const Peer& p,
       add(InvariantRule::kTeardown, net::kInvalidNode,
           "departed peer still holds serving links");
     }
-    if (sys_.bootstrap().contains(id)) {
+    if (sys_.is_live(id)) {
       add(InvariantRule::kTeardown, net::kInvalidNode,
-          "departed peer still listed by the boot-strap node");
+          "departed peer still on the live list");
     }
     return;
   }
 
-  if (!sys_.bootstrap().contains(id)) {
+  if (!sys_.is_live(id)) {
     add(InvariantRule::kCensus, net::kInvalidNode,
-        "live peer missing from the boot-strap registry");
+        "live peer missing from the live list");
   }
   if (p.partner_count() >
       static_cast<std::size_t>(sys_.max_partners_of(p)) + 2) {
@@ -107,8 +107,8 @@ void InvariantAuditor::check_peer(const Peer& p,
 
   // --- partnership symmetry (§III-B) --------------------------------------
   for (const PartnerView ps : p.partners()) {
-    const Peer* q = sys_.peer(ps.id());
-    if (q == nullptr || !q->alive()) {
+    const Peer* q = sys_.live_peer(ps.id());
+    if (q == nullptr) {
       add(InvariantRule::kPartnerSymmetry, ps.id(),
           "partner is dead or unknown");
       continue;
@@ -127,8 +127,8 @@ void InvariantAuditor::check_peer(const Peer& p,
     // Diagnostic strings carry the raw sub-stream number.
     const std::string js =
         std::to_string(j.value());
-    const Peer* q = sys_.peer(parent);
-    if (q == nullptr || !q->alive()) {
+    const Peer* q = sys_.live_peer(parent);
+    if (q == nullptr) {
       add(InvariantRule::kSingleParent, parent,
           "subscribed to a dead parent (sub-stream " + js + ")");
       continue;
@@ -163,7 +163,7 @@ void InvariantAuditor::check_peer(const Peer& p,
   // --- buffer-map agreement (§III-C) --------------------------------------
   for (const PartnerView ps : p.partners()) {
     if (!ps.bm_time()) continue;  // never received one
-    const Peer* sender = sys_.peer(ps.id());
+    const Peer* sender = sys_.live_peer(ps.id());
     for (SubstreamId j : substreams(k)) {
       const SeqNum lat = ps.latest(j);
       if (lat < kNoSeq) {
@@ -178,7 +178,7 @@ void InvariantAuditor::check_peer(const Peer& p,
       }
       // Heads are monotone, so a BM snapshot can never exceed the sender's
       // current head — a higher value is a stale/forged advertisement.
-      if (sender != nullptr && sender->alive() && lat > sender->head(j)) {
+      if (sender != nullptr && lat > sender->head(j)) {
         add(InvariantRule::kBufferMapAgreement, ps.id(),
             "stored buffer map is ahead of the sender's own head");
         break;
@@ -285,11 +285,6 @@ void InvariantAuditor::check_global(std::vector<InvariantViolation>* out,
             std::to_string(sys_.live_viewer_count()) + " + servers " +
             std::to_string(servers));
   }
-  if (sys_.concurrent_viewers().value() !=
-      static_cast<long long>(sys_.live_viewer_count())) {
-    add(InvariantRule::kCensus,
-        "concurrent-viewer step counter disagrees with the live census");
-  }
 
   // --- event engine ---------------------------------------------------------
   const std::string queue_err = sys_.simulation().queue().self_check();
@@ -347,6 +342,11 @@ void InvariantTestAccess::rewind_head(Peer& p, SubstreamId j, SeqNum seq) {
 
 SystemStats& InvariantTestAccess::stats(System& sys) { return sys.stats_; }
 
+void InvariantTestAccess::relist(System& sys, net::NodeId id) {
+  sys.live_index_[id] = static_cast<std::uint32_t>(sys.live_.size());
+  sys.live_.push_back(id);
+}
+
 void InvariantTestAccess::do_gossip(Peer& p) { p.do_gossip(); }
 
 Mcache& InvariantTestAccess::mcache(Peer& p) { return p.mcache_; }
@@ -362,5 +362,7 @@ std::size_t InvariantTestAccess::session_capacity(const Peer& p) {
 std::size_t InvariantTestAccess::partner_change_capacity(const Peer& p) {
   return p.interval_changes_.capacity();
 }
+
+Tick InvariantTestAccess::last_resync(const Peer& p) { return p.last_resync_; }
 
 }  // namespace coolstream::core

@@ -48,7 +48,7 @@ enum class InvariantRule : unsigned char {
   kBufferMapAgreement = 2, ///< stored BMs within sender heads / encoder edge
   kSyncMonotonic = 3,     ///< heads, combined prefix, byte counters forward-only
   kBlockConservation = 4, ///< sum(up) == sum(down) == blocks * block size
-  kCensus = 5,            ///< live counts, boot-strap registry, step counter
+  kCensus = 5,            ///< live census; Peer::alive() matches System::is_live()
   kEventQueue = 6,        ///< slab/heap/free-list consistency
   kTeardown = 7,          ///< departed peers fully dismantled
 };
@@ -132,6 +132,9 @@ struct InvariantTestAccess {
   /// it backwards (something the real SyncBuffer API cannot do).
   static void rewind_head(Peer& p, SubstreamId j, SeqNum seq);
   static SystemStats& stats(System& sys);
+  /// Puts departed node `id` back on the System's live list (as if a leave
+  /// had been lost), without reviving the peer itself.
+  static void relist(System& sys, net::NodeId id);
   /// Fires one gossip round from `p` right now, bypassing the gossip
   /// timer.  Used by the allocation-counting tier to bracket the
   /// sample_into / message send path with heap counters.
@@ -148,6 +151,9 @@ struct InvariantTestAccess {
   /// Element capacity of the peer's partner-change history (the changes
   /// its next partner report carries).
   static std::size_t partner_change_capacity(const Peer& p);
+  /// When the peer last re-anchored forward on playback lag (not on a deep
+  /// window gap, which leaves this time alone).
+  static Tick last_resync(const Peer& p);
 };
 
 }  // namespace coolstream::core

@@ -651,6 +651,10 @@ void Peer::handle_window_gap(SubstreamId j, SeqNum window_start) {
     // abandoned stretch is never charged to the continuity index, exactly
     // the paper's §V-D reporting blindness for re-entering users).
     ++stats_.resyncs;
+    // start_at() moved lane j's head without extending the combined
+    // prefix; bring it up to date first, or the new timeline would start
+    // inside the blocks just jumped over.
+    sync_.set_combined_floor(sync_.combined());
     play_start_seq_ = sync_.combined() + BlockCount(1);
     play_start_time_ = sys_.now();
     last_deadline_counted_ = play_start_seq_ - BlockCount(1);

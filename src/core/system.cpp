@@ -104,7 +104,6 @@ void System::start() {
     peers_.push_back(std::make_unique<Peer>(
         *this, id, spec, units::SessionId(next_session_id_++), now()));
     add_live(id);
-    bootstrap_.add(id, now());
     peers_.back()->start_join();
   }
   tick_handle_ =
@@ -124,9 +123,7 @@ net::NodeId System::join(const PeerSpec& spec) {
   peers_.push_back(std::make_unique<Peer>(
       *this, id, s, units::SessionId(next_session_id_++), now()));
   add_live(id);
-  bootstrap_.add(id, now());
   ++live_viewers_;
-  viewers_over_time_.add(now(), +1);
   ++stats_.joins;
   peers_.back()->start_join();
   notify(id, SessionEvent::kJoined);
@@ -134,8 +131,8 @@ net::NodeId System::join(const PeerSpec& spec) {
 }
 
 void System::leave(net::NodeId id, bool graceful) {
-  Peer* p = peer(id);
-  if (p == nullptr || !p->alive()) return;
+  Peer* p = live_peer(id);
+  if (p == nullptr) return;
   assert(p->kind() == PeerKind::kViewer && "servers never leave");
 
   if (graceful) {
@@ -169,15 +166,11 @@ void System::leave(net::NodeId id, bool graceful) {
   live_index_[id] = kNotLive;
   live_.pop_back();
   for (net::NodeId q : partner_ids) {
-    if (Peer* qp = peer(q); qp != nullptr && qp->alive()) {
-      qp->on_partner_left(id);
-    }
+    if (Peer* qp = live_peer(q)) qp->on_partner_left(id);
   }
   leave_scratch_ = std::move(partner_ids);
 
-  bootstrap_.remove(id);
   --live_viewers_;
-  viewers_over_time_.add(now(), -1);
   ++stats_.leaves;
   notify(id, SessionEvent::kLeft);
 }
@@ -207,6 +200,10 @@ Peer* System::peer(net::NodeId id) noexcept {
 
 const Peer* System::peer(net::NodeId id) const noexcept {
   return id < peers_.size() ? peers_[id].get() : nullptr;
+}
+
+Peer* System::live_peer(net::NodeId id) noexcept {
+  return is_live(id) ? peers_[id].get() : nullptr;
 }
 
 int System::max_partners_of(const Peer& p) const noexcept {
@@ -268,9 +265,9 @@ void System::push_bm(net::NodeId from, net::NodeId to,
   // dominates the tens-of-ms delivery delay); messages are still counted
   // for control-overhead reporting.
   transport_.count_only(net::MessageKind::kBufferMap);
-  Peer* dest = peer(to);
-  if (dest == nullptr || !dest->alive()) {
-    if (Peer* src = peer(from); src != nullptr && src->alive()) {
+  Peer* dest = live_peer(to);
+  if (dest == nullptr) {
+    if (Peer* src = live_peer(from)) {
       src->on_partner_left(to);  // lazily clean up half-open partnerships
     }
     return;
@@ -355,24 +352,24 @@ void System::deliver(const Message& msg) {
   // Every kind but the boot-strap round trip acts on the destination.  The
   // sender is looked up only where its state matters: each lookup is a
   // likely cache miss at scale.
-  Peer* dest = peer(msg.to);  // null for the boot-strap node
-  const bool dest_live = dest != nullptr && dest->alive();
+  Peer* dest = live_peer(msg.to);  // null if departed, or the boot-strap node
   switch (msg.kind) {
     case Message::Kind::kBootstrapRequest: {  // answered to the requester
-      Peer* requester = peer(msg.from);
-      if (requester == nullptr || !requester->alive()) return;
-      bootstrap_.random_list_into(
-          static_cast<std::size_t>(params_.bootstrap_list_size), msg.from,
-          sim_.rng(), bootstrap_idx_scratch_, bootstrap_list_scratch_);
-      for (McacheEntry& e : bootstrap_list_scratch_) {
-        e.reachable = is_reachable(e.id);
+      Peer* requester = live_peer(msg.from);
+      if (requester == nullptr) return;
+      sample_bootstrap_list(
+          live_, static_cast<std::size_t>(params_.bootstrap_list_size),
+          msg.from, sim_.rng(), bootstrap_idx_scratch_, bootstrap_ids_scratch_);
+      bootstrap_list_scratch_.clear();
+      for (const net::NodeId id : bootstrap_ids_scratch_) {
+        bootstrap_list_scratch_.push_back(
+            McacheEntry{peer(id)->joined_at(), id, is_reachable(id)});
       }
       requester->on_bootstrap_list(bootstrap_list_scratch_);
       return;
     }
     case Message::Kind::kPartnershipRequest: {
-      const Peer* caller = peer(msg.from);
-      const bool accept = dest_live && caller != nullptr && caller->alive() &&
+      const bool accept = dest != nullptr && is_live(msg.from) &&
                           is_reachable(msg.to) && !dest->partners_full() &&
                           !dest->partners().contains(msg.from);
       if (accept) {
@@ -388,29 +385,27 @@ void System::deliver(const Message& msg) {
       return;
     }
     case Message::Kind::kPartnershipConfirm:
-      if (dest_live) {
+      if (dest != nullptr) {
         dest->on_partnership_established(msg.from, /*incoming=*/false);
       }
       return;
     case Message::Kind::kPartnershipReject:
-      if (dest_live) dest->on_partnership_rejected(msg.from);
+      if (dest != nullptr) dest->on_partnership_rejected(msg.from);
       return;
     case Message::Kind::kGossip:
-      if (dest_live) dest->on_gossip(msg.payload());
+      if (dest != nullptr) dest->on_gossip(msg.payload());
       return;
     case Message::Kind::kSubscribe:
       ++stats_.subscriptions;
-      if (dest_live) dest->on_subscribe(msg.from, msg.substream);
+      if (dest != nullptr) dest->on_subscribe(msg.from, msg.substream);
       return;
     case Message::Kind::kUnsubscribe:
-      if (dest_live) dest->on_unsubscribe(msg.from, msg.substream);
+      if (dest != nullptr) dest->on_unsubscribe(msg.from, msg.substream);
       return;
     case Message::Kind::kBreak:
-      if (Peer* caller = peer(msg.from); caller != nullptr && caller->alive()) {
-        caller->on_partner_left(msg.to);
-      }
+      if (Peer* caller = live_peer(msg.from)) caller->on_partner_left(msg.to);
       // Re-checked: the caller's callback ran in between.
-      if (dest != nullptr && dest->alive()) dest->on_partner_left(msg.from);
+      if (Peer* d = live_peer(msg.to)) d->on_partner_left(msg.from);
       return;
   }
 }
@@ -501,16 +496,15 @@ void System::flow_rates(std::size_t shard, Duration dt) {
   for (const std::uint32_t pos : scratch.positions) {
     const net::NodeId id = tick_order_[pos];
     Peer* parent = peer(id);
-    if (parent == nullptr || !parent->alive()) continue;
+    assert(is_live(id) && "liveness changes only in join() and leave()");
     auto& links = parent->out_links();
     // Compact stale links first: a child that left or reselected this
     // sub-stream's parent.  Exactly one parent passes the parent_of()
     // check for a given (child, sub-stream), so each slot published below
     // has a unique writer this phase.
     std::erase_if(links, [this, id](const OutLink& l) {
-      const Peer* child = peer(l.child);
-      return child == nullptr || !child->alive() ||
-             child->parent_of(l.substream) != id;
+      const Peer* child = live_peer(l.child);
+      return child == nullptr || child->parent_of(l.substream) != id;
     });
     if (links.empty()) continue;
 
@@ -566,7 +560,7 @@ void System::flow_apply(std::size_t shard, Duration dt) {
   for (const std::uint32_t pos : scratch.positions) {
     const net::NodeId id = tick_order_[pos];
     Peer* child = peer(id);
-    if (child == nullptr || !child->alive()) continue;
+    assert(is_live(id) && "liveness changes only in join() and leave()");
     for (SubstreamId j : substreams(params_.substream_count)) {
       InFlow& slot = inflow_[id * k_streams + j.index()];
       if (slot.stamp != tick_stamp_) continue;  // no grant this tick
@@ -609,7 +603,7 @@ void System::protocol_phase(std::size_t shard, Tick t) {
   for (const std::uint32_t pos : scratch.positions) {
     const net::NodeId id = tick_order_[pos];
     Peer* p = peer(id);
-    if (p == nullptr || !p->alive()) continue;
+    assert(is_live(id) && "liveness changes only in join() and leave()");
     // Parent-side roll-up of what F2 moved on our out-links: children
     // recorded per-slot push counts; we own our bytes_up tally.
     for (const OutLink& l : p->out_links()) {
@@ -691,7 +685,7 @@ net::TopologySnapshot System::snapshot() const {
   snap.nodes.reserve(live_.size());
   for (net::NodeId id : live_) {
     const Peer* p = peer(id);
-    if (p == nullptr || !p->alive()) continue;
+    assert(p->alive());
     net::SnapshotNode node;
     node.id = id;
     node.type = p->spec().type;

@@ -2,8 +2,9 @@
 // protocol peers, the data-plane fluid model, and the measurement pipeline.
 //
 // One System instance is one broadcast channel: it owns the dedicated
-// servers, the boot-strap node, every peer that ever joined, and the global
-// tick that drives block transfer and protocol timers.  Workload drivers
+// servers, every peer that ever joined, the live list the boot-strap node
+// samples, and the global tick that drives block transfer and protocol
+// timers.  Workload drivers
 // call join()/leave(); everything else is protocol behaviour.  Control
 // messages are Message records (core/message.h) that all leave through
 // post(): each delayed copy rides in its delivery event's in-place
@@ -39,7 +40,6 @@
 #include "sim/shard_mailbox.h"
 #include "sim/shard_workers.h"
 #include "sim/simulation.h"
-#include "sim/time_series.h"
 
 namespace coolstream::core {
 
@@ -128,6 +128,9 @@ class System {
   bool is_live(net::NodeId id) const noexcept;
   Peer* peer(net::NodeId id) noexcept;
   const Peer* peer(net::NodeId id) const noexcept;
+  /// The peer when is_live(id), else null: the one liveness query for ids
+  /// that may name a departed node (out-links, partners, messages).
+  Peer* live_peer(net::NodeId id) noexcept;
   /// Live viewers right now (excludes servers).
   std::size_t live_viewer_count() const noexcept { return live_viewers_; }
 
@@ -148,18 +151,15 @@ class System {
   }
   sim::FaultInjector* faults() const noexcept { return faults_; }
   /// Ids of currently live nodes (servers + viewers), join order except
-  /// for swap-removal on leave.  Deterministic across runs.
+  /// for swap-removal on leave.  Deterministic across runs.  The boot-strap
+  /// node answers from this list; it is the only record of the active set.
   const std::vector<net::NodeId>& live_nodes() const noexcept {
     return live_;
   }
   const SystemConfig& config() const noexcept { return config_; }
-  BootstrapServer& bootstrap() noexcept { return bootstrap_; }
   net::Transport& transport() noexcept { return transport_; }
   logging::LogServer* log_server() noexcept { return log_; }
   const SystemStats& stats() const noexcept { return stats_; }
-  const sim::StepCounter& concurrent_viewers() const noexcept {
-    return viewers_over_time_;
-  }
 
   /// Observer for session milestones (set by workload drivers).
   std::function<void(net::NodeId, SessionEvent)> observer;
@@ -302,7 +302,6 @@ class System {
   logging::LogServer* log_;
   net::LatencyModel latency_model_;
   net::Transport transport_;
-  BootstrapServer bootstrap_;
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<net::NodeId> live_;  ///< ids of live nodes, join order
   /// By id: position in live_, or kNotLive once the node has left.
@@ -311,7 +310,6 @@ class System {
   std::size_t live_viewers_ = 0;
   std::uint64_t next_session_id_ = 1;
   std::uint64_t next_user_auto_ = 1'000'000'000ULL;
-  sim::StepCounter viewers_over_time_;
   SystemStats stats_;
   sim::EventHandle tick_handle_;
   std::unique_ptr<InvariantAuditor> auditor_;
@@ -330,8 +328,9 @@ class System {
   /// Runs the tick's phases, one shard each; it owns the resolved count.
   sim::ShardWorkers workers_;
 
-  // zero-alloc boot-strap responses: sampling and list scratch
+  // zero-alloc boot-strap responses: sampling, id and list scratch
   std::vector<std::size_t> bootstrap_idx_scratch_;
+  std::vector<net::NodeId> bootstrap_ids_scratch_;
   std::vector<McacheEntry> bootstrap_list_scratch_;
   std::vector<net::NodeId> leave_scratch_;  ///< leave()'s partner ids (serial)
 };

@@ -27,25 +27,6 @@ std::vector<Sample> StepCounter::sample_grid(Time t0, Time t1,
   return out;
 }
 
-double StepCounter::time_average(Time t0, Time t1) const {
-  assert(t1 > t0);
-  double integral = 0.0;
-  long long current = 0;
-  Time prev = t0;
-  for (const auto& [t, v] : steps_) {
-    if (t <= t0) {
-      current = v;
-      continue;
-    }
-    if (t >= t1) break;
-    integral += static_cast<double>(current) * (t - prev).value();
-    prev = t;
-    current = v;
-  }
-  integral += static_cast<double>(current) * (t1 - prev).value();
-  return integral / (t1 - t0).value();
-}
-
 long long StepCounter::peak(Time t1) const {
   long long best = 0;
   for (const auto& [t, v] : steps_) {

@@ -17,7 +17,7 @@ struct Sample {
 };
 
 /// Tracks a piecewise-constant counter (e.g. "number of concurrent users")
-/// and can integrate it or sample it onto a fixed grid for plotting.
+/// and samples it onto a fixed grid for plotting.
 class StepCounter {
  public:
   /// Applies a delta (+1 join, -1 leave) at time `t` (non-decreasing).
@@ -33,9 +33,6 @@ class StepCounter {
 
   /// Samples the step function every `dt` over [t0, t1].
   std::vector<Sample> sample_grid(Time t0, Time t1, Duration dt) const;
-
-  /// Time-average of the counter over [t0, t1].
-  double time_average(Time t0, Time t1) const;
 
   /// Maximum value attained at or before `t1`.
   long long peak(Time t1 = Time::max()) const;

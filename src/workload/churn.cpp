@@ -117,8 +117,7 @@ void ChurnDriver::execute_mass(const MassDeparture& d) {
   // departure set is a pure function of the driver seed.
   std::vector<net::NodeId> viewers;
   for (net::NodeId id : sys.live_nodes()) {
-    const core::Peer* p = sys.peer(id);
-    if (p != nullptr && p->alive() && p->kind() == core::PeerKind::kViewer) {
+    if (sys.peer(id)->kind() == core::PeerKind::kViewer) {
       viewers.push_back(id);
     }
   }

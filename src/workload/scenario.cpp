@@ -217,8 +217,8 @@ void ScenarioRunner::on_ready(net::NodeId node, SessionCtl& ctl) {
 void ScenarioRunner::on_patience_expired(net::NodeId node) {
   auto it = active_.find(node);
   if (it == active_.end()) return;
-  const core::Peer* p = system_.peer(node);
-  if (p == nullptr || !p->alive()) return;
+  const core::Peer* p = system_.live_peer(node);
+  if (p == nullptr) return;
   if (p->phase() == core::PeerPhase::kPlaying) return;  // made it after all
 
   // The user gives up on this attempt (a sub-minute session in Fig. 10a)…

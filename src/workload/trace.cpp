@@ -173,11 +173,8 @@ void TraceRunner::start_session(const TraceRow& row, int retries_left) {
   ctl.patience = sim_.after(units::Duration(row.patience_s), [this, node] {
     auto it = active_.find(node);
     if (it == active_.end()) return;
-    const core::Peer* p = system_.peer(node);
-    if (p == nullptr || !p->alive() ||
-        p->phase() == core::PeerPhase::kPlaying) {
-      return;
-    }
+    const core::Peer* p = system_.live_peer(node);
+    if (p == nullptr || p->phase() == core::PeerPhase::kPlaying) return;
     const TraceRow row_copy = it->second.row;
     const int left = it->second.retries_left;
     system_.leave(node, /*graceful=*/true);

@@ -1,7 +1,10 @@
 // Data-plane conservation laws: every delivered block is accounted once
 // on each side of the connection, and byte totals tie out with the
-// system-wide transfer counter.
+// system-wide transfer counter — under either uplink allocation policy and
+// at any shard count.
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "core/system.h"
 #include "logging/log_server.h"
@@ -10,14 +13,19 @@
 namespace coolstream::core {
 namespace {
 
-class FlowConservationTest : public ::testing::TestWithParam<std::uint64_t> {
-};
+/// (seed, F1 allocation policy, shard count).
+class FlowConservationTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint64_t, AllocationPolicy, int>> {};
 
 TEST_P(FlowConservationTest, BytesBalance) {
+  const auto [seed, allocation, shards] = GetParam();
   workload::Scenario scenario =
       workload::Scenario::steady(120, units::Duration(900.0));
   scenario.system.server_count = 3;
-  sim::Simulation simulation(GetParam());
+  scenario.system.allocation = allocation;
+  scenario.system.shards = shards;
+  sim::Simulation simulation(seed);
   logging::LogServer log;
   workload::ScenarioRunner runner(simulation, scenario, &log);
   runner.run();
@@ -51,8 +59,12 @@ TEST_P(FlowConservationTest, BytesBalance) {
   EXPECT_GT(sys.stats().blocks_transferred, 10'000u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FlowConservationTest,
-                         ::testing::Values(101u, 202u, 303u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, FlowConservationTest,
+    ::testing::Combine(::testing::Values(101u, 202u, 303u),
+                       ::testing::Values(AllocationPolicy::kMaxMinFair,
+                                         AllocationPolicy::kEqualShare),
+                       ::testing::Values(1, 4)));
 
 TEST(FlowConservationTest2, ServersOnlyUpload) {
   workload::Scenario scenario =

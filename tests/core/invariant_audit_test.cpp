@@ -206,9 +206,10 @@ TEST_F(SeededCorruptionTest, ZombieBootstrapEntryDetected) {
   const auto clean = auditor.audit();
   ASSERT_TRUE(clean.empty()) << describe(clean);
 
-  // The departed node resurfaces in the boot-strap registry (as if the
-  // portal missed the leave): joiners would be handed a dead contact.
-  sys_->bootstrap().add(id, sys_->now());
+  // The departed node resurfaces on the live list the boot-strap node
+  // samples (as if the portal missed the leave): joiners would be handed a
+  // dead contact.
+  InvariantTestAccess::relist(*sys_, id);
 
   const auto violations = auditor.audit();
   EXPECT_TRUE(has_rule(violations, InvariantRule::kTeardown))

@@ -149,13 +149,53 @@ TEST(SystemTest, GracefulLeaveReportsAndCleansUp) {
   sys.leave(id, /*graceful=*/true);
   EXPECT_FALSE(sys.is_live(id));
   EXPECT_EQ(sys.live_viewer_count(), 0u);
-  EXPECT_FALSE(sys.bootstrap().contains(id));
+  EXPECT_EQ(sys.live_peer(id), nullptr);
   EXPECT_EQ(sys.peer(id)->phase(), PeerPhase::kLeft);
 
   const auto sessions = logging::reconstruct_sessions(log.parse_all());
   ASSERT_EQ(sessions.sessions.size(), 1u);
   EXPECT_TRUE(sessions.sessions[0].is_normal());
   EXPECT_TRUE(sessions.sessions[0].had_outgoing);
+}
+
+TEST(SystemTest, BootstrapReplyListsLivePeersWithTheirJoinTimes) {
+  // The boot-strap node answers from the System's live list: a reply names
+  // only live nodes, never the requester, and stamps each with its own join
+  // time.  Four viewers join at distinct times and one of them leaves, so
+  // the departed id and the join times are both told apart.
+  sim::Simulation simulation(19);
+  System sys(simulation, fast_params(), small_config(), nullptr);
+  sys.start();
+  std::vector<net::NodeId> viewers;
+  for (int i = 0; i < 4; ++i) {
+    simulation.run_until(sim::Time(5.0 * (i + 1)));
+    viewers.push_back(sys.join(viewer(static_cast<std::uint64_t>(10 + i),
+                                      net::ConnectionType::kDirect, 1e6,
+                                      simulation.rng())));
+  }
+  simulation.run_until(sim::Time(40.0));
+  sys.leave(viewers[1], /*graceful=*/true);
+  simulation.run_until(sim::Time(50.0));
+
+  const net::NodeId requester = sys.join(
+      viewer(20, net::ConnectionType::kNat, 1e6, simulation.rng()));
+  const Peer* p = sys.peer(requester);
+  // The reply is the first thing to land in a joiner's mCache: gossip and
+  // partnership updates need a partnership, which needs the reply first.
+  while (p->mcache().size() == 0 && simulation.now() < sim::Time(55.0)) {
+    simulation.run_until(simulation.now() + units::Duration(0.001));
+  }
+  // 2 servers + 3 viewers besides the requester: fewer than the list size,
+  // so the reply names every one of them.
+  ASSERT_LT(sys.live_nodes().size() - 1,
+            static_cast<std::size_t>(sys.params().bootstrap_list_size));
+  ASSERT_EQ(p->mcache().size(), sys.live_nodes().size() - 1);
+  for (const McacheEntry& e : p->mcache().entries()) {
+    EXPECT_NE(e.id, requester);
+    EXPECT_NE(e.id, viewers[1]);
+    ASSERT_NE(sys.live_peer(e.id), nullptr) << e.id;
+    EXPECT_EQ(e.first_seen, sys.peer(e.id)->joined_at()) << e.id;
+  }
 }
 
 TEST(SystemTest, CrashLeavesSessionOpenInLog) {

@@ -16,13 +16,14 @@
 
 #include "logging/log_server.h"
 #include "sim/simulation.h"
+#include "sim/time_series.h"
 #include "workload/scenario.h"
 
 namespace coolstream {
 namespace {
 
 /// Runs one small broadcast and digests everything observable: the complete
-/// log stream plus the system's viewer time series and counters.
+/// log stream plus the viewer step function and the system's counters.
 std::string run_scenario_digest(std::uint64_t seed) {
   sim::Simulation simulation(seed);
   logging::LogServer log;
@@ -30,6 +31,15 @@ std::string run_scenario_digest(std::uint64_t seed) {
       workload::Scenario::steady(40, units::Duration(600.0));
   scenario.end_time = 600.0;
   workload::ScenarioRunner runner(simulation, scenario, &log);
+  // The viewer step function, recorded ahead of the runner's own observer.
+  sim::StepCounter viewers;
+  core::System& sys = runner.system();
+  sys.observer = [&viewers, &simulation, inner = std::move(sys.observer)](
+                     net::NodeId id, core::SessionEvent event) {
+    if (event == core::SessionEvent::kJoined) viewers.add(simulation.now(), +1);
+    if (event == core::SessionEvent::kLeft) viewers.add(simulation.now(), -1);
+    inner(id, event);
+  };
   runner.run();
 
   std::ostringstream out;
@@ -43,7 +53,7 @@ std::string run_scenario_digest(std::uint64_t seed) {
       << " accepts=" << stats.partnership_accepts
       << " rejects=" << stats.partnership_rejects
       << " subs=" << stats.subscriptions << '\n';
-  for (const auto& [t, v] : runner.system().concurrent_viewers().steps()) {
+  for (const auto& [t, v] : viewers.steps()) {
     out << t << ',' << v << ';';
   }
   out << '\n';

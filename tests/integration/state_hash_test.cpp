@@ -2,8 +2,9 @@
 //
 // Runs a fixed-seed broadcast and folds every externally observable piece of
 // protocol state — the complete log stream, the system counters, the viewer
-// step function, and each node's final buffers/playhead/stats — into one
-// FNV-1a digest, then compares it against a recorded golden value.
+// step function (recorded from the kJoined/kLeft session milestones), and
+// each node's final buffers/playhead/stats — into one FNV-1a digest, then
+// compares it against a recorded golden value.
 //
 // The golden hash was captured before the strong-domain-type refactor
 // (core/units.h); the refactor is contractually a pure re-typing, so the
@@ -19,6 +20,7 @@
 #include "core/system.h"
 #include "logging/log_server.h"
 #include "sim/simulation.h"
+#include "sim/time_series.h"
 #include "workload/scenario.h"
 
 namespace coolstream {
@@ -41,18 +43,27 @@ std::string full_state_digest(std::uint64_t seed) {
       workload::Scenario::steady(48, units::Duration(700.0));
   scenario.end_time = 700.0;
   workload::ScenarioRunner runner(simulation, scenario, &log);
+  core::System& sys = runner.system();
+  // The viewer step function: one step per join and per leave, recorded
+  // ahead of the runner's own observer.
+  sim::StepCounter viewers;
+  sys.observer = [&viewers, &simulation, inner = std::move(sys.observer)](
+                     net::NodeId id, core::SessionEvent event) {
+    if (event == core::SessionEvent::kJoined) viewers.add(simulation.now(), +1);
+    if (event == core::SessionEvent::kLeft) viewers.add(simulation.now(), -1);
+    inner(id, event);
+  };
   runner.run();
 
   std::ostringstream out;
   out.precision(17);
-  core::System& sys = runner.system();
   out << "users=" << runner.users_created()
       << " events=" << simulation.events_executed() << '\n';
   const core::SystemStats& stats = sys.stats();
   out << stats.joins << '/' << stats.leaves << '/' << stats.blocks_transferred
       << '/' << stats.partnership_accepts << '/' << stats.partnership_rejects
       << '/' << stats.subscriptions << '\n';
-  for (const auto& [t, v] : sys.concurrent_viewers().steps()) {
+  for (const auto& [t, v] : viewers.steps()) {
     out << t.value() << ',' << v << ';';
   }
   out << '\n';

@@ -1,0 +1,100 @@
+// The data plane's window-gap path under scarce capacity: children fall
+// out of their parents' cache windows (Peer::handle_window_gap), some of
+// them deep enough to re-anchor playout, and the player charges the blocks
+// it gave up on as missed.  A well-provisioned broadcast never gets here,
+// so this run starves the overlay on purpose.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "core/invariants.h"
+#include "core/system.h"
+#include "logging/log_server.h"
+#include "sim/simulation.h"
+#include "workload/scenario.h"
+#include "workload/user_types.h"
+
+namespace coolstream {
+namespace {
+
+/// The 2006 connection-type mix rescaled so that direct + UPnP peers (the
+/// capable uploaders) make up `capable` of the population.
+workload::UserTypeModel with_capable_share(double capable) {
+  auto m = workload::UserTypeModel::coolstreaming_2006();
+  auto& d = m.profiles[static_cast<std::size_t>(net::ConnectionType::kDirect)];
+  auto& u = m.profiles[static_cast<std::size_t>(net::ConnectionType::kUpnp)];
+  auto& n = m.profiles[static_cast<std::size_t>(net::ConnectionType::kNat)];
+  auto& f =
+      m.profiles[static_cast<std::size_t>(net::ConnectionType::kFirewall)];
+  const double cap0 = d.share + u.share;
+  const double weak0 = n.share + f.share;
+  d.share *= capable / cap0;
+  u.share *= capable / cap0;
+  n.share *= (1.0 - capable) / weak0;
+  f.share *= (1.0 - capable) / weak0;
+  return m;
+}
+
+TEST(WindowGapTest, ScarceCapacityTakesEverySkipPath) {
+  // bench_capacity_model's deployment at a 2 % capable share: four servers
+  // carrying 8 % of the demand, and too few peers able to upload the rest.
+  constexpr std::size_t kUsers = 300;
+  constexpr int kServers = 4;
+  constexpr double kEnd = 540.0;
+  workload::Scenario s =
+      workload::Scenario::steady(kUsers, units::Duration(kEnd));
+  const double rate = s.params.stream_rate_bps;
+  s.system.server_count = kServers;
+  s.system.server_capacity_bps = std::max(
+      2.0 * rate, 0.08 * static_cast<double>(kUsers) * rate / kServers);
+  s.system.server_max_partners = static_cast<int>(
+      std::clamp(s.system.server_capacity_bps / rate, 2.0, 60.0));
+  s.users = with_capable_share(0.02);
+  s.system.audit_period = 30.0;  // any violation aborts the run
+
+  sim::Simulation simulation(7);
+  logging::LogServer log;
+  workload::ScenarioRunner runner(simulation, s, &log);
+  core::System& sys = runner.system();
+
+  // Deep window skips and lag-driven forward resyncs both count as
+  // resyncs.  Stepping one flow tick at a time tells them apart: a
+  // forward resync stamps the tick's time as the peer's last resync, a
+  // deep skip leaves that stamp alone.
+  std::uint64_t deep_skips = 0;
+  std::vector<std::uint32_t> resyncs_seen;
+  for (int n = 1; n * s.params.flow_tick <= kEnd; ++n) {
+    runner.run_until(n * s.params.flow_tick);
+    for (net::NodeId id = 0;; ++id) {
+      const core::Peer* p = sys.peer(id);
+      if (p == nullptr) break;
+      if (resyncs_seen.size() <= id) resyncs_seen.resize(id + 1, 0);
+      std::uint32_t fresh = p->stats().resyncs - resyncs_seen[id];
+      resyncs_seen[id] = p->stats().resyncs;
+      if (fresh > 0 &&
+          core::InvariantTestAccess::last_resync(*p) == simulation.now()) {
+        --fresh;
+      }
+      deep_skips += fresh;
+    }
+  }
+
+  std::uint64_t window_skips = 0;
+  std::uint64_t missed = 0;
+  for (net::NodeId id = 0;; ++id) {
+    const core::Peer* p = sys.peer(id);
+    if (p == nullptr) break;
+    window_skips += p->stats().window_skips;
+    missed += p->stats().blocks_due - p->stats().blocks_on_time;
+  }
+  EXPECT_GT(window_skips, 0u);
+  EXPECT_GE(deep_skips, 1u);
+  EXPECT_GT(missed, 0u);
+  ASSERT_NE(sys.auditor(), nullptr);
+  EXPECT_GT(sys.auditor()->audits_run(), 10u);
+}
+
+}  // namespace
+}  // namespace coolstream

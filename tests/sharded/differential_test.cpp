@@ -21,6 +21,7 @@
 #include "core/system.h"
 #include "logging/log_server.h"
 #include "sim/simulation.h"
+#include "sim/time_series.h"
 #include "workload/churn.h"
 #include "workload/scenario.h"
 
@@ -35,7 +36,8 @@ const int kShardCounts[] = {2, 4, 8};
 /// divergence between shard counts must show up here.
 std::string digest(workload::ScenarioRunner& runner,
                    const logging::LogServer& log,
-                   const sim::Simulation& simulation) {
+                   const sim::Simulation& simulation,
+                   const sim::StepCounter& viewers) {
   std::ostringstream out;
   out.precision(17);
   core::System& sys = runner.system();
@@ -45,7 +47,7 @@ std::string digest(workload::ScenarioRunner& runner,
   out << st.joins << '/' << st.leaves << '/' << st.blocks_transferred << '/'
       << st.partnership_accepts << '/' << st.partnership_rejects << '/'
       << st.subscriptions << '\n';
-  for (const auto& [t, v] : sys.concurrent_viewers().steps()) {
+  for (const auto& [t, v] : viewers.steps()) {
     out << t.value() << ',' << v << ';';
   }
   out << '\n';
@@ -77,6 +79,15 @@ std::string run_digest(workload::Scenario scenario, int shards,
   sim::Simulation simulation(kSeed);
   logging::LogServer log;
   workload::ScenarioRunner runner(simulation, scenario, &log);
+  // The viewer step function, recorded ahead of the runner's own observer.
+  sim::StepCounter viewers;
+  core::System& sys = runner.system();
+  sys.observer = [&viewers, &simulation, inner = std::move(sys.observer)](
+                     net::NodeId id, core::SessionEvent event) {
+    if (event == core::SessionEvent::kJoined) viewers.add(simulation.now(), +1);
+    if (event == core::SessionEvent::kLeft) viewers.add(simulation.now(), -1);
+    inner(id, event);
+  };
   std::unique_ptr<workload::ChurnDriver> driver;
   if (!schedule_text.empty()) {
     auto schedule = workload::ChurnSchedule::parse(schedule_text);
@@ -86,7 +97,7 @@ std::string run_digest(workload::Scenario scenario, int shards,
     driver->arm();
   }
   runner.run();
-  return digest(runner, log, simulation);
+  return digest(runner, log, simulation, viewers);
 }
 
 void expect_shard_invariant(const workload::Scenario& scenario,

@@ -27,21 +27,6 @@ TEST(StepCounterTest, SampleGrid) {
   EXPECT_DOUBLE_EQ(grid[4].value, 1.0);
 }
 
-TEST(StepCounterTest, TimeAverage) {
-  StepCounter c;
-  c.add(Time(0.0), +1);
-  c.add(Time(5.0), +1);
-  // value 1 over [0,5), value 2 over [5,10): average 1.5.
-  EXPECT_NEAR(c.time_average(Time(0.0), Time(10.0)), 1.5, 1e-12);
-}
-
-TEST(StepCounterTest, TimeAverageWithStepsBeforeWindow) {
-  StepCounter c;
-  c.add(Time(0.0), +3);
-  c.add(Time(10.0), -1);
-  EXPECT_NEAR(c.time_average(Time(5.0), Time(15.0)), 2.5, 1e-12);
-}
-
 TEST(StepCounterTest, Peak) {
   StepCounter c;
   c.add(Time(1.0), +5);
