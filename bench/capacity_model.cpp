@@ -4,10 +4,13 @@
 // critical value in the ratio of the number of high upload contribution
 // peers and the number of opposite peers".  We sweep the capable share of
 // the population, compare the measured continuity against the fluid bound
-// min(1, rho), and locate the knee.
+// min(1, rho), and locate the knee.  Each share runs the same
+// kSeedsPerShare seeds and prints the mean and range over them.
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "analysis/continuity.h"
 #include "model/capacity_model.h"
@@ -33,6 +36,29 @@ workload::UserTypeModel with_capable_share(double capable) {
   return m;
 }
 
+/// Runs per capable share; every share uses the same seeds.
+constexpr std::uint64_t kSeedsPerShare = 3;
+
+/// Mean and range of one metric over the seeds of a share.
+struct Spread {
+  double sum = 0.0;
+  double lo = 1.0;
+  double hi = 0.0;
+  int n = 0;
+
+  void add(double fraction) {
+    sum += fraction;
+    lo = std::min(lo, fraction);
+    hi = std::max(hi, fraction);
+    ++n;
+  }
+  /// "97.3% [95.0%-99.1%]"
+  std::string describe() const {
+    return analysis::pct(sum / n, 1) + " [" + analysis::pct(lo, 1) + "-" +
+           analysis::pct(hi, 1) + "]";
+  }
+};
+
 /// Mean upload of a type class from its lognormal (untruncated).
 double class_mean(const workload::TypeProfile& p) {
   return std::exp(p.capacity_mu + 0.5 * p.capacity_sigma * p.capacity_sigma);
@@ -51,6 +77,9 @@ int main(int argc, char** argv) {
 
   analysis::banner(std::cout,
                    "Measured continuity vs fluid bound min(1, rho)");
+  std::cout << "each share runs seeds " << args.seed << ".."
+            << args.seed + kSeedsPerShare - 1
+            << "; mean [min-max] over the seeds\n";
   analysis::Table t({"capable share", "resource index rho", "fluid bound",
                      "measured continuity", "stall time share", "lag p50 (s)"});
   for (double capable : {0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50}) {
@@ -74,39 +103,45 @@ int main(int argc, char** argv) {
         s.system.server_capacity_bps * s.system.server_count;
     in.stream_rate_bps = s.params.stream_rate_bps;
 
-    sim::Simulation simulation(args.seed +
-                               static_cast<std::uint64_t>(capable * 1000));
-    logging::LogServer log;
-    workload::ScenarioRunner runner(simulation, s, &log);
-    runner.run();
-    const double measured = analysis::average_continuity(
-        logging::reconstruct_sessions(log.parse_all()));
+    // The same seeds at every share, so a difference between rows is the
+    // share's and not a seed's.
+    Spread continuity;
+    Spread stall;
+    double lag_p50 = 0.0;
+    for (std::uint64_t r = 0; r < kSeedsPerShare; ++r) {
+      sim::Simulation simulation(args.seed + r);
+      logging::LogServer log;
+      workload::ScenarioRunner runner(simulation, s, &log);
+      runner.run();
+      continuity.add(analysis::average_continuity(
+          logging::reconstruct_sessions(log.parse_all())));
 
-    // Capacity shortfall that the continuity index hides shows up as
-    // player stalls (the paper's §V-D caveat that reported continuity can
-    // be "higher than realistic"); measure it from simulator ground truth.
-    double stall_seconds = 0.0;
-    double play_seconds = 0.0;
-    core::System& sys = runner.system();
-    for (net::NodeId id = 0;; ++id) {
-      const core::Peer* p = sys.peer(id);
-      if (p == nullptr) break;
-      if (p->kind() != core::PeerKind::kViewer) continue;
-      stall_seconds +=
-        p->stats().stall_seconds.value();
-      play_seconds += static_cast<double>(p->stats().blocks_due) /
-                      s.params.block_rate;
+      // Capacity shortfall that the continuity index hides shows up as
+      // player stalls (the paper's §V-D caveat that reported continuity
+      // can be "higher than realistic"); measure it from simulator ground
+      // truth.
+      double stall_seconds = 0.0;
+      double play_seconds = 0.0;
+      core::System& sys = runner.system();
+      for (net::NodeId id = 0;; ++id) {
+        const core::Peer* p = sys.peer(id);
+        if (p == nullptr) break;
+        if (p->kind() != core::PeerKind::kViewer) continue;
+        stall_seconds += p->stats().stall_seconds.value();
+        play_seconds += static_cast<double>(p->stats().blocks_due) /
+                        s.params.block_rate;
+      }
+      stall.add(play_seconds > 0.0
+                    ? stall_seconds / (play_seconds + stall_seconds)
+                    : 0.0);
+      lag_p50 += coolstream::bench::measure_playback_lag(sys).p50 /
+                 static_cast<double>(kSeedsPerShare);
     }
-    const double stall_share =
-        play_seconds > 0.0 ? stall_seconds / (play_seconds + stall_seconds)
-                           : 0.0;
-
-    const auto lag = coolstream::bench::measure_playback_lag(sys);
     t.row({analysis::pct(capable, 0),
            analysis::fmt(model::resource_index(in), 2),
            analysis::pct(model::continuity_upper_bound(in)),
-           analysis::pct(measured, 1), analysis::pct(stall_share, 1),
-           analysis::fmt(lag.p50, 0)});
+           continuity.describe(), stall.describe(),
+           analysis::fmt(lag_p50, 0)});
   }
   t.print(std::cout);
 

@@ -52,7 +52,6 @@ double run_multi_tree(double mean_session_s, std::size_t users,
                       std::uint64_t seed) {
   sim::Simulation simulation(seed);
   baseline::MultiTreeParams params;
-  params.stripes = 4;
   params.root_capacity_bps = 4 * 768e3 * 10;
   baseline::MultiTreeOverlay mt(simulation, params);
   mt.start();

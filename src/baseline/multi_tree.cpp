@@ -5,14 +5,20 @@
 #include <cmath>
 #include <deque>
 
+#include "baseline/tree_overlay.h"
+
 namespace coolstream::baseline {
+namespace {
+
+constexpr auto kStripeCount = static_cast<std::size_t>(kStripes);
+constexpr double kStripeRateBps = kStreamRateBps / kStripes;
+constexpr double kStripeBlockRate = kBlockRate / kStripes;
+
+}  // namespace
 
 MultiTreeOverlay::MultiTreeOverlay(sim::Simulation& simulation,
                                    MultiTreeParams params)
-    : sim_(simulation), params_(params) {
-  assert(params_.stripes >= 1);
-  assert(params_.stream_rate_bps > 0.0 && params_.block_rate > 0.0);
-}
+    : sim_(simulation), params_(params) {}
 
 MultiTreeOverlay::~MultiTreeOverlay() { tick_handle_.cancel(); }
 
@@ -24,34 +30,31 @@ void MultiTreeOverlay::start() {
   root.reachable = true;
   root.capacity_bps = params_.root_capacity_bps;
   root.primary = -1;  // the root is interior in every stripe
-  root.parent.assign(static_cast<std::size_t>(params_.stripes),
-                     net::kInvalidNode);
-  root.kids.resize(static_cast<std::size_t>(params_.stripes));
-  root.head.assign(static_cast<std::size_t>(params_.stripes), 0.0);
+  root.parent.assign(kStripeCount, net::kInvalidNode);
+  root.kids.resize(kStripeCount);
+  root.head.assign(kStripeCount, 0.0);
   root_ = 0;
   nodes_.push_back(std::move(root));
   live_count_ = 1;
-  tick_handle_ = sim_.every(units::Duration(params_.tick),
-                            units::Duration(params_.tick), [this] { tick(); });
+  tick_handle_ = sim_.every(units::Duration(kTickSeconds),
+                            units::Duration(kTickSeconds), [this] { tick(); });
 }
 
 double MultiTreeOverlay::root_stripe_head() const noexcept {
   // The baseline trees work in raw fractional block positions.
-  return sim_.now().value() *
-         params_.stripe_block_rate();
+  return sim_.now().value() * kStripeBlockRate;
 }
 
 int MultiTreeOverlay::max_children_of(const Node& n,
                                       int stripe) const noexcept {
   if (&n == &nodes_[root_]) {
     // The root splits its capacity evenly across stripes.
-    return static_cast<int>(n.capacity_bps /
-                            static_cast<double>(params_.stripes) /
-                            params_.stripe_rate_bps());
+    return static_cast<int>(n.capacity_bps / static_cast<double>(kStripes) /
+                            kStripeRateBps);
   }
   if (!n.reachable || n.primary != stripe) return 0;
   // Interior in the primary stripe only, with its full uplink.
-  return static_cast<int>(n.capacity_bps / params_.stripe_rate_bps());
+  return static_cast<int>(n.capacity_bps / kStripeRateBps);
 }
 
 net::NodeId MultiTreeOverlay::join(double upload_capacity_bps,
@@ -62,20 +65,18 @@ net::NodeId MultiTreeOverlay::join(double upload_capacity_bps,
   n.reachable = reachable;
   n.capacity_bps = upload_capacity_bps;
   n.primary = next_primary_;
-  next_primary_ = (next_primary_ + 1) % params_.stripes;
-  n.parent.assign(static_cast<std::size_t>(params_.stripes),
-                  net::kInvalidNode);
-  n.kids.resize(static_cast<std::size_t>(params_.stripes));
-  n.head.assign(static_cast<std::size_t>(params_.stripes), -1.0);
+  next_primary_ = (next_primary_ + 1) % kStripes;
+  n.parent.assign(kStripeCount, net::kInvalidNode);
+  n.kids.resize(kStripeCount);
+  n.head.assign(kStripeCount, -1.0);
   const auto id = static_cast<net::NodeId>(nodes_.size());
   nodes_.push_back(std::move(n));
   ++live_count_;
-  sim_.after(units::Duration(params_.join_delay), [this, id] {
+  sim_.after(units::Duration(kJoinDelay), [this, id] {
     if (!nodes_[id].live) return;
     const double start = std::max(
-        0.0, root_stripe_head() -
-                 params_.start_offset_seconds * params_.stripe_block_rate());
-    for (int stripe = 0; stripe < params_.stripes; ++stripe) {
+        0.0, root_stripe_head() - kStartOffsetSeconds * kStripeBlockRate);
+    for (int stripe = 0; stripe < kStripes; ++stripe) {
       if (nodes_[id].head[static_cast<std::size_t>(stripe)] < 0.0) {
         nodes_[id].head[static_cast<std::size_t>(stripe)] = start;
       }
@@ -140,7 +141,7 @@ void MultiTreeOverlay::leave(net::NodeId id) {
   if (!n.live) return;
   n.live = false;
   --live_count_;
-  for (int stripe = 0; stripe < params_.stripes; ++stripe) {
+  for (int stripe = 0; stripe < kStripes; ++stripe) {
     const auto s = static_cast<std::size_t>(stripe);
     if (n.parent[s] != net::kInvalidNode) {
       auto& siblings = nodes_[n.parent[s]].kids[s];
@@ -178,12 +179,12 @@ int MultiTreeOverlay::depth(net::NodeId id, int stripe) const {
 }
 
 void MultiTreeOverlay::tick() {
-  const double dt = params_.tick;
+  const double dt = kTickSeconds;
   const double now = sim_.now().value();
   const double root_head = root_stripe_head();
   for (auto& h : nodes_[root_].head) h = root_head;
 
-  const int k = params_.stripes;
+  const int k = kStripes;
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     Node& n = nodes_[id];
     if (!n.live || id == static_cast<std::size_t>(root_)) continue;
@@ -200,10 +201,9 @@ void MultiTreeOverlay::tick() {
                ? p.capacity_bps / static_cast<double>(k)
                : p.capacity_bps) /
           slots;
-      const double rate = std::min(
-          per_child_bps / params_.stripe_rate_bps() *
-              params_.stripe_block_rate(),
-          params_.max_catchup_factor * params_.stripe_block_rate());
+      const double rate =
+          std::min(per_child_bps / kStripeRateBps * kStripeBlockRate,
+                   kMaxCatchupFactor * kStripeBlockRate);
       n.head[s] = std::min(n.head[s] + rate * dt, p.head[s]);
     }
 
@@ -225,7 +225,7 @@ void MultiTreeOverlay::tick() {
         if (min_head < 0.0) continue;
         n.play_start = std::floor(min_head) * k;
       }
-      // Ready when media_ready_seconds of interleaved stream are present.
+      // Ready when kMediaReadySeconds of interleaved stream are present.
       double min_head = n.head[0];
       for (int stripe = 1; stripe < k; ++stripe) {
         min_head =
@@ -233,7 +233,7 @@ void MultiTreeOverlay::tick() {
       }
       const double combined = std::floor(min_head) * k;
       if (combined - n.play_start >=
-          params_.media_ready_seconds * params_.block_rate) {
+          kMediaReadySeconds * kBlockRate) {
         n.playing = true;
         n.play_head_time = now;
         n.last_counted = n.play_start - 1.0;
@@ -242,7 +242,7 @@ void MultiTreeOverlay::tick() {
     }
 
     const double due =
-        n.play_start + (now - n.play_head_time) * params_.block_rate - 1.0;
+        n.play_start + (now - n.play_head_time) * kBlockRate - 1.0;
     while (n.last_counted + 1.0 <= due) {
       n.last_counted += 1.0;
       ++n.stats.blocks_due;
@@ -276,7 +276,7 @@ double MultiTreeOverlay::attached_fraction() const noexcept {
   std::size_t attached = 0;
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     if (id == static_cast<std::size_t>(root_) || !nodes_[id].live) continue;
-    for (int stripe = 0; stripe < params_.stripes; ++stripe) {
+    for (int stripe = 0; stripe < kStripes; ++stripe) {
       ++pairs;
       if (nodes_[id].parent[static_cast<std::size_t>(stripe)] !=
           net::kInvalidNode) {

@@ -1,7 +1,7 @@
 // Multi-tree overlay multicast baseline (§II: "multi-trees [13][14]" —
 // SplitStream / CoopNet style).
 //
-// The stream is striped into `stripes` sub-streams, each distributed over
+// The stream is striped into kStripes sub-streams, each distributed over
 // its own tree.  Every node joins all trees; it is *interior* (can father
 // children) only in its primary stripe — SplitStream's
 // interior-node-disjointness — so one departure breaks at most one
@@ -21,25 +21,14 @@
 
 namespace coolstream::baseline {
 
-/// Multi-tree protocol knobs.
-struct MultiTreeParams {
-  int stripes = 4;                       ///< trees / sub-streams
-  double stream_rate_bps = 768'000.0;
-  double block_rate = 8.0;               ///< global blocks per second
-  double root_capacity_bps = 100e6;      ///< per stripe root (the source)
-  double repair_delay = 3.0;
-  double join_delay = 1.0;
-  double media_ready_seconds = 10.0;
-  double start_offset_seconds = 15.0;
-  double tick = 0.5;
-  double max_catchup_factor = 4.0;
+/// Trees, one per sub-stream (the mesh's K).
+inline constexpr int kStripes = 4;
 
-  double stripe_rate_bps() const noexcept {
-    return stream_rate_bps / stripes;
-  }
-  double stripe_block_rate() const noexcept {
-    return block_rate / stripes;
-  }
+/// Multi-tree protocol knobs; the stream and data-plane constants are
+/// TreeOverlay's (baseline/tree_overlay.h).
+struct MultiTreeParams {
+  double root_capacity_bps = 100e6;  ///< split evenly across the stripes
+  double repair_delay = 3.0;         ///< orphan -> rejoin latency, s
 };
 
 /// Per-node statistics (same notions as TreeNodeStats).

@@ -8,9 +8,7 @@
 namespace coolstream::baseline {
 
 TreeOverlay::TreeOverlay(sim::Simulation& simulation, TreeParams params)
-    : sim_(simulation), params_(params) {
-  assert(params_.stream_rate_bps > 0.0 && params_.block_rate > 0.0);
-}
+    : sim_(simulation), params_(params) {}
 
 TreeOverlay::~TreeOverlay() { tick_handle_.cancel(); }
 
@@ -25,18 +23,18 @@ void TreeOverlay::start() {
   root_ = 0;
   nodes_.push_back(std::move(root));
   live_count_ = 1;
-  tick_handle_ = sim_.every(units::Duration(params_.tick),
-                            units::Duration(params_.tick), [this] { tick(); });
+  tick_handle_ = sim_.every(units::Duration(kTickSeconds),
+                            units::Duration(kTickSeconds), [this] { tick(); });
 }
 
 double TreeOverlay::root_head() const noexcept {
   // The baseline tree works in raw fractional block positions.
-  return sim_.now().value() * params_.block_rate;
+  return sim_.now().value() * kBlockRate;
 }
 
 int TreeOverlay::max_children_of(const Node& n) const noexcept {
   if (!n.reachable) return 0;  // NAT/firewall nodes cannot be interior
-  return static_cast<int>(n.capacity_bps / params_.stream_rate_bps);
+  return static_cast<int>(n.capacity_bps / kStreamRateBps);
 }
 
 net::NodeId TreeOverlay::join(double upload_capacity_bps, bool reachable) {
@@ -49,7 +47,7 @@ net::NodeId TreeOverlay::join(double upload_capacity_bps, bool reachable) {
   nodes_.push_back(std::move(n));
   ++live_count_;
   // Control-plane latency of descending the tree.
-  sim_.after(units::Duration(params_.join_delay), [this, id] {
+  sim_.after(units::Duration(kJoinDelay), [this, id] {
     if (!nodes_[id].live || nodes_[id].parent != net::kInvalidNode) return;
     const net::NodeId parent = find_parent();
     if (parent != net::kInvalidNode && parent != id) {
@@ -83,9 +81,7 @@ void TreeOverlay::attach(net::NodeId child, net::NodeId parent) {
   p.children.push_back(child);
   if (c.head < 0.0) {
     // Fresh join: start behind the live edge by the offset (§IV-A analog).
-    c.head = std::max(0.0, root_head() -
-                               params_.start_offset_seconds *
-                                   params_.block_rate);
+    c.head = std::max(0.0, root_head() - kStartOffsetSeconds * kBlockRate);
   }
   // else: re-attachment keeps the already-received position.
 }
@@ -147,7 +143,7 @@ int TreeOverlay::depth(net::NodeId id) const {
 }
 
 void TreeOverlay::tick() {
-  const double dt = params_.tick;
+  const double dt = kTickSeconds;
   const double now = sim_.now().value();
   nodes_[root_].head = root_head();
 
@@ -161,27 +157,22 @@ void TreeOverlay::tick() {
     } else {
       const Node& p = nodes_[n.parent];
       const double share =
-          p.capacity_bps / params_.stream_rate_bps /
+          p.capacity_bps / kStreamRateBps /
           static_cast<double>(std::max<std::size_t>(1, p.children.size())) *
-          params_.block_rate;
-      const double rate =
-          std::min(share, params_.max_catchup_factor * params_.block_rate);
+          kBlockRate;
+      const double rate = std::min(share, kMaxCatchupFactor * kBlockRate);
       n.head = std::min(n.head + rate * dt, p.head);
     }
     if (n.head < 0.0) continue;
 
-    // Playback: starts once media_ready_seconds of stream are buffered
+    // Playback: starts once kMediaReadySeconds of stream are buffered
     // beyond the start position.
     if (!n.playing) {
-      const double start =
-          std::max(0.0, root_head() - params_.start_offset_seconds *
-                                          params_.block_rate);
-      (void)start;
       if (n.play_start < 0.0) {
         n.play_start = n.head;  // remember where playback will begin
       }
       if (n.head - n.play_start >=
-          params_.media_ready_seconds * params_.block_rate) {
+          kMediaReadySeconds * kBlockRate) {
         n.playing = true;
         n.play_head_time = now;
         n.last_counted = n.play_start - 1.0;
@@ -191,7 +182,7 @@ void TreeOverlay::tick() {
 
     // Deadlines: one block every 1/block_rate seconds from play start.
     const double due =
-        n.play_start + (now - n.play_head_time) * params_.block_rate - 1.0;
+        n.play_start + (now - n.play_head_time) * kBlockRate - 1.0;
     while (n.last_counted + 1.0 <= due) {
       n.last_counted += 1.0;
       ++n.stats.blocks_due;

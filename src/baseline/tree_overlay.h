@@ -25,17 +25,21 @@
 
 namespace coolstream::baseline {
 
+// Stream and data-plane constants of both tree baselines.  They are the
+// mesh's defaults (core::Params, kMediaReadyBufferSeconds, T_p), so the
+// tree-vs-mesh bench compares like with like.
+inline constexpr double kStreamRateBps = 768'000.0;
+inline constexpr double kBlockRate = 8.0;            ///< blocks per second
+inline constexpr double kJoinDelay = 1.0;            ///< join control latency, s
+inline constexpr double kMediaReadySeconds = 10.0;   ///< buffer before playback
+inline constexpr double kStartOffsetSeconds = 15.0;  ///< join behind the root
+inline constexpr double kTickSeconds = 0.5;          ///< fluid step, s
+inline constexpr double kMaxCatchupFactor = 4.0;
+
 /// Tree protocol knobs.
 struct TreeParams {
-  double stream_rate_bps = 768'000.0;
-  double block_rate = 8.0;               ///< blocks per second
   double root_capacity_bps = 100e6;
-  double repair_delay = 3.0;             ///< orphan -> rejoin latency, s
-  double join_delay = 1.0;               ///< control latency of a join, s
-  double media_ready_seconds = 10.0;     ///< buffer before playback
-  double start_offset_seconds = 15.0;    ///< join this far behind the root
-  double tick = 0.5;
-  double max_catchup_factor = 4.0;
+  double repair_delay = 3.0;  ///< orphan -> rejoin latency, s
 };
 
 /// Per-node statistics mirrored on core::PeerStats.

@@ -20,6 +20,9 @@
 
 namespace coolstream::core {
 
+/// Peers in one boot-strap list.
+inline constexpr std::size_t kBootstrapListSize = 8;
+
 /// Uniformly random subset of up to `k` ids of `active`, excluding
 /// `requester`, into `out_ids` (cleared first).  Draws k + 1 positions so
 /// the requester can be dropped without bias, and stops at k.  Allocation-

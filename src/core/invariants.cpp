@@ -40,6 +40,10 @@ namespace {
 /// Matches the data plane's per-connection credit cap (see system.cpp).
 constexpr double kMaxFlowCredit = 4.0;
 
+/// Partnerships younger than this may legitimately be one-sided (the
+/// acceptance round trip is still in flight).
+constexpr Duration kSymmetryGrace = Duration(5.0);
+
 }  // namespace
 
 InvariantAuditor::InvariantAuditor(System& system) : sys_(system) {}
@@ -114,7 +118,7 @@ void InvariantAuditor::check_peer(const Peer& p,
       continue;
     }
     if (!q->partners().contains(id) &&
-        now - ps.established() > symmetry_grace) {
+        now - ps.established() > kSymmetryGrace) {
       add(InvariantRule::kPartnerSymmetry, ps.id(),
           "partner does not list us back (beyond the in-flight grace)");
     }
@@ -352,6 +356,10 @@ void InvariantTestAccess::do_gossip(Peer& p) { p.do_gossip(); }
 Mcache& InvariantTestAccess::mcache(Peer& p) { return p.mcache_; }
 
 Tick& InvariantTestAccess::next_bm_push(Peer& p) { return p.next_bm_push_; }
+
+Tick& InvariantTestAccess::next_adaptation(Peer& p) {
+  return p.next_adaptation_;
+}
 
 std::size_t InvariantTestAccess::session_capacity(const Peer& p) {
   return p.partners_.capacity() + p.out_links_.capacity() +

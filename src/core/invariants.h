@@ -96,10 +96,6 @@ class InvariantAuditor {
   std::uint64_t audits_run() const noexcept { return audits_; }
   std::uint64_t violations_seen() const noexcept { return violations_; }
 
-  /// Partnerships younger than this may legitimately be one-sided (the
-  /// acceptance round trip is still in flight).
-  Duration symmetry_grace = Duration(5.0);
-
  private:
   struct NodeSnapshot {
     std::vector<SeqNum> heads;
@@ -144,6 +140,8 @@ struct InvariantTestAccess {
   /// The peer's next periodic BM broadcast time (settable, so a test can
   /// make the broadcast fall due on a chosen tick).
   static Tick& next_bm_push(Peer& p);
+  /// The peer's next adaptation check time (settable, like next_bm_push).
+  static Tick& next_adaptation(Peer& p);
   /// Total element capacity of the per-session containers that
   /// Peer::set_left frees (partners, out-links, pending attempts, skips,
   /// partner changes, mCache).

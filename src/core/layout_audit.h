@@ -82,8 +82,8 @@ inline constexpr Params kDefaultParams{};
 /// Bytes of audited slab state one peer is provisioned for at default
 /// Params: its protocol state (which contains its PeerSpec and PeerStats)
 /// plus, per partner slot, one PartnerRecord and K buffer-map
-/// lanes, one OutLink per sub-stream and one McacheEntry per partial-view
-/// slot.
+/// lanes, one OutLink per sub-stream and one McacheEntry per mCache slot
+/// (kMcacheSize).
 inline constexpr std::size_t kBytesPerPeer =
     sizeof(PeerProtocolState) +
     (sizeof(PartnerRecord) +
@@ -92,8 +92,7 @@ inline constexpr std::size_t kBytesPerPeer =
         static_cast<std::size_t>(kDefaultParams.max_partners) +
     sizeof(OutLink) *
         static_cast<std::size_t>(kDefaultParams.substream_count) +
-    sizeof(McacheEntry) *
-        static_cast<std::size_t>(kDefaultParams.mcache_size);
+    sizeof(McacheEntry) * kMcacheSize;
 
 /// The budget gate.  The state is 1 712 bytes with K = 4 lanes per partner
 /// slot and 16-byte mCache entries; the gate leaves 88 bytes of headroom

@@ -25,6 +25,9 @@
 
 namespace coolstream::core {
 
+/// Partial-view capacity of every node's mCache, entries.
+inline constexpr std::size_t kMcacheSize = 32;
+
 /// mCache replacement policy.
 enum class McachePolicy : unsigned char {
   kRandomReplace = 0,  ///< the deployed Coolstreaming policy

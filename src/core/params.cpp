@@ -16,7 +16,9 @@ void Params::validate() const {
     fail("substream_count exceeds kMaxSubstreams (the buffer-map lane "
          "capacity)");
   }
-  if (buffer_seconds <= 0.0) fail("buffer_seconds must be positive");
+  if (buffer_seconds <= kMediaReadyBufferSeconds) {
+    fail("buffer_seconds must exceed kMediaReadyBufferSeconds");
+  }
   if (ts_seconds <= 0.0) fail("ts_seconds must be positive");
   if (tp_seconds <= 0.0) fail("tp_seconds must be positive");
   if (tp_seconds < ts_seconds) {
@@ -24,33 +26,14 @@ void Params::validate() const {
          "partners by more than the intra-node sub-stream spread)");
   }
   if (ta_seconds <= 0.0) fail("ta_seconds must be positive");
-  if (max_partners < 1) fail("max_partners must be >= 1");
+  if (max_partners <= kInitialPartnerTarget) {
+    fail("max_partners must exceed kInitialPartnerTarget (a viewer's "
+         "partner budget is clamped to [target + 1, M])");
+  }
   if (block_rate <= 0.0) fail("block_rate must be positive");
   if (block_rate < static_cast<double>(substream_count)) {
     fail("block_rate must be >= substream_count (every sub-stream needs a "
          "positive block rate)");
-  }
-  if (bm_exchange_period <= 0.0) fail("bm_exchange_period must be positive");
-  if (gossip_period <= 0.0) fail("gossip_period must be positive");
-  if (adaptation_check_period <= 0.0) {
-    fail("adaptation_check_period must be positive");
-  }
-  if (partner_refill_period <= 0.0) {
-    fail("partner_refill_period must be positive");
-  }
-  if (bootstrap_list_size < 1) fail("bootstrap_list_size must be >= 1");
-  if (initial_partner_target < 1) fail("initial_partner_target must be >= 1");
-  if (initial_partner_target > max_partners) {
-    fail("initial_partner_target cannot exceed max_partners");
-  }
-  if (mcache_size < bootstrap_list_size) {
-    fail("mcache_size must hold at least one boot-strap list");
-  }
-  if (media_ready_buffer_seconds <= 0.0) {
-    fail("media_ready_buffer_seconds must be positive");
-  }
-  if (media_ready_buffer_seconds >= buffer_seconds) {
-    fail("media_ready_buffer_seconds must be smaller than buffer_seconds");
   }
   if (tp_seconds >= buffer_seconds) {
     fail("tp_seconds must be smaller than buffer_seconds (the join offset "
@@ -64,8 +47,8 @@ void Params::validate() const {
     fail("partner_silence_timeout must be non-negative (0 disables it)");
   }
   if (partner_silence_timeout > 0.0 &&
-      partner_silence_timeout <= bm_exchange_period) {
-    fail("partner_silence_timeout must exceed bm_exchange_period (a healthy "
+      partner_silence_timeout <= kBmExchangePeriod) {
+    fail("partner_silence_timeout must exceed kBmExchangePeriod (a healthy "
          "partner refreshes its BM once per exchange period)");
   }
   if (status_report_period <= 0.0) fail("status_report_period must be positive");
@@ -89,7 +72,7 @@ std::string Params::describe() const {
       stream_rate_bps / 1000.0, substream_count, buffer_seconds,
       buffer_blocks(), ts_seconds, ts_blocks(), tp_seconds, tp_blocks(),
       ta_seconds, max_partners, block_rate, block_size_bits() / 8.0,
-      media_ready_buffer_seconds);
+      kMediaReadyBufferSeconds);
   return buf;
 }
 

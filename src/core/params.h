@@ -1,5 +1,8 @@
-// System parameters of Coolstreaming (Table I of the paper) plus the
-// operational constants the paper describes in prose.
+// System parameters of Coolstreaming (Table I of the paper), the few
+// deployment settings a bench or workload varies, and the fixed behaviour
+// the paper describes in prose, as named constants.  A setting that every
+// run leaves at one value is a constant here (or next to its one reader),
+// not a field.
 //
 //   R    bit rate of the live video stream
 //   K    number of sub-streams
@@ -65,7 +68,24 @@ inline constexpr double kMaxPlaybackLagSeconds = 60.0;
 /// Minimum spacing between forward resyncs.
 inline constexpr double kResyncCooldownSeconds = 15.0;
 
-/// All protocol and measurement constants for one broadcast.
+// --- protocol timers and the join process (prose of §III/§IV) ---------------
+
+/// Buffer-map exchange period, seconds (§III-C).
+inline constexpr double kBmExchangePeriod = 1.0;
+/// Membership gossip period, seconds (§III-B).
+inline constexpr double kGossipPeriod = 2.0;
+/// Period of the Ineq. (1)/(2) monitor, seconds (§IV-B).
+inline constexpr double kAdaptationCheckPeriod = 1.0;
+/// Period of the attempt to restore the partner count, seconds.
+inline constexpr double kPartnerRefillPeriod = 2.0;
+/// Partnerships a node attempts on join (§IV-A), and the partner count it
+/// refills toward.  Params::validate() keeps M above it.
+inline constexpr int kInitialPartnerTarget = 4;
+/// Seconds of contiguous video buffered ahead of the playhead before the
+/// media player starts (the 10-20 s wait of Fig. 6).
+inline constexpr double kMediaReadyBufferSeconds = 10.0;
+
+/// The settable protocol and measurement parameters of one broadcast.
 struct Params {
   // --- Table I -----------------------------------------------------------
   double stream_rate_bps = 768'000.0;  ///< R: 768 kbps, "TV-quality" (§V-A)
@@ -77,7 +97,7 @@ struct Params {
   /// M: partner upper bound.  Table I does not give the deployed value;
   /// feasibility pins it: with ~70% of peers unreachable, every
   /// partnership needs at least one reachable endpoint, so reachable
-  /// peers must hold ~ initial_partner_target * weak_share / capable_share
+  /// peers must hold ~ kInitialPartnerTarget * weak_share / capable_share
   /// (~9-10) inbound partnerships on top of their own outgoing ones —
   /// consistent with §V-B's "the degree of a direct-connect/UPnP peers
   /// often reaches the maximum allowed by the system".
@@ -85,21 +105,6 @@ struct Params {
 
   // --- block clock ---------------------------------------------------------
   double block_rate = 8.0;  ///< total blocks per second across sub-streams
-
-  // --- protocol timers (prose of §III/§IV) --------------------------------
-  double bm_exchange_period = 1.0;       ///< buffer-map exchange period
-  double gossip_period = 2.0;            ///< membership gossip period
-  double adaptation_check_period = 1.0;  ///< Ineq. (1)/(2) monitor period
-  double partner_refill_period = 2.0;    ///< try to restore partner count
-
-  // --- join process (§IV-A) ------------------------------------------------
-  int bootstrap_list_size = 8;   ///< peers returned by the boot-strap node
-  int initial_partner_target = 4;  ///< partnerships attempted on join
-  int mcache_size = 32;          ///< partial-view capacity
-
-  /// Seconds of contiguous video buffered ahead of the playhead before the
-  /// media player starts (the 10-20 s wait of Fig. 6).
-  double media_ready_buffer_seconds = 10.0;
 
   // --- robustness (fault-tolerance knobs; defaults preserve the clean
   // protocol behaviour bit-for-bit) -----------------------------------------
@@ -152,11 +157,6 @@ struct Params {
   double buffer_blocks() const noexcept {
     return buffer_seconds * substream_block_rate();
   }
-  /// Blocks (global) that must be contiguous beyond the playhead before
-  /// the media player starts.
-  double media_ready_blocks() const noexcept {
-    return media_ready_buffer_seconds * block_rate;
-  }
 
   // --- typed derived quantities (the config boundary: raw doubles above
   // are converted to strong domain types exactly once, here) ---------------
@@ -173,9 +173,11 @@ struct Params {
     const auto b = static_cast<std::int64_t>(buffer_blocks());
     return units::BlockCount(b < 1 ? 1 : b);
   }
-  /// Media-ready threshold as a global block span.
+  /// Blocks (global) that must be contiguous beyond the playhead before
+  /// the media player starts.
   units::BlockCount media_ready_block_count() const noexcept {
-    return units::BlockCount(static_cast<std::int64_t>(media_ready_blocks()));
+    return units::BlockCount(
+        static_cast<std::int64_t>(kMediaReadyBufferSeconds * block_rate));
   }
   /// One sub-stream's sustained rate R/K in blocks per second.
   units::BlockRate substream_block_rate_typed() const noexcept {

@@ -26,8 +26,7 @@ Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
       id_(id),
       rng_(system.rng().stream(sim::peer_stream_tag(id))),
       sync_(system.params().substream_count),
-      mcache_(static_cast<std::size_t>(system.params().mcache_size),
-              system.config().mcache_policy),
+      mcache_(kMcacheSize, system.config().mcache_policy),
       partners_(system.params().substream_count),
       parents_(static_cast<std::size_t>(system.params().substream_count),
                net::kInvalidNode),
@@ -45,14 +44,11 @@ Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
   // not fire on the same tick edge.  Drawn from the peer's own stream:
   // stagger (like every later random choice) is a function of the node id
   // and the root seed only, never of join interleaving or shard layout.
-  const Params& p = system.params();
-  sim::Rng& rng = rng_;
-  next_bm_push_ = now + Duration(rng.uniform(0.0, p.bm_exchange_period));
-  next_gossip_ = now + Duration(rng.uniform(0.0, p.gossip_period));
-  next_adaptation_ =
-      now + Duration(rng.uniform(0.0, p.adaptation_check_period));
-  next_refill_ = now + Duration(rng.uniform(0.0, p.partner_refill_period));
-  next_report_ = now + Duration(p.status_report_period);
+  next_bm_push_ = now + Duration(rng_.uniform(0.0, kBmExchangePeriod));
+  next_gossip_ = now + Duration(rng_.uniform(0.0, kGossipPeriod));
+  next_adaptation_ = now + Duration(rng_.uniform(0.0, kAdaptationCheckPeriod));
+  next_refill_ = now + Duration(rng_.uniform(0.0, kPartnerRefillPeriod));
+  next_report_ = now + Duration(system.params().status_report_period);
 }
 
 units::BlockRate Peer::upload_block_rate() const noexcept {
@@ -100,9 +96,7 @@ void Peer::on_bootstrap_list(std::span<const McacheEntry> list) {
   for (const auto& e : list) {
     if (e.id != id_) mcache_.upsert(e, rng_);
   }
-  const auto want = static_cast<std::size_t>(
-      sys_.params().initial_partner_target);
-  try_establish_partnerships(want);
+  try_establish_partnerships(kInitialPartnerTarget);
 }
 
 void Peer::try_establish_partnerships(std::size_t want) {
@@ -493,13 +487,13 @@ void Peer::on_tick(Tick now) {
   if (now >= next_bm_push_) {
     enforce_partner_silence(now);
     sys_.broadcast_bm(id_, sync_.heads(), partners_);
-    next_bm_push_ = now + Duration(p.bm_exchange_period);
+    next_bm_push_ = now + Duration(kBmExchangePeriod);
   }
   if (server) return;
 
   if (now >= next_gossip_) {
     do_gossip();
-    next_gossip_ = now + Duration(p.gossip_period);
+    next_gossip_ = now + Duration(kGossipPeriod);
   }
 
   if (phase_ == PeerPhase::kJoining && !start_decided_ && first_bm_at_ &&
@@ -514,7 +508,7 @@ void Peer::on_tick(Tick now) {
 
   if (now >= next_adaptation_) {
     run_adaptation(now, /*cooldown_exempt=*/false);
-    next_adaptation_ = now + Duration(p.adaptation_check_period);
+    next_adaptation_ = now + Duration(kAdaptationCheckPeriod);
   }
 
   if (now >= next_refill_) {
@@ -522,7 +516,7 @@ void Peer::on_tick(Tick now) {
     // rate (it lags what its partners advertise by more than T_p), it
     // widens its partner set toward M — "the node has to drop some
     // partners and re-establish partnership with other peers" (§III-B).
-    auto target = static_cast<std::size_t>(p.initial_partner_target);
+    std::size_t target = kInitialPartnerTarget;
     bool lagging = false;
     if (start_decided_) {
       const SeqNum own_max = max_latest(sync_.heads());
@@ -550,8 +544,8 @@ void Peer::on_tick(Tick now) {
     // coming once a full round trip (2 * max_delay) plus slack has passed;
     // age it out.  Clean runs never hit this: every response arrives
     // within the round trip.
-    const Duration attempt_ttl =
-        Duration(2.0 * sys_.config().latency.max_delay + 1.0);
+    const Duration attempt_ttl = Duration(
+        2.0 * sys_.transport().latency().params().max_delay + 1.0);
     std::erase_if(pending_attempts_, [now, attempt_ttl](const PendingAttempt& a) {
       return now - a.started >= attempt_ttl;
     });
@@ -580,7 +574,7 @@ void Peer::on_tick(Tick now) {
       // non-parent partner out to make room for fresh candidates.
       drop_worst_partner();
     }
-    next_refill_ = now + Duration(p.partner_refill_period);
+    next_refill_ = now + Duration(kPartnerRefillPeriod);
   }
 
   if (now >= next_report_) {
@@ -652,10 +646,14 @@ void Peer::handle_window_gap(SubstreamId j, SeqNum window_start) {
     // the paper's §V-D reporting blindness for re-entering users).
     ++stats_.resyncs;
     // start_at() moved lane j's head without extending the combined
-    // prefix; bring it up to date first, or the new timeline would start
-    // inside the blocks just jumped over.
+    // prefix; bring it up to date.  The new timeline starts past it and
+    // past lane j's last jumped-over block, which the prefix stops short
+    // of when other lanes lag lane j: those blocks never arrive, and
+    // skips_ is about to forget them.
     sync_.set_combined_floor(sync_.combined());
-    play_start_seq_ = sync_.combined() + BlockCount(1);
+    play_start_seq_ =
+        std::max(sync_.combined(), global_of(j, to, p.substream_count)) +
+        BlockCount(1);
     play_start_time_ = sys_.now();
     last_deadline_counted_ = play_start_seq_ - BlockCount(1);
     stalled_on_ = kNoSeq;

@@ -75,7 +75,7 @@ System::System(sim::Simulation& simulation, Params params,
       params_(params),
       config_(config),
       log_(log_server),
-      latency_model_(simulation.rng().next_u64(), config.latency),
+      latency_model_(simulation.rng().next_u64()),
       transport_(simulation, latency_model_),
       workers_(resolve_shard_count(config.shards)) {
   params_.validate();
@@ -218,10 +218,9 @@ int System::max_partners_of(const Peer& p) const noexcept {
   const double substream_units =
       p.spec().upload_capacity.value() /
       params_.substream_rate_bps();
-  const int budget = params_.initial_partner_target +
+  const int budget = kInitialPartnerTarget +
                      static_cast<int>(std::ceil(substream_units / 1.5));
-  return std::clamp(budget, params_.initial_partner_target + 1,
-                    params_.max_partners);
+  return std::clamp(budget, kInitialPartnerTarget + 1, params_.max_partners);
 }
 
 bool System::is_reachable(net::NodeId id) const noexcept {
@@ -357,9 +356,10 @@ void System::deliver(const Message& msg) {
     case Message::Kind::kBootstrapRequest: {  // answered to the requester
       Peer* requester = live_peer(msg.from);
       if (requester == nullptr) return;
-      sample_bootstrap_list(
-          live_, static_cast<std::size_t>(params_.bootstrap_list_size),
-          msg.from, sim_.rng(), bootstrap_idx_scratch_, bootstrap_ids_scratch_);
+      static_assert(kMcacheSize >= kBootstrapListSize,
+                    "an mCache must hold one boot-strap list");
+      sample_bootstrap_list(live_, kBootstrapListSize, msg.from, sim_.rng(),
+                            bootstrap_idx_scratch_, bootstrap_ids_scratch_);
       bootstrap_list_scratch_.clear();
       for (const net::NodeId id : bootstrap_ids_scratch_) {
         bootstrap_list_scratch_.push_back(

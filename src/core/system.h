@@ -8,7 +8,9 @@
 // call join()/leave(); everything else is protocol behaviour.  Control
 // messages are Message records (core/message.h) that all leave through
 // post(): each delayed copy rides in its delivery event's in-place
-// callback storage, and deliver() handles every kind.
+// callback storage, and deliver() handles every kind.  Their one-way
+// delays come from net::LatencyModel's fixed lognormal (median ~74 ms,
+// capped at 1.5 s); no configuration varies them.
 //
 // Data plane.  Block transfer uses a discrete-time fluid model (period
 // Params::flow_tick): each parent divides its upload capacity max-min
@@ -59,15 +61,15 @@ inline constexpr double kServerLag = 0.2;
 /// initial sequence offset (§IV-A), seconds.
 inline constexpr double kJoinAggregationDelay = 1.0;
 
-/// Deployment-level configuration (everything that is not a Table-I
-/// protocol parameter).
+/// Deployment-level configuration that benches and workloads vary
+/// (everything else that is not a Table-I protocol parameter is a
+/// constant).
 struct SystemConfig {
   int server_count = 24;                 ///< dedicated servers (§V-A)
   double server_capacity_bps = 100e6;    ///< 100 Mbps each (§V-A)
   int server_max_partners = 50;          ///< servers accept more partners
   McachePolicy mcache_policy = McachePolicy::kRandomReplace;
   AllocationPolicy allocation = AllocationPolicy::kMaxMinFair;
-  net::LatencyParams latency;            ///< control-plane delays
   /// Simulated seconds between runtime invariant audits (core/invariants.h);
   /// 0 (the default) attaches no auditor.
   double audit_period = 0.0;

@@ -34,7 +34,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <ostream>
 #include <type_traits>
@@ -279,7 +278,7 @@ class BlockIndex {
 };
 
 // ---------------------------------------------------------------------------
-// Identifiers: SubStreamId, PeerId, SessionId (no arithmetic at all)
+// Identifiers: SubStreamId, SessionId (no arithmetic at all)
 // ---------------------------------------------------------------------------
 
 /// Index of one of the K sub-streams, in [0, K).
@@ -310,29 +309,6 @@ class SubStreamId {
 
  private:
   int v_ = 0;
-};
-
-/// Dense node identifier (id 0 is the source by convention).
-class PeerId {
- public:
-  PeerId() = default;
-  explicit constexpr PeerId(std::uint32_t id) noexcept : v_(id) {}
-  static constexpr PeerId invalid() noexcept {
-    return PeerId(std::numeric_limits<std::uint32_t>::max());
-  }
-  /// Escape hatch: the raw id.
-  constexpr std::uint32_t value() const noexcept { return v_; }
-  /// Container subscript for per-node arrays.
-  constexpr std::size_t index() const noexcept { return v_; }
-
-  friend constexpr bool operator==(PeerId, PeerId) noexcept = default;
-  friend constexpr auto operator<=>(PeerId, PeerId) noexcept = default;
-  friend std::ostream& operator<<(std::ostream& os, PeerId p) {
-    return os << p.v_;
-  }
-
- private:
-  std::uint32_t v_ = 0;
 };
 
 /// Unique identifier of one viewing session (one join).
@@ -519,7 +495,6 @@ COOLSTREAM_ASSERT_UNIT(OptionalTick, double);
 COOLSTREAM_ASSERT_UNIT(BlockCount, std::int64_t);
 COOLSTREAM_ASSERT_UNIT(BlockIndex, std::int64_t);
 COOLSTREAM_ASSERT_UNIT(SubStreamId, int);
-COOLSTREAM_ASSERT_UNIT(PeerId, std::uint32_t);
 COOLSTREAM_ASSERT_UNIT(SessionId, std::uint64_t);
 COOLSTREAM_ASSERT_UNIT(Bytes, std::uint64_t);
 COOLSTREAM_ASSERT_UNIT(BitRate, double);
@@ -528,18 +503,3 @@ COOLSTREAM_ASSERT_UNIT(BlockRate, double);
 #undef COOLSTREAM_ASSERT_UNIT
 
 }  // namespace coolstream::units
-
-/// PeerId and SessionId key hash containers (partner sets, session tables).
-template <>
-struct std::hash<coolstream::units::PeerId> {
-  std::size_t operator()(coolstream::units::PeerId p) const noexcept {
-    return std::hash<std::uint32_t>{}(p.value());
-  }
-};
-
-template <>
-struct std::hash<coolstream::units::SessionId> {
-  std::size_t operator()(coolstream::units::SessionId s) const noexcept {
-    return std::hash<std::uint64_t>{}(s.value());
-  }
-};

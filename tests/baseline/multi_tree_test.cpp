@@ -7,7 +7,6 @@ namespace {
 
 MultiTreeParams fast_params() {
   MultiTreeParams p;
-  p.stripes = 4;
   p.root_capacity_bps = 16 * 768e3;  // 4 children per stripe at the root
   return p;
 }

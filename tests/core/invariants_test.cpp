@@ -94,13 +94,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InvariantsTest,
                          ::testing::Values(11u, 22u, 33u));
 
 TEST(GossipTest, MembershipKnowledgeSpreads) {
-  // With a tiny boot-strap list, peers must still learn about more of the
-  // overlay than the list gave them — via gossip and partnership updates.
+  // Peers must learn about more of the overlay than the boot-strap list
+  // gave them — via gossip and partnership updates.
   workload::Scenario scenario =
       workload::Scenario::steady(80, units::Duration(600.0));
   scenario.system.server_count = 2;
-  scenario.params.bootstrap_list_size = 2;
-  scenario.params.mcache_size = 32;
   sim::Simulation simulation(7);
   logging::LogServer log;
   workload::ScenarioRunner runner(simulation, scenario, &log);
@@ -116,10 +114,7 @@ TEST(GossipTest, MembershipKnowledgeSpreads) {
     // Only count peers that have been in the system for a while.
     if (simulation.now() - p->joined_at() < units::Duration(120.0)) continue;
     ++viewers;
-    if (p->mcache().size() >
-        static_cast<std::size_t>(scenario.params.bootstrap_list_size)) {
-      ++knows_more;
-    }
+    if (p->mcache().size() > kBootstrapListSize) ++knows_more;
   }
   ASSERT_GT(viewers, 10u);
   EXPECT_GT(static_cast<double>(knows_more) / static_cast<double>(viewers),

@@ -61,7 +61,7 @@ TEST(JoinProcessTest, InitialOffsetIsTpBehindPartnerMax) {
 }
 
 TEST(JoinProcessTest, MediaReadyRequiresBufferedSpan) {
-  // Ready must come at least media_ready_buffer_seconds*block_rate blocks
+  // Ready must come at least kMediaReadyBufferSeconds*block_rate blocks
   // of contiguous delivery after start-subscription — with an effectively
   // infinite-capacity parent it arrives quickly but never instantly.
   sim::Simulation simulation(5);
@@ -89,10 +89,10 @@ TEST(JoinProcessTest, MediaReadyRequiresBufferedSpan) {
   simulation.run_until(sim::Time(200.0));
   ASSERT_GT(start_sub, sim::Time(0.0));
   ASSERT_GT(ready, sim::Time(0.0));
-  // At 2x catch-up, filling media_ready_buffer_seconds of video takes at
-  // least media_ready/2 of wall clock.
+  // At 2x catch-up, filling kMediaReadyBufferSeconds of video takes at
+  // least half that of wall clock.
   EXPECT_GE(ready - start_sub,
-            units::Duration(params.media_ready_buffer_seconds / 2.0 - 1.0));
+            units::Duration(kMediaReadyBufferSeconds / 2.0 - 1.0));
   EXPECT_LE(ready - start_sub, units::Duration(60.0));
 }
 

@@ -26,7 +26,7 @@ TEST(ParamsTest, DerivedQuantities) {
   EXPECT_DOUBLE_EQ(p.ts_blocks(), 20.0);
   EXPECT_DOUBLE_EQ(p.tp_blocks(), 30.0);
   EXPECT_DOUBLE_EQ(p.buffer_blocks(), 240.0);
-  EXPECT_DOUBLE_EQ(p.media_ready_blocks(), 80.0);
+  EXPECT_EQ(p.media_ready_block_count().value(), 80);
 }
 
 TEST(ParamsTest, DescribeMentionsTableI) {
@@ -71,20 +71,18 @@ INSTANTIATE_TEST_SUITE_P(
         BadParamCase{"block_rate", [](Params& p) { p.block_rate = 0.0; }},
         BadParamCase{"block_rate_lt_k",
                      [](Params& p) { p.block_rate = p.substream_count / 2.0; }},
-        BadParamCase{"bm_period", [](Params& p) { p.bm_exchange_period = 0.0; }},
-        BadParamCase{"gossip", [](Params& p) { p.gossip_period = -2.0; }},
-        BadParamCase{"adapt", [](Params& p) { p.adaptation_check_period = 0.0; }},
-        BadParamCase{"refill", [](Params& p) { p.partner_refill_period = 0.0; }},
-        BadParamCase{"bootstrap", [](Params& p) { p.bootstrap_list_size = 0; }},
-        BadParamCase{"initial_partners",
-                     [](Params& p) { p.initial_partner_target = 0; }},
-        BadParamCase{"initial_gt_max",
-                     [](Params& p) { p.initial_partner_target = p.max_partners + 1; }},
-        BadParamCase{"mcache",
-                     [](Params& p) { p.mcache_size = p.bootstrap_list_size - 1; }},
-        BadParamCase{"ready", [](Params& p) { p.media_ready_buffer_seconds = 0.0; }},
-        BadParamCase{"ready_gt_buffer",
-                     [](Params& p) { p.media_ready_buffer_seconds = p.buffer_seconds; }},
+        // M = the initial partner target leaves the partner budget's
+        // clamp range [target + 1, M] empty.
+        BadParamCase{"max_eq_initial",
+                     [](Params& p) { p.max_partners = kInitialPartnerTarget; }},
+        // A buffer no longer than the media-ready span, with T_s and T_p
+        // shrunk to fit inside it, so only the media-ready check rejects it.
+        BadParamCase{"buffer_le_ready",
+                     [](Params& p) {
+                       p.ts_seconds = 2.0;
+                       p.tp_seconds = 5.0;
+                       p.buffer_seconds = kMediaReadyBufferSeconds;
+                     }},
         BadParamCase{"tp_gt_buffer",
                      [](Params& p) { p.tp_seconds = p.buffer_seconds; }},
         BadParamCase{"report", [](Params& p) { p.status_report_period = 0.0; }},

@@ -74,37 +74,44 @@ TEST(ResyncTest, HealthyViewerNeverResyncs) {
 
 TEST(ResyncTest, DeepSkipRestartsPastTheJumpedBlocks) {
   // A playing viewer whose sub-stream 0 fell out of its parent's cache
-  // window while the other sub-streams kept up: the window gap on lane 0 is
-  // deeper than kResyncSkipSeconds, so the player re-anchors.  The new
-  // timeline must start after the blocks lane 0 jumped over — they never
-  // arrive, so a timeline starting among them would count them as played.
-  sim::Simulation simulation(5);
-  SystemConfig cfg;
-  cfg.server_count = 1;
-  cfg.server_capacity_bps = 5 * 768e3;
-  cfg.server_max_partners = 4;
-  System sys(simulation, fast_params(), cfg, nullptr);
-  sys.start();
-  simulation.run_until(sim::Time(30.0));
-  const net::NodeId id = sys.join(nat_viewer(3, simulation.rng()));
-  simulation.run_until(sim::Time(300.0));
-  Peer* p = sys.peer(id);
-  ASSERT_EQ(p->phase(), PeerPhase::kPlaying);
+  // window: the window gap on lane 0 is deeper than kResyncSkipSeconds, so
+  // the player re-anchors.  The new timeline must start after the blocks
+  // lane 0 jumped over — they never arrive, so a timeline starting among
+  // them would count them as played.  Two inputs: the other sub-streams
+  // have already reached lane 0's new position, or they lag it (the
+  // combined prefix then stops short of the jumped-over blocks).
+  for (const bool others_lag : {false, true}) {
+    SCOPED_TRACE(others_lag ? "other lanes lag" : "other lanes ahead");
+    sim::Simulation simulation(5);
+    SystemConfig cfg;
+    cfg.server_count = 1;
+    cfg.server_capacity_bps = 5 * 768e3;
+    cfg.server_max_partners = 4;
+    System sys(simulation, fast_params(), cfg, nullptr);
+    sys.start();
+    simulation.run_until(sim::Time(30.0));
+    const net::NodeId id = sys.join(nat_viewer(3, simulation.rng()));
+    simulation.run_until(sim::Time(300.0));
+    Peer* p = sys.peer(id);
+    ASSERT_EQ(p->phase(), PeerPhase::kPlaying);
 
-  const int k = sys.params().substream_count;
-  const SubstreamId lane(0);
-  const auto deep = BlockCount(static_cast<std::int64_t>(
-      2.0 * kResyncSkipSeconds * sys.params().substream_block_rate()));
-  const SeqNum window_start = p->head(lane) + deep;
-  for (const SubstreamId j : substreams(k)) {
-    while (j != lane && p->head(j) < window_start) p->sync().advance(j);
+    const int k = sys.params().substream_count;
+    const SubstreamId lane(0);
+    const auto deep = BlockCount(static_cast<std::int64_t>(
+        2.0 * kResyncSkipSeconds * sys.params().substream_block_rate()));
+    const SeqNum window_start = p->head(lane) + deep;
+    if (!others_lag) {
+      for (const SubstreamId j : substreams(k)) {
+        while (j != lane && p->head(j) < window_start) p->sync().advance(j);
+      }
+    }
+    const std::uint32_t resyncs = p->stats().resyncs;
+    p->handle_window_gap(lane, window_start);
+
+    ASSERT_EQ(p->stats().resyncs, resyncs + 1) << "not the deep-skip branch";
+    EXPECT_GT(p->play_start_seq(),
+              global_of(lane, window_start - BlockCount(1), k));
   }
-  const std::uint32_t resyncs = p->stats().resyncs;
-  p->handle_window_gap(lane, window_start);
-
-  ASSERT_EQ(p->stats().resyncs, resyncs + 1) << "not the deep-skip branch";
-  EXPECT_GT(p->play_start_seq(),
-            global_of(lane, window_start - BlockCount(1), k));
 }
 
 TEST(ResyncTest, CapacityScaledPartnerBudget) {
@@ -118,11 +125,10 @@ TEST(ResyncTest, CapacityScaledPartnerBudget) {
     Peer p(sys, 999, spec, units::SessionId(1), Tick(0.0));
     return sys.max_partners_of(p);
   };
-  const Params& params = sys.params();
   // Weak uplinks get the floor; strong uplinks hit the M ceiling.
-  EXPECT_EQ(budget_for(0.0), params.initial_partner_target + 1);
-  EXPECT_EQ(budget_for(100e3), params.initial_partner_target + 1);
-  EXPECT_EQ(budget_for(20e6), params.max_partners);
+  EXPECT_EQ(budget_for(0.0), kInitialPartnerTarget + 1);
+  EXPECT_EQ(budget_for(100e3), kInitialPartnerTarget + 1);
+  EXPECT_EQ(budget_for(20e6), sys.params().max_partners);
   // Monotone in capacity.
   int prev = 0;
   for (double bps : {0.2e6, 0.5e6, 1e6, 2e6, 4e6, 8e6}) {

@@ -187,8 +187,7 @@ TEST(SystemTest, BootstrapReplyListsLivePeersWithTheirJoinTimes) {
   }
   // 2 servers + 3 viewers besides the requester: fewer than the list size,
   // so the reply names every one of them.
-  ASSERT_LT(sys.live_nodes().size() - 1,
-            static_cast<std::size_t>(sys.params().bootstrap_list_size));
+  ASSERT_LT(sys.live_nodes().size() - 1, kBootstrapListSize);
   ASSERT_EQ(p->mcache().size(), sys.live_nodes().size() - 1);
   for (const McacheEntry& e : p->mcache().entries()) {
     EXPECT_NE(e.id, requester);
@@ -374,6 +373,47 @@ TEST(SystemTest, ParentDepartureTriggersReselection) {
   if (c->alive() && c->phase() == PeerPhase::kPlaying) {
     const auto& st = c->stats();
     EXPECT_GT(st.blocks_on_time, 0u);
+  }
+}
+
+TEST(SystemTest, UnnotifiedParentDepartureClearsTheSlot) {
+  // A parent that no longer lists its child (a one-sided partnership)
+  // leaves without notifying it, so the child still holds the dead parent
+  // as a partner.  With no other partner to offer the sub-streams, its next
+  // adaptation has nothing to switch to and clears each parent slot.
+  sim::Simulation simulation(11);
+  SystemConfig cfg = small_config(1);
+  cfg.server_max_partners = 1;  // the relay takes the server's one slot
+  System sys(simulation, fast_params(), cfg, nullptr);
+  sys.start();
+  sim::Rng& rng = simulation.rng();
+  simulation.run_until(sim::Time(5.0));
+  const net::NodeId relay =
+      sys.join(viewer(400, net::ConnectionType::kDirect, 8e6, rng));
+  simulation.run_until(sim::Time(10.0));
+  const net::NodeId child =
+      sys.join(viewer(401, net::ConnectionType::kNat, 400e3, rng));
+  // Ticks fall on multiples of flow_tick (0.5 s); stop between two.
+  simulation.run_until(sim::Time(120.2));
+  Peer& c = *sys.peer(child);
+  ASSERT_EQ(c.phase(), PeerPhase::kPlaying);
+  ASSERT_EQ(c.partner_count(), 1u) << "the relay must be the only partner";
+  const int k = sys.params().substream_count;
+  for (const SubstreamId j : substreams(k)) ASSERT_EQ(c.parent_of(j), relay);
+
+  InvariantTestAccess::partners(*sys.peer(relay)).erase(child);
+  sys.leave(relay, /*graceful=*/true);
+  ASSERT_TRUE(c.partners().contains(relay)) << "the child was notified";
+  // Adapt on the next tick, before a BM push finds the relay dead and
+  // drops it as a partner (which would clear the slots instead).
+  const Tick now = sys.now();
+  InvariantTestAccess::next_adaptation(c) = now;
+  InvariantTestAccess::next_bm_push(c) = now + units::Duration(60.0);
+  simulation.run_until(sim::Time(120.7));  // exactly one tick, at 120.5 s
+
+  EXPECT_TRUE(c.partners().contains(relay));
+  for (const SubstreamId j : substreams(k)) {
+    EXPECT_EQ(c.parent_of(j), net::kInvalidNode) << "sub-stream " << j.value();
   }
 }
 

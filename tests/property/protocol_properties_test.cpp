@@ -213,7 +213,7 @@ std::optional<std::string> adaptation_liveness(const GeneratedCase& c,
   const core::BlockCount ts(params.ts_block_count().value() + 4);
   const core::BlockCount tp(params.tp_block_count().value() + 4);
   const double bound =
-      params.ta_seconds + 2.0 * params.adaptation_check_period + 4.0;
+      params.ta_seconds + 2.0 * core::kAdaptationCheckPeriod + 4.0;
 
   struct Streak {
     double since;
