@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
             << args.seed + kSeedsPerShare - 1
             << "; mean [min-max] over the seeds\n";
   analysis::Table t({"capable share", "resource index rho", "fluid bound",
-                     "measured continuity", "stall time share", "lag p50 (s)"});
+                     "measured continuity", "stall time share", "never played",
+                     "lag p50 (s)"});
   for (double capable : {0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50}) {
     workload::Scenario s =
         workload::Scenario::steady(users, units::Duration(1800.0));
@@ -107,6 +108,7 @@ int main(int argc, char** argv) {
     // share's and not a seed's.
     Spread continuity;
     Spread stall;
+    Spread never_played;
     double lag_p50 = 0.0;
     for (std::uint64_t r = 0; r < kSeedsPerShare; ++r) {
       sim::Simulation simulation(args.seed + r);
@@ -119,14 +121,19 @@ int main(int argc, char** argv) {
       // Capacity shortfall that the continuity index hides shows up as
       // player stalls (the paper's §V-D caveat that reported continuity
       // can be "higher than realistic"); measure it from simulator ground
-      // truth.
+      // truth.  The stall share covers only the sessions that played; the
+      // never-played share says how many that leaves out.
       double stall_seconds = 0.0;
       double play_seconds = 0.0;
+      std::size_t sessions = 0;
+      std::size_t unplayed = 0;
       core::System& sys = runner.system();
       for (net::NodeId id = 0;; ++id) {
         const core::Peer* p = sys.peer(id);
         if (p == nullptr) break;
         if (p->kind() != core::PeerKind::kViewer) continue;
+        ++sessions;
+        if (p->stats().blocks_due == 0) ++unplayed;
         stall_seconds += p->stats().stall_seconds.value();
         play_seconds += static_cast<double>(p->stats().blocks_due) /
                         s.params.block_rate;
@@ -134,13 +141,16 @@ int main(int argc, char** argv) {
       stall.add(play_seconds > 0.0
                     ? stall_seconds / (play_seconds + stall_seconds)
                     : 0.0);
+      never_played.add(sessions > 0 ? static_cast<double>(unplayed) /
+                                          static_cast<double>(sessions)
+                                    : 0.0);
       lag_p50 += coolstream::bench::measure_playback_lag(sys).p50 /
                  static_cast<double>(kSeedsPerShare);
     }
     t.row({analysis::pct(capable, 0),
            analysis::fmt(model::resource_index(in), 2),
            analysis::pct(model::continuity_upper_bound(in)),
-           continuity.describe(), stall.describe(),
+           continuity.describe(), stall.describe(), never_played.describe(),
            analysis::fmt(lag_p50, 0)});
   }
   t.print(std::cout);

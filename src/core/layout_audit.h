@@ -60,8 +60,8 @@ COOLSTREAM_LAYOUT_AUDIT(net::Ipv4Address, 4);
 COOLSTREAM_LAYOUT_AUDIT(core::TickEffect, 16);  // 12-byte largest + index
 // Carried by every queued delivery (inside the event record's in-place
 // callback, next to the System pointer: 88 bytes, which is
-// sim::detail::InlineFn::kInlineSize) and by one outbox record per message
-// posted in phase P.
+// sim::detail::InlineFn::kInlineSize).  Phase P's outbox keeps a 20-byte
+// header per message instead and rebuilds the record in the flush.
 COOLSTREAM_LAYOUT_AUDIT(core::Message, 80);  // 4*16 + 4+4+4+1+1 + 2 tail
 
 // Transport message structs: the §V-A report payloads every peer emits.

@@ -24,16 +24,13 @@ Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
     : PeerProtocolState{},
       sys_(system),
       id_(id),
-      rng_(system.rng().stream(sim::peer_stream_tag(id))),
       sync_(system.params().substream_count),
+      rng_(system.rng().stream(sim::peer_stream_tag(id))),
       mcache_(kMcacheSize, system.config().mcache_policy),
-      partners_(system.params().substream_count),
-      parents_(static_cast<std::size_t>(system.params().substream_count),
-               net::kInvalidNode),
-      sub_since_(static_cast<std::size_t>(system.params().substream_count),
-                 Tick::zero()),
-      credits_(static_cast<std::size_t>(system.params().substream_count),
-               0.0) {
+      partners_(system.params().substream_count) {
+  parents_.fill(net::kInvalidNode);
+  credits_.fill(0.0);
+  sub_since_.fill(Tick::zero());
   // Identity fields live in the PeerProtocolState base (an aggregate, so
   // it cannot take them through the mem-initializer list).
   spec_ = spec;
@@ -315,7 +312,7 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
   // single best partner and crushes it.
   const auto my_load = [this](net::NodeId cand) {
     int load = 0;
-    for (net::NodeId parent : parents_) {
+    for (net::NodeId parent : parents()) {
       if (parent == cand) ++load;
     }
     return load;
@@ -443,7 +440,7 @@ void Peer::drop_worst_partner() {
   SeqNum worst_latest = kNoSeq;
   for (const PartnerView ps : partners_) {
     bool is_parent = false;
-    for (net::NodeId parent : parents_) {
+    for (net::NodeId parent : parents()) {
       if (parent == ps.id()) {
         is_parent = true;
         break;
@@ -537,7 +534,7 @@ void Peer::on_tick(Tick now) {
       }
     }
     bool starving = false;
-    for (net::NodeId parent : parents_) {
+    for (net::NodeId parent : parents()) {
       if (start_decided_ && parent == net::kInvalidNode) starving = true;
     }
     // An attempt whose confirm/reject the network lost has no response
@@ -588,8 +585,8 @@ void Peer::do_gossip() {
   const auto pick = rng_.below(partners_.size());
   const net::NodeId target = partners_[pick].id();
   // At most 3 sampled entries + self, gathered on the stack; the System
-  // copies them into one Message record, which waits in the shard outbox
-  // until the serial flush.
+  // copies them into the shard outbox, where they wait for the serial
+  // flush.
   std::array<McacheEntry, 4> entries;
   std::size_t count = 0;
   mcache_.sample_into(
@@ -826,7 +823,7 @@ void Peer::set_left() {
     end_subscription(j);
   }
   phase_ = PeerPhase::kLeft;
-  std::fill(parents_.begin(), parents_.end(), net::kInvalidNode);
+  parents_.fill(net::kInvalidNode);
   // A departed peer is never revived (ids are not recycled) yet the System
   // keeps it, so free its session containers: memory must follow the live
   // population.  Stats and the sync-buffer heads stay for the figures.

@@ -13,6 +13,7 @@
 // but are fed directly from the encoder clock and never adapt or play.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -265,13 +266,27 @@ class Peer : private PeerProtocolState {
   /// notification never arrived).
   void enforce_partner_silence(Tick now);
 
-  // Hot scalar state lives in the PeerProtocolState base; only the cold,
-  // heap-owning members (and the identity/back-reference pair) follow.
+  /// The K parent slots in use (the arrays below hold kMaxSubstreams).
+  std::span<const net::NodeId> parents() const noexcept {
+    return {parents_.data(), static_cast<std::size_t>(sync_.substream_count())};
+  }
+
+  // Hot scalar state lives in the PeerProtocolState base; the
+  // identity/back-reference pair, the per-lane arrays and the heap-owning
+  // members follow.
 
   // Back-reference to the *owning* System only: a peer never outlives its
   // shard, and partners are addressed by net::NodeId, never by pointer.
   System& sys_;  // lint:allow(cross-peer-ptr)
   net::NodeId id_;
+
+  // Per-lane state, inline and K lanes in use.  A lane's head (in sync_)
+  // and its parent sit next to each other: the rate phase reads both for
+  // every child it serves, and the apply phase adds the credit.
+  SyncBuffer sync_;
+  std::array<net::NodeId, kMaxSubstreams> parents_;  ///< parent per lane
+  std::array<double, kMaxSubstreams> credits_;  ///< fractional blocks per lane
+  std::array<Tick, kMaxSubstreams> sub_since_;  ///< subscription start per lane
 
   /// The peer's private random stream, derived from the run's root seed
   /// via Rng::stream(sim::peer_stream_tag(id)).  Every random decision the
@@ -280,13 +295,9 @@ class Peer : private PeerProtocolState {
   /// Mutable: select_parent() is logically const but breaks ties randomly.
   mutable sim::Rng rng_;
 
-  SyncBuffer sync_;
   Mcache mcache_;
   PartnerTable partners_;
-  std::vector<net::NodeId> parents_;   ///< parent per sub-stream
-  std::vector<Tick> sub_since_;        ///< subscription start per sub-stream
   std::vector<OutLink> out_links_;     ///< children we push to
-  std::vector<double> credits_;        ///< fractional blocks per sub-stream
 
   /// An in-flight partnership attempt.  Timestamped so that attempts whose
   /// confirm/reject was lost by the network can be aged out (a bare counter

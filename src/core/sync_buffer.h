@@ -12,22 +12,23 @@
 // combined prefix of the interleaved global order.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "core/stream_types.h"
 
 namespace coolstream::core {
 
-/// Per-node synchronization buffer for K sub-streams.
+/// Per-node synchronization buffer for K sub-streams.  The heads sit
+/// inline (kMaxSubstreams lanes, K in use), so a peer's lanes live in its
+/// own object rather than on the heap.
 class SyncBuffer {
  public:
   explicit SyncBuffer(int k);
 
-  int substream_count() const noexcept {
-    return static_cast<int>(heads_.size());
-  }
+  int substream_count() const noexcept { return k_; }
 
   /// Receives the next block of sub-stream `i`: moves its head one block,
   /// counts the block and extends the combined prefix.
@@ -36,7 +37,7 @@ class SyncBuffer {
   /// Latest *contiguous* sequence number of sub-stream `i` (-1: none).
   /// This is what the node advertises in its Buffer Map.
   SeqNum head(SubstreamId i) const {
-    assert(i.index() < heads_.size());
+    assert(i.index() < static_cast<std::size_t>(k_));
     return heads_[i.index()];
   }
 
@@ -59,9 +60,11 @@ class SyncBuffer {
   /// max head - min head across sub-streams: the Ineq.-(1) spread.
   BlockCount spread() const noexcept;
 
-  /// All heads, indexable by sub-stream: the first K components of the
+  /// The K heads, indexable by sub-stream: the first K components of the
   /// node's buffer map, advertised to every partner as they are.
-  const std::vector<SeqNum>& heads() const noexcept { return heads_; }
+  std::span<const SeqNum> heads() const noexcept {
+    return {heads_.data(), static_cast<std::size_t>(k_)};
+  }
 
   /// Total blocks received through advance().
   std::uint64_t blocks_received() const noexcept { return received_; }
@@ -71,9 +74,10 @@ class SyncBuffer {
 
   void recompute_combined() noexcept;
 
-  std::vector<SeqNum> heads_;
+  std::array<SeqNum, kMaxSubstreams> heads_;
   GlobalSeq combined_ = kNoSeq;
   std::uint64_t received_ = 0;
+  int k_;
 };
 
 }  // namespace coolstream::core

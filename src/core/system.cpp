@@ -1,11 +1,14 @@
 #include "core/system.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -82,7 +85,10 @@ System::System(sim::Simulation& simulation, Params params,
   shard_scratch_.resize(workers_.shard_count());
 }
 
-System::~System() { tick_handle_.cancel(); }
+System::~System() {
+  tick_handle_.cancel();
+  for (net::NodeId id = 0; id < peer_count_; ++id) std::destroy_at(slot(id));
+}
 
 void System::start() {
   assert(!started_);
@@ -100,11 +106,7 @@ void System::start() {
     spec.type = net::ConnectionType::kDirect;
     spec.address = net::random_public_address(sim_.rng());
     spec.upload_capacity = units::BitRate(config_.server_capacity_bps);
-    const net::NodeId id = static_cast<net::NodeId>(peers_.size());
-    peers_.push_back(std::make_unique<Peer>(
-        *this, id, spec, units::SessionId(next_session_id_++), now()));
-    add_live(id);
-    peers_.back()->start_join();
+    add_peer(spec).start_join();
   }
   tick_handle_ =
       sim_.every(params_.flow_dt(), params_.flow_dt(), [this] { tick(); });
@@ -119,13 +121,11 @@ net::NodeId System::join(const PeerSpec& spec) {
   assert(spec.kind == PeerKind::kViewer);
   PeerSpec s = spec;
   if (s.user_id == 0) s.user_id = next_user_auto_++;
-  const net::NodeId id = static_cast<net::NodeId>(peers_.size());
-  peers_.push_back(std::make_unique<Peer>(
-      *this, id, s, units::SessionId(next_session_id_++), now()));
-  add_live(id);
+  Peer& p = add_peer(s);
+  const net::NodeId id = p.id();
   ++live_viewers_;
   ++stats_.joins;
-  peers_.back()->start_join();
+  p.start_join();
   notify(id, SessionEvent::kJoined);
   return id;
 }
@@ -175,11 +175,30 @@ void System::leave(net::NodeId id, bool graceful) {
   notify(id, SessionEvent::kLeft);
 }
 
-void System::add_live(net::NodeId id) {
-  // Ids are minted densely from peers_.size(), so the index grows in step.
+Peer& System::add_peer(const PeerSpec& spec) {
+  static_assert(std::has_single_bit(kPeersPerChunk));
+  const net::NodeId id = peer_count_;
+  if (id % kPeersPerChunk == 0) {
+    // Left uninitialised: a chunk's pages are touched only as its slots
+    // are built.
+    chunks_.push_back(
+        std::make_unique_for_overwrite<PeerSlot[]>(kPeersPerChunk));
+  }
+  Peer* p = std::construct_at(
+      reinterpret_cast<Peer*>(chunks_.back()[id % kPeersPerChunk].bytes),
+      *this, id, spec, units::SessionId(next_session_id_++), now());
+  ++peer_count_;
+  // Ids are minted densely, so the live index grows in step.
   assert(live_index_.size() == id);
   live_index_.push_back(static_cast<std::uint32_t>(live_.size()));
   live_.push_back(id);
+  return *p;
+}
+
+Peer* System::slot(net::NodeId id) const noexcept {
+  assert(id < peer_count_);
+  return std::launder(reinterpret_cast<Peer*>(
+      chunks_[id / kPeersPerChunk][id % kPeersPerChunk].bytes));
 }
 
 bool System::is_live(net::NodeId id) const noexcept {
@@ -195,15 +214,15 @@ std::vector<McacheEntry>& System::candidate_scratch(net::NodeId id) noexcept {
 }
 
 Peer* System::peer(net::NodeId id) noexcept {
-  return id < peers_.size() ? peers_[id].get() : nullptr;
+  return id < peer_count_ ? slot(id) : nullptr;
 }
 
 const Peer* System::peer(net::NodeId id) const noexcept {
-  return id < peers_.size() ? peers_[id].get() : nullptr;
+  return id < peer_count_ ? slot(id) : nullptr;
 }
 
 Peer* System::live_peer(net::NodeId id) noexcept {
-  return is_live(id) ? peers_[id].get() : nullptr;
+  return is_live(id) ? slot(id) : nullptr;
 }
 
 int System::max_partners_of(const Peer& p) const noexcept {
@@ -320,10 +339,19 @@ void System::break_partnership(net::NodeId a, net::NodeId b) {
 
 void System::post(const Message& msg) {
   if (deferring_) {
-    std::vector<Message>& outbox = shard_scratch_[shard_of(msg.from)].outbox;
+    ShardScratch& scratch = shard_scratch_[shard_of(msg.from)];
     defer(msg.from,
-          EffectMessage{static_cast<std::uint32_t>(outbox.size())});
-    outbox.push_back(msg);
+          EffectMessage{static_cast<std::uint32_t>(scratch.outbox.size())});
+    scratch.outbox.push_back(
+        Posted{.from = msg.from,
+               .to = msg.to,
+               .first = static_cast<std::uint32_t>(scratch.entries.size()),
+               .substream = msg.substream,
+               .kind = msg.kind,
+               .count = msg.count});
+    const std::span<const McacheEntry> payload = msg.payload();
+    scratch.entries.insert(scratch.entries.end(), payload.begin(),
+                           payload.end());
     return;
   }
   if (msg.delayed()) {
@@ -458,6 +486,7 @@ void System::tick() {
   for (ShardScratch& s : shard_scratch_) {
     s.positions.clear();
     s.outbox.clear();
+    s.entries.clear();
     s.bm_lanes.clear();
     s.bm_targets.clear();
     s.reports.clear();
@@ -467,8 +496,8 @@ void System::tick() {
     const net::NodeId id = tick_order_[pos];
     shard_scratch_[shard_of(id)].positions.push_back(pos);
   }
-  if (inflow_.size() < peers_.size() * k_streams) {
-    inflow_.resize(peers_.size() * k_streams);
+  if (inflow_.size() < peer_count_ * k_streams) {
+    inflow_.resize(peer_count_ * k_streams);
   }
   effects_.reset(workers_.shard_count());
 
@@ -649,7 +678,15 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
             push_bm(from, scratch.bm_targets[k], lanes);
           }
         } else if constexpr (std::is_same_v<E, EffectMessage>) {
-          const Message& msg = shard_scratch_[shard_of(from)].outbox[e.index];
+          const ShardScratch& scratch = shard_scratch_[shard_of(from)];
+          const Posted& rec = scratch.outbox[e.index];
+          Message msg{.from = rec.from,
+                      .to = rec.to,
+                      .substream = rec.substream,
+                      .kind = rec.kind,
+                      .count = rec.count};
+          std::copy_n(scratch.entries.begin() + rec.first, rec.count,
+                      msg.entries.begin());
           if (msg.kind == Message::Kind::kSubscribe) {
             // Stale intent: an earlier flush effect (say, a broken
             // partnership) made the sender reselect this sub-stream's

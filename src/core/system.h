@@ -4,8 +4,12 @@
 // One System instance is one broadcast channel: it owns the dedicated
 // servers, every peer that ever joined, the live list the boot-strap node
 // samples, and the global tick that drives block transfer and protocol
-// timers.  Workload drivers
-// call join()/leave(); everything else is protocol behaviour.  Control
+// timers.  Peers live in one slab in id order: fixed chunks of
+// kPeersPerChunk Peer objects that never move, each Peer holding its
+// per-sub-stream lanes (heads, parents, credits) inline, so peer(id) is a
+// chunk-table load plus an offset and a Peer's address is stable.
+// Workload drivers call join()/leave(); everything else is protocol
+// behaviour.  Control
 // messages are Message records (core/message.h) that all leave through
 // post(): each delayed copy rides in its delivery event's in-place
 // callback storage, and deliver() handles every kind.  Their one-way
@@ -23,6 +27,7 @@
 // §IV-B describes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -105,6 +110,12 @@ struct SystemStats {
 /// One broadcast channel.
 class System {
  public:
+  /// Peers per slab chunk, a power of two so peer(id) is a shift and a
+  /// mask.  Small chunks keep the unbuilt tail of the last chunk, address
+  /// space the process never touches, from counting as heap held per live
+  /// peer (DESIGN.md §14).
+  static constexpr std::size_t kPeersPerChunk = 64;
+
   System(sim::Simulation& simulation, Params params, SystemConfig config,
          logging::LogServer* log_server);
   ~System();
@@ -128,6 +139,8 @@ class System {
   /// Whether `id` has joined and not left.  Liveness changes only in the
   /// serial join() and leave(), so any shard may ask during phase P.
   bool is_live(net::NodeId id) const noexcept;
+  /// Every id ever minted has a Peer, live or departed; null past the
+  /// last id.  The address stays valid for the System's lifetime.
   Peer* peer(net::NodeId id) noexcept;
   const Peer* peer(net::NodeId id) const noexcept;
   /// The peer when is_live(id), else null: the one liveness query for ids
@@ -232,6 +245,19 @@ class System {
  private:
   friend struct InvariantTestAccess;  // seeded-corruption hooks (tests only)
 
+  /// A Message posted in phase P, less its gossip entries: those wait in
+  /// the shard's `entries` from `first` on, and the flush rebuilds the
+  /// record.  Only gossip carries entries, so the outbox keeps 20 bytes a
+  /// message instead of 80.
+  struct Posted {
+    net::NodeId from;
+    net::NodeId to;
+    std::uint32_t first;
+    SubstreamId substream;
+    Message::Kind kind;
+    std::uint8_t count;
+  };
+
   /// One worker's private buffers, indexed by shard (serial contexts use
   /// those of the shard that owns the peer at hand).  Consumed within a
   /// tick — the phase-P outputs by the flush, everything else within its
@@ -251,7 +277,8 @@ class System {
     /// Effect payloads emitted in phase P, read back by the flush through
     /// the indices the effects hold; cleared at tick start.  Only the
     /// shard's own worker appends to them.
-    std::vector<Message> outbox;  ///< posted messages, in post order
+    std::vector<Posted> outbox;  ///< posted messages, in post order
+    std::vector<McacheEntry> entries;  ///< gossip payloads, in post order
     std::vector<SeqNum> bm_lanes;  ///< K lanes per broadcast
     std::vector<net::NodeId> bm_targets;  ///< partners per broadcast
     std::vector<logging::Report> reports;
@@ -270,8 +297,10 @@ class System {
   };
 
   void tick();
-  /// Appends a freshly minted id to live_ and records its position.
-  void add_live(net::NodeId id);
+  /// Builds the next id's Peer in the slab and appends the id to live_.
+  Peer& add_peer(const PeerSpec& spec);
+  /// Slab slot of a minted id (id < peer_count_).
+  Peer* slot(net::NodeId id) const noexcept;
   /// Phase F1 (sharded by parent): compute per-link rates from the frozen
   /// tick-start heads and publish them as InFlow slots.
   void flow_rates(std::size_t shard, Duration dt);
@@ -304,7 +333,15 @@ class System {
   logging::LogServer* log_;
   net::LatencyModel latency_model_;
   net::Transport transport_;
-  std::vector<std::unique_ptr<Peer>> peers_;
+  /// Storage for one Peer, built in place by add_peer().
+  struct alignas(Peer) PeerSlot {
+    std::byte bytes[sizeof(Peer)];
+  };
+  /// The peer slab: id i lives in chunk i / kPeersPerChunk at slot
+  /// i % kPeersPerChunk, for every node that ever joined.  Chunks never
+  /// move, so a Peer's address holds for the System's lifetime.
+  std::vector<std::unique_ptr<PeerSlot[]>> chunks_;
+  std::uint32_t peer_count_ = 0;  ///< ids minted, = slots built
   std::vector<net::NodeId> live_;  ///< ids of live nodes, join order
   /// By id: position in live_, or kNotLive once the node has left.
   std::vector<std::uint32_t> live_index_;
@@ -321,7 +358,7 @@ class System {
   // --- sharded tick engine -------------------------------------------------
   std::uint32_t tick_stamp_ = 0;
   std::vector<net::NodeId> tick_order_;    ///< live_, frozen at tick start
-  std::vector<InFlow> inflow_;  ///< peers_.size() * K slots, stamp-guarded
+  std::vector<InFlow> inflow_;  ///< peer_count_ * K slots, stamp-guarded
   sim::ShardMailbox<TickEffect> effects_;
   /// True while phase P runs, when the plumbing defers.  Only the tick
   /// thread writes it, and only between phase barriers.

@@ -14,9 +14,9 @@
 // Routing is transparent to Peer code: System's plumbing methods check
 // whether phase P is running and either defer or execute directly (serial
 // contexts: transport callbacks, workload events, the flush itself).
-// Every effect is a few words: its payload (a Message record, a BM
-// broadcast's lanes and partner ids, a report) sits in the sender's shard
-// scratch and the effect holds its index.  The periodic
+// Every effect is a few words: its payload (a posted message's header and
+// gossip entries, a BM broadcast's lanes and partner ids, a report) sits
+// in the sender's shard scratch and the effect holds its index.  The periodic
 // BM exchange is the one bulk effect: a peer's whole once-a-second
 // broadcast is one EffectBmPush that the flush expands into one delivery
 // per partner, in partner order.
@@ -40,7 +40,8 @@ struct EffectBmPush {
   std::uint32_t count = 0;
 };
 
-/// A Message the sender posted: record `index` of its shard's outbox.
+/// A Message the sender posted: header `index` of its shard's outbox, from
+/// which the flush rebuilds the record.
 struct EffectMessage {
   std::uint32_t index = 0;
 };

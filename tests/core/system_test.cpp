@@ -417,6 +417,72 @@ TEST(SystemTest, UnnotifiedParentDepartureClearsTheSlot) {
   }
 }
 
+TEST(SystemTest, PeerAddressesSurviveJoinsPastChunkBoundaries) {
+  sim::Simulation simulation(3);
+  System sys(simulation, fast_params(), small_config(), nullptr);
+  sys.start();
+  constexpr auto kChunk = static_cast<net::NodeId>(System::kPeersPerChunk);
+  const auto join_until = [&](net::NodeId target) {
+    net::NodeId id = 0;
+    while (id < target) {
+      id = sys.join(
+          viewer(id + 1, net::ConnectionType::kDirect, 2e6, simulation.rng()));
+    }
+    return id;
+  };
+  // Fill the first chunk and let its peers partner, subscribe and fetch.
+  ASSERT_EQ(join_until(kChunk - 1), kChunk - 1);
+  simulation.run_until(sim::Time(40.0));
+
+  struct Held {
+    Peer* ptr;
+    units::SessionId session;
+    std::vector<SeqNum> heads;
+    std::vector<net::NodeId> parents;
+    std::size_t partners;
+    std::uint64_t blocks_received;
+  };
+  const auto hold = [&](net::NodeId id) {
+    Peer* p = sys.peer(id);
+    Held h{p, p->session_id(), {}, {}, p->partner_count(),
+           p->sync().blocks_received()};
+    for (const SubstreamId j : substreams(sys.params().substream_count)) {
+      h.heads.push_back(p->head(j));
+      h.parents.push_back(p->parent_of(j));
+    }
+    return h;
+  };
+  const Held server = hold(0);
+  const Held edge = hold(kChunk - 1);
+  ASSERT_GT(edge.blocks_received, 0u);
+
+  // Joins alone run no protocol step, so the held peers' state must come
+  // through three more chunk allocations unchanged.
+  const net::NodeId last = join_until(4 * kChunk);
+  ASSERT_EQ(last, 4 * kChunk);
+  for (const Held* h : {&server, &edge}) {
+    const net::NodeId id = h->ptr->id();
+    EXPECT_EQ(sys.peer(id), h->ptr);
+    EXPECT_EQ(h->ptr->session_id(), h->session);
+    EXPECT_EQ(h->ptr->partner_count(), h->partners);
+    EXPECT_EQ(h->ptr->sync().blocks_received(), h->blocks_received);
+    for (const SubstreamId j : substreams(sys.params().substream_count)) {
+      EXPECT_EQ(h->ptr->head(j), h->heads[j.index()]);
+      EXPECT_EQ(h->ptr->parent_of(j), h->parents[j.index()]);
+    }
+  }
+  for (net::NodeId id = 0; id <= last; ++id) {
+    ASSERT_NE(sys.peer(id), nullptr);
+    EXPECT_EQ(sys.peer(id)->id(), id);
+  }
+  EXPECT_EQ(sys.peer(last + 1), nullptr);
+
+  // The held pointers keep serving the running protocol.
+  simulation.run_until(sim::Time(50.0));
+  EXPECT_EQ(sys.peer(kChunk - 1), edge.ptr);
+  EXPECT_GT(edge.ptr->sync().blocks_received(), edge.blocks_received);
+}
+
 TEST(SystemTest, SnapshotIsConsistent) {
   sim::Simulation simulation(29);
   System sys(simulation, fast_params(), small_config(), nullptr);
