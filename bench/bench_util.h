@@ -4,13 +4,17 @@
 //   seed   uint64 RNG seed (default 2006927 — the broadcast date)
 //   scale  population multiplier in percent (default 100; e.g. 200 doubles
 //          every population target for a bigger, slower run)
-// and prints the Table-I parameter block followed by the figure's series,
-// with a "paper expectation" note so shapes can be eyeballed.
+// (anything else exits with status 2), and prints the Table-I parameter
+// block followed by the figure's series, with a "paper expectation" note
+// so shapes can be eyeballed.
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -30,13 +34,32 @@ struct BenchArgs {
   double scale = 1.0;
 };
 
-inline BenchArgs parse_args(int argc, char** argv) {
+/// True when all of `text` is one number of type T.
+template <typename T>
+bool parse_whole(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [rest, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && rest == end && rest != text;
+}
+
+/// Parses `[seed] [scale]` from argv[first..].  Anything else (a flag, a
+/// trailing character, a third argument, a scale that is not a positive
+/// percent) prints the usage line to stderr and exits with status 2.
+inline BenchArgs parse_args(int argc, char** argv, int first = 1) {
   BenchArgs args;
-  if (argc > 1) args.seed = std::strtoull(argv[1], nullptr, 10);
-  if (argc > 2) {
-    args.scale = std::strtod(argv[2], nullptr) / 100.0;
-    if (args.scale <= 0.0) args.scale = 1.0;
+  double pct = 100.0;
+  const int given = argc - first;
+  const bool ok =
+      given <= 2 && (given < 1 || parse_whole(argv[first], args.seed)) &&
+      (given < 2 || (parse_whole(argv[first + 1], pct) &&
+                     std::isfinite(pct) && pct > 0.0));
+  if (!ok) {
+    std::cerr << "usage:";
+    for (int i = 0; i < first; ++i) std::cerr << ' ' << argv[i];
+    std::cerr << " [seed] [scale_pct]\n";
+    std::exit(2);
   }
+  args.scale = pct / 100.0;
   return args;
 }
 

@@ -62,12 +62,7 @@ SweepPoint run_point(coolstream::workload::Scenario scenario,
 int run_peak(int argc, char** argv) {
   using namespace coolstream;
   using Clock = std::chrono::steady_clock;  // lint:allow(wall-clock)
-  bench::BenchArgs args;
-  if (argc > 2) args.seed = std::strtoull(argv[2], nullptr, 10);
-  if (argc > 3) {
-    args.scale = std::strtod(argv[3], nullptr) / 100.0;
-    if (args.scale <= 0.0) args.scale = 1.0;
-  }
+  const bench::BenchArgs args = bench::parse_args(argc, argv, 2);
   const std::size_t target = bench::scaled(40000, args);
 
   // Scenario only for its parameter/user/server models; the run itself

@@ -8,18 +8,24 @@
 namespace coolstream::baseline {
 
 TreeOverlay::TreeOverlay(sim::Simulation& simulation, TreeParams params)
-    : sim_(simulation), params_(params) {}
+    : sim_(simulation), params_(params) {
+  assert(params_.stripes >= 1);
+}
 
 TreeOverlay::~TreeOverlay() { tick_handle_.cancel(); }
 
 void TreeOverlay::start() {
   assert(!started_);
   started_ = true;
+  const auto k = static_cast<std::size_t>(params_.stripes);
   Node root;
   root.live = true;
   root.reachable = true;
   root.capacity_bps = params_.root_capacity_bps;
-  root.head = 0.0;
+  root.primary = -1;  // the root is interior in every stripe
+  root.parent.assign(k, net::kInvalidNode);
+  root.kids.resize(k);
+  root.head.assign(k, 0.0);
   root_ = 0;
   nodes_.push_back(std::move(root));
   live_count_ = 1;
@@ -27,88 +33,102 @@ void TreeOverlay::start() {
                             units::Duration(kTickSeconds), [this] { tick(); });
 }
 
-double TreeOverlay::root_head() const noexcept {
-  // The baseline tree works in raw fractional block positions.
-  return sim_.now().value() * kBlockRate;
+double TreeOverlay::stripe_rate_bps() const noexcept {
+  return kStreamRateBps / params_.stripes;
 }
 
-int TreeOverlay::max_children_of(const Node& n) const noexcept {
-  if (!n.reachable) return 0;  // NAT/firewall nodes cannot be interior
-  return static_cast<int>(n.capacity_bps / kStreamRateBps);
+double TreeOverlay::stripe_block_rate() const noexcept {
+  return kBlockRate / params_.stripes;
+}
+
+double TreeOverlay::root_stripe_head() const noexcept {
+  // The baseline trees work in raw fractional block positions.
+  return sim_.now().value() * stripe_block_rate();
+}
+
+int TreeOverlay::max_children_of(const Node& n, int stripe) const noexcept {
+  if (&n == &nodes_[root_]) {
+    // The root splits its capacity evenly across stripes.
+    return static_cast<int>(n.capacity_bps /
+                            static_cast<double>(params_.stripes) /
+                            stripe_rate_bps());
+  }
+  if (!n.reachable || n.primary != stripe) return 0;
+  // Interior in the primary stripe only, with its full uplink.
+  return static_cast<int>(n.capacity_bps / stripe_rate_bps());
 }
 
 net::NodeId TreeOverlay::join(double upload_capacity_bps, bool reachable) {
   assert(started_);
+  const auto k = static_cast<std::size_t>(params_.stripes);
   Node n;
   n.live = true;
   n.reachable = reachable;
   n.capacity_bps = upload_capacity_bps;
+  n.primary = next_primary_;
+  next_primary_ = (next_primary_ + 1) % params_.stripes;
+  n.parent.assign(k, net::kInvalidNode);
+  n.kids.resize(k);
+  n.head.assign(k, -1.0);
   const auto id = static_cast<net::NodeId>(nodes_.size());
   nodes_.push_back(std::move(n));
   ++live_count_;
-  // Control-plane latency of descending the tree.
+  // Control-plane latency of descending the trees.  The start position is
+  // fixed here, behind the live edge by the offset (§IV-A analog), even
+  // when a tree is full and the attach has to wait.
   sim_.after(units::Duration(kJoinDelay), [this, id] {
-    if (!nodes_[id].live || nodes_[id].parent != net::kInvalidNode) return;
-    const net::NodeId parent = find_parent();
-    if (parent != net::kInvalidNode && parent != id) {
-      attach(id, parent);
-    } else {
-      schedule_rejoin(id);  // tree full: keep retrying
+    if (!nodes_[id].live) return;
+    const double start = std::max(
+        0.0, root_stripe_head() - kStartOffsetSeconds * stripe_block_rate());
+    nodes_[id].head.assign(nodes_[id].head.size(), start);
+    for (int stripe = 0; stripe < params_.stripes; ++stripe) {
+      attach_or_retry(id, stripe);
     }
   });
   return id;
 }
 
-net::NodeId TreeOverlay::find_parent() {
-  // BFS from the root; pick the shallowest node with a free child slot.
+net::NodeId TreeOverlay::find_parent(int stripe) {
   std::deque<net::NodeId> frontier{root_};
   while (!frontier.empty()) {
     const net::NodeId id = frontier.front();
     frontier.pop_front();
     const Node& n = nodes_[id];
     if (!n.live) continue;
-    if (static_cast<int>(n.children.size()) < max_children_of(n)) return id;
-    for (net::NodeId c : n.children) frontier.push_back(c);
+    const auto& kids = n.kids[static_cast<std::size_t>(stripe)];
+    if (static_cast<int>(kids.size()) < max_children_of(n, stripe)) {
+      return id;
+    }
+    for (net::NodeId c : kids) frontier.push_back(c);
   }
   return net::kInvalidNode;
 }
 
-void TreeOverlay::attach(net::NodeId child, net::NodeId parent) {
+void TreeOverlay::attach_or_retry(net::NodeId id, int stripe) {
+  const net::NodeId parent = find_parent(stripe);
+  if (parent != net::kInvalidNode && parent != id) {
+    attach(id, parent, stripe);
+  } else {
+    schedule_rejoin(id, stripe);
+  }
+}
+
+void TreeOverlay::attach(net::NodeId child, net::NodeId parent, int stripe) {
   Node& c = nodes_[child];
   Node& p = nodes_[parent];
   assert(c.live && p.live);
-  c.parent = parent;
-  p.children.push_back(child);
-  if (c.head < 0.0) {
-    // Fresh join: start behind the live edge by the offset (§IV-A analog).
-    c.head = std::max(0.0, root_head() - kStartOffsetSeconds * kBlockRate);
-  }
-  // else: re-attachment keeps the already-received position.
+  c.parent[static_cast<std::size_t>(stripe)] = parent;
+  p.kids[static_cast<std::size_t>(stripe)].push_back(child);
 }
 
-void TreeOverlay::orphan_subtree(net::NodeId id) {
-  Node& n = nodes_[id];
-  for (net::NodeId c : n.children) {
-    Node& child = nodes_[c];
-    child.parent = net::kInvalidNode;
-    if (child.live) {
-      ++child.stats.reattachments;
-      schedule_rejoin(c);
+void TreeOverlay::schedule_rejoin(net::NodeId id, int stripe) {
+  sim_.after(units::Duration(params_.repair_delay), [this, id, stripe] {
+    const Node& n = nodes_[id];
+    if (!n.live ||
+        n.parent[static_cast<std::size_t>(stripe)] != net::kInvalidNode) {
+      return;
     }
-  }
-  n.children.clear();
-}
-
-void TreeOverlay::schedule_rejoin(net::NodeId id) {
-  sim_.after(units::Duration(params_.repair_delay), [this, id] {
-    Node& n = nodes_[id];
-    if (!n.live || n.parent != net::kInvalidNode) return;
-    const net::NodeId parent = find_parent();
-    if (parent != net::kInvalidNode && parent != id) {
-      attach(id, parent);
-    } else {
-      schedule_rejoin(id);
-    }
+    attach_or_retry(id, stripe);
   });
 }
 
@@ -118,23 +138,36 @@ void TreeOverlay::leave(net::NodeId id) {
   if (!n.live) return;
   n.live = false;
   --live_count_;
-  if (n.parent != net::kInvalidNode) {
-    auto& siblings = nodes_[n.parent].children;
-    std::erase(siblings, id);
-    n.parent = net::kInvalidNode;
+  for (int stripe = 0; stripe < params_.stripes; ++stripe) {
+    const auto s = static_cast<std::size_t>(stripe);
+    if (n.parent[s] != net::kInvalidNode) {
+      auto& siblings = nodes_[n.parent[s]].kids[s];
+      std::erase(siblings, id);
+      n.parent[s] = net::kInvalidNode;
+    }
+    // Orphan this stripe's subtree (non-primary stripes have no kids).
+    for (net::NodeId c : n.kids[s]) {
+      Node& child = nodes_[c];
+      child.parent[s] = net::kInvalidNode;
+      if (child.live) {
+        ++child.stats.reattachments;
+        schedule_rejoin(c, stripe);
+      }
+    }
+    n.kids[s].clear();
   }
-  orphan_subtree(id);
 }
 
 bool TreeOverlay::is_live(net::NodeId id) const noexcept {
   return id < nodes_.size() && nodes_[id].live;
 }
 
-int TreeOverlay::depth(net::NodeId id) const {
+int TreeOverlay::depth(net::NodeId id, int stripe) const {
   int d = 0;
   net::NodeId cur = id;
   while (cur != root_) {
-    const net::NodeId parent = nodes_[cur].parent;
+    const net::NodeId parent =
+        nodes_[cur].parent[static_cast<std::size_t>(stripe)];
     if (parent == net::kInvalidNode) return -1;
     cur = parent;
     if (++d > static_cast<int>(nodes_.size())) return -1;  // corrupt guard
@@ -145,34 +178,46 @@ int TreeOverlay::depth(net::NodeId id) const {
 void TreeOverlay::tick() {
   const double dt = kTickSeconds;
   const double now = sim_.now().value();
-  nodes_[root_].head = root_head();
+  const double root_head = root_stripe_head();
+  for (auto& h : nodes_[root_].head) h = root_head;
 
-  // Fluid transfer, parents before children is not required: heads only
-  // move forward and a one-tick lag is part of the model.
+  const int k = params_.stripes;
+  const double stripe_rate = stripe_rate_bps();
+  const double stripe_blocks = stripe_block_rate();
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     Node& n = nodes_[id];
-    if (!n.live || id == root_) continue;
-    if (n.parent == net::kInvalidNode || n.head < 0.0) {
-      // orphaned / not yet attached: head stalls
-    } else {
-      const Node& p = nodes_[n.parent];
-      const double share =
-          p.capacity_bps / kStreamRateBps /
-          static_cast<double>(std::max<std::size_t>(1, p.children.size())) *
-          kBlockRate;
-      const double rate = std::min(share, kMaxCatchupFactor * kBlockRate);
-      n.head = std::min(n.head + rate * dt, p.head);
-    }
-    if (n.head < 0.0) continue;
+    if (!n.live || id == static_cast<std::size_t>(root_)) continue;
 
-    // Playback: starts once kMediaReadySeconds of stream are buffered
-    // beyond the start position.
+    // Per-stripe fluid transfer.  Parents before children is not
+    // required: heads only move forward and a one-tick lag is part of the
+    // model.
+    for (std::size_t s = 0; s < n.head.size(); ++s) {
+      if (n.parent[s] == net::kInvalidNode || n.head[s] < 0.0) continue;
+      const Node& p = nodes_[n.parent[s]];
+      const double slots = static_cast<double>(
+          std::max<std::size_t>(1, p.kids[s].size()));
+      const double per_child_bps =
+          (&p == &nodes_[root_]
+               ? p.capacity_bps / static_cast<double>(k)
+               : p.capacity_bps) /
+          slots;
+      const double rate =
+          std::min(per_child_bps / stripe_rate * stripe_blocks,
+                   kMaxCatchupFactor * stripe_blocks);
+      n.head[s] = std::min(n.head[s] + rate * dt, p.head[s]);
+    }
+
+    // Playback over the interleaved global order: global block g needs
+    // stripe g%k to hold sequence g/k.  Every head gets its start
+    // position at once, so the slowest one is negative until the join
+    // delay has passed.
     if (!n.playing) {
-      if (n.play_start < 0.0) {
-        n.play_start = n.head;  // remember where playback will begin
-      }
-      if (n.head - n.play_start >=
-          kMediaReadySeconds * kBlockRate) {
+      const double min_head = *std::min_element(n.head.begin(), n.head.end());
+      if (min_head < 0.0) continue;
+      const double combined = std::floor(min_head) * k;
+      if (n.play_start < 0.0) n.play_start = combined;
+      // Ready when kMediaReadySeconds of interleaved stream are present.
+      if (combined - n.play_start >= kMediaReadySeconds * kBlockRate) {
         n.playing = true;
         n.play_head_time = now;
         n.last_counted = n.play_start - 1.0;
@@ -180,13 +225,17 @@ void TreeOverlay::tick() {
       continue;
     }
 
-    // Deadlines: one block every 1/block_rate seconds from play start.
+    // Deadlines: one global block every 1/block_rate seconds from play
+    // start; block g is on time only when fully received.
     const double due =
         n.play_start + (now - n.play_head_time) * kBlockRate - 1.0;
     while (n.last_counted + 1.0 <= due) {
       n.last_counted += 1.0;
       ++n.stats.blocks_due;
-      if (n.head >= n.last_counted) ++n.stats.blocks_on_time;
+      const auto g = static_cast<long long>(n.last_counted);
+      const auto stripe = static_cast<std::size_t>(g % k);
+      const double need = std::floor(static_cast<double>(g / k));
+      if (n.head[stripe] >= need + 1.0) ++n.stats.blocks_on_time;
     }
   }
 }
@@ -207,29 +256,18 @@ const TreeNodeStats& TreeOverlay::stats(net::NodeId id) const {
 }
 
 double TreeOverlay::attached_fraction() const noexcept {
-  std::size_t live = 0;
+  std::size_t pairs = 0;
   std::size_t attached = 0;
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     if (id == static_cast<std::size_t>(root_) || !nodes_[id].live) continue;
-    ++live;
-    if (nodes_[id].parent != net::kInvalidNode) ++attached;
-  }
-  return live == 0 ? 1.0
-                   : static_cast<double>(attached) / static_cast<double>(live);
-}
-
-double TreeOverlay::mean_depth() const noexcept {
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    if (id == static_cast<std::size_t>(root_) || !nodes_[id].live) continue;
-    const int d = depth(static_cast<net::NodeId>(id));
-    if (d >= 0) {
-      sum += d;
-      ++count;
+    for (const net::NodeId parent : nodes_[id].parent) {
+      ++pairs;
+      if (parent != net::kInvalidNode) ++attached;
     }
   }
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  return pairs == 0 ? 1.0
+                    : static_cast<double>(attached) /
+                          static_cast<double>(pairs);
 }
 
 }  // namespace coolstream::baseline

@@ -14,39 +14,36 @@ sides must print the same window digests; the tool stops otherwise.
 
 For each end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the pairs the change won, and the median of the paired
-ratios change / parent with a bootstrap 95 % interval. The verdict reads
-"unresolved" when that interval contains 1. It also says whether the
+ratios change / parent with a distribution-free interval: the order
+statistics [r(k), r(n-k+1)] of the sorted ratios, k the largest k with
+P(Binom(n, 1/2) <= k-1) <= 2.5 %. At 10 pairs that is [r(2), r(9)],
+which covers the median ratio with probability 97.9 % whatever the
+ratios' distribution; below 6 pairs no such k exists and the verdict is
+"too few pairs". The verdict reads "unresolved" when the interval
+contains 1; at 10 pairs the interval excludes 1 only when at least 9 of
+the 10 ratios fall on one side of it. The tool also says whether the
 medians differ by more than the parent's interquartile range. Runs are
 sequential; concurrent pinned runs are not implemented.
 
-Calibration and first use (4-vCPU Xeon VM on a shared host, 1 shard,
---seconds 10, 10 pairs each; ns_per_peer_tick in ns):
-  A/A, steady_peak seed 1, one binary on both sides:
-    ns_per_peer_tick  medians 3353 vs 3104, "change" won 8 of 10, ratio
-                      0.970 [0.936, 0.998]: the interval misses 1
-    setup_s           won 8 of 10, ratio 0.942 [0.896, 0.999]: misses 1
-    peak_rss_mb       won 4 of 10, ratio 1.001 [0.997, 1.003]: unresolved
-  The host drifted from ~2 800 to ~3 900 ns within the run. With 10
-  pairs the percentile bootstrap of the median is too narrow for that
-  drift, so an interval that misses 1 is not enough to claim a gain. The
-  A/A failed the claim rule (9 of 10 wins and a median gap beyond the
-  parent's IQR) on every metric; hold a claim to that rule as well.
-  A/B, steady_peak seed 1, peers in one id-ordered slab with inline
-  lanes against its parent:
-    ns_per_peer_tick  2959 [2789-3102] -> 2565 [2456-2739], won 10 of 10,
-                      ratio 0.880 [0.857, 0.913]; gap exceeds parent IQR
-    setup_s           1.875 -> 1.733 s, won 9 of 10, ratio 0.922
-                      [0.875, 0.938]; gap within parent IQR
-    peak_rss_mb       30.57 -> 29.65 MB, won 10 of 10, ratio 0.969
-                      [0.967, 0.976]; gap exceeds parent IQR
-  The same A/B at seed 2006927, not used while the change was written:
-    ns_per_peer_tick  3508 [3383-3597] -> 3033 [3005-3097], won 10 of 10,
-                      ratio 0.858 [0.834, 0.903]; gap exceeds parent IQR
+Calibration (4-vCPU Xeon VM on a shared host, 1 shard, --seconds 10;
+ns_per_peer_tick in ns), A/A, steady_peak seed 1, 10 pairs, one binary
+on both sides:
+  ns_per_peer_tick  2515 [2481-2569] vs 2523 [2504-2576], "change" won
+                    6 of 10, ratio 0.993 97.9% [0.954, 1.048]: unresolved
+  setup_s           1.666 vs 1.685 s, won 3 of 10, ratio 1.021
+                    [0.956, 1.087]: unresolved
+  peak_rss_mb       29.68 vs 29.66 MB, won 6 of 10, ratio 0.999
+                    [0.993, 1.002]: unresolved
+Every interval contains 1 and every median gap is within the parent's
+IQR. An earlier A/A on this host had the "change" side win 8 of 10 on
+ns_per_peer_tick and setup_s while the host drifted from ~2 800 to
+~3 900 ns; a percentile bootstrap then excluded 1 on both, while
+[r(2), r(9)] with 2 ratios above 1 contains it.
 """
 import argparse
 import json
+import math
 import os
-import random
 import re
 import statistics
 import subprocess
@@ -54,7 +51,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BENCHMARK = os.path.join(HERE, "..", "BENCHMARK.json")
-BOOTSTRAP_RESAMPLES = 10000
+MAX_MISS = 0.025  # most probability each interval end may miss the median
 DIGEST = re.compile(r"digest start (\S+) end (\S+)")
 
 
@@ -73,13 +70,25 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def bootstrap_interval(ratios, resamples=BOOTSTRAP_RESAMPLES, seed=1):
-    """95 % percentile-bootstrap interval of the median of `ratios`."""
-    rng = random.Random(seed)
+def median_interval(ratios):
+    """Distribution-free interval for the median of `ratios`.
+
+    [r(k), r(n-k+1)] of the sorted values, with k the largest k for which
+    P(Binom(n, 1/2) <= k-1) <= MAX_MISS; it covers the median with
+    probability 1 - 2 P(Binom(n, 1/2) <= k-1), whatever the distribution.
+    Returns (lo, hi, coverage), or None when n is too small for any k.
+    """
     n = len(ratios)
-    medians = sorted(
-        statistics.median(rng.choices(ratios, k=n)) for _ in range(resamples))
-    return medians[int(0.025 * resamples)], medians[int(0.975 * resamples) - 1]
+    k, miss, tail = 0, 0.0, 0.0
+    for j in range(n + 1):
+        tail += math.comb(n, j) / 2 ** n
+        if tail > MAX_MISS:
+            break
+        k, miss = j + 1, tail
+    if k == 0:
+        return None
+    r = sorted(ratios)
+    return r[k - 1], r[n - k], 1.0 - 2.0 * miss
 
 
 def compare(parent, change, lower_is_better):
@@ -88,12 +97,14 @@ def compare(parent, change, lower_is_better):
     ratios = [c / p for p, c in zip(parent, change)]
     wins = sum((c < p) if lower_is_better else (c > p)
                for p, c in zip(parent, change))
-    lo, hi = bootstrap_interval(ratios)
+    interval = median_interval(ratios)
     pq = quartiles(parent)
     cq = quartiles(change)
-    if lo <= 1.0 <= hi:
+    if interval is None:
+        verdict = "too few pairs"
+    elif interval[0] <= 1.0 <= interval[1]:
         verdict = "unresolved"
-    elif (hi < 1.0) == lower_is_better:
+    elif (interval[1] < 1.0) == lower_is_better:
         verdict = "change better"
     else:
         verdict = "change worse"
@@ -103,7 +114,7 @@ def compare(parent, change, lower_is_better):
         "wins": wins,
         "pairs": len(ratios),
         "ratio": statistics.median(ratios),
-        "interval": (lo, hi),
+        "interval": interval,
         "verdict": verdict,
         "beyond_parent_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0],
     }
@@ -125,12 +136,15 @@ def fmt(x):
 
 def report(name, s):
     p, c = s["parent"], s["change"]
-    lo, hi = s["interval"]
+    interval = ""
+    if s["interval"] is not None:
+        lo, hi, coverage = s["interval"]
+        interval = f"  {100 * coverage:.1f}% [{lo:.3f}, {hi:.3f}]"
     print(f"{name}\n"
           f"  parent median {fmt(p[1])}  quartiles {fmt(p[0])}-{fmt(p[2])}\n"
           f"  change median {fmt(c[1])}  quartiles {fmt(c[0])}-{fmt(c[2])}\n"
           f"  change won {s['wins']} of {s['pairs']}; median ratio "
-          f"{s['ratio']:.3f}  95% [{lo:.3f}, {hi:.3f}]  {s['verdict']}; "
+          f"{s['ratio']:.3f}{interval}  {s['verdict']}; "
           f"median gap {'exceeds' if s['beyond_parent_iqr'] else 'within'}"
           f" the parent's IQR")
 
@@ -182,11 +196,24 @@ def selftest():
     check("quartiles of 1..9", quartiles([5, 1, 9, 3, 7, 2, 8, 4, 6])
           == (3, 5, 7))
     check("quartiles of one value", quartiles([4.0]) == (4.0, 4.0, 4.0))
-    check("bootstrap is seeded",
-          bootstrap_interval([0.9, 1.1, 1.0, 0.95])
-          == bootstrap_interval([0.9, 1.1, 1.0, 0.95]))
-    check("bootstrap of a constant",
-          bootstrap_interval([0.8] * 10) == (0.8, 0.8))
+    ten = [0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 0.99, 0.995]
+    lo, hi, coverage = median_interval(list(reversed(ten)))
+    check("10 pairs: [r(2), r(9)] covering 97.9 %",
+          (lo, hi) == (0.92, 0.99) and coverage == 1 - 22 / 1024)
+    check("6 pairs: [r(1), r(6)]", median_interval(ten[:6])[:2] == (0.91, 0.96))
+    check("5 pairs: no interval", median_interval(ten[:5]) is None)
+
+    # The recorded A/A's win count: 8 of 10 ratios below 1.
+    eight = ten[:8] + [1.01, 1.02]
+    check("8 of 10 below 1 is unresolved",
+          compare([1.0] * 10, eight, lower_is_better=True)["verdict"]
+          == "unresolved")
+    check("10 of 10 below 1 resolves",
+          compare([1.0] * 10, ten, lower_is_better=True)["verdict"]
+          == "change better")
+    check("5 pairs are too few",
+          compare([1.0] * 5, ten[:5], lower_is_better=True)["verdict"]
+          == "too few pairs")
 
     parent = [100, 102, 98, 101, 99, 103, 100, 97, 104, 100]
     faster = [90, 91, 89, 92, 88, 90, 91, 90, 93, 89]
@@ -204,8 +231,8 @@ def selftest():
     same = compare(parent, list(reversed(parent)), lower_is_better=True)
     check("A/A-like data is unresolved", same["verdict"] == "unresolved")
     check("A/A-like gap within the IQR", not same["beyond_parent_iqr"])
-    noisy = [100, 100, 100, 100, 100]
-    mixed = [95, 104, 97, 103, 99]
+    noisy = [100, 100, 100, 100, 100, 100]
+    mixed = [95, 104, 97, 103, 99, 94]
     s = compare(noisy, mixed, lower_is_better=True)
     check("interval containing 1 is unresolved",
           s["interval"][0] <= 1.0 <= s["interval"][1]
