@@ -5,12 +5,12 @@
 // Runs a steady broadcast, injects a 5x burst of arrivals, and compares
 // startup behaviour before, during and after the crowd — the mechanism
 // behind the paper's Fig. 7 and its §V-C mCache discussion.
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/continuity.h"
 #include "analysis/session_analysis.h"
 #include "analysis/table.h"
+#include "bench_util.h"
 #include "logging/log_server.h"
 #include "logging/sessions.h"
 #include "sim/simulation.h"
@@ -18,8 +18,11 @@
 
 int main(int argc, char** argv) {
   using namespace coolstream;
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  std::uint64_t seed = 7;
+  if (argc > 2 || (argc == 2 && !bench::parse_whole(argv[1], seed))) {
+    std::cerr << "usage: " << argv[0] << " [seed]\n";
+    return 2;
+  }
 
   // 200 steady viewers; at t=900 s a crowd of ~800 more floods in.
   workload::Scenario scenario =

@@ -7,13 +7,13 @@
 // Phase 1 simulates an evening broadcast and writes the raw log strings.
 // Phase 2 loads the file into a fresh LogServer (as an offline analyzer
 // would), reconstructs sessions and prints a broadcast report.
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/continuity.h"
 #include "analysis/lorenz.h"
 #include "analysis/session_analysis.h"
 #include "analysis/table.h"
+#include "bench_util.h"
 #include "logging/log_server.h"
 #include "logging/sessions.h"
 #include "sim/simulation.h"
@@ -21,8 +21,11 @@
 
 int main(int argc, char** argv) {
   using namespace coolstream;
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 27;
+  std::uint64_t seed = 27;
+  if (argc > 3 || (argc > 1 && !bench::parse_whole(argv[1], seed))) {
+    std::cerr << "usage: " << argv[0] << " [seed] [log-path]\n";
+    return 2;
+  }
   const std::string path =
       argc > 2 ? argv[2] : "coolstreaming_broadcast.log";
 

@@ -8,7 +8,6 @@
 // conclusion ("highly unbalanced distribution in term of uploading
 // contributions ... has significant implications on the resource
 // provisioning in the system").
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/continuity.h"
@@ -16,6 +15,7 @@
 #include "analysis/overlay.h"
 #include "analysis/session_analysis.h"
 #include "analysis/table.h"
+#include "bench_util.h"
 #include "logging/log_server.h"
 #include "logging/sessions.h"
 #include "sim/simulation.h"
@@ -46,8 +46,11 @@ workload::UserTypeModel with_capable_share(double capable) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;
+  std::uint64_t seed = 11;
+  if (argc > 2 || (argc == 2 && !bench::parse_whole(argv[1], seed))) {
+    std::cerr << "usage: " << argv[0] << " [seed]\n";
+    return 2;
+  }
 
   std::cout << "Sweep: share of publicly reachable (direct+UPnP) peers\n"
             << "300 steady viewers, 3 servers with 8 partner slots each\n";

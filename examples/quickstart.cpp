@@ -6,13 +6,13 @@
 // Walks the whole public API end to end: build a Scenario, run it, parse
 // the log server's log, reconstruct sessions, and print startup delays,
 // continuity and the overlay census.
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/continuity.h"
 #include "analysis/overlay.h"
 #include "analysis/session_analysis.h"
 #include "analysis/table.h"
+#include "bench_util.h"
 #include "logging/log_server.h"
 #include "logging/sessions.h"
 #include "sim/simulation.h"
@@ -21,8 +21,11 @@
 int main(int argc, char** argv) {
   using namespace coolstream;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  std::uint64_t seed = 42;
+  if (argc > 2 || (argc == 2 && !bench::parse_whole(argv[1], seed))) {
+    std::cerr << "usage: " << argv[0] << " [seed]\n";
+    return 2;
+  }
 
   // A 20-minute broadcast holding ~300 concurrent viewers, with the
   // paper's 2006 population mix and 4 dedicated servers.

@@ -9,12 +9,12 @@
 // outcomes.  This is the experiment methodology the paper could not run
 // on its production system: same users, different protocol.
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/continuity.h"
 #include "analysis/session_analysis.h"
 #include "analysis/table.h"
+#include "bench_util.h"
 #include "logging/log_server.h"
 #include "logging/sessions.h"
 #include "sim/simulation.h"
@@ -53,8 +53,11 @@ Outcome replay(const workload::Scenario& scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 33;
+  std::uint64_t seed = 33;
+  if (argc > 2 || (argc == 2 && !bench::parse_whole(argv[1], seed))) {
+    std::cerr << "usage: " << argv[0] << " [seed]\n";
+    return 2;
+  }
 
   workload::Scenario base =
       workload::Scenario::steady(250, units::Duration(1500.0));

@@ -39,7 +39,7 @@ enum class McachePolicy : unsigned char {
 /// (public address or UPnP mapping), so it never wastes a connection
 /// attempt on a plain-NAT peer.
 /// Ordered tick-first so the 4-byte id and the flag share one word and
-/// the struct packs to 16 bytes (layout_audit.h pins it).
+/// the struct packs to 16 bytes.
 struct McacheEntry {
   Tick first_seen{};     ///< when this node (reportedly) joined
   net::NodeId id = net::kInvalidNode;

@@ -21,7 +21,7 @@
 namespace coolstream::core {
 
 /// What a peer knows about one partner, apart from its lanes.  Ordered
-/// ticks-first so the only padding is the tail (layout_audit.h pins it).
+/// ticks-first so the only padding is the tail.
 struct PartnerRecord {
   Tick established{};
   OptionalTick bm_time;          ///< when its map was received (empty: never)

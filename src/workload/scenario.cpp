@@ -1,6 +1,5 @@
 #include "workload/scenario.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -43,7 +42,10 @@ Scenario Scenario::evening(std::size_t peak_users, units::Duration span) {
   // every finite double), so traces are bit-identical to the old raw-hours
   // signature.
   const double hours = span.value() / 3600.0;
-  assert(hours >= 2.0 && "evening preset needs at least 2 simulated hours");
+  if (!(hours >= 2.0)) {
+    throw std::invalid_argument(
+        "Scenario: evening preset needs at least 2 simulated hours");
+  }
   Scenario s;
   constexpr double h = 3600.0;
   s.end_time = hours * h;

@@ -55,8 +55,9 @@ struct Scenario {
   static Scenario steady(std::size_t target_users, units::Duration duration);
 
   /// An evening broadcast: ramp + peak + program end, compressed into
-  /// `span` (>= 2 hours) of simulated time, peaking around `peak_users`
-  /// concurrent viewers.  This is the workload behind Figs. 6, 8 and 10.
+  /// `span` (>= 2 hours, else std::invalid_argument) of simulated time,
+  /// peaking around `peak_users` concurrent viewers.  This is the workload
+  /// behind Figs. 6, 8 and 10.
   static Scenario evening(std::size_t peak_users,
                           units::Duration span = units::Duration::hours(4.0));
 

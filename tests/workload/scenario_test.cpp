@@ -34,6 +34,12 @@ TEST(ScenarioTest, EveningPresetHasProgramEnd) {
             s.arrivals.rate(s.end_time));
 }
 
+TEST(ScenarioTest, EveningPresetRejectsSpansUnderTwoHours) {
+  // Thrown, not asserted: a release build must not build the broken ramp.
+  EXPECT_THROW(Scenario::evening(500, units::Duration::hours(1.5)),
+               std::invalid_argument);
+}
+
 TEST(ScenarioTest, FlashCrowdPresetAddsCrowd) {
   const Scenario s = Scenario::flash_crowd(50, 200, units::Duration(300.0),
                                            units::Duration(900.0));

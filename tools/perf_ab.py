@@ -25,6 +25,12 @@ the 10 ratios fall on one side of it. The tool also says whether the
 medians differ by more than the parent's interquartile range. Runs are
 sequential; concurrent pinned runs are not implemented.
 
+As a diagnostic, not a BENCHMARK.json metric, it also prints each side's
+median user CPU per child (`ru_utime` from `os.wait4`, covering the
+child's setup and every pass) and their paired ratio with the same
+interval. Wall time on a shared host includes time the child waited
+for a core; user CPU does not.
+
 Calibration (4-vCPU Xeon VM on a shared host, 1 shard, --seconds 10;
 ns_per_peer_tick in ns), A/A, steady_peak seed 1, 10 pairs, one binary
 on both sides:
@@ -53,6 +59,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 BENCHMARK = os.path.join(HERE, "..", "BENCHMARK.json")
 MAX_MISS = 0.025  # most probability each interval end may miss the median
 DIGEST = re.compile(r"digest start (\S+) end (\S+)")
+USER_CPU = "user_cpu_s"  # diagnostic only: not in BENCHMARK.json
 
 
 def end_to_end(path):
@@ -120,14 +127,27 @@ def compare(parent, change, lower_is_better):
     }
 
 
+def run_child(cmd):
+    """(stdout, user CPU seconds) of one child, reaped with os.wait4."""
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, cmd, out)
+    return out, usage.ru_utime
+
+
 def run_once(binary, args):
-    out = subprocess.run([binary] + args, stdout=subprocess.PIPE, text=True,
-                         check=True).stdout
+    out, user_cpu = run_child([binary] + args)
     result = json.loads(out.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         sys.exit(f"perf_ab: {binary} failed its output checks")
     digests = DIGEST.findall(out)
-    return {k: v["value"] for k, v in result["metrics"].items()}, digests
+    values = {k: v["value"] for k, v in result["metrics"].items()}
+    values[USER_CPU] = user_cpu
+    return values, digests
 
 
 def fmt(x):
@@ -181,9 +201,12 @@ def main(argv):
         print(f"pair {i + 1}: " + "  ".join(
             f"{m} {fmt(runs['parent'][-1][m])} -> {fmt(runs['change'][-1][m])}"
             for m, _ in metrics), flush=True)
-    for m, lower in metrics:
-        report(m, compare([r[m] for r in runs["parent"]],
-                          [r[m] for r in runs["change"]], lower))
+    for m, lower in metrics + [(USER_CPU, True)]:
+        name = m if m != USER_CPU else (
+            f"{USER_CPU} (diagnostic: user CPU per child, "
+            f"not a BENCHMARK.json metric)")
+        report(name, compare([r[m] for r in runs["parent"]],
+                             [r[m] for r in runs["change"]], lower))
     return 0
 
 
@@ -239,6 +262,20 @@ def selftest():
           and s["verdict"] == "unresolved")
     check("end-to-end metrics load",
           ("ns_per_peer_tick", True) in end_to_end(BENCHMARK))
+    check("user CPU is not an end-to-end metric",
+          USER_CPU not in dict(end_to_end(BENCHMARK)))
+
+    # A child that spins ~0.3 s of CPU: its own rusage, not the tool's.
+    spin = ("import time\nt = time.process_time()\n"
+            "while time.process_time() - t < 0.3: pass\nprint('spun')")
+    out, user_cpu = run_child([sys.executable, "-c", spin])
+    check("child stdout is read", out == "spun\n")
+    check("child user CPU from wait4", 0.2 <= user_cpu < 5.0)
+    try:
+        run_child([sys.executable, "-c", "raise SystemExit(3)"])
+        check("failing child raises", False)
+    except subprocess.CalledProcessError as e:
+        check("failing child raises", e.returncode == 3)
 
     failures = [what for what, ok in checks if not ok]
     for what in failures:
