@@ -23,14 +23,9 @@ coolstream_bench(overhead)
 coolstream_bench(convergence)
 coolstream_bench(tree_vs_mesh)
 coolstream_bench(ablation_mcache)
-coolstream_bench(ablation_allocation)
 coolstream_bench(ablation_substreams)
 coolstream_bench(ablation_thresholds)
 coolstream_bench(protocol_hotpath)
-
-add_executable(bench_micro_event_queue ${CMAKE_SOURCE_DIR}/bench/micro_event_queue.cpp)
-set_target_properties(bench_micro_event_queue PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-target_link_libraries(bench_micro_event_queue PRIVATE coolstream_sim coolstream_warnings)
 
 add_executable(bench_micro_substrate ${CMAKE_SOURCE_DIR}/bench/micro_substrate.cpp)
 set_target_properties(bench_micro_substrate PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

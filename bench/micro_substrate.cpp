@@ -1,7 +1,11 @@
 // google-benchmark micro-benchmarks of the substrates: event queue, RNG,
-// buffer structures, allocation policy, wire formats.  These guard the
+// buffer structures, uplink sharing, wire formats.  These guard the
 // hot paths that make the figure benches tractable on one core.
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <cstdint>
+#include <vector>
 
 #include "core/sync_buffer.h"
 #include "logging/reports.h"
@@ -48,6 +52,92 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(64)->Arg(4096);
+
+// Replay of the flash_crash event-time profile, recorded by counting
+// schedules, cancels and fires inside the event queue over the three
+// untraced passes of `perfbench/run.py --workload flash_crash --seed 11
+// --seconds 10` (780 ticks, 3.27 M schedules, 3.21 M fires).  Quantiles
+// are linearly interpolated into an inverse CDF.
+constexpr std::array<double, 20> kQuantiles = {
+    0,    0.01, 0.05, 0.1,  0.2,   0.3,  0.4,   0.5,   0.6,   0.7,
+    0.8,  0.9,  0.95, 0.97, 0.98,  0.985, 0.99, 0.995, 0.999, 1};
+// Events scheduled by one tick (the effect flush), per tick.
+constexpr std::array<double, 20> kBurst = {
+    2,    15,   111,  226,  464,  771,  1080, 1193, 1249, 1314,
+    2636, 3181, 3881, 3997, 4023, 4033, 4101, 4136, 4178, 4178};
+// Delay (s) from now of events scheduled by the tick: latency-window
+// deliveries, then a ~2% tail of session and patience timers.
+constexpr std::array<double, 20> kDelayInTick = {
+    0.0061, 0.0188, 0.0284, 0.0358, 0.0472, 0.0579, 0.0694,
+    0.0829, 0.0992, 0.1227, 0.1644, 0.3023, 0.4718, 0.5546,
+    0.7915, 124.9,  290.2,  663.1,  2102.5, 50954.1};
+// Delay (s) of events scheduled by events firing between ticks.
+constexpr std::array<double, 20> kDelayBetween = {
+    0.0050, 0.0131, 0.0275, 0.0354, 0.0473, 0.0584, 0.0700,
+    0.0834, 0.1004, 0.1244, 0.1677, 0.3032, 0.4689, 0.5467,
+    0.6504, 25.60,  48.15,  92.37,  134.9,  405.6};
+// 2.13 M of the 3.21 M fires between ticks scheduled a follow-up; 25 065
+// of the 3.27 M schedules were cancelled (the tick itself is the only
+// periodic series of note: 0.05% of fires).
+constexpr double kFollowUpShare = 0.6635;
+constexpr double kCancelShare = 0.0077;
+constexpr double kTickPeriod = 0.5;
+constexpr std::size_t kRecentHandles = 4096;
+constexpr std::uint64_t kBurstFires = 400000;
+
+double draw(sim::Rng& rng, const std::array<double, 20>& table) {
+  const double u = rng.uniform();
+  std::size_t i = 1;
+  while (i + 1 < kQuantiles.size() && kQuantiles[i] < u) ++i;
+  const double f = (u - kQuantiles[i - 1]) / (kQuantiles[i] - kQuantiles[i - 1]);
+  return table[i - 1] + f * (table[i] - table[i - 1]);
+}
+
+/// Drives one queue through the tick_burst profile until kBurstFires
+/// deliveries have fired.  Each event captures its own fire time.
+struct TickBurst {
+  sim::EventQueue queue;
+  sim::Rng rng{17};
+  std::vector<sim::EventHandle> recent =
+      std::vector<sim::EventHandle>(kRecentHandles);
+  std::size_t next_recent = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t ticks = 0;
+
+  void schedule(double at) {
+    if (rng.chance(kCancelShare)) recent[rng.below(kRecentHandles)].cancel();
+    recent[next_recent++ % kRecentHandles] =
+        queue.schedule(sim::Time(at), [this, at] { deliver(at); });
+  }
+  void deliver(double now) {
+    ++fired;
+    if (rng.chance(kFollowUpShare)) schedule(now + draw(rng, kDelayBetween));
+  }
+  void tick() {
+    const double now = kTickPeriod * static_cast<double>(++ticks);
+    const auto n = static_cast<std::size_t>(draw(rng, kBurst));
+    for (std::size_t i = 0; i < n; ++i) schedule(now + draw(rng, kDelayInTick));
+  }
+  void run() {
+    auto series = queue.schedule_every(sim::Time(kTickPeriod),
+                                       sim::Duration(kTickPeriod),
+                                       [this] { tick(); });
+    while (fired < kBurstFires && queue.run_next()) {
+    }
+    series.cancel();
+  }
+};
+
+void BM_EventQueueTickBurst(benchmark::State& state) {
+  std::int64_t fires = 0;
+  for (auto _ : state) {
+    TickBurst burst;
+    burst.run();
+    fires += static_cast<std::int64_t>(burst.fired);
+  }
+  state.SetItemsProcessed(fires);
+}
+BENCHMARK(BM_EventQueueTickBurst)->Unit(benchmark::kMillisecond);
 
 void BM_SimulationPeriodicTick(benchmark::State& state) {
   for (auto _ : state) {

@@ -558,12 +558,8 @@ void System::flow_rates(std::size_t shard, Duration dt) {
       capacity = capacity * faults_->capacity_factor(now(), id);
     }
     rates.resize(links.size());
-    if (config_.allocation == AllocationPolicy::kMaxMinFair) {
-      scratch.active.resize(links.size());
-      net::max_min_fair(capacity, demands, rates, scratch.active);
-    } else {
-      net::equal_share(capacity, demands, rates);
-    }
+    scratch.active.resize(links.size());
+    net::max_min_fair(capacity, demands, rates, scratch.active);
 
     // Publish one InFlow slot per granted link.
     for (std::size_t k = 0; k < links.size(); ++k) {

@@ -52,13 +52,6 @@ namespace coolstream::core {
 
 class InvariantAuditor;
 
-/// Uplink sharing policy of the data plane (ablation: §V-E's "system
-/// capacity" factor depends on how well uplinks are used).
-enum class AllocationPolicy : unsigned char {
-  kMaxMinFair = 0,  ///< progressive filling; surplus is redistributed
-  kEqualShare = 1,  ///< naive per-connection split; surplus can be wasted
-};
-
 /// Encoder -> server delay, seconds.
 inline constexpr double kServerLag = 0.2;
 
@@ -74,7 +67,6 @@ struct SystemConfig {
   double server_capacity_bps = 100e6;    ///< 100 Mbps each (§V-A)
   int server_max_partners = 50;          ///< servers accept more partners
   McachePolicy mcache_policy = McachePolicy::kRandomReplace;
-  AllocationPolicy allocation = AllocationPolicy::kMaxMinFair;
   /// Simulated seconds between runtime invariant audits (core/invariants.h);
   /// 0 (the default) attaches no auditor.
   double audit_period = 0.0;

@@ -48,36 +48,11 @@ void max_min_fair(BlockRate capacity, std::span<const BlockRate> demands,
   }
 }
 
-void equal_share(BlockRate capacity, std::span<const BlockRate> demands,
-                 std::span<BlockRate> rates) {
-  assert(capacity >= BlockRate::zero());
-  const std::size_t n = demands.size();
-  assert(rates.size() == n);
-  std::fill(rates.begin(), rates.end(), BlockRate::zero());
-  std::size_t positive = 0;
-  for (BlockRate d : demands) {
-    assert(d >= BlockRate::zero());
-    if (d > BlockRate::zero()) ++positive;
-  }
-  if (positive == 0) return;
-  const BlockRate share = capacity / static_cast<double>(positive);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (demands[i] > BlockRate::zero()) rates[i] = std::min(demands[i], share);
-  }
-}
-
 std::vector<BlockRate> max_min_fair(BlockRate capacity,
                                     std::span<const BlockRate> demands) {
   std::vector<BlockRate> rates(demands.size());
   std::vector<std::size_t> active(demands.size());
   max_min_fair(capacity, demands, rates, active);
-  return rates;
-}
-
-std::vector<BlockRate> equal_share(BlockRate capacity,
-                                   std::span<const BlockRate> demands) {
-  std::vector<BlockRate> rates(demands.size());
-  equal_share(capacity, demands, rates);
   return rates;
 }
 

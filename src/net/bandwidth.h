@@ -33,19 +33,8 @@ using units::BlockRate;
 void max_min_fair(BlockRate capacity, std::span<const BlockRate> demands,
                   std::span<BlockRate> rates, std::span<std::size_t> active);
 
-/// Equal-share allocation with per-connection caps, written into `rates`:
-/// every connection gets capacity/n, except connections whose demand is
-/// lower keep only their demand, with the surplus left unused.  This
-/// models a simple TCP-like split without the iterative redistribution of
-/// max-min fairness; the difference between the two policies is an
-/// ablation bench.
-void equal_share(BlockRate capacity, std::span<const BlockRate> demands,
-                 std::span<BlockRate> rates);
-
-/// Allocating forms of the two policies (tests and micro-benches).
+/// Allocating form (tests and micro-benches).
 std::vector<BlockRate> max_min_fair(BlockRate capacity,
                                     std::span<const BlockRate> demands);
-std::vector<BlockRate> equal_share(BlockRate capacity,
-                                   std::span<const BlockRate> demands);
 
 }  // namespace coolstream::net

@@ -1,7 +1,6 @@
 // Data-plane conservation laws: every delivered block is accounted once
 // on each side of the connection, and byte totals tie out with the
-// system-wide transfer counter — under either uplink allocation policy and
-// at any shard count.
+// system-wide transfer counter, at any shard count.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -13,17 +12,15 @@
 namespace coolstream::core {
 namespace {
 
-/// (seed, F1 allocation policy, shard count).
+/// (seed, shard count).
 class FlowConservationTest
-    : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, AllocationPolicy, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
 
 TEST_P(FlowConservationTest, BytesBalance) {
-  const auto [seed, allocation, shards] = GetParam();
+  const auto [seed, shards] = GetParam();
   workload::Scenario scenario =
       workload::Scenario::steady(120, units::Duration(900.0));
   scenario.system.server_count = 3;
-  scenario.system.allocation = allocation;
   scenario.system.shards = shards;
   sim::Simulation simulation(seed);
   logging::LogServer log;
@@ -62,8 +59,6 @@ TEST_P(FlowConservationTest, BytesBalance) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, FlowConservationTest,
     ::testing::Combine(::testing::Values(101u, 202u, 303u),
-                       ::testing::Values(AllocationPolicy::kMaxMinFair,
-                                         AllocationPolicy::kEqualShare),
                        ::testing::Values(1, 4)));
 
 TEST(FlowConservationTest2, ServersOnlyUpload) {

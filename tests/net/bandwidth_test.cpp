@@ -163,7 +163,6 @@ TEST(MaxMinFairTest, SpanFormMatchesReferenceBitForBit) {
   constexpr std::size_t kMaxLinks = 40;
   std::vector<BlockRate> rates_buf(kMaxLinks);
   std::vector<std::size_t> active(kMaxLinks);
-  std::vector<BlockRate> equal_buf(kMaxLinks);
   for (int trial = 0; trial < 2000; ++trial) {
     const auto n = static_cast<std::size_t>(
         trial % 7 == 0 ? rng.uniform_int(20, 40) : rng.uniform_int(0, 12));
@@ -176,48 +175,16 @@ TEST(MaxMinFairTest, SpanFormMatchesReferenceBitForBit) {
     }
     const BlockRate capacity(rng.chance(0.1) ? 0.0 : rng.uniform(0.0, 40.0));
     std::fill(rates_buf.begin(), rates_buf.end(), BlockRate(-1.0));
-    std::fill(equal_buf.begin(), equal_buf.end(), BlockRate(-1.0));
     const std::span<BlockRate> rates(rates_buf.data(), n);
     max_min_fair(capacity, demands, rates, active);
 
     const auto expected = reference_max_min_fair(capacity, demands);
     const auto wrapped = max_min_fair(capacity, demands);
-    const auto equal_wrapped = equal_share(capacity, demands);
-    equal_share(capacity, demands, std::span<BlockRate>(equal_buf.data(), n));
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(rates[i].value(), expected[i].value())
           << "trial " << trial << " link " << i;
       ASSERT_EQ(wrapped[i].value(), expected[i].value());
-      ASSERT_EQ(equal_buf[i].value(), equal_wrapped[i].value());
     }
-  }
-}
-
-TEST(EqualShareTest, CapsAtDemand) {
-  const auto d = rates_of({1.0, 10.0});
-  const auto r = equal_share(BlockRate(10.0), d);
-  EXPECT_EQ(r[0], BlockRate(1.0));
-  EXPECT_EQ(r[1], BlockRate(5.0));  // surplus NOT redistributed
-}
-
-TEST(EqualShareTest, ZeroDemandExcludedFromSplit) {
-  const auto d = rates_of({0.0, 10.0, 10.0});
-  const auto r = equal_share(BlockRate(8.0), d);
-  EXPECT_EQ(r[0], BlockRate::zero());
-  EXPECT_EQ(r[1], BlockRate(4.0));
-  EXPECT_EQ(r[2], BlockRate(4.0));
-}
-
-TEST(EqualShareTest, NeverExceedsMaxMinTotal) {
-  sim::Rng rng(99);
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 8));
-    std::vector<BlockRate> demands(n);
-    for (auto& d : demands) d = BlockRate(rng.uniform(0.0, 5.0));
-    const BlockRate capacity(rng.uniform(0.0, 12.0));
-    const double eq = total(equal_share(capacity, demands));
-    const double mm = total(max_min_fair(capacity, demands));
-    ASSERT_LE(eq, mm + 1e-9);  // max-min wastes nothing; equal share may
   }
 }
 

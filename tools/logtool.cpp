@@ -12,7 +12,8 @@
 //
 // Generate a log with examples/live_event_replay or any ScenarioRunner
 // attached to a LogServer saved via LogServer::save().
-#include <cstring>
+#include <cmath>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -21,6 +22,7 @@
 #include "analysis/lorenz.h"
 #include "analysis/session_analysis.h"
 #include "analysis/table.h"
+#include "bench_util.h"
 #include "logging/log_server.h"
 #include "logging/sessions.h"
 
@@ -29,10 +31,10 @@ namespace {
 using namespace coolstream;
 
 int usage() {
-  std::cerr
-      << "usage: coolstream_logtool "
-         "{summary|sessions|qos|continuity|types|retries} <log-file> "
-         "[args]\n";
+  std::cerr << "usage: coolstream_logtool "
+               "{summary|sessions|qos|types|retries} <log-file>\n"
+               "       coolstream_logtool continuity <log-file> "
+               "[bucket-seconds]\n";
   return 2;
 }
 
@@ -141,6 +143,17 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string cmd = argv[1];
   const std::string path = argv[2];
+  if (cmd == "continuity") {
+    // An optional bucket width in seconds, finite and > 0, with nothing
+    // after the number.
+    double bucket = 300.0;
+    if (argc > 4 || (argc == 4 && !(bench::parse_whole(argv[3], bucket) &&
+                                    std::isfinite(bucket) && bucket > 0.0))) {
+      return usage();
+    }
+    return cmd_continuity(path, bucket);
+  }
+  if (argc > 3) return usage();
   if (cmd == "summary") return cmd_summary(path);
   if (cmd == "sessions") {
     analysis::write_sessions_csv(std::cout,
@@ -150,10 +163,6 @@ int main(int argc, char** argv) {
   if (cmd == "qos") {
     analysis::write_qos_csv(std::cout, load(path, nullptr, nullptr));
     return 0;
-  }
-  if (cmd == "continuity") {
-    const double bucket = argc > 3 ? std::strtod(argv[3], nullptr) : 300.0;
-    return cmd_continuity(path, bucket > 0.0 ? bucket : 300.0);
   }
   if (cmd == "types") return cmd_types(path);
   if (cmd == "retries") return cmd_retries(path);
