@@ -17,73 +17,18 @@
 //   scale_pct  scales the 2000-viewer population (10 = smoke run)
 //
 // This binary replaces global operator new/delete with counting versions
-// so allocations/peer-tick and live heap bytes are measured, not estimated.
-// Both are functions of the seed and scale alone (for a given C library),
-// which is what lets CI gate them.
+// (counting_allocator.h) so allocations/peer-tick and live heap bytes are
+// measured, not estimated.  Both are functions of the seed and scale
+// alone (for a given C library), which is what lets CI gate them.
 #include <chrono>  // bench wall-time measurement only
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
-
-#include <malloc.h>  // malloc_usable_size
 
 #include "bench_util.h"
+#include "counting_allocator.h"
 #include "logging/log_server.h"
 #include "sim/simulation.h"
 #include "workload/scenario.h"
-
-namespace {
-
-std::uint64_t g_allocations = 0;
-/// Usable bytes of every block operator new handed out and not yet freed.
-std::uint64_t g_live_heap_bytes = 0;
-
-void* counted(void* p) {
-  if (p == nullptr) throw std::bad_alloc();
-  ++g_allocations;
-  g_live_heap_bytes += malloc_usable_size(p);
-  return p;
-}
-
-void* counted_alloc(std::size_t size) { return counted(std::malloc(size)); }
-
-void* counted_alloc(std::size_t size, std::align_val_t align) {
-  return counted(std::aligned_alloc(
-      static_cast<std::size_t>(align),
-      (size + static_cast<std::size_t>(align) - 1) &
-          ~(static_cast<std::size_t>(align) - 1)));
-}
-
-void counted_free(void* p) noexcept {
-  g_live_heap_bytes -= malloc_usable_size(p);  // 0 for nullptr
-  std::free(p);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept {
-  counted_free(p);
-}
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
 
 namespace coolstream::bench {
 namespace {

@@ -165,31 +165,17 @@ void InvariantAuditor::check_peer(const Peer& p,
   }
 
   // --- buffer-map agreement (§III-C) --------------------------------------
-  for (const PartnerView ps : p.partners()) {
-    if (!ps.bm_time()) continue;  // never received one
-    const Peer* sender = sys_.live_peer(ps.id());
-    for (SubstreamId j : substreams(k)) {
-      const SeqNum lat = ps.latest(j);
-      if (lat < kNoSeq) {
-        add(InvariantRule::kBufferMapAgreement, ps.id(),
-            "stored buffer map advertises sequence below -1");
-        break;
-      }
-      if (lat > sys_.source_head(j, now) + BlockCount(1)) {
-        add(InvariantRule::kBufferMapAgreement, ps.id(),
-            "stored buffer map advertises a block beyond the encoder");
-        break;
-      }
-      // Heads are monotone, so a BM snapshot can never exceed the sender's
-      // current head — a higher value is a stale/forged advertisement.
-      if (sender != nullptr && lat > sender->head(j)) {
-        add(InvariantRule::kBufferMapAgreement, ps.id(),
-            "stored buffer map is ahead of the sender's own head");
-        break;
-      }
-    }
-  }
+  // Partners read this node's maps from its one advertisement.  Heads are
+  // monotone, so a snapshot of them lies in [-1, head]: anything else is a
+  // stale or forged advertisement (and a head beyond the encoder is
+  // reported on its own).
+  const Advertisement& ad = sys_.advertisements()[id];
   for (SubstreamId j : substreams(k)) {
+    const SeqNum lat = ad.lanes[j.index()];
+    if (ad.time && (lat < kNoSeq || lat > p.head(j))) {
+      add(InvariantRule::kBufferMapAgreement, net::kInvalidNode,
+          "advertised buffer map outside [-1, its owner's head]");
+    }
     if (p.head(j) > sys_.source_head(j, now) + BlockCount(1)) {
       add(InvariantRule::kBufferMapAgreement, net::kInvalidNode,
           "sync-buffer head beyond the encoder position");
@@ -356,6 +342,11 @@ void InvariantTestAccess::do_gossip(Peer& p) { p.do_gossip(); }
 Mcache& InvariantTestAccess::mcache(Peer& p) { return p.mcache_; }
 
 Tick& InvariantTestAccess::next_bm_push(Peer& p) { return p.next_bm_push_; }
+
+void InvariantTestAccess::mark_mutual(System& sys, net::NodeId a,
+                                      net::NodeId b) {
+  if (Peer* pa = sys.live_peer(a)) sys.mark_mutual(*pa, b);
+}
 
 Tick& InvariantTestAccess::next_adaptation(Peer& p) {
   return p.next_adaptation_;

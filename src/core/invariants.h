@@ -45,7 +45,7 @@ struct SystemStats;
 enum class InvariantRule : unsigned char {
   kPartnerSymmetry = 0,   ///< A lists B <=> B lists A (§III-B)
   kSingleParent = 1,      ///< one serving out-link per (child, sub-stream)
-  kBufferMapAgreement = 2, ///< stored BMs within sender heads / encoder edge
+  kBufferMapAgreement = 2, ///< advertised BMs within owner heads / encoder edge
   kSyncMonotonic = 3,     ///< heads, combined prefix, byte counters forward-only
   kBlockConservation = 4, ///< sum(up) == sum(down) == blocks * block size
   kCensus = 5,            ///< live census; Peer::alive() matches System::is_live()
@@ -119,8 +119,8 @@ class InvariantAuditor {
 
 /// Seeded-corruption hooks for the auditor's own tests: grants the test
 /// suite just enough access to protocol internals to plant each class of
-/// violation (asymmetric partnership, double-parent sub-stream, stale
-/// buffer-map bit, rewound head, leaked bytes) and assert the audit
+/// violation (asymmetric partnership, double-parent sub-stream, forged
+/// buffer map, rewound head, leaked bytes) and assert the audit
 /// reports it.  Never used outside tests.
 struct InvariantTestAccess {
   static PartnerTable& partners(Peer& p);
@@ -137,9 +137,13 @@ struct InvariantTestAccess {
   static void do_gossip(Peer& p);
   /// The peer's mCache, writable (to observe repeated gossip deliveries).
   static Mcache& mcache(Peer& p);
-  /// The peer's next periodic BM broadcast time (settable, so a test can
-  /// make the broadcast fall due on a chosen tick).
+  /// The peer's next periodic BM exchange time (settable, so a test can
+  /// make the exchange fall due on a chosen tick).
   static Tick& next_bm_push(Peer& p);
+  /// Stamps a planted partnership of `a` and `b` mutual as of the current
+  /// tick, as System does when the second side lists the first (no-op
+  /// unless each lists the other).
+  static void mark_mutual(System& sys, net::NodeId a, net::NodeId b);
   /// The peer's next adaptation check time (settable, like next_bm_push).
   static Tick& next_adaptation(Peer& p);
   /// Total element capacity of the per-session containers that

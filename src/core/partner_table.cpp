@@ -11,6 +11,12 @@ std::size_t PartnerTable::index_of(net::NodeId id) const noexcept {
   return kNone;
 }
 
+SeqNum PartnerTable::max_advertised() const noexcept {
+  SeqNum best = kNoSeq;
+  for (const PartnerView ps : *this) best = std::max(best, ps.max_latest());
+  return best;
+}
+
 std::optional<PartnerView> PartnerTable::find(net::NodeId id) const {
   const std::size_t i = index_of(id);
   if (i == kNone) return std::nullopt;
@@ -24,32 +30,23 @@ void PartnerTable::add(net::NodeId id, bool incoming, Tick established) {
   record.id = id;
   record.incoming = incoming;
   records_.push_back(record);
-  lanes_.insert(lanes_.end(), lane_stride(), kNoSeq);
 }
 
 void PartnerTable::erase(net::NodeId id) {
   const std::size_t i = index_of(id);
   if (i == kNone) return;
   records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(i));
-  const auto first =
-      lanes_.begin() + static_cast<std::ptrdiff_t>(i * lane_stride());
-  lanes_.erase(first, first + static_cast<std::ptrdiff_t>(lane_stride()));
 }
 
-bool PartnerTable::receive(net::NodeId id, std::span<const SeqNum> lanes,
-                           Tick at) {
-  assert(lanes.size() == lane_stride());
+bool PartnerTable::mark_mutual(net::NodeId id, std::uint32_t stamp) noexcept {
   const std::size_t i = index_of(id);
   if (i == kNone) return false;
-  std::copy_n(lanes.begin(), lane_stride(),
-              lanes_.begin() + static_cast<std::ptrdiff_t>(i * lane_stride()));
-  records_[i].bm_time = at;
+  if (records_[i].mutual_since == kNotMutual) records_[i].mutual_since = stamp;
   return true;
 }
 
 void PartnerTable::release() noexcept {
   std::vector<PartnerRecord>().swap(records_);
-  std::vector<SeqNum>().swap(lanes_);
 }
 
 }  // namespace coolstream::core

@@ -28,7 +28,7 @@ Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
       sync_(system.params().substream_count),
       rng_(system.rng().stream(sim::peer_stream_tag(id))),
       mcache_(kMcacheSize, system.config().mcache_policy),
-      partners_(system.params().substream_count) {
+      partners_(system.advertisements(), system.params().substream_count) {
   parents_.fill(net::kInvalidNode);
   credits_.fill(0.0);
   sub_since_.fill(Tick::zero());
@@ -148,9 +148,6 @@ void Peer::on_partnership_established(net::NodeId pid, bool incoming) {
   // "The update of the mCache entries is achieved by randomly replacing
   // entries when new partnership is established" (§V-C).
   mcache_.upsert(McacheEntry{sys_.now(), pid, sys_.is_reachable(pid)}, rng_);
-  // Give the new partner our buffer map right away so it can select
-  // parents without waiting for the next periodic exchange.
-  sys_.push_bm(id_, pid, sync_.heads());
 }
 
 void Peer::on_partnership_rejected(net::NodeId pid) {
@@ -166,6 +163,10 @@ void Peer::on_partner_left(net::NodeId pid) {
   if (!alive()) return;
   const std::optional<PartnerView> ps = partners_.find(pid);
   if (!ps) return;
+  // A map seen since our last tick still opened the aggregation window.
+  if (phase_ == PeerPhase::kJoining && !first_bm_at_) {
+    first_bm_at_ = ps->bm_time();
+  }
   const bool was_incoming = ps->incoming();
   partners_.erase(pid);
   if (records_partner_changes()) {
@@ -184,14 +185,6 @@ void Peer::on_partner_left(net::NodeId pid) {
       parents_[j.index()] = net::kInvalidNode;
       if (start_decided_) reselect(j);
     }
-  }
-}
-
-void Peer::on_bm_received(net::NodeId from, std::span<const SeqNum> lanes) {
-  if (!alive()) return;
-  if (!partners_.receive(from, lanes, sys_.now())) return;  // stale
-  if (phase_ == PeerPhase::kJoining && !start_decided_ && !first_bm_at_) {
-    first_bm_at_ = sys_.now();
   }
 }
 
@@ -479,7 +472,7 @@ void Peer::on_tick(Tick now) {
 
   if (now >= next_bm_push_) {
     enforce_partner_silence(now);
-    sys_.broadcast_bm(id_, sync_.heads(), partners_);
+    sys_.exchange_bm(id_, sync_.heads(), partners_.size());
     next_bm_push_ = now + Duration(kBmExchangePeriod);
   }
   if (server) return;
@@ -489,9 +482,17 @@ void Peer::on_tick(Tick now) {
     next_gossip_ = now + Duration(kGossipPeriod);
   }
 
-  if (phase_ == PeerPhase::kJoining && !start_decided_ && first_bm_at_ &&
-      now >= *first_bm_at_ + Duration(kJoinAggregationDelay)) {
-    decide_start_offset();
+  if (phase_ == PeerPhase::kJoining) {
+    // Maps become visible only in a flush, so while none has been seen,
+    // every visible one comes from the last flush: the first exchange kept.
+    // (bm_time() stays empty while no map is visible.)
+    for (const PartnerView ps : partners_) {
+      if (!first_bm_at_) first_bm_at_ = ps.bm_time();
+    }
+    if (first_bm_at_ &&
+        now >= *first_bm_at_ + Duration(kJoinAggregationDelay)) {
+      decide_start_offset();  // leaves kJoining
+    }
   }
   if (phase_ == PeerPhase::kBuffering) check_media_ready(now);
   if (phase_ == PeerPhase::kPlaying) {

@@ -117,10 +117,14 @@ class Peer {
   void on_partnership_established(net::NodeId peer, bool incoming);
   /// An attempt we initiated failed (unreachable / partner limit).
   void on_partnership_rejected(net::NodeId peer);
+  /// Both sides list `peer` and us since tick `stamp`: its advertisements
+  /// published after that tick are its buffer map to us.  Returns false
+  /// when we do not list `peer`.
+  bool mark_mutual(net::NodeId peer, std::uint32_t stamp) noexcept {
+    return partners_.mark_mutual(peer, stamp);
+  }
   /// Partner left or broke the connection.
   void on_partner_left(net::NodeId peer);
-  /// Buffer map received from a partner: its K head `lanes`.
-  void on_bm_received(net::NodeId from, std::span<const SeqNum> lanes);
   /// Gossip payload: entries from a partner's mCache.
   void on_gossip(std::span<const McacheEntry> entries);
   /// Child subscribes to / unsubscribes from sub-stream `j` (parent side).
@@ -128,7 +132,7 @@ class Peer {
   void on_unsubscribe(net::NodeId child, SubstreamId j);
 
   /// Periodic driver; `now` is the tick time.  Runs every due timer
-  /// (BM push, gossip, adaptation, partner refill, status report) and the
+  /// (BM exchange, gossip, adaptation, partner refill, status report) and the
   /// phase logic (media-ready check, playout accounting, server feed).
   void on_tick(Tick now);
 

@@ -192,6 +192,7 @@ Peer& System::add_peer(const PeerSpec& spec) {
   assert(live_index_.size() == id);
   live_index_.push_back(static_cast<std::uint32_t>(live_.size()));
   live_.push_back(id);
+  adverts_.emplace_back();
   return *p;
 }
 
@@ -276,35 +277,20 @@ void System::attempt_partnership(net::NodeId from, net::NodeId to) {
       .from = from, .to = to, .kind = Message::Kind::kPartnershipRequest});
 }
 
-void System::push_bm(net::NodeId from, net::NodeId to,
-                     std::span<const SeqNum> lanes) {
-  assert(!deferring_ && "phase P uses broadcast_bm");
-  // BM exchange is modelled with zero latency (the exchange period, 1 s,
-  // dominates the tens-of-ms delivery delay); messages are still counted
-  // for control-overhead reporting.
-  transport_.count_only(net::MessageKind::kBufferMap);
-  Peer* dest = live_peer(to);
-  if (dest == nullptr) {
-    if (Peer* src = live_peer(from)) {
-      src->on_partner_left(to);  // lazily clean up half-open partnerships
-    }
-    return;
-  }
-  dest->on_bm_received(from, lanes);
+void System::exchange_bm(net::NodeId from, std::span<const SeqNum> lanes,
+                         std::size_t partners) {
+  assert(deferring_ && "BM exchanges run in phase P");
+  if (partners == 0) return;
+  ShardScratch& scratch = shard_scratch_[shard_of(from)];
+  const auto at = static_cast<std::uint32_t>(scratch.bm_lanes.size());
+  defer(from, EffectBmPublish{at, static_cast<std::uint32_t>(partners)});
+  scratch.bm_lanes.insert(scratch.bm_lanes.end(), lanes.begin(), lanes.end());
 }
 
-void System::broadcast_bm(net::NodeId from, std::span<const SeqNum> lanes,
-                          const PartnerTable& partners) {
-  assert(deferring_ && "BM broadcasts run in phase P");
-  if (partners.empty()) return;
-  ShardScratch& scratch = shard_scratch_[shard_of(from)];
-  EffectBmPush push;
-  push.base = static_cast<std::uint32_t>(scratch.bm_lanes.size());
-  push.first = static_cast<std::uint32_t>(scratch.bm_targets.size());
-  push.count = static_cast<std::uint32_t>(partners.size());
-  scratch.bm_lanes.insert(scratch.bm_lanes.end(), lanes.begin(), lanes.end());
-  for (const PartnerView ps : partners) scratch.bm_targets.push_back(ps.id());
-  defer(from, push);
+void System::mark_mutual(Peer& a, net::NodeId b) {
+  Peer* pb = live_peer(b);
+  if (pb == nullptr || !pb->partners().contains(a.id())) return;
+  if (a.mark_mutual(b, tick_stamp_)) pb->mark_mutual(a.id(), tick_stamp_);
 }
 
 void System::subscribe(net::NodeId child, net::NodeId parent, SubstreamId j) {
@@ -403,6 +389,7 @@ void System::deliver(const Message& msg) {
       if (accept) {
         ++stats_.partnership_accepts;
         dest->on_partnership_established(msg.from, /*incoming=*/true);
+        mark_mutual(*dest, msg.from);  // crossing requests
       } else {
         ++stats_.partnership_rejects;
       }
@@ -415,6 +402,7 @@ void System::deliver(const Message& msg) {
     case Message::Kind::kPartnershipConfirm:
       if (dest != nullptr) {
         dest->on_partnership_established(msg.from, /*incoming=*/false);
+        mark_mutual(*dest, msg.from);
       }
       return;
     case Message::Kind::kPartnershipReject:
@@ -488,7 +476,6 @@ void System::tick() {
     s.outbox.clear();
     s.entries.clear();
     s.bm_lanes.clear();
-    s.bm_targets.clear();
     s.reports.clear();
   }
   for (std::uint32_t pos = 0;
@@ -662,16 +649,28 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
   std::visit(
       [this, from](auto&& e) {
         using E = std::decay_t<decltype(e)>;
-        if constexpr (std::is_same_v<E, EffectBmPush>) {
-          // Expanded in partner order from the sender's snapshot, so a
-          // flush effect that edits partner lists (a silence break, the
-          // dead-partner cleanup below) cannot reshape this broadcast.
-          const ShardScratch& scratch = shard_scratch_[shard_of(from)];
-          const std::span<const SeqNum> lanes(
-              scratch.bm_lanes.data() + e.base,
-              static_cast<std::size_t>(params_.substream_count));
-          for (std::uint32_t k = e.first; k < e.first + e.count; ++k) {
-            push_bm(from, scratch.bm_targets[k], lanes);
+        if constexpr (std::is_same_v<E, EffectBmPublish>) {
+          // Zero latency: the 1-s exchange period dominates the tens-of-ms
+          // delivery delay.  Still one message per partner for the
+          // control-overhead figures.
+          transport_.count_only(net::MessageKind::kBufferMap, e.partners);
+          const auto& lanes = shard_scratch_[shard_of(from)].bm_lanes;
+          Advertisement& ad = adverts_[from];
+          std::copy_n(lanes.begin() + e.lanes, params_.substream_count,
+                      ad.lanes.begin());
+          ad.time = now();
+          ad.stamp = tick_stamp_;
+          // A partner that left without telling the sender (a half-open
+          // partnership) is dropped at the sender's exchange, in partner
+          // order; on_partner_left erases just that partner.
+          Peer* sender = peer(from);
+          for (std::size_t i = 0; i < sender->partner_count();) {
+            const net::NodeId q = sender->partners()[i].id();
+            if (is_live(q)) {
+              ++i;
+            } else {
+              sender->on_partner_left(q);
+            }
           }
         } else if constexpr (std::is_same_v<E, EffectMessage>) {
           const ShardScratch& scratch = shard_scratch_[shard_of(from)];

@@ -9,10 +9,13 @@
 // per-sub-stream lanes (heads, parents, credits) inline, so peer(id) is a
 // chunk-table load plus an offset and a Peer's address is stable.
 // Workload drivers call join()/leave(); everything else is protocol
-// behaviour.  Control
-// messages are Message records (core/message.h) that all leave through
-// post(): each delayed copy rides in its delivery event's in-place
-// callback storage, and deliver() handles every kind.  Their one-way
+// behaviour.  Buffer maps are not messages that receivers store: each
+// node's periodic exchange publishes its K heads as its one Advertisement
+// in an id-indexed array, and a partner's map is a read of it
+// (core/partner_table.h).  Control messages are Message records
+// (core/message.h) that all leave through post(): each delayed copy rides
+// in its delivery event's in-place callback storage, and deliver()
+// handles every kind.  Their one-way
 // delays come from net::LatencyModel's fixed lognormal (median ~74 ms,
 // capped at 1.5 s); no configuration varies them.
 //
@@ -178,18 +181,18 @@ class System {
   void request_bootstrap_list(net::NodeId requester);
   /// Initiates a partnership attempt (latency-delayed; §III-B).
   void attempt_partnership(net::NodeId from, net::NodeId to);
-  /// Delivers `from`'s K head `lanes` to `to` right away (zero latency;
-  /// counted as one BM message).  A dead `to` is dropped from `from`'s
-  /// partners instead.  Serial contexts only: the one-off push when a
-  /// partnership comes up, and the flush of a periodic broadcast.
-  void push_bm(net::NodeId from, net::NodeId to,
-               std::span<const SeqNum> lanes);
   /// Periodic BM exchange (§III-C), phase P only: sends the K head `lanes`
-  /// to every partner.  The lanes and the partner ids are snapshotted now
-  /// into the sender's shard scratch and emitted as one EffectBmPush; the
-  /// flush pushes them in partner order.
-  void broadcast_bm(net::NodeId from, std::span<const SeqNum> lanes,
-                    const PartnerTable& partners);
+  /// to each of `partners` partners.  The lanes are snapshotted now into
+  /// the sender's shard scratch and emitted as one EffectBmPublish; the
+  /// flush publishes them as `from`'s advertisement (zero latency, one BM
+  /// message per partner) and drops the partners that have left.
+  void exchange_bm(net::NodeId from, std::span<const SeqNum> lanes,
+                   std::size_t partners);
+  /// Every node's last published buffer map, indexed by node id.  Only
+  /// the serial flush writes it, so any shard may read it in phase P.
+  const std::vector<Advertisement>& advertisements() const noexcept {
+    return adverts_;
+  }
   /// Sub-stream subscription management (child -> parent).
   void subscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
   void unsubscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
@@ -271,8 +274,7 @@ class System {
     /// shard's own worker appends to them.
     std::vector<Posted> outbox;  ///< posted messages, in post order
     std::vector<McacheEntry> entries;  ///< gossip payloads, in post order
-    std::vector<SeqNum> bm_lanes;  ///< K lanes per broadcast
-    std::vector<net::NodeId> bm_targets;  ///< partners per broadcast
+    std::vector<SeqNum> bm_lanes;  ///< K lanes per exchange
     std::vector<logging::Report> reports;
     std::uint64_t blocks_transferred = 0;
   };
@@ -308,6 +310,10 @@ class System {
   /// Drains the effect mailbox in canonical sender order (serial).
   void flush_effects();
   void apply_effect(net::NodeId from, TickEffect&& effect);
+  /// Stamps the partnership of live `a` and `b` mutual as of this tick
+  /// when each now lists the other (called as the second side lists the
+  /// first).
+  void mark_mutual(Peer& a, net::NodeId b);
   /// Sends `msg` from `msg.from`: in phase P it waits in the sender's
   /// outbox for the flush; otherwise a delayed kind goes through send()
   /// and a zero-latency kind is counted and delivered at once.
@@ -337,6 +343,7 @@ class System {
   std::vector<net::NodeId> live_;  ///< ids of live nodes, join order
   /// By id: position in live_, or kNotLive once the node has left.
   std::vector<std::uint32_t> live_index_;
+  std::vector<Advertisement> adverts_;  ///< by id: last published BM
   static constexpr std::uint32_t kNotLive = ~std::uint32_t{0};
   std::size_t live_viewers_ = 0;
   std::uint64_t next_session_id_ = 1;

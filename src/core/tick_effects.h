@@ -2,7 +2,7 @@
 //
 // During the parallel protocol phase a peer may only mutate *its own*
 // state; everything it would have done to another peer through the System
-// plumbing (broadcast its buffer map, send a Message, file a report,
+// plumbing (publish its buffer map, send a Message, file a report,
 // surface a session milestone) is captured as one of the typed effects
 // below and queued in its shard's lane of the mailbox
 // (sim/shard_mailbox.h), at its tick position.  After the barrier the
@@ -15,11 +15,11 @@
 // whether phase P is running and either defer or execute directly (serial
 // contexts: transport callbacks, workload events, the flush itself).
 // Every effect is a few words: its payload (a posted message's header and
-// gossip entries, a BM broadcast's lanes and partner ids, a report) sits
-// in the sender's shard scratch and the effect holds its index.  The periodic
-// BM exchange is the one bulk effect: a peer's whole once-a-second
-// broadcast is one EffectBmPush that the flush expands into one delivery
-// per partner, in partner order.
+// gossip entries, an exchanged buffer map's lanes, a report) sits in the
+// sender's shard scratch and the effect holds its index.  The periodic BM
+// exchange is one effect per sender: the flush publishes the sender's map
+// as its one Advertisement (core/partner_table.h), which every partner
+// reads, at the sender's canonical position.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +29,14 @@ namespace coolstream::core {
 
 enum class SessionEvent : unsigned char;  // defined in core/system.h
 
-/// Periodic BM broadcast to every partner, snapshotted when the sender
-/// ran: its K head lanes start at `base` and its partner ids are
-/// [first, first + count), both indexing the sender's shard scratch
-/// (System::broadcast_bm).  The flush pushes the lanes to one partner at
-/// a time, with zero latency.
-struct EffectBmPush {
-  std::uint32_t base = 0;
-  std::uint32_t first = 0;
-  std::uint32_t count = 0;
+/// Periodic BM exchange with every partner, snapshotted when the sender
+/// ran: its K head lanes start at index `lanes` of the sender's shard
+/// scratch (System::exchange_bm), and it had `partners` partners, each
+/// counted as one BM message.  The flush publishes the lanes, with zero
+/// latency, and drops the partners that have left.
+struct EffectBmPublish {
+  std::uint32_t lanes = 0;
+  std::uint32_t partners = 0;
 };
 
 /// A Message the sender posted: header `index` of its shard's outbox, from
@@ -58,6 +57,6 @@ struct EffectNotify {
 };
 
 using TickEffect =
-    std::variant<EffectBmPush, EffectMessage, EffectReport, EffectNotify>;
+    std::variant<EffectBmPublish, EffectMessage, EffectReport, EffectNotify>;
 
 }  // namespace coolstream::core

@@ -71,10 +71,10 @@ class Transport {
   }
   sim::FaultInjector* faults() const noexcept { return faults_; }
 
-  /// Accounts for a message whose delivery is modelled synchronously by
-  /// the caller (e.g. the periodic buffer-map exchange).
-  void count_only(MessageKind kind) noexcept {
-    ++counts_[static_cast<std::size_t>(kind)];
+  /// Accounts for `n` messages whose delivery is modelled synchronously
+  /// by the caller (e.g. the periodic buffer-map exchange).
+  void count_only(MessageKind kind, std::uint64_t n = 1) noexcept {
+    counts_[static_cast<std::size_t>(kind)] += n;
   }
 
   /// Messages sent so far, by kind.

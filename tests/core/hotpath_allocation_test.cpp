@@ -1,12 +1,13 @@
 // Proves the control-plane hot paths' zero-allocation steady state.
 //
 // This test binary replaces the global operator new/delete with counting
-// versions (same pattern as tests/sim/allocation_test.cpp, and a separate
-// binary for the same reason: the replacement must not interfere with the
-// other suites).  After warm-up — mCache fill, sampling scratch
-// capacities and event-slab growth are amortized infrastructure — the
-// periodic protocol messages themselves must not touch the heap:
-//   * buffer-map exchange (build + copy + deliver, both directions),
+// versions (bench/counting_allocator.h, like tests/sim/allocation_test.cpp,
+// and a separate binary for the same reason: the replacement must not
+// interfere with the other suites).  After warm-up — mCache fill,
+// sampling scratch capacities and event-slab growth are amortized
+// infrastructure — the periodic protocol messages themselves must not
+// touch the heap:
+//   * buffer-map exchange (snapshot in a tick, publish in its flush),
 //   * gossip sends (mCache sampling + event enqueue),
 //   * gossip sends and deliveries with drop, duplicate and jitter armed,
 //   * gossip receives (mCache refresh of known entries),
@@ -15,9 +16,8 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,53 +25,11 @@
 #include "core/mcache.h"
 #include "core/params.h"
 #include "core/system.h"
+#include "counting_allocator.h"
 #include "net/address.h"
 #include "net/bandwidth.h"
 #include "sim/fault_injector.h"
 #include "sim/simulation.h"
-
-namespace {
-
-std::uint64_t g_allocations = 0;
-
-void* counted_alloc(std::size_t size) {
-  ++g_allocations;
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* counted_alloc(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) &
-                                   ~(static_cast<std::size_t>(align) - 1));
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace coolstream::core {
 namespace {
@@ -129,19 +87,25 @@ TEST(HotpathAllocationTest, BmExchangeIsAllocationFree) {
   }
   Peer* b = t.sys->peer(b_id);
   ASSERT_NE(b, nullptr);
-
-  // Warm-up: one exchange each way.
-  t.sys->push_bm(a->id(), b_id, a->sync().heads());
-  t.sys->push_bm(b_id, a->id(), b->sync().heads());
+  // Each round makes every node's exchange fall due on the next tick and
+  // runs that tick: phase P snapshots the maps, the flush publishes them.
+  const auto exchange_round = [&t] {
+    for (const net::NodeId id : t.sys->live_nodes()) {
+      InvariantTestAccess::next_bm_push(*t.sys->peer(id)) = t.sys->now();
+    }
+    t.simulation.run_until(
+        sim::Time(t.sys->now().value() + t.params.flow_tick));
+  };
+  for (int round = 0; round < 20; ++round) exchange_round();  // warm-up
 
   const std::uint64_t allocs_before = g_allocations;
-  for (int round = 0; round < 1000; ++round) {
-    t.sys->push_bm(a->id(), b_id, a->sync().heads());
-    t.sys->push_bm(b_id, a->id(), b->sync().heads());
-  }
+  for (int round = 0; round < 20; ++round) exchange_round();
   EXPECT_EQ(g_allocations - allocs_before, 0u)
       << "steady-state BM exchange touched the heap";
-  EXPECT_TRUE(a->partners().find(b_id)->bm_time().has_value());
+  const std::optional<PartnerView> view = a->partners().find(b_id);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_TRUE(view->bm_time().has_value());
+  EXPECT_GT(*view->bm_time(), t.sys->now() - Duration(t.params.flow_tick));
 }
 
 TEST(HotpathAllocationTest, MaxMinFairOnWarmScratchIsAllocationFree) {

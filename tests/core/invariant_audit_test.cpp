@@ -143,25 +143,22 @@ TEST_F(SeededCorruptionTest, DoubleParentSubstreamDetected) {
       << describe(violations);
 }
 
-TEST_F(SeededCorruptionTest, StaleBufferMapBitDetected) {
+TEST_F(SeededCorruptionTest, AdvertisementAboveItsOwnersHeadDetected) {
   Peer& p = playing_viewer();
-  PartnerTable& partners = InvariantTestAccess::partners(p);
-  std::optional<PartnerView> view;
-  for (const PartnerView ps : partners) {
-    if (ps.bm_time().has_value()) {
-      view = ps;
-      break;
-    }
+  const Advertisement& ad = sys_->advertisements()[p.id()];
+  ASSERT_TRUE(ad.time.has_value()) << "viewer never exchanged its buffer map";
+  {
+    InvariantAuditor auditor(*sys_);
+    const auto clean = auditor.audit();
+    EXPECT_FALSE(has_rule(clean, InvariantRule::kBufferMapAgreement))
+        << describe(clean);
   }
-  ASSERT_TRUE(view.has_value()) << "viewer never received a buffer map";
-  // The stored view now advertises a block far beyond anything the
-  // encoder has produced.
-  std::vector<SeqNum> forged;
-  for (const SubstreamId j : substreams(params_.substream_count)) {
-    forged.push_back(view->latest(j));
-  }
-  forged[0] = sys_->source_head(SubstreamId(0), sys_->now()) + BlockCount(100);
-  partners.receive(view->id(), forged, *view->bm_time());
+  // Rewind the owner's head below its published map: the map now claims
+  // a block the owner does not hold.
+  const SeqNum advertised = ad.lanes[0];
+  ASSERT_GE(advertised, SeqNum(1));
+  InvariantTestAccess::rewind_head(p, SubstreamId(0),
+                                   advertised - BlockCount(1));
 
   InvariantAuditor auditor(*sys_);
   const auto violations = auditor.audit();

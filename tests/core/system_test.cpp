@@ -10,11 +10,13 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/invariants.h"
 #include "logging/sessions.h"
 #include "net/address.h"
+#include "sim/fault_injector.h"
 
 namespace coolstream::core {
 namespace {
@@ -632,28 +634,24 @@ TEST(SystemTest, UploadBytesFlowToTheLog) {
   EXPECT_GT(total_up, 0u);  // viewers serve each other, not only servers
 }
 
-/// What one periodic BM broadcast left behind (see the test below).
+/// What one periodic BM exchange left behind (see the test below).
 struct BroadcastOutcome {
-  std::vector<SeqNum> partner_view_lanes;  ///< the lanes the partner received
+  std::vector<SeqNum> partner_view_lanes;  ///< the lanes the partner reads
   bool sender_kept_crashed = true;
   bool sender_kept_silent = true;
   bool silent_kept_sender = true;
 };
 
-/// Makes `a` list `b` as a partner whose `lanes` were last heard at
-/// `heard`.
-void add_partner(Peer& a, net::NodeId b, Tick heard,
-                 std::span<const SeqNum> lanes) {
+/// Makes `a` list `b` as a partner established at `at`, unless it does.
+void add_partner(Peer& a, net::NodeId b, Tick at) {
   PartnerTable& partners = InvariantTestAccess::partners(a);
-  if (!partners.contains(b)) partners.add(b, false, heard);
-  partners.receive(b, lanes, heard);
+  if (!partners.contains(b)) partners.add(b, false, at);
 }
 
-/// One sender's broadcast, in a single tick, covers three partners: a
-/// live partner (it must receive the lanes), a crashed partner that never
-/// told the sender (the delivery must make the sender drop it), and a
-/// partner the sender silence-breaks earlier in the same tick (the
-/// delivery must be dropped as stale).
+/// One sender's exchange, in a single tick, covers three partners: a live
+/// partner (it must read the sender's lanes afterwards), a crashed partner
+/// that never told the sender (the exchange must make the sender drop
+/// it), and a partner the sender silence-breaks earlier in the same tick.
 BroadcastOutcome run_broadcast_case(int shards) {
   sim::Simulation simulation(31);
   Params params = fast_params();
@@ -681,11 +679,17 @@ BroadcastOutcome run_broadcast_case(int shards) {
   const Tick now = sys.now();
   const Tick long_ago = now - units::Duration(2 * params.partner_silence_timeout);
 
-  add_partner(sender, partner_id, now, partner.sync().heads());
-  add_partner(partner, sender_id, now, sender.sync().heads());
-  add_partner(sender, crashed_id, now, crashed.sync().heads());
-  add_partner(sender, silent_id, long_ago, silent.sync().heads());
-  add_partner(silent, sender_id, now, sender.sync().heads());
+  add_partner(sender, partner_id, now);
+  add_partner(partner, sender_id, now);
+  InvariantTestAccess::mark_mutual(sys, sender_id, partner_id);
+  add_partner(sender, crashed_id, now);
+  // A fresh partnership with the silent partner, listed by the sender
+  // long ago: no map of it shows before its next exchange.
+  InvariantTestAccess::partners(sender).erase(silent_id);
+  InvariantTestAccess::partners(silent).erase(sender_id);
+  add_partner(sender, silent_id, long_ago);
+  add_partner(silent, sender_id, now);
+  InvariantTestAccess::mark_mutual(sys, sender_id, silent_id);
   // Crash without telling the sender: the partnership is half-open.
   InvariantTestAccess::partners(crashed).erase(sender_id);
   sys.leave(crashed_id, /*graceful=*/false);
@@ -720,6 +724,206 @@ TEST(SystemTest, BmBroadcastFlushesPerPartnerAtAnyShardCount) {
     EXPECT_FALSE(by_shards[k].silent_kept_sender);
   }
   EXPECT_EQ(by_shards[0].partner_view_lanes, by_shards[1].partner_view_lanes);
+}
+
+/// Two viewers in a small overlay, stopped between ticks.  Servers accept
+/// one partner each and NAT viewers refuse inbound requests, so two NAT
+/// viewers partner with each other only when a test plants it.
+struct TwoViewers {
+  sim::Simulation simulation{23};
+  Params params;
+  System sys;
+  net::NodeId a = net::kInvalidNode;
+  net::NodeId b = net::kInvalidNode;
+
+  explicit TwoViewers(net::ConnectionType type = net::ConnectionType::kNat,
+                      double silence_timeout = 0.0)
+      : params(with_silence(silence_timeout)),
+        sys(simulation, params, one_slot_servers(), nullptr) {
+    sys.start();
+    simulation.run_until(sim::Time(10.2));
+    sim::Rng& rng = simulation.rng();
+    a = sys.join(viewer(600, type, 1e6, rng));
+    b = sys.join(viewer(601, type, 1e6, rng));
+  }
+  static Params with_silence(double timeout) {
+    Params p = fast_params();
+    p.partner_silence_timeout = timeout;
+    return p;
+  }
+  static SystemConfig one_slot_servers() {
+    SystemConfig c = small_config(4);
+    c.server_max_partners = 1;
+    return c;
+  }
+  Peer& peer(net::NodeId id) { return *sys.peer(id); }
+  void run_for(double seconds) {
+    simulation.run_until(sim::Time(sys.now().value() + seconds));
+  }
+  /// Runs exactly one tick (ticks fall on multiples of 0.5 s).
+  void tick() { run_for(0.5); }
+  /// `from`'s map as `to` reads it.
+  std::optional<PartnerView> view(net::NodeId to, net::NodeId from) {
+    return peer(to).partners().find(from);
+  }
+};
+
+std::vector<SeqNum> lanes_of(const PartnerView& view, int k) {
+  std::vector<SeqNum> out;
+  for (const SubstreamId j : substreams(k)) out.push_back(view.latest(j));
+  return out;
+}
+
+std::vector<SeqNum> heads_of(const Peer& p) {
+  const std::span<const SeqNum> heads = p.sync().heads();
+  return {heads.begin(), heads.end()};
+}
+
+TEST(BufferMapRule, InvisibleUntilTheFirstExchangeAfterMutual) {
+  TwoViewers t;
+  t.run_for(10.0);
+  const int k = t.params.substream_count;
+  ASSERT_FALSE(t.peer(t.a).partners().contains(t.b));
+  // b has exchanged with its other partners before: that map predates
+  // the partnership, so a must not see it.
+  ASSERT_GT(t.sys.advertisements()[t.b].stamp, 0u);
+  add_partner(t.peer(t.a), t.b, t.sys.now());
+  add_partner(t.peer(t.b), t.a, t.sys.now());
+  InvariantTestAccess::mark_mutual(t.sys, t.a, t.b);
+  InvariantTestAccess::next_bm_push(t.peer(t.b)) = t.sys.now() + Duration(5.0);
+  for (int i = 0; i < 4; ++i) {
+    t.tick();
+    const std::optional<PartnerView> view = t.view(t.a, t.b);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_FALSE(view->bm_time().has_value()) << "tick " << i;
+    EXPECT_EQ(view->max_latest(), kNoSeq);
+  }
+  // b's exchange falls due: from its flush on, a reads b's snapshot.
+  const Tick due = t.sys.now();
+  InvariantTestAccess::next_bm_push(t.peer(t.b)) = due;
+  t.tick();
+  const std::optional<PartnerView> view = t.view(t.a, t.b);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_TRUE(view->bm_time().has_value());
+  const Tick first = *view->bm_time();
+  EXPECT_GT(first, due);
+  EXPECT_EQ(lanes_of(*view, k), heads_of(t.peer(t.b)));
+  // It keeps tracking b's exchanges, one per second.
+  t.run_for(3.0);
+  const std::optional<PartnerView> later = t.view(t.a, t.b);
+  ASSERT_TRUE(later.has_value() && later->bm_time().has_value());
+  EXPECT_GT(*later->bm_time(), first);
+  const Advertisement& ad = t.sys.advertisements()[t.b];
+  EXPECT_EQ(*later->bm_time(), *ad.time);
+  for (const SubstreamId j : substreams(k)) {
+    EXPECT_EQ(later->latest(j), ad.lanes[j.index()]);
+  }
+}
+
+TEST(BufferMapRule, CrossingRequestsSeeEachOtherAfterTheirExchanges) {
+  // Reachable viewers, each asking the other as soon as it joins, before
+  // its boot-strap list arrives: the two requests cross in flight and each
+  // side accepts the other's.  Every message sent after the requests is
+  // lost, the confirms included, so the partnership is mutual from the
+  // second acceptance on, with no confirm landing.
+  TwoViewers t(net::ConnectionType::kDirect);
+  t.sys.attempt_partnership(t.a, t.b);
+  t.sys.attempt_partnership(t.b, t.a);
+  sim::FaultSchedule schedule;
+  sim::MessageFault lose;
+  lose.window = {t.sys.now() + Duration(1e-3), t.sys.now() + Duration(3.0)};
+  lose.drop = 1.0;
+  schedule.messages.push_back(lose);
+  sim::FaultInjector faults(5, schedule);
+  t.sys.attach_faults(&faults);
+  t.run_for(3.0);
+  t.sys.attach_faults(nullptr);
+  ASSERT_TRUE(t.peer(t.a).partners().contains(t.b));
+  ASSERT_TRUE(t.peer(t.b).partners().contains(t.a));
+  const Tick due = t.sys.now();
+  InvariantTestAccess::next_bm_push(t.peer(t.a)) = due;
+  InvariantTestAccess::next_bm_push(t.peer(t.b)) = due;
+  t.tick();
+  const int k = t.params.substream_count;
+  for (const auto& [to, from] : {std::pair{t.a, t.b}, std::pair{t.b, t.a}}) {
+    const std::optional<PartnerView> view = t.view(to, from);
+    ASSERT_TRUE(view.has_value());
+    ASSERT_TRUE(view->bm_time().has_value()) << from << " -> " << to;
+    EXPECT_GT(*view->bm_time(), due);
+    EXPECT_EQ(lanes_of(*view, k), heads_of(t.peer(from)));
+  }
+}
+
+TEST(BufferMapRule, PhantomPartnershipStaysMaplessUntilSilenceClearsIt) {
+  // A dropped confirm leaves the callee b listing the caller a, while a
+  // never lists b.  a exchanges with its own partners every second, but b
+  // never reads a's map, and the silence timeout clears the phantom.
+  TwoViewers t(net::ConnectionType::kNat, /*silence_timeout=*/5.0);
+  t.run_for(10.0);
+  ASSERT_FALSE(t.peer(t.a).partners().contains(t.b));
+  InvariantTestAccess::partners(t.peer(t.b)).add(t.a, /*incoming=*/true,
+                                                  t.sys.now());
+  const Tick planted = t.sys.now();
+  while (t.peer(t.b).partners().contains(t.a)) {
+    const std::optional<PartnerView> view = t.view(t.b, t.a);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_FALSE(view->bm_time().has_value());
+    ASSERT_LT(t.sys.now() - planted, Duration(7.0)) << "phantom never cleared";
+    t.tick();
+  }
+  EXPECT_GT(*t.sys.advertisements()[t.a].time, planted);
+  EXPECT_GE(t.sys.now() - planted, Duration(5.0));
+}
+
+TEST(BufferMapRule, AGonePartnersFirstMapStillOpensTheJoinWindow) {
+  // A joiner's aggregation window (§IV-A) opens at the first exchange
+  // whose map it would have kept, even when that partner is gone before
+  // the joiner's next tick.  Every message is lost meanwhile, so the
+  // joiner knows only the partners planted here.
+  TwoViewers t;
+  t.run_for(10.0);
+  sim::FaultSchedule schedule;
+  sim::MessageFault lose;
+  lose.window = {t.sys.now(), t.sys.now() + Duration(10.0)};
+  lose.drop = 1.0;
+  schedule.messages.push_back(lose);
+  sim::FaultInjector faults(5, schedule);
+  t.sys.attach_faults(&faults);
+  const net::NodeId j = t.sys.join(
+      viewer(602, net::ConnectionType::kNat, 1e6, t.simulation.rng()));
+  const auto plant = [&t, j](net::NodeId partner) {
+    add_partner(t.peer(j), partner, t.sys.now());
+    add_partner(t.peer(partner), j, t.sys.now());
+    InvariantTestAccess::mark_mutual(t.sys, j, partner);
+    InvariantTestAccess::next_bm_push(t.peer(partner)) = t.sys.now();
+  };
+  plant(t.a);
+  t.tick();  // a's map shows from this flush on, after j's own tick
+  ASSERT_TRUE(t.view(j, t.a)->bm_time().has_value());
+  const Tick first_map = *t.view(j, t.a)->bm_time();
+  t.sys.leave(t.a);
+  plant(t.b);
+  // b's map shows from the next flush; j starts one second after a's.
+  while (t.sys.now() < first_map + Duration(kJoinAggregationDelay)) {
+    EXPECT_EQ(t.peer(j).phase(), PeerPhase::kJoining);
+    t.tick();
+  }
+  EXPECT_EQ(t.peer(j).phase(), PeerPhase::kBuffering);
+  t.sys.attach_faults(nullptr);
+}
+
+TEST(BufferMapRule, CrashedPartnerIsDroppedAtTheSendersExchange) {
+  // a lists b, b does not list a: b's crash tells a nothing, and a keeps
+  // the dead partner until its own next exchange finds it gone.
+  TwoViewers t;
+  t.run_for(10.0);
+  add_partner(t.peer(t.a), t.b, t.sys.now());
+  t.sys.leave(t.b, /*graceful=*/false);
+  InvariantTestAccess::next_bm_push(t.peer(t.a)) = t.sys.now() + Duration(2.0);
+  t.run_for(1.5);
+  EXPECT_TRUE(t.peer(t.a).partners().contains(t.b));
+  t.run_for(1.0);
+  EXPECT_FALSE(t.peer(t.a).partners().contains(t.b));
 }
 
 TEST(SystemTest, MalformedShardCountsAreRejected) {

@@ -1,62 +1,19 @@
 // Proves the event engine's zero-allocation steady state.
 //
 // This test binary replaces the global operator new/delete with counting
-// versions.  After a warm-up phase (slab chunks, bucket arrays and vector
-// capacities are amortized infrastructure, not per-event cost), scheduling,
-// firing and cancelling events through the periodic-loop path must perform
-// exactly zero heap allocations.
+// versions (bench/counting_allocator.h).  After a warm-up phase (slab
+// chunks, bucket arrays and vector capacities are amortized
+// infrastructure, not per-event cost), scheduling, firing and cancelling
+// events through the periodic-loop path must perform exactly zero heap
+// allocations.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "counting_allocator.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
-
-namespace {
-
-std::uint64_t g_allocations = 0;
-
-void* counted_alloc(std::size_t size) {
-  ++g_allocations;
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* counted_alloc(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) &
-                                   ~(static_cast<std::size_t>(align) - 1));
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace coolstream::sim {
 namespace {

@@ -62,8 +62,11 @@ TEST(UserTypeModelTest, CapableTypesUploadMoreOnAverage) {
 }
 
 TEST(UserTypeModelTest, SpecAddressClassMatchesType) {
+  // A spec's address is private exactly for the private-address connection
+  // types, and every type is drawn, so both directions are exercised.
   const auto m = UserTypeModel::coolstreaming_2006();
   sim::Rng rng(4);
+  std::array<int, net::kConnectionTypeCount> drawn{};
   for (std::uint64_t user = 1; user <= 2000; ++user) {
     const auto spec = m.make_spec(user, rng);
     EXPECT_EQ(spec.user_id, user);
@@ -71,7 +74,9 @@ TEST(UserTypeModelTest, SpecAddressClassMatchesType) {
     EXPECT_EQ(spec.address.is_private(),
               net::uses_private_address(spec.type));
     EXPECT_GT(spec.upload_capacity, units::BitRate::zero());
+    ++drawn[static_cast<std::size_t>(spec.type)];
   }
+  for (const int n : drawn) EXPECT_GT(n, 0);
 }
 
 TEST(UserTypeModelTest, CapableShareRoughly30Percent) {
