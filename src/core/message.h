@@ -9,9 +9,9 @@
 // event queue's record (sim/event_queue.h).  Three kinds act at once:
 // sub-stream subscribe and unsubscribe, and a partnership break.  Every
 // kind is handled in one switch (System::deliver); during the sharded
-// protocol phase every kind waits in its sender's shard outbox until the
-// flush (core/tick_effects.h).  net::MessageKind stays the accounting
-// category.
+// protocol phase every kind waits in its sender's shard outbox, one
+// record each, until the flush (System::flush_effects).  net::MessageKind
+// stays the accounting category.
 #pragma once
 
 #include <array>

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -82,6 +83,11 @@ System::System(sim::Simulation& simulation, Params params,
       transport_(simulation, latency_model_),
       workers_(resolve_shard_count(config.shards)) {
   params_.validate();
+  if (std::max(params_.max_partners, config_.server_max_partners) >
+      kMaxPartnerCap) {
+    throw std::invalid_argument("System: partner caps must be at most " +
+                                std::to_string(kMaxPartnerCap));
+  }
   shard_scratch_.resize(workers_.shard_count());
 }
 
@@ -280,10 +286,12 @@ void System::attempt_partnership(net::NodeId from, net::NodeId to) {
 void System::exchange_bm(net::NodeId from, std::span<const SeqNum> lanes,
                          std::size_t partners) {
   assert(deferring_ && "BM exchanges run in phase P");
+  assert(partners <= std::numeric_limits<std::uint16_t>::max());
   if (partners == 0) return;
   ShardScratch& scratch = shard_scratch_[shard_of(from)];
-  const auto at = static_cast<std::uint32_t>(scratch.bm_lanes.size());
-  defer(from, EffectBmPublish{at, static_cast<std::uint32_t>(partners)});
+  defer(from, {.index = static_cast<std::uint32_t>(scratch.bm_lanes.size()),
+               .count = static_cast<std::uint16_t>(partners),
+               .tag = Deferred::Tag::kBmPublish});
   scratch.bm_lanes.insert(scratch.bm_lanes.end(), lanes.begin(), lanes.end());
 }
 
@@ -327,14 +335,12 @@ void System::post(const Message& msg) {
   if (deferring_) {
     ShardScratch& scratch = shard_scratch_[shard_of(msg.from)];
     defer(msg.from,
-          EffectMessage{static_cast<std::uint32_t>(scratch.outbox.size())});
-    scratch.outbox.push_back(
-        Posted{.from = msg.from,
-               .to = msg.to,
-               .first = static_cast<std::uint32_t>(scratch.entries.size()),
-               .substream = msg.substream,
-               .kind = msg.kind,
-               .count = msg.count});
+          {.to = msg.to,
+           .index = static_cast<std::uint32_t>(scratch.entries.size()),
+           .substream = msg.substream,
+           .count = msg.count,
+           .kind = msg.kind,
+           .tag = Deferred::Tag::kMessage});
     const std::span<const McacheEntry> payload = msg.payload();
     scratch.entries.insert(scratch.entries.end(), payload.begin(),
                            payload.end());
@@ -430,7 +436,8 @@ void System::report(net::NodeId from, const logging::Report& r) {
   if (deferring_) {
     std::vector<logging::Report>& reports =
         shard_scratch_[shard_of(from)].reports;
-    defer(from, EffectReport{static_cast<std::uint32_t>(reports.size())});
+    defer(from, {.index = static_cast<std::uint32_t>(reports.size()),
+                 .tag = Deferred::Tag::kReport});
     reports.push_back(r);
     return;
   }
@@ -440,7 +447,8 @@ void System::report(net::NodeId from, const logging::Report& r) {
 
 void System::notify(net::NodeId id, SessionEvent event) {
   if (deferring_) {
-    defer(id, EffectNotify{event});
+    defer(id, {.count = static_cast<std::uint16_t>(event),
+               .tag = Deferred::Tag::kNotify});
     return;
   }
   if (observer) observer(id, event);
@@ -486,7 +494,6 @@ void System::tick() {
   if (inflow_.size() < peer_count_ * k_streams) {
     inflow_.resize(peer_count_ * k_streams);
   }
-  effects_.reset(workers_.shard_count());
 
   workers_.run([this, dt](std::size_t s) { flow_rates(s, dt); });
   workers_.run([this, dt](std::size_t s) { flow_apply(s, dt); });
@@ -628,83 +635,94 @@ void System::protocol_phase(std::size_t shard, Tick t) {
   }
 }
 
-void System::defer(net::NodeId from, TickEffect effect) {
-  const std::size_t shard = shard_of(from);
-  assert(deferring_ && tick_order_[shard_scratch_[shard].pos] == from &&
+void System::defer(net::NodeId from, Deferred effect) {
+  ShardScratch& scratch = shard_scratch_[shard_of(from)];
+  assert(deferring_ && tick_order_[scratch.pos] == from &&
          "effects come from the peer its shard is running");
-  effects_.push(shard, shard_scratch_[shard].pos, effect);
+  effect.pos = scratch.pos;
+  scratch.outbox.push_back(effect);
 }
 
 void System::flush_effects() {
-  effects_.drain(
-      tick_order_.size(),
-      [this](std::uint32_t pos) { return shard_of(tick_order_[pos]); },
-      [this](std::uint32_t pos, TickEffect&& e) {
-        apply_effect(tick_order_[pos], std::move(e));
-      });
+  assert(!deferring_ && "flush must run serially");
+  for (ShardScratch& s : shard_scratch_) s.flushed = 0;
+  // Each outbox is in non-decreasing `pos` order, so one cursor per shard
+  // walks them all in canonical sender order: O(positions + records).
+  for (std::uint32_t pos = 0;
+       pos < static_cast<std::uint32_t>(tick_order_.size()); ++pos) {
+    const net::NodeId from = tick_order_[pos];
+    ShardScratch& scratch = shard_scratch_[shard_of(from)];
+    while (scratch.flushed < scratch.outbox.size() &&
+           scratch.outbox[scratch.flushed].pos == pos) {
+      apply_effect(from, scratch, scratch.outbox[scratch.flushed++]);
+    }
+  }
+#ifndef NDEBUG
+  for (const ShardScratch& s : shard_scratch_) {
+    assert(s.flushed == s.outbox.size() && "unclaimed outbox records");
+  }
+#endif
 }
 
-void System::apply_effect(net::NodeId from, TickEffect&& effect) {
-  assert(!deferring_ && "flush must run serially");
-  std::visit(
-      [this, from](auto&& e) {
-        using E = std::decay_t<decltype(e)>;
-        if constexpr (std::is_same_v<E, EffectBmPublish>) {
-          // Zero latency: the 1-s exchange period dominates the tens-of-ms
-          // delivery delay.  Still one message per partner for the
-          // control-overhead figures.
-          transport_.count_only(net::MessageKind::kBufferMap, e.partners);
-          const auto& lanes = shard_scratch_[shard_of(from)].bm_lanes;
-          Advertisement& ad = adverts_[from];
-          std::copy_n(lanes.begin() + e.lanes, params_.substream_count,
-                      ad.lanes.begin());
-          ad.time = now();
-          ad.stamp = tick_stamp_;
-          // A partner that left without telling the sender (a half-open
-          // partnership) is dropped at the sender's exchange, in partner
-          // order; on_partner_left erases just that partner.
-          Peer* sender = peer(from);
-          for (std::size_t i = 0; i < sender->partner_count();) {
-            const net::NodeId q = sender->partners()[i].id();
-            if (is_live(q)) {
-              ++i;
-            } else {
-              sender->on_partner_left(q);
-            }
-          }
-        } else if constexpr (std::is_same_v<E, EffectMessage>) {
-          const ShardScratch& scratch = shard_scratch_[shard_of(from)];
-          const Posted& rec = scratch.outbox[e.index];
-          Message msg{.from = rec.from,
-                      .to = rec.to,
-                      .substream = rec.substream,
-                      .kind = rec.kind,
-                      .count = rec.count};
-          std::copy_n(scratch.entries.begin() + rec.first, rec.count,
-                      msg.entries.begin());
-          if (msg.kind == Message::Kind::kSubscribe) {
-            // Stale intent: an earlier flush effect (say, a broken
-            // partnership) made the sender reselect this sub-stream's
-            // parent mid-flush; applying the old subscription would plant
-            // a serving link the child no longer points at.
-            const Peer* p = peer(from);
-            if (p == nullptr || p->parent_of(msg.substream) != msg.to) return;
-          } else if (msg.kind == Message::Kind::kUnsubscribe) {
-            // Mirror guard: if a mid-flush reselect re-subscribed the
-            // sender to this same parent, the deferred unsubscribe must not
-            // tear the fresh link down.
-            const Peer* p = peer(from);
-            if (p != nullptr && p->parent_of(msg.substream) == msg.to) return;
-          }
-          post(msg);
-        } else if constexpr (std::is_same_v<E, EffectReport>) {
-          report(from, shard_scratch_[shard_of(from)].reports[e.index]);
+void System::apply_effect(net::NodeId from, const ShardScratch& scratch,
+                          const Deferred& effect) {
+  switch (effect.tag) {
+    case Deferred::Tag::kBmPublish: {
+      // Zero latency: the 1-s exchange period dominates the tens-of-ms
+      // delivery delay.  Still one message per partner for the
+      // control-overhead figures.
+      transport_.count_only(net::MessageKind::kBufferMap, effect.count);
+      Advertisement& ad = adverts_[from];
+      std::copy_n(scratch.bm_lanes.begin() + effect.index,
+                  params_.substream_count, ad.lanes.begin());
+      ad.time = now();
+      ad.stamp = tick_stamp_;
+      // A partner that left without telling the sender (a half-open
+      // partnership) is dropped at the sender's exchange, in partner
+      // order; on_partner_left erases just that partner.
+      Peer* sender = peer(from);
+      for (std::size_t i = 0; i < sender->partner_count();) {
+        const net::NodeId q = sender->partners()[i].id();
+        if (is_live(q)) {
+          ++i;
         } else {
-          static_assert(std::is_same_v<E, EffectNotify>);
-          notify(from, e.event);
+          sender->on_partner_left(q);
         }
-      },
-      std::move(effect));
+      }
+      return;
+    }
+    case Deferred::Tag::kMessage: {
+      Message msg{.from = from,
+                  .to = effect.to,
+                  .substream = effect.substream,
+                  .kind = effect.kind,
+                  .count = static_cast<std::uint8_t>(effect.count)};
+      std::copy_n(scratch.entries.begin() + effect.index, effect.count,
+                  msg.entries.begin());
+      if (msg.kind == Message::Kind::kSubscribe) {
+        // Stale intent: an earlier flush effect (say, a broken
+        // partnership) made the sender reselect this sub-stream's parent
+        // mid-flush; applying the old subscription would plant a serving
+        // link the child no longer points at.
+        const Peer* p = peer(from);
+        if (p == nullptr || p->parent_of(msg.substream) != msg.to) return;
+      } else if (msg.kind == Message::Kind::kUnsubscribe) {
+        // Mirror guard: if a mid-flush reselect re-subscribed the sender
+        // to this same parent, the deferred unsubscribe must not tear the
+        // fresh link down.
+        const Peer* p = peer(from);
+        if (p != nullptr && p->parent_of(msg.substream) == msg.to) return;
+      }
+      post(msg);
+      return;
+    }
+    case Deferred::Tag::kReport:
+      report(from, scratch.reports[effect.index]);
+      return;
+    case Deferred::Tag::kNotify:
+      notify(from, static_cast<SessionEvent>(effect.count));
+      return;
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -42,12 +42,10 @@
 #include "core/message.h"
 #include "core/params.h"
 #include "core/peer.h"
-#include "core/tick_effects.h"
 #include "logging/log_server.h"
 #include "net/latency.h"
 #include "net/topology.h"
 #include "net/transport.h"
-#include "sim/shard_mailbox.h"
 #include "sim/shard_workers.h"
 #include "sim/simulation.h"
 
@@ -61,6 +59,11 @@ inline constexpr double kServerLag = 0.2;
 /// How long a joining node aggregates partner BMs before choosing its
 /// initial sequence offset (§IV-A), seconds.
 inline constexpr double kJoinAggregationDelay = 1.0;
+
+/// Largest partner cap (Params::max_partners, SystemConfig::
+/// server_max_partners) a System accepts: a deferred BM publication counts
+/// its partners in 16 bits, and the cap leaves room for in-flight slack.
+inline constexpr int kMaxPartnerCap = 32768;
 
 /// Deployment-level configuration that benches and workloads vary
 /// (everything else that is not a Table-I protocol parameter is a
@@ -183,8 +186,8 @@ class System {
   void attempt_partnership(net::NodeId from, net::NodeId to);
   /// Periodic BM exchange (§III-C), phase P only: sends the K head `lanes`
   /// to each of `partners` partners.  The lanes are snapshotted now into
-  /// the sender's shard scratch and emitted as one EffectBmPublish; the
-  /// flush publishes them as `from`'s advertisement (zero latency, one BM
+  /// the sender's shard scratch behind one outbox record; the flush
+  /// publishes them as `from`'s advertisement (zero latency, one BM
   /// message per partner) and drops the partners that have left.
   void exchange_bm(net::NodeId from, std::span<const SeqNum> lanes,
                    std::size_t partners);
@@ -240,18 +243,25 @@ class System {
  private:
   friend struct InvariantTestAccess;  // seeded-corruption hooks (tests only)
 
-  /// A Message posted in phase P, less its gossip entries: those wait in
-  /// the shard's `entries` from `first` on, and the flush rebuilds the
-  /// record.  Only gossip carries entries, so the outbox keeps 20 bytes a
-  /// message instead of 80.
-  struct Posted {
-    net::NodeId from;
-    net::NodeId to;
-    std::uint32_t first;
-    SubstreamId substream;
-    Message::Kind kind;
-    std::uint8_t count;
+  /// One effect deferred in phase P: a cross-peer interaction the peer the
+  /// shard is running would have made through the plumbing.  The sender is
+  /// tick_order_[pos], so no record names it.  Payloads wait in the
+  /// shard's scratch and the record holds their index: a message's gossip
+  /// entries start at `index` of `entries`, a BM publication's K lanes at
+  /// `index` of `bm_lanes`, a report is `reports[index]`.
+  struct Deferred {
+    enum class Tag : std::uint8_t { kMessage, kBmPublish, kReport, kNotify };
+    std::uint32_t pos = 0;  ///< sender's position in the tick order
+    net::NodeId to = net::kInvalidNode;  ///< message receiver
+    std::uint32_t index = 0;
+    SubstreamId substream{};  ///< message sub-stream
+    /// Gossip entries, BM partners (each one BM message, at most
+    /// kMaxPartnerCap plus in-flight slack), or the SessionEvent.
+    std::uint16_t count = 0;
+    Message::Kind kind{};
+    Tag tag{};
   };
+  static_assert(sizeof(Deferred) <= 20);
 
   /// One worker's private buffers, indexed by shard (serial contexts use
   /// those of the shard that owns the peer at hand).  Consumed within a
@@ -269,13 +279,14 @@ class System {
     std::vector<std::uint32_t> positions;
     /// Phase P: the tick position of the peer this shard is running.
     std::uint32_t pos = 0;
-    /// Effect payloads emitted in phase P, read back by the flush through
-    /// the indices the effects hold; cleared at tick start.  Only the
-    /// shard's own worker appends to them.
-    std::vector<Posted> outbox;  ///< posted messages, in post order
+    /// Effects deferred in phase P, in non-decreasing `pos` order (the
+    /// worker runs its peers in tick order), and their payloads; cleared
+    /// at tick start.  Only the shard's own worker appends to them.
+    std::vector<Deferred> outbox;
     std::vector<McacheEntry> entries;  ///< gossip payloads, in post order
     std::vector<SeqNum> bm_lanes;  ///< K lanes per exchange
     std::vector<logging::Report> reports;
+    std::size_t flushed = 0;  ///< the flush's cursor into `outbox`
     std::uint64_t blocks_transferred = 0;
   };
 
@@ -304,12 +315,15 @@ class System {
   /// Phase P (sharded by peer): tally bytes_up from the slots, then run
   /// Peer::on_tick with every cross-peer interaction deferred as effects.
   void protocol_phase(std::size_t shard, Tick t);
-  /// Queues `effect` in the lane of `from`'s shard, at the tick position
-  /// that shard is running (phase P only; `from` must be that peer).
-  void defer(net::NodeId from, TickEffect effect);
-  /// Drains the effect mailbox in canonical sender order (serial).
+  /// Appends `effect` to the outbox of `from`'s shard, at the tick
+  /// position that shard is running (phase P only; `from` must be that
+  /// peer).
+  void defer(net::NodeId from, Deferred effect);
+  /// Applies every shard's outbox in canonical sender order: by sender
+  /// position, then by emission order within the sender (serial).
   void flush_effects();
-  void apply_effect(net::NodeId from, TickEffect&& effect);
+  void apply_effect(net::NodeId from, const ShardScratch& scratch,
+                    const Deferred& effect);
   /// Stamps the partnership of live `a` and `b` mutual as of this tick
   /// when each now lists the other (called as the second side lists the
   /// first).
@@ -358,7 +372,6 @@ class System {
   std::uint32_t tick_stamp_ = 0;
   std::vector<net::NodeId> tick_order_;    ///< live_, frozen at tick start
   std::vector<InFlow> inflow_;  ///< peer_count_ * K slots, stamp-guarded
-  sim::ShardMailbox<TickEffect> effects_;
   /// True while phase P runs, when the plumbing defers.  Only the tick
   /// thread writes it, and only between phase barriers.
   bool deferring_ = false;

@@ -50,7 +50,8 @@ bool LogServer::load(const std::string& path) {
   while (std::getline(in, line)) {
     if (!line.empty()) lines_.push_back(line);
   }
-  return true;
+  // A read error (say, the path is a directory) ends the loop like EOF.
+  return !in.bad();
 }
 
 }  // namespace coolstream::logging

@@ -59,7 +59,8 @@ class LogServer {
   /// Writes one log line per row to `path`.  Returns false on I/O error.
   bool save(const std::string& path) const EXCLUDES(mu_);
 
-  /// Appends the lines of the file at `path`.  Returns false on I/O error.
+  /// Appends the lines of the file at `path`.  Returns false when it cannot
+  /// be opened or a read fails (a directory opens, then fails to read).
   bool load(const std::string& path) EXCLUDES(mu_);
 
  private:

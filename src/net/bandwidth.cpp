@@ -48,12 +48,4 @@ void max_min_fair(BlockRate capacity, std::span<const BlockRate> demands,
   }
 }
 
-std::vector<BlockRate> max_min_fair(BlockRate capacity,
-                                    std::span<const BlockRate> demands) {
-  std::vector<BlockRate> rates(demands.size());
-  std::vector<std::size_t> active(demands.size());
-  max_min_fair(capacity, demands, rates, active);
-  return rates;
-}
-
 }  // namespace coolstream::net

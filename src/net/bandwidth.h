@@ -17,7 +17,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/units.h"
 
@@ -32,9 +31,5 @@ using units::BlockRate;
 /// least demands.size() entries, so a warm caller never touches the heap.
 void max_min_fair(BlockRate capacity, std::span<const BlockRate> demands,
                   std::span<BlockRate> rates, std::span<std::size_t> active);
-
-/// Allocating form (tests and micro-benches).
-std::vector<BlockRate> max_min_fair(BlockRate capacity,
-                                    std::span<const BlockRate> demands);
 
 }  // namespace coolstream::net

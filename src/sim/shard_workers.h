@@ -11,8 +11,8 @@
 // Memory ordering: every write made before a barrier arrival happens-before
 // every read made after that barrier's wait returns, on any participant.
 // run() therefore publishes the caller's tick-start state to the workers,
-// and the workers' phase writes (the ShardMailbox lanes, the shard scratch)
-// to the caller — no other synchronisation is needed, and none is used.
+// and the workers' phase writes (the shard scratch and its outbox) to the
+// caller — no other synchronisation is needed, and none is used.
 #pragma once
 
 #include <barrier>

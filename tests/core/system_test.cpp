@@ -980,5 +980,20 @@ TEST(SystemTest, MalformedShardCountsAreRejected) {
   EXPECT_EQ(shards_of(cfg), 3);
 }
 
+TEST(SystemTest, PartnerCapsPastTheOutboxCountAreRejected) {
+  sim::Simulation simulation(3);
+  SystemConfig cfg = small_config();
+  cfg.shards = 1;
+  cfg.server_max_partners = kMaxPartnerCap;
+  EXPECT_NO_THROW(System(simulation, fast_params(), cfg, nullptr));
+  cfg.server_max_partners = kMaxPartnerCap + 1;
+  EXPECT_THROW(System(simulation, fast_params(), cfg, nullptr),
+               std::invalid_argument);
+  Params params = fast_params();
+  params.max_partners = kMaxPartnerCap + 1;
+  EXPECT_THROW(System(simulation, params, small_config(), nullptr),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace coolstream::core

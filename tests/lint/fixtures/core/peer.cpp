@@ -1,6 +1,6 @@
 // cross-shard-call fixtures.  The file name matters: "core/peer.cpp" is in
 // the linter's parallel-phase set, where direct System::peer() lookups must
-// go through the effect mailbox.
+// go through the shard outbox.
 //
 // This file is lint-test data only — it is never compiled.
 

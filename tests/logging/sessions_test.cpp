@@ -207,5 +207,12 @@ TEST(LogServerTest, LoadMissingFileFails) {
   EXPECT_FALSE(server.load("/nonexistent/dir/file.log"));
 }
 
+TEST(LogServerTest, LoadDirectoryFails) {
+  // A directory opens as a stream, but its first read fails.
+  LogServer server;
+  EXPECT_FALSE(server.load(::testing::TempDir()));
+  EXPECT_TRUE(server.lines().empty());
+}
+
 }  // namespace
 }  // namespace coolstream::logging

@@ -3,9 +3,8 @@
 // rewrites between waves, with a planted throw every few waves.  The
 // assertions are ordinary, but the real consumer is TSan —
 // tools/run_sanitized_tests.sh SAN=thread --quick runs this suite, and any
-// gap in the std::barrier happens-before edge (the one sim::ShardMailbox
-// and the sharded tick's scratch rely on) is reported as a data race on
-// the slots.
+// gap in the std::barrier happens-before edge (the one the sharded tick's
+// scratch and outboxes rely on) is reported as a data race on the slots.
 #include "sim/shard_workers.h"
 
 #include <gtest/gtest.h>

@@ -63,8 +63,8 @@
 //                       protocol code (core/peer.*) — during the sharded
 //                       tick another peer may be mid-mutation on a
 //                       different worker; cross-peer interaction goes
-//                       through the deferred-effect mailbox
-//                       (core/tick_effects.h); provably serial sites are
+//                       through the System plumbing, which defers it to
+//                       the shard outbox; provably serial sites are
 //                       annotated with an allow in place
 //
 // Suppression: append a lint:allow comment listing the rule ids in
@@ -173,9 +173,10 @@ constexpr RuleInfo kRules[] = {
      "System"},
     {Rule::kCrossShardCall, "cross-shard-call",
      "direct peer() lookup in parallel-phase protocol code; the peer may "
-     "be mid-mutation on another shard's worker — defer the interaction "
-     "through the effect mailbox (core/tick_effects.h), or mark a "
-     "provably serial site with lint:allow(cross-shard-call)"},
+     "be mid-mutation on another shard's worker — go through the System "
+     "plumbing, which defers the interaction to the shard outbox "
+     "(System::defer), or mark a provably serial site with "
+     "lint:allow(cross-shard-call)"},
     {Rule::kAtomicInProtocol, "atomic-in-protocol",
      "std::atomic outside src/sim/; atomics order nondeterministically "
      "across threads and break bit-determinism"},
@@ -996,8 +997,9 @@ FileContext make_context(const fs::path& path) {
                       !unit_layer && !config;
   ctx.cross_peer_scope = (in_core || in_workload) && !unit_layer;
   // Peer code runs inside the sharded tick's parallel phases, where the
-  // only safe cross-peer channel is the deferred-effect mailbox.  System
-  // itself is exempt: it owns the phase barriers and does the resolving.
+  // only safe cross-peer channel is the shard outbox of deferred effects.
+  // System itself is exempt: it owns the phase barriers and does the
+  // resolving.
   ctx.parallel_phase_scope = p.find("/core/peer.") != std::string::npos;
   ctx.module = file_module(ctx.display_path);
   ctx.shard_scope = !ctx.module.empty() && !unit_layer;
