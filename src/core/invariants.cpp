@@ -355,11 +355,15 @@ Tick& InvariantTestAccess::next_adaptation(Peer& p) {
 std::size_t InvariantTestAccess::session_capacity(const Peer& p) {
   return p.partners_.capacity() + p.out_links_.capacity() +
          p.pending_attempts_.capacity() + p.skips_.capacity() +
-         p.interval_changes_.capacity() + p.mcache_.entries().capacity();
+         p.interval_changes_.capacity() + p.mcache_.capacity();
 }
 
 std::size_t InvariantTestAccess::partner_change_capacity(const Peer& p) {
   return p.interval_changes_.capacity();
+}
+
+std::size_t InvariantTestAccess::skip_count(const Peer& p) {
+  return p.skips_.size();
 }
 
 Tick InvariantTestAccess::last_resync(const Peer& p) { return p.last_resync_; }

@@ -153,6 +153,9 @@ struct InvariantTestAccess {
   /// Element capacity of the peer's partner-change history (the changes
   /// its next partner report carries).
   static std::size_t partner_change_capacity(const Peer& p);
+  /// Skip ranges the peer still remembers (window gaps shallower than
+  /// kResyncSkipSeconds whose blocks are not yet due).
+  static std::size_t skip_count(const Peer& p);
   /// When the peer last re-anchored forward on playback lag (not on a deep
   /// window gap, which leaves this time alone).
   static Tick last_resync(const Peer& p);

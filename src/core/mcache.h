@@ -11,11 +11,17 @@
 // The alternative replacement policy (evict the *youngest* entry, keeping
 // long-lived peers) implements the improvement the paper suggests and is
 // exercised by the ablation bench.
+//
+// With 32 entries the cache is a peer's largest container, so it is one
+// fixed block allocated with the peer rather than a vector that grows as
+// the cache fills (DESIGN.md §14).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <memory>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -34,10 +40,11 @@ enum class McachePolicy : unsigned char {
   kPreferOld = 1,      ///< suggested improvement: keep older (stabler) peers
 };
 
-/// One known-peer entry.  Entries carry the peer's address class: a node
-/// can tell from the advertised IP whether the peer is publicly reachable
-/// (public address or UPnP mapping), so it never wastes a connection
-/// attempt on a plain-NAT peer.
+/// One known-peer entry, the record gossip messages, boot-strap lists and
+/// partnership candidates carry.  Entries carry the peer's address class:
+/// a node can tell from the advertised IP whether the peer is publicly
+/// reachable (public address or UPnP mapping), so it never wastes a
+/// connection attempt on a plain-NAT peer.
 /// Ordered tick-first so the 4-byte id and the flag share one word and
 /// the struct packs to 16 bytes.
 struct McacheEntry {
@@ -47,10 +54,17 @@ struct McacheEntry {
 };
 
 /// Bounded partial view of the overlay membership.
+///
+/// Storage is one fixed block per cache, allocated when the cache is built
+/// and freed by release(): the first_seen times and the ids as parallel
+/// arrays of kMcacheSize slots (384 B), so the id scans of upsert, contains
+/// and remove read 128 B.  The reachable flags are a bit mask beside the
+/// size, in the object.  New entries append; an eviction overwrites its
+/// slot in place, and remove shifts the later slots down.
 class Mcache {
  public:
-  Mcache(std::size_t capacity, McachePolicy policy)
-      : capacity_(capacity), policy_(policy) {}
+  /// Throws std::invalid_argument unless 1 <= capacity <= kMcacheSize.
+  Mcache(std::size_t capacity, McachePolicy policy);
 
   /// Inserts or refreshes an entry.  When full, evicts per policy:
   /// kRandomReplace evicts a uniformly random entry; kPreferOld evicts the
@@ -60,8 +74,14 @@ class Mcache {
   /// Removes `id` if present (e.g. learned that the peer left).
   void remove(net::NodeId id);
 
-  /// Empties the cache and frees its storage (the owner left for good).
-  void release() noexcept { std::vector<McacheEntry>().swap(entries_); }
+  /// Empties the cache and frees its block (the owner left for good); the
+  /// capacity reads 0 and the cache takes no further entries.
+  void release() noexcept {
+    slots_.reset();
+    reachable_ = 0;
+    size_ = 0;
+    capacity_ = 0;
+  }
 
   /// True when `id` is in the cache.
   bool contains(net::NodeId id) const noexcept;
@@ -82,18 +102,18 @@ class Mcache {
   void sample_into(std::size_t k, sim::Rng& rng, ExcludeFn&& excluded,
                    SampleScratch& scratch, Sink&& sink) const {
     scratch.eligible.clear();
-    scratch.eligible.reserve(entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
+    scratch.eligible.reserve(size_);
+    for (std::size_t i = 0; i < size_; ++i) {
       if constexpr (std::is_invocable_v<ExcludeFn, const McacheEntry&>) {
-        if (!excluded(entries_[i])) scratch.eligible.push_back(i);
+        if (!excluded(entry(i))) scratch.eligible.push_back(i);
       } else {
-        if (!excluded(entries_[i].id)) scratch.eligible.push_back(i);
+        if (!excluded(slots_->ids[i])) scratch.eligible.push_back(i);
       }
     }
     const std::size_t take = std::min(k, scratch.eligible.size());
     rng.sample_indices_into(scratch.eligible.size(), take, scratch.picks);
     for (std::size_t pick : scratch.picks) {
-      sink(entries_[scratch.eligible[pick]]);
+      sink(entry(scratch.eligible[pick]));
     }
   }
 
@@ -109,15 +129,34 @@ class Mcache {
     return out;
   }
 
-  const std::vector<McacheEntry>& entries() const noexcept { return entries_; }
-  std::size_t size() const noexcept { return entries_.size(); }
+  /// The entry in slot `i` < size().
+  McacheEntry entry(std::size_t i) const noexcept {
+    return McacheEntry{slots_->first_seen[i], slots_->ids[i],
+                       ((reachable_ >> i) & 1u) != 0};
+  }
+  /// The ids of slots [0, size()).
+  std::span<const net::NodeId> ids() const noexcept {
+    return {slots_ ? slots_->ids : nullptr, size_};
+  }
+  std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept { return capacity_; }
   McachePolicy policy() const noexcept { return policy_; }
 
  private:
-  std::size_t capacity_;
+  struct Slots {
+    Tick first_seen[kMcacheSize];
+    net::NodeId ids[kMcacheSize];
+  };
+
+  /// Writes `e` into slot `i` < size().
+  void put(std::size_t i, const McacheEntry& e) noexcept;
+
+  std::unique_ptr<Slots> slots_;
+  /// Bit i: slot i accepts inbound connections; bits from size_ up are 0.
+  std::uint32_t reachable_ = 0;
+  std::uint8_t size_ = 0;
+  std::uint8_t capacity_;
   McachePolicy policy_;
-  std::vector<McacheEntry> entries_;
 };
 
 }  // namespace coolstream::core

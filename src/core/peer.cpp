@@ -546,8 +546,10 @@ void Peer::on_tick(Tick now) {
     const std::size_t have = partner_count() + pending_attempts_.size();
     if (have < target) {
       bool any_candidate = false;
-      for (const auto& e : mcache_.entries()) {
-        if (e.reachable && e.id != id_ && !partners_.contains(e.id)) {
+      const std::span<const net::NodeId> known = mcache_.ids();
+      for (std::size_t i = 0; i < known.size(); ++i) {
+        if (mcache_.entry(i).reachable && known[i] != id_ &&
+            !partners_.contains(known[i])) {
           any_candidate = true;
           break;
         }

@@ -64,7 +64,8 @@ struct QuietSystem {
       ++seen;
       for (const McacheEntry& e : sent) {
         bool found = false;
-        for (const McacheEntry& c : cache.entries()) {
+        for (std::size_t i = 0; i < cache.size(); ++i) {
+          const McacheEntry c = cache.entry(i);
           if (c.id != e.id) continue;
           found = true;
           EXPECT_EQ(c.first_seen, e.first_seen);

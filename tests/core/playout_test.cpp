@@ -140,7 +140,7 @@ TEST(McacheReachabilityTest, UpsertRefreshesReachability) {
   Mcache m(4, McachePolicy::kRandomReplace);
   m.upsert(McacheEntry{Tick(0.0), 7, false}, rng);
   m.upsert(McacheEntry{Tick(0.0), 7, true}, rng);
-  EXPECT_TRUE(m.entries()[0].reachable);
+  EXPECT_TRUE(m.entry(0).reachable);
 }
 
 TEST(ReachabilityFilterTest, NoAttemptsWastedOnNatPeers) {

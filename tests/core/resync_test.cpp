@@ -1,6 +1,7 @@
 // Bounded playback latency and forward resync behaviour.
 #include <gtest/gtest.h>
 
+#include "core/invariants.h"
 #include "core/system.h"
 #include "net/address.h"
 
@@ -74,12 +75,13 @@ TEST(ResyncTest, HealthyViewerNeverResyncs) {
 
 TEST(ResyncTest, DeepSkipRestartsPastTheJumpedBlocks) {
   // A playing viewer whose sub-stream 0 fell out of its parent's cache
-  // window: the window gap on lane 0 is deeper than kResyncSkipSeconds, so
-  // the player re-anchors.  The new timeline must start after the blocks
-  // lane 0 jumped over — they never arrive, so a timeline starting among
-  // them would count them as played.  Two inputs: the other sub-streams
-  // have already reached lane 0's new position, or they lag it (the
-  // combined prefix then stops short of the jumped-over blocks).
+  // window.  A gap one block short of kResyncSkipSeconds is remembered as
+  // a skip range.  A gap deeper than that re-anchors the player: the new
+  // timeline must start after the blocks lane 0 jumped over — they never
+  // arrive, so a timeline starting among them would count them as played
+  // — and the skip ranges go.  Two inputs: the other sub-streams have
+  // already reached lane 0's new position, or they lag it (the combined
+  // prefix then stops short of the jumped-over blocks).
   for (const bool others_lag : {false, true}) {
     SCOPED_TRACE(others_lag ? "other lanes lag" : "other lanes ahead");
     sim::Simulation simulation(5);
@@ -97,20 +99,33 @@ TEST(ResyncTest, DeepSkipRestartsPastTheJumpedBlocks) {
 
     const int k = sys.params().substream_count;
     const SubstreamId lane(0);
-    const auto deep = BlockCount(static_cast<std::int64_t>(
-        2.0 * kResyncSkipSeconds * sys.params().substream_block_rate()));
-    const SeqNum window_start = p->head(lane) + deep;
+    const auto resync_blocks = BlockCount(static_cast<std::int64_t>(
+        kResyncSkipSeconds * sys.params().substream_block_rate()));
+    const PeerStats before = p->stats();
+    const Tick last_resync = InvariantTestAccess::last_resync(*p);
+
+    // resync_blocks - 1 blocks jumped over: a window skip, no resync.
+    p->handle_window_gap(lane, p->head(lane) + resync_blocks);
+    EXPECT_EQ(p->stats().window_skips, before.window_skips + 1);
+    EXPECT_EQ(p->stats().resyncs, before.resyncs);
+    EXPECT_EQ(InvariantTestAccess::skip_count(*p), 1u);
+
+    const SeqNum window_start = p->head(lane) + resync_blocks + resync_blocks;
     if (!others_lag) {
       for (const SubstreamId j : substreams(k)) {
         while (j != lane && p->head(j) < window_start) p->sync().advance(j);
       }
     }
-    const std::uint32_t resyncs = p->stats().resyncs;
     p->handle_window_gap(lane, window_start);
 
-    ASSERT_EQ(p->stats().resyncs, resyncs + 1) << "not the deep-skip branch";
+    ASSERT_EQ(p->stats().resyncs, before.resyncs + 1)
+        << "not the deep-skip branch";
+    EXPECT_EQ(p->stats().window_skips, before.window_skips + 2);
+    EXPECT_EQ(InvariantTestAccess::skip_count(*p), 0u);
     EXPECT_GT(p->play_start_seq(),
               global_of(lane, window_start - BlockCount(1), k));
+    EXPECT_GE(p->playhead(), global_of(lane, window_start - BlockCount(1), k));
+    EXPECT_EQ(InvariantTestAccess::last_resync(*p), last_resync);
   }
 }
 

@@ -191,7 +191,8 @@ TEST(SystemTest, BootstrapReplyListsLivePeersWithTheirJoinTimes) {
   // so the reply names every one of them.
   ASSERT_LT(sys.live_nodes().size() - 1, kBootstrapListSize);
   ASSERT_EQ(p->mcache().size(), sys.live_nodes().size() - 1);
-  for (const McacheEntry& e : p->mcache().entries()) {
+  for (std::size_t i = 0; i < p->mcache().size(); ++i) {
+    const McacheEntry e = p->mcache().entry(i);
     EXPECT_NE(e.id, requester);
     EXPECT_NE(e.id, viewers[1]);
     ASSERT_NE(sys.live_peer(e.id), nullptr) << e.id;
