@@ -28,15 +28,6 @@ void BM_RngUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniform);
 
-void BM_RngZipf(benchmark::State& state) {
-  sim::Rng rng(2);
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.zipf(n, 1.0));
-  }
-}
-BENCHMARK(BM_RngZipf)->Arg(100)->Arg(100000);
-
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   sim::Rng rng(3);

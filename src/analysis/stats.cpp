@@ -81,49 +81,4 @@ double Ecdf::quantile(double q) const {
   return sorted_[idx];
 }
 
-std::vector<std::pair<double, double>> Ecdf::curve(std::size_t points) const {
-  std::vector<std::pair<double, double>> out;
-  if (sorted_.empty() || points < 2) return out;
-  const double lo = sorted_.front();
-  const double hi = sorted_.back();
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    out.emplace_back(x, at(x));
-  }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo && bins >= 1);
-}
-
-void Histogram::add(double value) noexcept { add_n(value, 1); }
-
-void Histogram::add_n(double value, std::size_t n) noexcept {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::ptrdiff_t>((value - lo_) / w);
-  bin = std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(bin)] += n;
-  total_ += n;
-}
-
-double Histogram::bin_lo(std::size_t bin) const noexcept {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const noexcept {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(bin + 1);
-}
-
-double Histogram::fraction(std::size_t bin) const noexcept {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
-}
-
 }  // namespace coolstream::analysis

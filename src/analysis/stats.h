@@ -1,13 +1,12 @@
-// Basic statistics: summaries, empirical CDFs and histograms.
+// Basic statistics: summaries and empirical CDFs.
 //
 // All figure pipelines reduce to these primitives: Fig. 6/7 are empirical
-// CDFs of delays, Fig. 10 a histogram of durations and retries, Fig. 8/9
-// bucketed means.
+// CDFs of delays, Fig. 10 an ECDF and summary of durations and retries,
+// Fig. 8/9 bucketed means.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace coolstream::analysis {
@@ -48,35 +47,8 @@ class Ecdf {
 
   const std::vector<double>& sorted() const noexcept { return sorted_; }
 
-  /// Evaluation grid: `points` (x, F(x)) pairs spanning [min, max].
-  std::vector<std::pair<double, double>> curve(std::size_t points) const;
-
  private:
   std::vector<double> sorted_;
-};
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into
-/// the edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value) noexcept;
-  void add_n(double value, std::size_t n) noexcept;
-
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_lo(std::size_t bin) const noexcept;
-  double bin_hi(std::size_t bin) const noexcept;
-  /// Fraction of samples in `bin` (0 when empty).
-  double fraction(std::size_t bin) const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace coolstream::analysis

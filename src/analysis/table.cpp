@@ -13,13 +13,6 @@ void Table::row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::row_values(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(fmt(v, precision));
-  row(std::move(cells));
-}
-
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) {

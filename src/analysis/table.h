@@ -19,9 +19,6 @@ class Table {
   /// Adds a row (cells are pre-formatted strings).
   void row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with `precision` digits.
-  void row_values(const std::vector<double>& values, int precision = 3);
-
   void print(std::ostream& os) const;
 
   std::size_t rows() const noexcept { return rows_.size(); }

@@ -37,9 +37,6 @@ std::string to_string(const InvariantViolation& v) {
 
 namespace {
 
-/// Matches the data plane's per-connection credit cap (see system.cpp).
-constexpr double kMaxFlowCredit = 4.0;
-
 /// Partnerships younger than this may legitimately be one-sided (the
 /// acceptance round trip is still in flight).
 constexpr Duration kSymmetryGrace = Duration(5.0);

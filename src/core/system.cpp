@@ -254,7 +254,8 @@ bool System::is_reachable(net::NodeId id) const noexcept {
   if (p == nullptr || !net::accepts_inbound(p->spec().type)) return false;
   // A connectivity flap looks exactly like a NAT whose mapping was lost:
   // new inbound connections fail while established ones keep flowing.
-  return faults_ == nullptr || !faults_->inbound_blocked(now(), id);
+  const sim::FaultInjector* faults = transport_.faults();
+  return faults == nullptr || !faults->inbound_blocked(now(), id);
 }
 
 SeqNum System::source_head(SubstreamId j, Tick t) const noexcept {
@@ -548,8 +549,8 @@ void System::flow_rates(std::size_t shard, Duration dt) {
     }
 
     units::BlockRate capacity = parent->upload_block_rate();
-    if (faults_ != nullptr) {
-      capacity = capacity * faults_->capacity_factor(now(), id);
+    if (const sim::FaultInjector* faults = transport_.faults()) {
+      capacity = capacity * faults->capacity_factor(now(), id);
     }
     rates.resize(links.size());
     scratch.active.resize(links.size());

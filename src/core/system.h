@@ -159,10 +159,8 @@ class System {
   /// injector must outlive the System or be detached first.  Off by
   /// default; with no injector every seeded run is bit-identical.
   void attach_faults(sim::FaultInjector* injector) noexcept {
-    faults_ = injector;
     transport_.attach_faults(injector);
   }
-  sim::FaultInjector* faults() const noexcept { return faults_; }
   /// Ids of currently live nodes (servers + viewers), join order except
   /// for swap-removal on leave.  Deterministic across runs.  The boot-strap
   /// node answers from this list; it is the only record of the active set.
@@ -365,7 +363,6 @@ class System {
   SystemStats stats_;
   sim::EventHandle tick_handle_;
   std::unique_ptr<InvariantAuditor> auditor_;
-  sim::FaultInjector* faults_ = nullptr;
   bool started_ = false;
 
   // --- sharded tick engine -------------------------------------------------

@@ -36,21 +36,10 @@
 #define CAPABILITY(x) COOLSTREAM_TSA(capability(x))
 #define SCOPED_CAPABILITY COOLSTREAM_TSA(scoped_lockable)
 #define GUARDED_BY(x) COOLSTREAM_TSA(guarded_by(x))
-#define PT_GUARDED_BY(x) COOLSTREAM_TSA(pt_guarded_by(x))
-#define ACQUIRED_BEFORE(...) COOLSTREAM_TSA(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) COOLSTREAM_TSA(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) COOLSTREAM_TSA(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  COOLSTREAM_TSA(requires_shared_capability(__VA_ARGS__))
 #define ACQUIRE(...) COOLSTREAM_TSA(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) COOLSTREAM_TSA(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) COOLSTREAM_TSA(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) COOLSTREAM_TSA(release_shared_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) COOLSTREAM_TSA(try_acquire_capability(__VA_ARGS__))
 #define EXCLUDES(...) COOLSTREAM_TSA(locks_excluded(__VA_ARGS__))
-#define ASSERT_CAPABILITY(x) COOLSTREAM_TSA(assert_capability(x))
-#define RETURN_CAPABILITY(x) COOLSTREAM_TSA(lock_returned(x))
-#define NO_THREAD_SAFETY_ANALYSIS COOLSTREAM_TSA(no_thread_safety_analysis)
 
 namespace coolstream::sync {
 
@@ -65,7 +54,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { mu_.lock(); }
   void unlock() RELEASE() { mu_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   // The one sanctioned raw std::mutex: it IS the capability this header

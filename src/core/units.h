@@ -50,9 +50,6 @@ class Duration {
   Duration() = default;
   explicit constexpr Duration(double seconds) noexcept : v_(seconds) {}
   static constexpr Duration seconds(double s) noexcept { return Duration(s); }
-  static constexpr Duration minutes(double m) noexcept {
-    return Duration(m * 60.0);
-  }
   static constexpr Duration hours(double h) noexcept {
     return Duration(h * 3600.0);
   }

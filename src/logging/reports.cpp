@@ -201,9 +201,4 @@ std::optional<Report> parse_report(std::string_view line) {
   return std::nullopt;
 }
 
-const ReportHeader& header_of(const Report& report) {
-  return std::visit(
-      [](const auto& r) -> const ReportHeader& { return r.header; }, report);
-}
-
 }  // namespace coolstream::logging

@@ -104,7 +104,4 @@ std::string serialize(const Report& report);
 /// is malformed or the type is unknown.
 std::optional<Report> parse_report(std::string_view line);
 
-/// Convenience accessor: header of any report alternative.
-const ReportHeader& header_of(const Report& report);
-
 }  // namespace coolstream::logging

@@ -16,22 +16,6 @@ std::string_view to_string(ConnectionType type) noexcept {
   return "unknown";
 }
 
-bool parse_connection_type(std::string_view text,
-                           ConnectionType& out) noexcept {
-  if (text == "direct") {
-    out = ConnectionType::kDirect;
-  } else if (text == "upnp") {
-    out = ConnectionType::kUpnp;
-  } else if (text == "nat") {
-    out = ConnectionType::kNat;
-  } else if (text == "firewall") {
-    out = ConnectionType::kFirewall;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 ConnectionType classify_observed(bool private_address, bool had_incoming,
                                  bool had_outgoing) noexcept {
   (void)had_outgoing;  // every active peer has outgoing partners

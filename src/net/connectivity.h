@@ -32,21 +32,11 @@ inline constexpr int kConnectionTypeCount = 4;
 /// Human-readable name ("direct", "upnp", "nat", "firewall").
 std::string_view to_string(ConnectionType type) noexcept;
 
-/// Parses the names produced by to_string.  Returns false on unknown input.
-bool parse_connection_type(std::string_view text, ConnectionType& out) noexcept;
-
 /// True when a host of type `callee` can accept an inbound TCP connection
-/// (from anyone).  Direct and UPnP hosts are publicly reachable.
+/// (from anyone).  Direct and UPnP hosts are publicly reachable; any host
+/// can initiate.  (No NAT hole punching existed in Coolstreaming.)
 constexpr bool accepts_inbound(ConnectionType callee) noexcept {
   return callee == ConnectionType::kDirect || callee == ConnectionType::kUpnp;
-}
-
-/// True when `caller` can establish a TCP connection to `callee`.
-/// Any host can initiate; the callee must be reachable.  (No NAT hole
-/// punching existed in Coolstreaming.)
-constexpr bool can_connect(ConnectionType /*caller*/,
-                           ConnectionType callee) noexcept {
-  return accepts_inbound(callee);
 }
 
 /// True when the host uses a private (RFC 1918) address.  UPnP hosts sit on

@@ -33,7 +33,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -52,11 +51,6 @@ using Time = units::Tick;
 
 /// A span of simulated time, in seconds.
 using Duration = units::Duration;
-
-/// Convenience alias for type-erased callbacks at API boundaries that are
-/// not performance sensitive.  The queue itself stores callables without
-/// going through std::function.
-using EventFn = std::function<void()>;
 
 namespace detail {
 

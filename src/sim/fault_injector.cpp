@@ -166,17 +166,4 @@ bool FaultInjector::inbound_blocked(units::Tick now,
   return false;
 }
 
-bool FaultInjector::any_active(units::Tick now) const noexcept {
-  for (const MessageFault& m : schedule_.messages) {
-    if (m.window.contains(now)) return true;
-  }
-  for (const CapacityFault& c : schedule_.capacities) {
-    if (c.window.contains(now)) return true;
-  }
-  for (const FlapFault& f : schedule_.flaps) {
-    if (f.window.contains(now)) return true;
-  }
-  return false;
-}
-
 }  // namespace coolstream::sim

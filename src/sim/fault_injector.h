@@ -154,10 +154,6 @@ class FaultInjector {
   /// `node`.  Pure.
   bool inbound_blocked(units::Tick now, FaultNode node) const noexcept;
 
-  /// True when any entry's window is active at `now` (used by harnesses
-  /// to know when a run has quiesced).
-  bool any_active(units::Tick now) const noexcept;
-
   const FaultSchedule& schedule() const noexcept { return schedule_; }
   const FaultCounters& counters() const noexcept { return counters_; }
   std::uint64_t seed() const noexcept { return seed_; }

@@ -108,33 +108,6 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
-  assert(n >= 1);
-  if (n == 1) return 1;
-  // Rejection-inversion sampling (Hörmann & Derflinger 1996).  Handles the
-  // s == 1 singularity explicitly.
-  const double nd = static_cast<double>(n);
-  const auto h = [s](double x) {
-    if (s == 1.0) return std::log(x);
-    return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-  };
-  const auto h_inv = [s](double y) {
-    if (s == 1.0) return std::exp(y);
-    return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
-  };
-  const double h_x1 = h(1.5) - 1.0;
-  const double h_n = h(nd + 0.5);
-  for (;;) {
-    const double u = h_x1 + uniform() * (h_n - h_x1);
-    const double x = h_inv(u);
-    const auto k = static_cast<std::uint64_t>(x + 0.5);
-    const double kd = static_cast<double>(k);
-    if (k < 1 || k > n) continue;
-    // Acceptance test: u >= h(k + 0.5) - k^-s accepts k.
-    if (u >= h(kd + 0.5) - std::pow(kd, -s)) return k;
-  }
-}
-
 std::size_t Rng::weighted(std::span<const double> weights) noexcept {
   double total = 0.0;
   for (double w : weights) total += w;
@@ -145,12 +118,6 @@ std::size_t Rng::weighted(std::span<const double> weights) noexcept {
     if (target < 0.0) return i;
   }
   return weights.size() - 1;  // floating point slack
-}
-
-std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
-  std::vector<std::size_t> chosen;
-  sample_indices_into(n, k, chosen);
-  return chosen;
 }
 
 void Rng::sample_indices_into(std::size_t n, std::size_t k,

@@ -66,11 +66,6 @@ class Rng {
   /// Normal variate with given mean and standard deviation.
   double normal(double mean, double stddev) noexcept;
 
-  /// Zipf-distributed integer in [1, n] with exponent s >= 0, by inversion
-  /// on the precomputed CDF is avoided; uses rejection-inversion
-  /// (Hörmann & Derflinger) so it is O(1) without setup tables.
-  std::uint64_t zipf(std::uint64_t n, double s) noexcept;
-
   /// Samples an index in [0, weights.size()) proportionally to
   /// `weights` (non-negative, not all zero).
   std::size_t weighted(std::span<const double> weights) noexcept;
@@ -85,11 +80,9 @@ class Rng {
   }
 
   /// Picks k distinct indices uniformly from [0, n) (k <= n), in random
-  /// order.  O(k) expected time via Floyd's algorithm.
-  std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
-
-  /// sample_indices into a caller-owned buffer (cleared first): identical
-  /// draw sequence, no allocation once the buffer's capacity is warm.
+  /// order, into a caller-owned buffer (cleared first).  O(k) expected
+  /// time via Floyd's algorithm; no allocation once the buffer's capacity
+  /// is warm.
   void sample_indices_into(std::size_t n, std::size_t k,
                            std::vector<std::size_t>& out);
 

@@ -124,7 +124,9 @@ void ChurnDriver::execute_mass(const MassDeparture& d) {
   const auto count = static_cast<std::size_t>(
       std::floor(d.fraction * static_cast<double>(viewers.size())));
   if (count == 0) return;
-  for (std::size_t i : rng_.sample_indices(viewers.size(), count)) {
+  std::vector<std::size_t> picks;
+  rng_.sample_indices_into(viewers.size(), count, picks);
+  for (std::size_t i : picks) {
     sys.leave(viewers[i], /*graceful=*/!d.crash);
     ++counters_.departures;
     if (d.crash) ++counters_.crashes;

@@ -29,18 +29,6 @@ UserTypeModel UserTypeModel::coolstreaming_2006() {
   return m;
 }
 
-UserTypeModel UserTypeModel::all_direct(double mean_bps) {
-  UserTypeModel m;
-  for (auto& p : m.profiles) p.share = 0.0;
-  auto& d = m.profiles[idx(net::ConnectionType::kDirect)];
-  d.share = 1.0;
-  d.capacity_mu = std::log(mean_bps);
-  d.capacity_sigma = 0.3;
-  d.min_bps = 64e3;
-  d.max_bps = 50e6;
-  return m;
-}
-
 net::ConnectionType UserTypeModel::draw_type(sim::Rng& rng) const {
   const std::array<double, net::kConnectionTypeCount> weights = {
       profiles[0].share, profiles[1].share, profiles[2].share,

@@ -34,10 +34,6 @@ struct UserTypeModel {
   /// The paper-calibrated default mixture.
   static UserTypeModel coolstreaming_2006();
 
-  /// A homogeneous all-direct population (ablation: what the overlay looks
-  /// like without NAT/firewall constraints).
-  static UserTypeModel all_direct(double mean_bps);
-
   /// Draws a connection type according to the shares.
   net::ConnectionType draw_type(sim::Rng& rng) const;
 

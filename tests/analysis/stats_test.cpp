@@ -62,50 +62,5 @@ TEST(EcdfTest, Quantiles) {
   EXPECT_DOUBLE_EQ(e.quantile(1.0), 100.0);
 }
 
-TEST(EcdfTest, CurveSpansRangeAndIsMonotone) {
-  Ecdf e({1.0, 5.0, 5.0, 9.0, 12.0});
-  const auto curve = e.curve(11);
-  ASSERT_EQ(curve.size(), 11u);
-  EXPECT_DOUBLE_EQ(curve.front().first, 1.0);
-  EXPECT_DOUBLE_EQ(curve.back().first, 12.0);
-  EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    ASSERT_GE(curve[i].second, curve[i - 1].second);
-  }
-}
-
-TEST(HistogramTest, BinsAndFractions) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(9.0);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_NEAR(h.fraction(0), 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(HistogramTest, OutOfRangeClampedToEdges) {
-  Histogram h(0.0, 10.0, 2);
-  h.add(-5.0);
-  h.add(100.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-}
-
-TEST(HistogramTest, AddN) {
-  Histogram h(0.0, 1.0, 1);
-  h.add_n(0.5, 10);
-  EXPECT_EQ(h.total(), 10u);
-  EXPECT_EQ(h.count(0), 10u);
-}
-
-TEST(HistogramTest, EmptyFractionIsZero) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
-}
-
 }  // namespace
 }  // namespace coolstream::analysis

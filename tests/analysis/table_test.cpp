@@ -36,15 +36,6 @@ TEST(TableTest, ShortRowsPadded) {
   EXPECT_EQ(t.rows(), 1u);
 }
 
-TEST(TableTest, RowValuesFormatsDoubles) {
-  Table t({"x", "y"});
-  t.row_values({1.23456, 2.0}, 2);
-  std::ostringstream os;
-  t.print(os);
-  EXPECT_NE(os.str().find("1.23"), std::string::npos);
-  EXPECT_NE(os.str().find("2.00"), std::string::npos);
-}
-
 TEST(FormattersTest, FmtAndPct) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(3.14159, 0), "3");

@@ -102,15 +102,6 @@ TEST(ReportsTest, PartnerEmptyChanges) {
   EXPECT_TRUE(std::get<PartnerReport>(*parsed).changes.empty());
 }
 
-TEST(ReportsTest, HeaderOfDispatches) {
-  QosReport q;
-  q.header = {5, 6, 7.0};
-  EXPECT_EQ(header_of(Report(q)).user_id, 5u);
-  ActivityReport a;
-  a.header = {8, 9, 10.0};
-  EXPECT_EQ(header_of(Report(a)).session_id, 9u);
-}
-
 TEST(ReportsTest, MalformedLinesRejected) {
   EXPECT_FALSE(parse_report("").has_value());
   EXPECT_FALSE(parse_report("garbage").has_value());

@@ -68,7 +68,6 @@ TEST(FaultInjector, NoFaultsMeansNoDecisions) {
     EXPECT_FALSE(d.duplicate);
     EXPECT_EQ(d.extra_delay, Duration(0.0));
   }
-  EXPECT_FALSE(inj.any_active(Tick(0.0)));
   EXPECT_EQ(inj.counters().dropped, 0u);
   EXPECT_EQ(inj.counters().duplicated, 0u);
 }

@@ -168,8 +168,9 @@ TEST(RngTest, ShuffleIsPermutation) {
 
 TEST(RngTest, SampleIndicesDistinctAndInRange) {
   Rng rng(23);
+  std::vector<std::size_t> s;
   for (int trial = 0; trial < 200; ++trial) {
-    auto s = rng.sample_indices(20, 7);
+    rng.sample_indices_into(20, 7, s);
     ASSERT_EQ(s.size(), 7u);
     std::sort(s.begin(), s.end());
     ASSERT_TRUE(std::adjacent_find(s.begin(), s.end()) == s.end());
@@ -179,7 +180,8 @@ TEST(RngTest, SampleIndicesDistinctAndInRange) {
 
 TEST(RngTest, SampleIndicesFullSet) {
   Rng rng(24);
-  auto s = rng.sample_indices(5, 5);
+  std::vector<std::size_t> s;
+  rng.sample_indices_into(5, 5, s);
   std::sort(s.begin(), s.end());
   EXPECT_EQ(s, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
@@ -187,48 +189,13 @@ TEST(RngTest, SampleIndicesFullSet) {
 TEST(RngTest, SampleIndicesUniform) {
   Rng rng(25);
   std::vector<int> counts(10, 0);
+  std::vector<std::size_t> s;
   for (int i = 0; i < 20000; ++i) {
-    for (auto idx : rng.sample_indices(10, 3)) ++counts[idx];
+    rng.sample_indices_into(10, 3, s);
+    for (auto idx : s) ++counts[idx];
   }
   for (int c : counts) EXPECT_NEAR(c, 6000, 350);
 }
-
-// --- property sweep: zipf over (n, s) ------------------------------------
-
-class ZipfTest : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
-
-TEST_P(ZipfTest, InRangeAndRankOneIsModal) {
-  const auto [n, s] = GetParam();
-  Rng rng(31 + n);
-  std::vector<int> counts(n + 1, 0);
-  constexpr int kDraws = 30000;
-  for (int i = 0; i < kDraws; ++i) {
-    const auto v = rng.zipf(n, s);
-    ASSERT_GE(v, 1u);
-    ASSERT_LE(v, n);
-    ++counts[static_cast<std::size_t>(v)];
-  }
-  // Rank 1 must be the most frequent outcome for s > 0.
-  for (std::uint64_t k = 2; k <= n; ++k) {
-    EXPECT_GE(counts[1], counts[static_cast<std::size_t>(k)])
-        << "rank " << k << " beat rank 1 for s=" << s;
-  }
-  // Check the 1-vs-2 frequency ratio against the exact 2^s.
-  if (n >= 2 && counts[2] > 500) {
-    const double ratio =
-        static_cast<double>(counts[1]) / static_cast<double>(counts[2]);
-    EXPECT_NEAR(ratio, std::pow(2.0, s), std::pow(2.0, s) * 0.15);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ZipfTest,
-    ::testing::Values(std::make_tuple(std::uint64_t{2}, 1.0),
-                      std::make_tuple(std::uint64_t{10}, 0.8),
-                      std::make_tuple(std::uint64_t{10}, 1.0),
-                      std::make_tuple(std::uint64_t{100}, 1.2),
-                      std::make_tuple(std::uint64_t{1000}, 1.0),
-                      std::make_tuple(std::uint64_t{1}, 1.0)));
 
 }  // namespace
 }  // namespace coolstream::sim

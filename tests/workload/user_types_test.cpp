@@ -94,13 +94,5 @@ TEST(UserTypeModelTest, MeanCapacityExceedsStreamRate) {
   EXPECT_GT(m.mean_capacity_bps(), 768e3);
 }
 
-TEST(UserTypeModelTest, AllDirectPreset) {
-  const auto m = UserTypeModel::all_direct(1.5e6);
-  sim::Rng rng(5);
-  for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(m.draw_type(rng), net::ConnectionType::kDirect);
-  }
-}
-
 }  // namespace
 }  // namespace coolstream::workload
