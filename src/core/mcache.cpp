@@ -1,19 +1,13 @@
 #include "core/mcache.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace coolstream::core {
 
 static_assert(kMcacheSize <= 32, "the reachable flags are a 32-bit mask");
 
-Mcache::Mcache(std::size_t capacity, McachePolicy policy)
-    : capacity_(static_cast<std::uint8_t>(capacity)), policy_(policy) {
-  if (capacity == 0 || capacity > kMcacheSize) {
-    throw std::invalid_argument("Mcache capacity must be in [1, kMcacheSize]");
-  }
-  slots_ = std::make_unique_for_overwrite<Slots>();
-}
+Mcache::Mcache(McachePolicy policy)
+    : slots_(std::make_unique_for_overwrite<Slots>()), policy_(policy) {}
 
 void Mcache::put(std::size_t i, const McacheEntry& e) noexcept {
   slots_->first_seen[i] = e.first_seen;
@@ -31,7 +25,7 @@ void Mcache::upsert(const McacheEntry& entry, sim::Rng& rng) {
       return;
     }
   }
-  if (size_ < capacity_) {
+  if (size_ < kMcacheSize) {
     put(size_++, entry);
     return;
   }

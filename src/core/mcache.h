@@ -63,24 +63,24 @@ struct McacheEntry {
 /// slot in place, and remove shifts the later slots down.
 class Mcache {
  public:
-  /// Throws std::invalid_argument unless 1 <= capacity <= kMcacheSize.
-  Mcache(std::size_t capacity, McachePolicy policy);
+  /// An empty cache of kMcacheSize slots.
+  explicit Mcache(McachePolicy policy);
 
   /// Inserts or refreshes an entry.  When full, evicts per policy:
   /// kRandomReplace evicts a uniformly random entry; kPreferOld evicts the
-  /// entry with the largest first_seen (the youngest peer).
+  /// entry with the largest first_seen (the youngest peer).  Not for a
+  /// released cache: a departed peer handles no gossip.
   void upsert(const McacheEntry& entry, sim::Rng& rng);
 
   /// Removes `id` if present (e.g. learned that the peer left).
   void remove(net::NodeId id);
 
   /// Empties the cache and frees its block (the owner left for good); the
-  /// capacity reads 0 and the cache takes no further entries.
+  /// capacity reads 0.
   void release() noexcept {
     slots_.reset();
     reachable_ = 0;
     size_ = 0;
-    capacity_ = 0;
   }
 
   /// True when `id` is in the cache.
@@ -139,7 +139,8 @@ class Mcache {
     return {slots_ ? slots_->ids : nullptr, size_};
   }
   std::size_t size() const noexcept { return size_; }
-  std::size_t capacity() const noexcept { return capacity_; }
+  /// kMcacheSize while the block is held, 0 after release().
+  std::size_t capacity() const noexcept { return slots_ ? kMcacheSize : 0; }
   McachePolicy policy() const noexcept { return policy_; }
 
  private:
@@ -155,7 +156,6 @@ class Mcache {
   /// Bit i: slot i accepts inbound connections; bits from size_ up are 0.
   std::uint32_t reachable_ = 0;
   std::uint8_t size_ = 0;
-  std::uint8_t capacity_;
   McachePolicy policy_;
 };
 

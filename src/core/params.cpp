@@ -16,9 +16,6 @@ void Params::validate() const {
     fail("substream_count exceeds kMaxSubstreams (the buffer-map lane "
          "capacity)");
   }
-  if (buffer_seconds <= kMediaReadyBufferSeconds) {
-    fail("buffer_seconds must exceed kMediaReadyBufferSeconds");
-  }
   if (ts_seconds <= 0.0) fail("ts_seconds must be positive");
   if (tp_seconds <= 0.0) fail("tp_seconds must be positive");
   if (tp_seconds < ts_seconds) {
@@ -26,18 +23,10 @@ void Params::validate() const {
          "partners by more than the intra-node sub-stream spread)");
   }
   if (ta_seconds <= 0.0) fail("ta_seconds must be positive");
-  if (max_partners <= kInitialPartnerTarget) {
-    fail("max_partners must exceed kInitialPartnerTarget (a viewer's "
-         "partner budget is clamped to [target + 1, M])");
-  }
   if (block_rate <= 0.0) fail("block_rate must be positive");
   if (block_rate < static_cast<double>(substream_count)) {
     fail("block_rate must be >= substream_count (every sub-stream needs a "
          "positive block rate)");
-  }
-  if (tp_seconds >= buffer_seconds) {
-    fail("tp_seconds must be smaller than buffer_seconds (the join offset "
-         "must land inside partners' buffers)");
   }
   if (tp_seconds >= kMaxPlaybackLagSeconds) {
     fail("tp_seconds must be smaller than kMaxPlaybackLagSeconds (the "
@@ -51,8 +40,6 @@ void Params::validate() const {
     fail("partner_silence_timeout must exceed kBmExchangePeriod (a healthy "
          "partner refreshes its BM once per exchange period)");
   }
-  if (status_report_period <= 0.0) fail("status_report_period must be positive");
-  if (flow_tick <= 0.0) fail("flow_tick must be positive");
   if (max_catchup_factor < 1.0) fail("max_catchup_factor must be >= 1");
 }
 

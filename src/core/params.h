@@ -1,8 +1,9 @@
 // System parameters of Coolstreaming (Table I of the paper), the few
 // deployment settings a bench or workload varies, and the fixed behaviour
 // the paper describes in prose, as named constants.  A setting that every
-// run leaves at one value is a constant here (or next to its one reader),
-// not a field.
+// run leaves at one value is a constant here (a static member of Params
+// when Table I names it, like B and M), or next to its one reader (the
+// latency model's bounds, e.g. net::kMinDelay), not a field.
 //
 //   R    bit rate of the live video stream
 //   K    number of sub-streams
@@ -79,18 +80,20 @@ inline constexpr double kAdaptationCheckPeriod = 1.0;
 /// Period of the attempt to restore the partner count, seconds.
 inline constexpr double kPartnerRefillPeriod = 2.0;
 /// Partnerships a node attempts on join (§IV-A), and the partner count it
-/// refills toward.  Params::validate() keeps M above it.
+/// refills toward.  M is a constant above it (checked below).
 inline constexpr int kInitialPartnerTarget = 4;
 /// Seconds of contiguous video buffered ahead of the playhead before the
 /// media player starts (the 10-20 s wait of Fig. 6).
 inline constexpr double kMediaReadyBufferSeconds = 10.0;
 
-/// The settable protocol and measurement parameters of one broadcast.
+/// The protocol and measurement parameters of one broadcast.  B, M, the
+/// report period and the flow tick are single deployed values, so they are
+/// constants; the rest are the fields benches and workloads set.
 struct Params {
   // --- Table I -----------------------------------------------------------
   double stream_rate_bps = 768'000.0;  ///< R: 768 kbps, "TV-quality" (§V-A)
   int substream_count = 4;             ///< K
-  double buffer_seconds = 120.0;       ///< B: cache-buffer span
+  static constexpr double buffer_seconds = 120.0;  ///< B: cache-buffer span
   double ts_seconds = 10.0;            ///< T_s expressed in seconds of video
   double tp_seconds = 15.0;            ///< T_p expressed in seconds of video
   double ta_seconds = 10.0;            ///< T_a cool-down
@@ -101,7 +104,7 @@ struct Params {
   /// (~9-10) inbound partnerships on top of their own outgoing ones —
   /// consistent with §V-B's "the degree of a direct-connect/UPnP peers
   /// often reaches the maximum allowed by the system".
-  int max_partners = 16;
+  static constexpr int max_partners = 16;
 
   // --- block clock ---------------------------------------------------------
   double block_rate = 8.0;  ///< total blocks per second across sub-streams
@@ -123,11 +126,11 @@ struct Params {
   bool adaptation_ineq2 = true;  ///< Ineq. (2): parent lags other partners
 
   // --- measurement (§V-A) --------------------------------------------------
-  double status_report_period = 300.0;  ///< 5-minute status reports
+  static constexpr double status_report_period = 300.0;  ///< 5-minute reports
 
   // --- data plane -----------------------------------------------------------
   /// Fluid-flow integration step for the data plane, in seconds.
-  double flow_tick = 0.5;
+  static constexpr double flow_tick = 0.5;
   /// A child in catch-up may receive at most this multiple of the
   /// sub-stream rate on one connection (TCP ramp / receiver limits).
   double max_catchup_factor = 4.0;
@@ -183,10 +186,6 @@ struct Params {
   units::BlockRate substream_block_rate_typed() const noexcept {
     return units::BlockRate(substream_block_rate());
   }
-  /// The stream rate R as a bit rate.
-  units::BitRate stream_rate() const noexcept {
-    return units::BitRate(stream_rate_bps);
-  }
   /// Whole-block payload size in bytes (matches the fluid data plane).
   units::Bytes block_bytes() const noexcept {
     return units::Bytes(static_cast<std::uint64_t>(block_size_bits() / 8.0));
@@ -203,5 +202,16 @@ struct Params {
   /// Multi-line human-readable dump (printed by every bench header).
   std::string describe() const;
 };
+
+static_assert(Params::buffer_seconds > kMediaReadyBufferSeconds,
+              "B must exceed the media-ready span");
+static_assert(Params::max_partners > kInitialPartnerTarget,
+              "a viewer's partner budget is clamped to [target + 1, M]");
+static_assert(Params::status_report_period > 0.0,
+              "status reports need a positive period");
+static_assert(Params::flow_tick > 0.0, "the flow tick must be positive");
+// validate() keeps T_p below the lag bound, so T_p < B follows.
+static_assert(kMaxPlaybackLagSeconds < Params::buffer_seconds,
+              "the join offset T_p must land inside partners' buffers");
 
 }  // namespace coolstream::core

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "core/system.h"
+#include "net/latency.h"
 #include "sim/stream_tags.h"
 
 namespace coolstream::core {
@@ -27,7 +28,7 @@ Peer::Peer(System& system, net::NodeId id, PeerSpec spec,
       id_(id),
       sync_(system.params().substream_count),
       rng_(system.rng().stream(sim::peer_stream_tag(id))),
-      mcache_(kMcacheSize, system.config().mcache_policy),
+      mcache_(system.config().mcache_policy),
       partners_(system.advertisements(), system.params().substream_count) {
   parents_.fill(net::kInvalidNode);
   credits_.fill(0.0);
@@ -535,11 +536,10 @@ void Peer::on_tick(Tick now) {
       if (start_decided_ && parent == net::kInvalidNode) starving = true;
     }
     // An attempt whose confirm/reject the network lost has no response
-    // coming once a full round trip (2 * max_delay) plus slack has passed;
+    // coming once a full round trip (2 * kMaxDelay) plus slack has passed;
     // age it out.  Clean runs never hit this: every response arrives
     // within the round trip.
-    const Duration attempt_ttl = Duration(
-        2.0 * sys_.transport().latency().params().max_delay + 1.0);
+    const Duration attempt_ttl = Duration(2.0 * net::kMaxDelay + 1.0);
     std::erase_if(pending_attempts_, [now, attempt_ttl](const PendingAttempt& a) {
       return now - a.started >= attempt_ttl;
     });

@@ -140,7 +140,7 @@ class Peer {
   /// System; this finalizes local state and freezes stats.
   void set_left();
 
-  // --- data plane (FlowModel access) ---------------------------------------
+  // --- data plane (System's F1/F2 flow phases) ----------------------------
   SyncBuffer& sync() noexcept { return sync_; }
   const SyncBuffer& sync() const noexcept { return sync_; }
   std::vector<OutLink>& out_links() noexcept { return out_links_; }

@@ -83,9 +83,8 @@ System::System(sim::Simulation& simulation, Params params,
       transport_(simulation, latency_model_),
       workers_(resolve_shard_count(config.shards)) {
   params_.validate();
-  if (std::max(params_.max_partners, config_.server_max_partners) >
-      kMaxPartnerCap) {
-    throw std::invalid_argument("System: partner caps must be at most " +
+  if (config_.server_max_partners > kMaxPartnerCap) {
+    throw std::invalid_argument("System: server_max_partners must be at most " +
                                 std::to_string(kMaxPartnerCap));
   }
   shard_scratch_.resize(workers_.shard_count());

@@ -64,6 +64,8 @@ inline constexpr double kJoinAggregationDelay = 1.0;
 /// server_max_partners) a System accepts: a deferred BM publication counts
 /// its partners in 16 bits, and the cap leaves room for in-flight slack.
 inline constexpr int kMaxPartnerCap = 32768;
+static_assert(Params::max_partners <= kMaxPartnerCap,
+              "a viewer's partner cap must fit the outbox's partner count");
 
 /// Deployment-level configuration that benches and workloads vary
 /// (everything else that is not a Table-I protocol parameter is a

@@ -22,8 +22,8 @@ units::Duration LatencyModel::delay(NodeId a, NodeId b) const noexcept {
   const double u2 = static_cast<double>(u64b >> 11) * 0x1.0p-53;  // [0,1)
   const double z = std::sqrt(-2.0 * std::log(u1)) *
                    std::cos(2.0 * std::numbers::pi * u2);
-  const double d = std::exp(params_.mu + params_.sigma * z);
-  return units::Duration(std::clamp(d, params_.min_delay, params_.max_delay));
+  const double d = std::exp(kLatencyMu + kLatencySigma * z);
+  return units::Duration(std::clamp(d, kMinDelay, kMaxDelay));
 }
 
 }  // namespace coolstream::net

@@ -15,28 +15,22 @@
 
 namespace coolstream::net {
 
-/// Parameters of the lognormal one-way-delay model, in seconds.
-struct LatencyParams {
-  double mu = -2.6;       ///< lognormal mu; exp(-2.6) ~ 74 ms median
-  double sigma = 0.6;     ///< lognormal sigma (tail heaviness)
-  double min_delay = 0.005;  ///< floor: 5 ms
-  double max_delay = 1.5;    ///< cap: 1.5 s (protects event horizon)
-};
+/// The lognormal one-way-delay model, in seconds.
+inline constexpr double kLatencyMu = -2.6;    ///< exp(-2.6) ~ 74 ms median
+inline constexpr double kLatencySigma = 0.6;  ///< tail heaviness
+inline constexpr double kMinDelay = 0.005;    ///< floor: 5 ms
+inline constexpr double kMaxDelay = 1.5;  ///< cap (protects event horizon)
 
 /// Deterministic pairwise latency oracle.
 class LatencyModel {
  public:
-  explicit LatencyModel(std::uint64_t seed, LatencyParams params = {})
-      : seed_(seed), params_(params) {}
+  explicit LatencyModel(std::uint64_t seed) : seed_(seed) {}
 
   /// One-way delay between `a` and `b`.  Symmetric.
   units::Duration delay(NodeId a, NodeId b) const noexcept;
 
-  const LatencyParams& params() const noexcept { return params_; }
-
  private:
   std::uint64_t seed_;
-  LatencyParams params_;
 };
 
 }  // namespace coolstream::net

@@ -7,7 +7,7 @@
 // (gossip, buffer maps, subscribe/unsubscribe) are small; we model their
 // propagation delay but not their bandwidth, which is standard for
 // overlay simulations — the data plane (sub-stream blocks) is where
-// bandwidth is modelled (see core::FlowModel).
+// bandwidth is modelled (see the F1/F2 flow phases of core::System).
 //
 // The transport also keeps per-category message counters so benches can
 // report control overhead.
@@ -84,8 +84,6 @@ class Transport {
 
   /// Total messages sent.
   std::uint64_t total_sent() const noexcept;
-
-  const LatencyModel& latency() const noexcept { return latency_; }
 
  private:
   const sim::Simulation& sim_;

@@ -212,7 +212,7 @@ TEST(HotpathAllocationTest, GossipReceiveIsAllocationFree) {
 }
 
 TEST(HotpathAllocationTest, McacheSamplingIsAllocationFree) {
-  Mcache cache(32, McachePolicy::kRandomReplace);
+  Mcache cache(McachePolicy::kRandomReplace);
   sim::Rng rng(5);
   // Fill past capacity so upserts in the counted loop take the
   // replace-in-place path.

@@ -9,12 +9,6 @@
 namespace coolstream::core {
 namespace {
 
-Params fast_params() {
-  Params p;
-  p.status_report_period = 30.0;
-  return p;
-}
-
 PeerSpec nat_viewer(std::uint64_t user, sim::Rng& rng) {
   PeerSpec s;
   s.user_id = user;
@@ -27,7 +21,7 @@ PeerSpec nat_viewer(std::uint64_t user, sim::Rng& rng) {
 
 TEST(JoinProcessTest, InitialOffsetIsTpBehindPartnerMax) {
   sim::Simulation simulation(3);
-  Params params = fast_params();
+  Params params;
   SystemConfig cfg;
   cfg.server_count = 2;
   cfg.server_capacity_bps = 10e6;
@@ -65,7 +59,7 @@ TEST(JoinProcessTest, MediaReadyRequiresBufferedSpan) {
   // of contiguous delivery after start-subscription — with an effectively
   // infinite-capacity parent it arrives quickly but never instantly.
   sim::Simulation simulation(5);
-  Params params = fast_params();
+  Params params;
   params.max_catchup_factor = 2.0;  // bound the fill rate
   SystemConfig cfg;
   cfg.server_count = 1;
@@ -101,7 +95,7 @@ TEST(JoinProcessTest, JoinWithNoActivePeersRetriesViaBootstrap) {
   // must keep polling the boot-strap without crashing, and classify as a
   // non-normal session if it gives up.
   sim::Simulation simulation(7);
-  Params params = fast_params();
+  Params params;
   SystemConfig cfg;
   cfg.server_count = 0;
   logging::LogServer log;
@@ -122,7 +116,7 @@ TEST(AdaptationTest, CooldownLimitsAdaptationRate) {
   // A permanently under-provisioned parent violates the inequalities on
   // every check, but adaptations are confined to one per T_a.
   sim::Simulation simulation(9);
-  Params params = fast_params();
+  Params params;
   SystemConfig cfg;
   cfg.server_count = 1;
   cfg.server_capacity_bps = 0.6 * 768e3;
@@ -145,7 +139,7 @@ TEST(AdaptationTest, SwitchesToFresherParentViaInequality2) {
   // reach later (via gossip/bootstrap refresh), and Ineq. (2) should pull
   // the viewer to it.
   sim::Simulation simulation(11);
-  Params params = fast_params();
+  Params params;
   SystemConfig cfg;
   cfg.server_count = 2;
   cfg.server_capacity_bps = 6e6;

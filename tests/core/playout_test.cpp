@@ -8,12 +8,6 @@
 namespace coolstream::core {
 namespace {
 
-Params fast_params() {
-  Params p;
-  p.status_report_period = 30.0;
-  return p;
-}
-
 PeerSpec nat_viewer(std::uint64_t user, sim::Rng& rng) {
   PeerSpec s;
   s.user_id = user;
@@ -32,7 +26,7 @@ struct Rig {
 
   Rig(double server_capacity_bps, std::uint64_t seed)
       : simulation(seed),
-        sys(simulation, fast_params(),
+        sys(simulation, Params{},
             [server_capacity_bps] {
               SystemConfig c;
               c.server_count = 1;
@@ -99,22 +93,26 @@ TEST(PlayoutTest, ContinuityFromLogMatchesPeerStats) {
   cfg.server_count = 1;
   cfg.server_capacity_bps = 3 * 768e3;
   cfg.server_max_partners = 4;
-  Params params = fast_params();
-  System sys(simulation, params, cfg, &log);
+  System sys(simulation, Params{}, cfg, &log);
   sys.start();
   simulation.run_until(sim::Time(10.0));
   const net::NodeId id = sys.join(nat_viewer(9, simulation.rng()));
-  simulation.run_until(sim::Time(400.0));
+  // Three 300 s report rounds: summing interval reports catches a report
+  // that does not reset its counters between rounds.
+  simulation.run_until(sim::Time(1000.0));
 
   const Peer* p = sys.peer(id);
+  int rounds = 0;
   std::uint64_t due = 0;
   std::uint64_t on_time = 0;
   for (const auto& r : log.parse_all()) {
     if (const auto* q = std::get_if<logging::QosReport>(&r)) {
+      ++rounds;
       due += q->blocks_due;
       on_time += q->blocks_on_time;
     }
   }
+  EXPECT_EQ(rounds, 3);
   // Reports lag by at most one period; totals must not exceed stats.
   EXPECT_LE(due, p->stats().blocks_due);
   EXPECT_LE(on_time, p->stats().blocks_on_time);
@@ -125,7 +123,7 @@ TEST(PlayoutTest, ContinuityFromLogMatchesPeerStats) {
 
 TEST(McacheReachabilityTest, SampleCanFilterOnEntries) {
   sim::Rng rng(1);
-  Mcache m(8, McachePolicy::kRandomReplace);
+  Mcache m(McachePolicy::kRandomReplace);
   m.upsert(McacheEntry{Tick(0.0), 1, true}, rng);
   m.upsert(McacheEntry{Tick(0.0), 2, false}, rng);
   m.upsert(McacheEntry{Tick(0.0), 3, true}, rng);
@@ -137,7 +135,7 @@ TEST(McacheReachabilityTest, SampleCanFilterOnEntries) {
 
 TEST(McacheReachabilityTest, UpsertRefreshesReachability) {
   sim::Rng rng(2);
-  Mcache m(4, McachePolicy::kRandomReplace);
+  Mcache m(McachePolicy::kRandomReplace);
   m.upsert(McacheEntry{Tick(0.0), 7, false}, rng);
   m.upsert(McacheEntry{Tick(0.0), 7, true}, rng);
   EXPECT_TRUE(m.entry(0).reachable);
@@ -152,7 +150,7 @@ TEST(ReachabilityFilterTest, NoAttemptsWastedOnNatPeers) {
   cfg.server_count = 2;
   cfg.server_capacity_bps = 20e6;
   cfg.server_max_partners = 40;
-  System sys(simulation, fast_params(), cfg, nullptr);
+  System sys(simulation, Params{}, cfg, nullptr);
   sys.start();
   simulation.run_until(sim::Time(5.0));
   for (int i = 0; i < 12; ++i) {

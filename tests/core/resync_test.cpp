@@ -8,12 +8,6 @@
 namespace coolstream::core {
 namespace {
 
-Params fast_params() {
-  Params p;
-  p.status_report_period = 30.0;
-  return p;
-}
-
 PeerSpec nat_viewer(std::uint64_t user, sim::Rng& rng) {
   PeerSpec s;
   s.user_id = user;
@@ -40,7 +34,7 @@ TEST(ResyncTest, PlaybackLagStaysBounded) {
   cfg.server_count = 1;
   cfg.server_capacity_bps = 0.9 * 768e3;
   cfg.server_max_partners = 4;
-  System sys(simulation, fast_params(), cfg, nullptr);
+  System sys(simulation, Params{}, cfg, nullptr);
   sys.start();
   simulation.run_until(sim::Time(30.0));
   const net::NodeId id = sys.join(nat_viewer(1, simulation.rng()));
@@ -60,7 +54,7 @@ TEST(ResyncTest, HealthyViewerNeverResyncs) {
   cfg.server_count = 1;
   cfg.server_capacity_bps = 5 * 768e3;
   cfg.server_max_partners = 4;
-  System sys(simulation, fast_params(), cfg, nullptr);
+  System sys(simulation, Params{}, cfg, nullptr);
   sys.start();
   simulation.run_until(sim::Time(30.0));
   const net::NodeId id = sys.join(nat_viewer(2, simulation.rng()));
@@ -89,7 +83,7 @@ TEST(ResyncTest, DeepSkipRestartsPastTheJumpedBlocks) {
     cfg.server_count = 1;
     cfg.server_capacity_bps = 5 * 768e3;
     cfg.server_max_partners = 4;
-    System sys(simulation, fast_params(), cfg, nullptr);
+    System sys(simulation, Params{}, cfg, nullptr);
     sys.start();
     simulation.run_until(sim::Time(30.0));
     const net::NodeId id = sys.join(nat_viewer(3, simulation.rng()));
@@ -131,7 +125,7 @@ TEST(ResyncTest, DeepSkipRestartsPastTheJumpedBlocks) {
 
 TEST(ResyncTest, CapacityScaledPartnerBudget) {
   sim::Simulation simulation(7);
-  System sys(simulation, fast_params(), SystemConfig{}, nullptr);
+  System sys(simulation, Params{}, SystemConfig{}, nullptr);
   auto budget_for = [&](double upload_bps) {
     PeerSpec spec;
     spec.kind = PeerKind::kViewer;

@@ -21,13 +21,6 @@
 namespace coolstream::core {
 namespace {
 
-Params fast_params() {
-  Params p;
-  // Status reports every 30 s so short tests still produce QoS data.
-  p.status_report_period = 30.0;
-  return p;
-}
-
 SystemConfig small_config(int servers = 2) {
   SystemConfig c;
   c.server_count = servers;
@@ -51,7 +44,7 @@ PeerSpec viewer(std::uint64_t user, net::ConnectionType type,
 
 TEST(SystemTest, ServersComeUpAndFollowTheSource) {
   sim::Simulation simulation(1);
-  System sys(simulation, fast_params(), small_config(3), nullptr);
+  System sys(simulation, Params{}, small_config(3), nullptr);
   sys.start();
   simulation.run_until(sim::Time(30.0));
   for (net::NodeId id = 0; id < 3; ++id) {
@@ -68,7 +61,7 @@ TEST(SystemTest, ServersComeUpAndFollowTheSource) {
 
 TEST(SystemTest, SourceHeadMatchesBlockClock) {
   sim::Simulation simulation(1);
-  System sys(simulation, fast_params(), small_config(), nullptr);
+  System sys(simulation, Params{}, small_config(), nullptr);
   // At t: floor(t * 8) global blocks exist, split round-robin over 4.
   EXPECT_EQ(sys.source_head(SubstreamId(0), Tick(0.0)), kNoSeq);
   // One block would need t >= 1/8.
@@ -85,7 +78,7 @@ TEST(SystemTest, SourceHeadMatchesBlockClock) {
 TEST(SystemTest, SingleViewerReachesPlayback) {
   sim::Simulation simulation(7);
   logging::LogServer log;
-  System sys(simulation, fast_params(), small_config(), &log);
+  System sys(simulation, Params{}, small_config(), &log);
   std::vector<SessionEvent> events;
   sys.observer = [&](net::NodeId, SessionEvent e) { events.push_back(e); };
   sys.start();
@@ -115,7 +108,7 @@ TEST(SystemTest, SingleViewerReachesPlayback) {
 TEST(SystemTest, JoinEmitsActivityReportsInOrder) {
   sim::Simulation simulation(11);
   logging::LogServer log;
-  System sys(simulation, fast_params(), small_config(), &log);
+  System sys(simulation, Params{}, small_config(), &log);
   sys.start();
   simulation.run_until(sim::Time(5.0));
   sys.join(viewer(42, net::ConnectionType::kNat, 500e3, simulation.rng()));
@@ -139,7 +132,7 @@ TEST(SystemTest, JoinEmitsActivityReportsInOrder) {
 TEST(SystemTest, GracefulLeaveReportsAndCleansUp) {
   sim::Simulation simulation(13);
   logging::LogServer log;
-  System sys(simulation, fast_params(), small_config(), &log);
+  System sys(simulation, Params{}, small_config(), &log);
   sys.start();
   simulation.run_until(sim::Time(5.0));
   const net::NodeId id = sys.join(
@@ -166,7 +159,7 @@ TEST(SystemTest, BootstrapReplyListsLivePeersWithTheirJoinTimes) {
   // time.  Four viewers join at distinct times and one of them leaves, so
   // the departed id and the join times are both told apart.
   sim::Simulation simulation(19);
-  System sys(simulation, fast_params(), small_config(), nullptr);
+  System sys(simulation, Params{}, small_config(), nullptr);
   sys.start();
   std::vector<net::NodeId> viewers;
   for (int i = 0; i < 4; ++i) {
@@ -203,7 +196,7 @@ TEST(SystemTest, BootstrapReplyListsLivePeersWithTheirJoinTimes) {
 TEST(SystemTest, CrashLeavesSessionOpenInLog) {
   sim::Simulation simulation(17);
   logging::LogServer log;
-  System sys(simulation, fast_params(), small_config(), &log);
+  System sys(simulation, Params{}, small_config(), &log);
   sys.start();
   simulation.run_until(sim::Time(5.0));
   const net::NodeId id = sys.join(
@@ -223,7 +216,7 @@ TEST(SystemTest, DepartedPeerFreesSessionStateAndKeepsStats) {
   // on a graceful leave and on a crash) while its stats and buffer heads
   // stay readable and frozen for the figures.
   sim::Simulation simulation(23);
-  System sys(simulation, fast_params(), small_config(), nullptr);
+  System sys(simulation, Params{}, small_config(), nullptr);
   sys.start();
   simulation.run_until(sim::Time(5.0));
   std::vector<net::NodeId> ids;
@@ -265,7 +258,7 @@ TEST(SystemTest, DepartedPeerFreesSessionStateAndKeepsStats) {
 
 TEST(SystemTest, NatViewersNeverAcceptInbound) {
   sim::Simulation simulation(19);
-  System sys(simulation, fast_params(), small_config(), nullptr);
+  System sys(simulation, Params{}, small_config(), nullptr);
   sys.start();
   simulation.run_until(sim::Time(5.0));
   std::vector<net::NodeId> nat_ids;
@@ -296,7 +289,7 @@ TEST(SystemTest, PartnerChangesAreKeptOnlyForALogServer) {
     SCOPED_TRACE(with_log ? "log server" : "no log server");
     sim::Simulation simulation(29);
     logging::LogServer log;
-    System sys(simulation, fast_params(), small_config(),
+    System sys(simulation, Params{}, small_config(),
                with_log ? &log : nullptr);
     sys.start();
     std::vector<net::NodeId> ids;
@@ -331,7 +324,7 @@ TEST(SystemTest, ParentDepartureTriggersReselection) {
   // Seed chosen so the topology below reliably forms viewer-viewer parent
   // links within the warm-up window (the precondition this test needs).
   sim::Simulation simulation(24);
-  System sys(simulation, fast_params(), small_config(1), nullptr);
+  System sys(simulation, Params{}, small_config(1), nullptr);
   sys.start();
   simulation.run_until(sim::Time(5.0));
   sim::Rng& rng = simulation.rng();
@@ -387,7 +380,7 @@ TEST(SystemTest, UnnotifiedParentDepartureClearsTheSlot) {
   sim::Simulation simulation(11);
   SystemConfig cfg = small_config(1);
   cfg.server_max_partners = 1;  // the relay takes the server's one slot
-  System sys(simulation, fast_params(), cfg, nullptr);
+  System sys(simulation, Params{}, cfg, nullptr);
   sys.start();
   sim::Rng& rng = simulation.rng();
   simulation.run_until(sim::Time(5.0));
@@ -422,7 +415,7 @@ TEST(SystemTest, UnnotifiedParentDepartureClearsTheSlot) {
 
 TEST(SystemTest, PeerAddressesSurviveJoinsPastChunkBoundaries) {
   sim::Simulation simulation(3);
-  System sys(simulation, fast_params(), small_config(), nullptr);
+  System sys(simulation, Params{}, small_config(), nullptr);
   sys.start();
   constexpr auto kChunk = static_cast<net::NodeId>(System::kPeersPerChunk);
   const auto join_until = [&](net::NodeId target) {
@@ -488,7 +481,7 @@ TEST(SystemTest, PeerAddressesSurviveJoinsPastChunkBoundaries) {
 
 TEST(SystemTest, SnapshotIsConsistent) {
   sim::Simulation simulation(29);
-  System sys(simulation, fast_params(), small_config(), nullptr);
+  System sys(simulation, Params{}, small_config(), nullptr);
   sys.start();
   simulation.run_until(sim::Time(5.0));
   sim::Rng& rng = simulation.rng();
@@ -516,7 +509,7 @@ TEST(SystemTest, DeterministicGivenSeed) {
   auto run = [](std::uint64_t seed) {
     sim::Simulation simulation(seed);
     logging::LogServer log;
-    System sys(simulation, fast_params(), small_config(), &log);
+    System sys(simulation, Params{}, small_config(), &log);
     sys.start();
     simulation.run_until(sim::Time(5.0));
     sim::Rng& rng = simulation.rng();
@@ -526,12 +519,19 @@ TEST(SystemTest, DeterministicGivenSeed) {
       sys.join(viewer(static_cast<std::uint64_t>(500 + i), type,
                       i % 2 == 0 ? 3e6 : 400e3, rng));
     }
-    simulation.run_until(sim::Time(300.0));
+    // Two 300 s status-report rounds, so the compared log holds QoS,
+    // traffic and partner reports as well as activity reports.
+    simulation.run_until(sim::Time(620.0));
     return std::make_tuple(log.lines(), sys.stats().blocks_transferred,
-                           sys.transport().total_sent());
+                           sys.transport().total_sent(), log.parse_all());
   };
   const auto a = run(99);
   const auto b = run(99);
+  std::size_t qos = 0;
+  for (const auto& r : std::get<3>(a)) {
+    if (std::holds_alternative<logging::QosReport>(r)) ++qos;
+  }
+  EXPECT_EQ(qos, 2u * 8u);  // two rounds of the eight viewers
   EXPECT_EQ(std::get<0>(a), std::get<0>(b));
   EXPECT_EQ(std::get<1>(a), std::get<1>(b));
   EXPECT_EQ(std::get<2>(a), std::get<2>(b));
@@ -548,7 +548,7 @@ TEST(SystemTest, PeerCompetitionTriggersAdaptation) {
   SystemConfig cfg = small_config(1);
   cfg.server_capacity_bps = 2.5 * 768e3;  // ~2.5 full streams
   cfg.server_max_partners = 30;
-  System sys(simulation, fast_params(), cfg, nullptr);
+  System sys(simulation, Params{}, cfg, nullptr);
   sys.start();
   simulation.run_until(sim::Time(5.0));
   sim::Rng& rng = simulation.rng();
@@ -582,13 +582,11 @@ TEST(SystemTest, PeerCompetitionTriggersAdaptation) {
 TEST(SystemTest, StatusReportsArrivePeriodically) {
   sim::Simulation simulation(37);
   logging::LogServer log;
-  Params p = fast_params();
-  p.status_report_period = 20.0;
-  System sys(simulation, p, small_config(), &log);
+  System sys(simulation, Params{}, small_config(), &log);
   sys.start();
   simulation.run_until(sim::Time(2.0));
   sys.join(viewer(7, net::ConnectionType::kDirect, 2e6, simulation.rng()));
-  simulation.run_until(sim::Time(130.0));
+  simulation.run_until(sim::Time(1250.0));
 
   int qos = 0;
   int traffic = 0;
@@ -598,9 +596,9 @@ TEST(SystemTest, StatusReportsArrivePeriodically) {
     if (std::holds_alternative<logging::TrafficReport>(r)) ++traffic;
     if (std::holds_alternative<logging::PartnerReport>(r)) ++partner;
   }
-  // ~128 s of life with a 20 s period: 6 report rounds.
-  EXPECT_GE(qos, 5);
-  EXPECT_LE(qos, 7);
+  // ~1 248 s of life with the 300 s period: 4 report rounds.
+  EXPECT_GE(qos, 3);
+  EXPECT_LE(qos, 5);
   EXPECT_EQ(qos, traffic);
   EXPECT_EQ(qos, partner);
 }
@@ -608,11 +606,9 @@ TEST(SystemTest, StatusReportsArrivePeriodically) {
 TEST(SystemTest, UploadBytesFlowToTheLog) {
   sim::Simulation simulation(41);
   logging::LogServer log;
-  Params p = fast_params();
-  p.status_report_period = 20.0;
   SystemConfig cfg = small_config(1);
   cfg.server_max_partners = 2;  // force the NAT peers onto the relay
-  System sys(simulation, p, cfg, &log);
+  System sys(simulation, Params{}, cfg, &log);
   sys.start();
   simulation.run_until(sim::Time(2.0));
   sim::Rng& rng = simulation.rng();
@@ -622,7 +618,8 @@ TEST(SystemTest, UploadBytesFlowToTheLog) {
     sys.join(viewer(10 + static_cast<std::uint64_t>(i),
                     net::ConnectionType::kNat, 300e3, rng));
   }
-  simulation.run_until(sim::Time(300.0));
+  // Past the first 300 s status-report round.
+  simulation.run_until(sim::Time(400.0));
 
   const auto sessions = logging::reconstruct_sessions(log.parse_all());
   std::uint64_t total_up = 0;
@@ -655,7 +652,7 @@ void add_partner(Peer& a, net::NodeId b, Tick at) {
 /// it), and a partner the sender silence-breaks earlier in the same tick.
 BroadcastOutcome run_broadcast_case(int shards) {
   sim::Simulation simulation(31);
-  Params params = fast_params();
+  Params params;
   params.partner_silence_timeout = 10.0;
   SystemConfig cfg = small_config();
   cfg.shards = shards;
@@ -748,7 +745,7 @@ struct TwoViewers {
     b = sys.join(viewer(601, type, 1e6, rng));
   }
   static Params with_silence(double timeout) {
-    Params p = fast_params();
+    Params p;
     p.partner_silence_timeout = timeout;
     return p;
   }
@@ -943,7 +940,7 @@ TEST(SystemTest, MalformedShardCountsAreRejected) {
 
   sim::Simulation simulation(3);
   const auto shards_of = [&simulation](SystemConfig cfg) {
-    return System(simulation, fast_params(), cfg, nullptr).shard_count();
+    return System(simulation, Params{}, cfg, nullptr).shard_count();
   };
   const auto expect_rejected = [&shards_of](SystemConfig cfg,
                                             const std::string& needle) {
@@ -982,17 +979,15 @@ TEST(SystemTest, MalformedShardCountsAreRejected) {
 }
 
 TEST(SystemTest, PartnerCapsPastTheOutboxCountAreRejected) {
+  // The viewer cap Params::max_partners is a constant that system.h
+  // checks at compile time; the servers' cap is checked here.
   sim::Simulation simulation(3);
   SystemConfig cfg = small_config();
   cfg.shards = 1;
   cfg.server_max_partners = kMaxPartnerCap;
-  EXPECT_NO_THROW(System(simulation, fast_params(), cfg, nullptr));
+  EXPECT_NO_THROW(System(simulation, Params{}, cfg, nullptr));
   cfg.server_max_partners = kMaxPartnerCap + 1;
-  EXPECT_THROW(System(simulation, fast_params(), cfg, nullptr),
-               std::invalid_argument);
-  Params params = fast_params();
-  params.max_partners = kMaxPartnerCap + 1;
-  EXPECT_THROW(System(simulation, params, small_config(), nullptr),
+  EXPECT_THROW(System(simulation, Params{}, cfg, nullptr),
                std::invalid_argument);
 }
 

@@ -40,8 +40,8 @@ TEST(LatencyTest, WithinBounds) {
   LatencyModel m(3);
   for (NodeId a = 0; a < 500; ++a) {
     const double d = m.delay(a, a * 31 + 7).value();
-    ASSERT_GE(d, m.params().min_delay);
-    ASSERT_LE(d, m.params().max_delay);
+    ASSERT_GE(d, kMinDelay);
+    ASSERT_LE(d, kMaxDelay);
   }
 }
 
@@ -51,19 +51,7 @@ TEST(LatencyTest, MedianRoughlyMatchesMu) {
   for (NodeId a = 0; a < 4000; ++a) delays.push_back(m.delay(a, 100000 + a).value());
   std::sort(delays.begin(), delays.end());
   // exp(mu) = exp(-2.6) ~ 74 ms.
-  EXPECT_NEAR(delays[delays.size() / 2], std::exp(m.params().mu), 0.01);
-}
-
-TEST(LatencyTest, CustomParamsRespected) {
-  LatencyParams p;
-  p.min_delay = 0.2;
-  p.max_delay = 0.25;
-  LatencyModel m(9, p);
-  for (NodeId a = 0; a < 200; ++a) {
-    const double d = m.delay(a, a + 1).value();
-    ASSERT_GE(d, 0.2);
-    ASSERT_LE(d, 0.25);
-  }
+  EXPECT_NEAR(delays[delays.size() / 2], std::exp(kLatencyMu), 0.01);
 }
 
 }  // namespace
